@@ -2,14 +2,23 @@
 
 Images are 2-D float64 arrays in [0, 1]. The three operations (Gaussian
 blur, brightness shift, affine warp) are applied in that fixed order by
-:func:`augment_sample`; every parameter is drawn from the spec ranges by
+:func:`augment_pixels`; every parameter is drawn from the spec ranges by
 a generator seeded per entry, so augmentation is fully reproducible.
+
+:func:`augment_pixels` works on a stack of images with one seed each, so
+the runner augments the easy-pool copies of an epoch in chunks. Every
+entry of a stack comes out bit-identical to augmenting that image alone,
+and so bit-identical to the single-image operations below
+(:func:`gaussian_blur`, :func:`brightness_adjust`, :func:`affine`), which
+stay as the reference they are tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,19 +125,137 @@ def affine(image: np.ndarray, rotation_degrees: float, dx: float, dy: float) -> 
     return np.clip(out, 0.0, 1.0)
 
 
-def augment_pixels(image: np.ndarray, spec: AugmentationSpec, seed: int) -> np.ndarray:
-    """Apply blur -> brightness -> affine with parameters drawn from ``seed``."""
-    rng = np.random.default_rng(int(seed))
-    sigma = rng.uniform(*spec.blur_sigma_range)
-    delta = rng.uniform(*spec.brightness_range)
-    theta = rng.uniform(*spec.rotation_range_degrees)
-    dx = rng.uniform(*spec.translation_range_pixels)
-    dy = rng.uniform(*spec.translation_range_pixels)
-    out = gaussian_blur(image, sigma)
-    out = brightness_adjust(out, delta)
-    return affine(out, theta, dx, dy)
+@lru_cache(maxsize=64)
+def _reflected_range(n: int, radius: int) -> np.ndarray:
+    """Indices of ``n`` samples padded by ``radius`` on each side, reflected."""
+    table = _reflect_index(np.arange(-radius, n + radius), n)
+    table.flags.writeable = False
+    return table
 
 
-def augment_sample(sample, spec: AugmentationSpec, seed: int):
-    """Augmented copy of a dataset sample; labels and metadata untouched."""
-    return replace(sample, image=augment_pixels(sample.image, spec, seed))
+def _reflected_pair(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_reflect_index`` of ``idx`` and ``idx + 1``.
+
+    Looked up in a cached table when the indices stay within ``n`` of the
+    frame, which keeps the cache small; computed directly otherwise.
+    """
+    radius = max(0, -int(idx.min()), int(idx.max()) + 2 - n)
+    if radius > n:
+        return _reflect_index(idx, n), _reflect_index(idx + 1, n)
+    table = _reflected_range(n, radius)
+    return table[idx + radius], table[idx + (radius + 1)]
+
+
+def _blur_stack(images: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """:func:`gaussian_blur` of each image by its own positive sigma.
+
+    Every kernel is padded with zero taps to the largest radius, so all
+    entries share one reflected gather per axis. A zero tap adds exactly
+    0.0 and the taps are summed in order from zeros, as in
+    :func:`_conv1d_reflect`.
+    """
+    kernels = [gaussian_kernel_1d(float(sigma)) for sigma in sigmas]
+    radius = max(len(k) for k in kernels) // 2
+    taps = np.zeros((len(kernels), 2 * radius + 1))
+    for row, k in zip(taps, kernels):
+        pad = radius - len(k) // 2
+        row[pad : pad + len(k)] = k
+    _, h, w = images.shape
+    out = images
+    for axis, size in ((1, h), (2, w)):
+        padded = np.take(out, _reflected_range(size, radius), axis=axis)
+        out = np.zeros_like(images)
+        for j in range(2 * radius + 1):
+            window = padded[:, j : j + h, :] if axis == 1 else padded[:, :, j : j + w]
+            out += taps[:, j, None, None] * window
+    return np.clip(out, 0.0, 1.0)
+
+
+def _floor_and_fraction(src: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reflected indices of ``floor(src)`` and ``floor(src) + 1``, and the fraction.
+
+    The fraction ``src - floor(src)`` is written into ``src``. Subtracting
+    the float floor gives the same bits as subtracting its int64 copy, as
+    :func:`affine` does.
+    """
+    floor = np.floor(src)
+    i0, i1 = _reflected_pair(floor.astype(np.int64), n)
+    src -= floor
+    return i0, i1, src
+
+
+def _affine_stack(
+    images: np.ndarray, rotations: np.ndarray, dxs: np.ndarray, dys: np.ndarray
+) -> np.ndarray:
+    """:func:`affine` of each image by its own angle and shift, one gather.
+
+    Products are taken in place where that keeps :func:`affine`'s order of
+    operations, so a chunk holds few full-size temporaries at once.
+    """
+    n, h, w = images.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    thetas = [math.radians(r) for r in rotations]
+    cos_t = np.array([math.cos(t) for t in thetas])[:, None, None]
+    sin_t = np.array([math.sin(t) for t in thetas])[:, None, None]
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    u = (xs - dxs[:, None, None]) - cx
+    v = (ys - dys[:, None, None]) - cy
+    src_x = cos_t * u + sin_t * v + cx
+    src_y = -sin_t * u + cos_t * v + cy
+    del u, v
+    x0r, x1r, fx = _floor_and_fraction(src_x, w)
+    y0r, y1r, fy = _floor_and_fraction(src_y, h)
+    # Flat offsets into the whole stack: image, then row, then column.
+    base = (np.arange(n) * (h * w))[:, None, None]
+    row0, row1 = base + y0r * w, base + y1r * w
+    del y0r, y1r
+    flat = images.reshape(-1)
+    gx, gy = 1 - fx, 1 - fy
+    out = flat[row0 + x0r]
+    out *= gy
+    out *= gx
+    for row, col, wy, wx in ((row0, x1r, gy, fx), (row1, x0r, fy, gx), (row1, x1r, fy, fx)):
+        term = flat[row + col]
+        term *= wy
+        term *= wx
+        out += term
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def augment_pixels(
+    images: np.ndarray, spec: AugmentationSpec, seeds: int | Sequence[int]
+) -> np.ndarray:
+    """Apply blur -> brightness -> affine with parameters drawn per seed.
+
+    ``images`` is a stack ``(n, h, w)`` with a sequence of ``n`` seeds, or
+    one ``(h, w)`` image with an int seed (the ``n = 1`` case). Entry ``i``
+    draws its five parameters from ``default_rng(seeds[i])`` and comes out
+    bit-identical to ``affine(brightness_adjust(gaussian_blur(image,
+    sigma), delta), theta, dx, dy)`` whichever entries share its stack.
+    """
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim == 2:
+        return augment_pixels(images[None], spec, [seeds])[0]
+    if images.ndim != 3 or len(images) != len(seeds):
+        raise ValueError(
+            f"expected an (n, h, w) stack with n seeds, got shape {images.shape} "
+            f"and {len(seeds)} seeds"
+        )
+    draws = np.empty((len(seeds), 5))
+    for row, seed in zip(draws, seeds):
+        rng = np.random.default_rng(int(seed))
+        row[:] = (
+            rng.uniform(*spec.blur_sigma_range),
+            rng.uniform(*spec.brightness_range),
+            rng.uniform(*spec.rotation_range_degrees),
+            rng.uniform(*spec.translation_range_pixels),
+            rng.uniform(*spec.translation_range_pixels),
+        )
+    sigmas, deltas, rotations, dxs, dys = draws.T
+    out = images.copy()
+    blurred = np.flatnonzero(sigmas > 0.0)
+    if len(blurred):
+        out[blurred] = _blur_stack(images[blurred], sigmas[blurred])
+    out += deltas[:, None, None]
+    np.clip(out, 0.0, 1.0, out=out)
+    return _affine_stack(out, rotations, dxs, dys)

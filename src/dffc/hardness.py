@@ -18,6 +18,7 @@ platforms.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,13 @@ class HardnessState:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.alpha_f < 0.0:
             raise ValueError(f"alpha_f must be non-negative, got {self.alpha_f}")
+        for name in ("dih", "prior"):
+            values = getattr(self, name)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if len(bad):
+                raise ValueError(
+                    f"{name} values must be finite; sample {bad[0]} has {values[bad[0]]}"
+                )
         if len(self.prior) and (self.prior.min() < 0.0 or self.prior.max() > 1.0):
             raise ValueError("prior values must lie in [0, 1]")
 
@@ -91,9 +99,12 @@ class HardnessState:
 def instantaneous_hardness(loss: float, eta_t: float, eta_max: float) -> float:
     """Loss scaled by eta_max / eta_t.
 
-    Raises :class:`InvalidScheduleError` when the learning rate is outside
+    Raises :class:`ValueError` for a negative or non-finite loss, and
+    :class:`InvalidScheduleError` when the learning rate is outside
     (0, eta_max]; that always indicates a broken schedule upstream.
     """
+    if not math.isfinite(loss):
+        raise ValueError(f"loss must be finite, got {loss}")
     if loss < 0.0:
         raise ValueError(f"loss must be non-negative, got {loss}")
     if eta_t <= 0.0 or eta_t > eta_max:

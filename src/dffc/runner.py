@@ -56,6 +56,11 @@ TRACE_START_EPOCH = 3
 #: that class margins keep growing once the cosine schedule has decayed.
 INPUT_GAIN = 5.0
 TRACE_GROUP_SIZE = 5
+#: Easy-pool copies augmented per call of ``augment_pixels``. Chunks of 64
+#: to 256 16 px images run equally fast; the chunk's temporaries grow with
+#: it (about 3.4 MB at 128, 6.9 MB at 256), and at 256 they raise the peak
+#: RSS of a default dffc run by about 3%.
+AUGMENT_CHUNK = 128
 EXTREMES_FRACTION = 0.1
 
 
@@ -246,6 +251,7 @@ def run_training(
     pixel_mean = raw_train.mean(axis=0)
     pixel_std = (raw_train.std(axis=0) + 1e-8) / INPUT_GAIN
     X_train = (raw_train - pixel_mean) / pixel_std
+    train_images = raw_train.reshape(n, *train[0].image.shape)
     y_train = np.array([s.target for s in train])
     X_test = (np.stack([s.image.ravel() for s in test]) - pixel_mean) / pixel_std
     y_test = np.array([s.target for s in test])
@@ -284,17 +290,20 @@ def run_training(
                 for e in entries
             )
 
-        # Assemble the epoch's pixel matrix (augmenting where required).
-        X_epoch = np.empty((len(entries), d))
-        for i, entry in enumerate(entries):
-            if entry.is_augmented:
-                pixels = augment_pixels(
-                    train[entry.sample_id].image, config.augment, entry.augmentation_seed
-                ).ravel()
-                X_epoch[i] = (pixels - pixel_mean) / pixel_std
-            else:
-                X_epoch[i] = X_train[entry.sample_id]
-        y_epoch = y_train[[e.sample_id for e in entries]]
+        # Assemble the epoch's pixel matrix, then overwrite the augmented
+        # rows chunk by chunk with standardized augmented copies.
+        ids = np.array([e.sample_id for e in entries], dtype=np.int64)
+        X_epoch = X_train[ids]
+        y_epoch = y_train[ids]
+        augmented = [i for i, e in enumerate(entries) if e.is_augmented]
+        for start in range(0, len(augmented), AUGMENT_CHUNK):
+            rows = augmented[start : start + AUGMENT_CHUNK]
+            pixels = augment_pixels(
+                train_images[ids[rows]],
+                config.augment,
+                [entries[i].augmentation_seed for i in rows],
+            )
+            X_epoch[rows] = (pixels.reshape(len(rows), d) - pixel_mean) / pixel_std
 
         # Mini-batch SGD; losses are recorded before each batch's update.
         epoch_losses = np.empty(len(entries))
@@ -304,6 +313,12 @@ def run_training(
             probs = forward_batch(params, Xb)
             epoch_losses[start:stop] = bce_loss(probs, yb)
             params = sgd_step(params, gradients(params, Xb, yb), eta)
+        bad = np.flatnonzero(~np.isfinite(epoch_losses))
+        if len(bad):
+            raise ValueError(
+                f"epoch {t}: non-finite training loss {epoch_losses[bad[0]]} "
+                f"(sample {entries[bad[0]].sample_id})"
+            )
 
         # Hardness updates: only originals that sit in the hard pool (all
         # samples during warm-up / vanilla; the selected subset otherwise).

@@ -1,21 +1,21 @@
 """Augmentation tests: kernel shape, identity cases, hand-checked warps,
-and seeded determinism."""
+seeded determinism, and the stack version of ``augment_pixels`` checked
+for exact equality against the single-image operations."""
 
 import math
 
 import numpy as np
 import pytest
 
+from dffc import augment
 from dffc.augment import (
     AugmentationSpec,
     affine,
     augment_pixels,
-    augment_sample,
     brightness_adjust,
     gaussian_blur,
     gaussian_kernel_1d,
 )
-from dffc.forgeries import DatasetConfig, generate_dataset
 
 
 class TestKernel:
@@ -142,11 +142,92 @@ class TestAugmentPixels:
         out = augment_pixels(img, AugmentationSpec(), 77)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
-    def test_augment_sample_keeps_metadata(self):
-        train, _ = generate_dataset(DatasetConfig(n_train=4, n_test=2, seed=0))
-        sample = train[1]
-        out = augment_sample(sample, AugmentationSpec(), 5)
-        assert out.id == sample.id
-        assert out.label == sample.label
-        assert out.artifact_amplitude == sample.artifact_amplitude
-        assert not np.array_equal(out.image, sample.image)
+
+def oracle(image: np.ndarray, spec: AugmentationSpec, seed: int) -> np.ndarray:
+    """One image through the single-image operations, with ``seed``'s draws."""
+    rng = np.random.default_rng(seed)
+    sigma = rng.uniform(*spec.blur_sigma_range)
+    delta = rng.uniform(*spec.brightness_range)
+    theta = rng.uniform(*spec.rotation_range_degrees)
+    dx = rng.uniform(*spec.translation_range_pixels)
+    dy = rng.uniform(*spec.translation_range_pixels)
+    return affine(brightness_adjust(gaussian_blur(image, sigma), delta), theta, dx, dy)
+
+
+def stack_and_seeds(n: int, size: int, seed: int) -> tuple[np.ndarray, list[int]]:
+    rng = np.random.default_rng(seed)
+    images = rng.uniform(0, 1, (n, size, size))
+    return images, [int(s) for s in rng.integers(0, 2**63, n)]
+
+
+class TestAugmentStack:
+    @pytest.mark.parametrize(
+        "size, spec",
+        [
+            (16, AugmentationSpec()),
+            (32, AugmentationSpec()),
+            # sigma 1.4 to 2 gives blur radius 5 or 6, beyond a 4 px image
+            (4, AugmentationSpec(blur_sigma_range=(1.4, 2.0))),
+            (16, AugmentationSpec(blur_sigma_range=(0.0, 0.0))),
+            (16, AugmentationSpec(blur_sigma_range=(3.0, 6.0))),
+        ],
+    )
+    def test_matches_single_image_oracle(self, size, spec):
+        images, seeds = stack_and_seeds(40, size, seed=size)
+        out = augment_pixels(images, spec, seeds)
+        expected = np.stack([oracle(img, spec, s) for img, s in zip(images, seeds)])
+        assert out.shape == images.shape
+        np.testing.assert_array_equal(out, expected)
+
+    def test_mixed_radii_in_one_chunk(self):
+        images, seeds = stack_and_seeds(64, 16, seed=11)
+        spec = AugmentationSpec()
+        radii = set()
+        for s in seeds:
+            sigma = np.random.default_rng(s).uniform(*spec.blur_sigma_range)
+            radii.add(len(gaussian_kernel_1d(sigma)) // 2)
+        assert len(radii) >= 4
+        expected = np.stack([oracle(img, spec, s) for img, s in zip(images, seeds)])
+        np.testing.assert_array_equal(augment_pixels(images, spec, seeds), expected)
+
+    def test_single_entry_stack_equals_single_image(self):
+        images, seeds = stack_and_seeds(1, 16, seed=12)
+        spec = AugmentationSpec()
+        stacked = augment_pixels(images, spec, seeds)
+        single = augment_pixels(images[0], spec, seeds[0])
+        assert stacked.shape == (1, 16, 16) and single.shape == (16, 16)
+        np.testing.assert_array_equal(stacked[0], single)
+        np.testing.assert_array_equal(single, oracle(images[0], spec, seeds[0]))
+
+    def test_output_does_not_depend_on_chunk_mates(self):
+        images, seeds = stack_and_seeds(30, 16, seed=13)
+        spec = AugmentationSpec(blur_sigma_range=(0.0, 3.0))
+        whole = augment_pixels(images, spec, seeds)
+        order = np.random.default_rng(14).permutation(30)
+        shuffled = augment_pixels(images[order], spec, [seeds[i] for i in order])
+        np.testing.assert_array_equal(shuffled, whole[order])
+        for lo, hi in ((0, 1), (1, 7), (7, 30)):
+            part = augment_pixels(images[lo:hi], spec, seeds[lo:hi])
+            np.testing.assert_array_equal(part, whole[lo:hi])
+
+    def test_far_reads_skip_the_reflect_table_cache(self):
+        images, seeds = stack_and_seeds(4, 8, seed=17)
+        spec = AugmentationSpec(
+            blur_sigma_range=(0.0, 0.0), translation_range_pixels=(-1e6, 1e6)
+        )
+        augment._reflected_range.cache_clear()
+        out = augment_pixels(images, spec, seeds)
+        assert augment._reflected_range.cache_info().currsize == 0
+        expected = np.stack([oracle(img, spec, s) for img, s in zip(images, seeds)])
+        np.testing.assert_array_equal(out, expected)
+
+    def test_input_left_untouched(self):
+        images, seeds = stack_and_seeds(8, 16, seed=15)
+        before = images.copy()
+        augment_pixels(images, AugmentationSpec(), seeds)
+        np.testing.assert_array_equal(images, before)
+
+    def test_seed_count_must_match_stack(self):
+        images, seeds = stack_and_seeds(3, 8, seed=16)
+        with pytest.raises(ValueError, match="3 seeds"):
+            augment_pixels(images[:2], AugmentationSpec(), seeds)

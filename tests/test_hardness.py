@@ -44,6 +44,11 @@ class TestInstantaneousHardness:
         with pytest.raises(ValueError):
             instantaneous_hardness(-0.1, 0.05, 0.1)
 
+    @pytest.mark.parametrize("loss", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_loss_rejected(self, loss):
+        with pytest.raises(ValueError, match=f"loss must be finite, got {loss}"):
+            instantaneous_hardness(loss, 0.05, 0.1)
+
 
 class TestDihUpdate:
     def test_single_update_weighted_by_gamma(self):
@@ -133,6 +138,18 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             HardnessState(
                 dih=np.zeros(1), prior=np.array([1.2]), gamma=0.9, alpha_f=0.5
+            )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_prior_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"prior values must be finite; sample 1 has {bad}"):
+            HardnessState.fresh(np.array([0.2, bad]), gamma=0.9, alpha_f=0.5)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_non_finite_dih_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"dih values must be finite; sample 0 has {bad}"):
+            HardnessState(
+                dih=np.array([bad, 0.0]), prior=np.zeros(2), gamma=0.9, alpha_f=0.5
             )
 
     def test_length_mismatch(self):

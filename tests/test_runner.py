@@ -318,3 +318,29 @@ class TestEvaluate:
         params = init_params(4, 2, seed=0)
         with pytest.raises(ValueError):
             runner.evaluate(params, [], np.array([]))
+
+
+class TestEpochAssembly:
+    def test_chunk_size_does_not_change_the_run(self, small_run_config, monkeypatch):
+        # Ten easy copies per epoch: chunks of 3 split them 3+3+3+1.
+        reference = runner.run_training(small_run_config)
+        monkeypatch.setattr(runner, "AUGMENT_CHUNK", 3)
+        chunked = runner.run_training(small_run_config)
+        assert runner.metrics_csv_text(chunked) == runner.metrics_csv_text(reference)
+        for a, b in zip(chunked.loss_streams, reference.loss_streams):
+            np.testing.assert_array_equal(a, b)
+
+    def test_non_finite_epoch_loss_rejected(self, small_run_config, monkeypatch):
+        real_bce = runner.bce_loss
+        calls = []
+
+        def nan_after_epoch_1(probs, y):
+            # Epoch 1 makes five calls: four batches of 16 (60 samples)
+            # and one for the test set.
+            calls.append(None)
+            losses = real_bce(probs, y)
+            return losses if len(calls) <= 5 else np.full_like(losses, np.nan)
+
+        monkeypatch.setattr(runner, "bce_loss", nan_after_epoch_1)
+        with pytest.raises(ValueError, match="epoch 2: non-finite training loss nan"):
+            runner.run_training(small_run_config)
