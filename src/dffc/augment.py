@@ -133,19 +133,6 @@ def _reflected_range(n: int, radius: int) -> np.ndarray:
     return table
 
 
-def _reflected_pair(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_reflect_index`` of ``idx`` and ``idx + 1``.
-
-    Looked up in a cached table when the indices stay within ``n`` of the
-    frame, which keeps the cache small; computed directly otherwise.
-    """
-    radius = max(0, -int(idx.min()), int(idx.max()) + 2 - n)
-    if radius > n:
-        return _reflect_index(idx, n), _reflect_index(idx + 1, n)
-    table = _reflected_range(n, radius)
-    return table[idx + radius], table[idx + (radius + 1)]
-
-
 def _blur_stack(images: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """:func:`gaussian_blur` of each image by its own positive sigma.
 
@@ -179,7 +166,8 @@ def _floor_and_fraction(src: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     :func:`affine` does.
     """
     floor = np.floor(src)
-    i0, i1 = _reflected_pair(floor.astype(np.int64), n)
+    idx = floor.astype(np.int64)
+    i0, i1 = _reflect_index(idx, n), _reflect_index(idx + 1, n)
     src -= floor
     return i0, i1, src
 

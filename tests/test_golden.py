@@ -6,14 +6,18 @@ Both configs augment 300 or more copies per epoch, so the easy-pool
 augmentation spans several chunks of ``runner.AUGMENT_CHUNK``.
 
 The BLAS build can change the last bits of a matrix product, so a digest
-may differ on another machine. The scalar oracles in ``test_augment.py``
+may differ on another machine. A failing assertion names the machine and
+BLAS build the digests came from next to the ones in use, to tell such a
+difference from real drift. The scalar oracles in ``test_augment.py``
 check the augmentation on its own, independent of BLAS.
 """
 
 from __future__ import annotations
 
 import hashlib
+import platform
 
+import numpy as np
 import pytest
 
 from dffc import cli, runner
@@ -23,6 +27,12 @@ SMALL = [
     "pacing.milestones=[2,3,4]", "pacing.easy_pool_size=300",
     "batch_size=32", "hidden_units=8", "seed=1", "dataset.seed=1",
 ]
+
+#: Where the digests below were computed.
+GOLDEN_MACHINE = (
+    "x86_64 (Intel Xeon), numpy 2.4.6, OpenBLAS 0.3.31.188.0 USE64BITINT "
+    "DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64"
+)
 
 GOLDEN = {
     "dffc": (
@@ -48,4 +58,16 @@ def run_digest(overrides: list[str], out_dir) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_outputs_match_golden_digest(name, tmp_path):
     extra, digest = GOLDEN[name]
-    assert run_digest(SMALL + extra, tmp_path) == digest
+    assert run_digest(SMALL + extra, tmp_path) == digest, (
+        f"digests from: {GOLDEN_MACHINE}; this run: {this_machine()}. "
+        "If the BLAS builds differ, a changed digest may not be drift."
+    )
+
+
+def this_machine() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = blas.get("openblas configuration") or f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
+        build = "BLAS build unknown"
+    return f"{platform.machine()}, numpy {np.__version__}, {build}"
