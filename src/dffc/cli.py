@@ -1,11 +1,18 @@
 """Command-line entry point.
 
 Subcommands: ``gen-data``, ``train``, ``compare``, ``inspect-dfh``,
-``report``. Configuration is a JSON file validated against the schema
-below; unknown keys are hard errors (curricula are sensitive to silent
-hyperparameter typos). ``--override key=value`` uses dotted paths and
-takes precedence over the file. ``resolved_config.json`` written into
-each run directory reproduces the run bit-identically.
+``report``. Configuration is a JSON file whose schema is the config
+dataclasses: ``RunConfig`` (with its ``DatasetConfig`` and
+``AugmentationSpec`` sections) and :class:`CompareGrid`. They give every
+key, its default and its type. Unknown keys are hard errors (curricula
+are sensitive to silent hyperparameter typos), and so are values of the
+wrong type: an int field takes no bool or float, a float field takes an
+int or a finite float, a bool field only true or false, and a tuple
+field a list of the right length. ``--override key=value`` uses dotted
+paths and takes precedence over the file. Mode ``dih`` sets
+``hardness.alpha_f`` to 0; an explicit non-zero value contradicts it.
+``resolved_config.json`` written into each run directory reproduces the
+run bit-identically.
 
 Set DFFC_LOG=error|info|debug to control verbosity.
 """
@@ -14,58 +21,108 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
+import functools
 import json
 import logging
 import os
 import sys
+import typing
+from collections.abc import Iterable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from dffc import forgeries, hardness, runner
-from dffc.augment import AugmentationSpec
 from dffc.errors import ConfigError
-from dffc.forgeries import DatasetConfig
 from dffc.model import save_checkpoint
 
 log = logging.getLogger("dffc")
 
-DEFAULT_CONFIG = {
-    "mode": "dffc",
-    "seed": 0,
-    "total_epochs": 20,
-    "batch_size": 64,
-    "hidden_units": 32,
-    "augment_all": False,
-    "dataset": {
-        "n_train": 2000,
-        "n_test": 1000,
-        "image_size": 16,
-        "amplitude_range": [0.12, 0.2],
-        "blur_range": [0.0, 0.5],
-        "brightness_range": [-0.06, 0.06],
-        "seed": 0,
-    },
-    "lr": {"eta_max": 0.1, "eta_min": 0.001},
-    "hardness": {"gamma": 0.9, "alpha_f": 0.5},
-    "pacing": {
-        "milestones": [2, 5, 8, 12, 15],
-        "alpha_k": 0.9,
-        "easy_pool_size": 1000,
-    },
-    "babystep": {"start_fraction": 0.25, "growth_factor": 1.5, "step_length": 3},
-    "augment": {
-        "blur_sigma_range": [0.0, 1.5],
-        "brightness_range": [-0.15, 0.15],
-        "rotation_range_degrees": [-10.0, 10.0],
-        "translation_range_pixels": [-2.0, 2.0],
-    },
-    "compare": {
-        "modes": ["vanilla", "babystep", "dih", "dffc"],
-        "augment_all": [False],
-        "seeds": [0],
-    },
-}
+
+@dataclass(frozen=True)
+class CompareGrid:
+    """The ``compare`` section: one run per (mode, augment_all, seed)."""
+
+    modes: tuple[str, ...] = ("vanilla", "babystep", "dih", "dffc")
+    augment_all: tuple[bool, ...] = (False,)
+    seeds: tuple[int, ...] = (0,)
+
+
+@functools.cache
+def _fields(cls: type, prefix: str = "") -> tuple[tuple[str, str, object, object], ...]:
+    """(field name, dotted JSON path, annotation, default) per field of ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, prefix + f.metadata.get("json", f.name), hints[f.name], f.default)
+        for f in dataclasses.fields(cls)
+    )
+
+
+def _leaves(cls: type, prefix: str = "") -> Iterable[tuple[str, object, object]]:
+    """(dotted JSON path, annotation, default) per value of ``cls``'s layout."""
+    for _, path, hint, default in _fields(cls, prefix):
+        if dataclasses.is_dataclass(hint):
+            yield from _leaves(hint, path + ".")
+        else:
+            yield path, hint, default
+
+
+def _nest(pairs: Iterable[tuple[str, object]]) -> dict:
+    """A nested dict from (dotted path, value) pairs, in their order."""
+    tree: dict = {}
+    for dotted, value in pairs:
+        node = tree
+        *parents, leaf = dotted.split(".")
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+    return tree
+
+
+def _lookup(tree: dict, dotted: str) -> object:
+    for part in dotted.split("."):
+        tree = tree[part]
+    return tree
+
+
+_LEAVES = [*_leaves(runner.RunConfig), *_leaves(CompareGrid, "compare.")]
+
+DEFAULT_CONFIG = _nest(
+    (path, list(default) if isinstance(default, tuple) else default)
+    for path, _, default in _LEAVES
+)
+
+
+_EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+
+
+def _typed(value: object, hint: object, key: str) -> object:
+    """``value`` checked against the annotation ``hint``; lists come back as tuples."""
+    if typing.get_origin(hint) is tuple:
+        kinds = typing.get_args(hint)
+        variadic = kinds[-1] is Ellipsis
+        if not isinstance(value, list | tuple) or not (variadic or len(value) == len(kinds)):
+            count = "" if variadic else f"{len(kinds)} "
+            raise ConfigError(f"{key}: expected a list of {count}values, got {value!r}")
+        if variadic:
+            kinds = kinds[:1] * len(value)
+        return tuple(_typed(v, kind, f"{key}[{i}]") for i, (v, kind) in enumerate(zip(value, kinds)))
+    kinds = (int, float) if hint is float else (hint,)
+    # abs() <= max is False for NaN, the infinities and ints beyond float range.
+    if type(value) not in kinds or (hint is float and not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{key}: expected {_EXPECTED[hint]}, got {value!r}")
+    return value
+
+
+def _build(cls: type, resolved: dict, prefix: str = ""):
+    """An instance of ``cls`` from its typed values in the resolved config."""
+    return cls(**{
+        name: _build(hint, resolved, path + ".") if dataclasses.is_dataclass(hint)
+        else _typed(_lookup(resolved, path), hint, path)
+        for name, path, hint, _ in _fields(cls, prefix)
+    })
 
 
 def _check_keys(user: dict, defaults: dict, path: str = "") -> list[str]:
@@ -75,10 +132,9 @@ def _check_keys(user: dict, defaults: dict, path: str = "") -> list[str]:
         if key not in defaults:
             bad.append(here)
         elif isinstance(defaults[key], dict):
-            if isinstance(value, dict):
-                bad += _check_keys(value, defaults[key], here + ".")
-            else:
-                bad.append(here)
+            if not isinstance(value, dict):
+                raise ConfigError(f"{here}: expected an object, got {value!r}")
+            bad += _check_keys(value, defaults[key], here + ".")
     return bad
 
 
@@ -93,7 +149,7 @@ def _deep_merge(base: dict, overlay: dict) -> dict:
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
-    tree: dict = {}
+    parsed = []
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"override {pair!r} is not of the form key=value")
@@ -102,26 +158,22 @@ def _parse_overrides(pairs: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = tree
-        *parents, leaf = dotted.split(".")
-        for part in parents:
-            node = node.setdefault(part, {})
-        node[leaf] = value
-    return tree
+        parsed.append((dotted, value))
+    return _nest(parsed)
 
 
-def _user_paths(user: dict, path: str = "") -> set[str]:
-    paths = set()
-    for key, value in user.items():
-        here = f"{path}{key}"
-        paths.add(here)
-        if isinstance(value, dict):
-            paths |= _user_paths(value, here + ".")
-    return paths
+def _apply_dih_rule(resolved: dict, explicit_alpha_f: object = None) -> None:
+    """Mode ``dih`` is ``dffc`` without the quality prior: ``hardness.alpha_f``
+    becomes 0, and an explicit non-zero value is an error."""
+    if resolved["mode"] != "dih":
+        return
+    if explicit_alpha_f not in (None, 0):
+        raise ConfigError(f"mode 'dih' contradicts hardness.alpha_f={explicit_alpha_f}")
+    resolved["hardness"]["alpha_f"] = 0
 
 
 def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
-    """defaults < file < overrides, with unknown-key and mode checks."""
+    """defaults < file < overrides, with unknown-key, type and mode checks."""
     file_cfg: dict = {}
     if config_path is not None:
         try:
@@ -138,42 +190,15 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
     if bad:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(bad))}")
     resolved = _deep_merge(DEFAULT_CONFIG, user)
-
-    if resolved["mode"] == "dih":
-        explicit = "hardness.alpha_f" in _user_paths(user)
-        if explicit and resolved["hardness"]["alpha_f"] != 0:
-            raise ConfigError("mode 'dih' contradicts hardness.alpha_f != 0")
-        resolved["hardness"]["alpha_f"] = 0
+    for path, hint, _ in _LEAVES:
+        _typed(_lookup(resolved, path), hint, path)
+    _apply_dih_rule(resolved, user.get("hardness", {}).get("alpha_f"))
     return resolved
 
 
 def build_run_config(resolved: dict) -> runner.RunConfig:
     try:
-        return runner.RunConfig(
-            mode=resolved["mode"],
-            dataset=DatasetConfig(**resolved["dataset"]),
-            eta_max=resolved["lr"]["eta_max"],
-            eta_min=resolved["lr"]["eta_min"],
-            total_epochs=resolved["total_epochs"],
-            milestones=tuple(resolved["pacing"]["milestones"]),
-            alpha_k=resolved["pacing"]["alpha_k"],
-            easy_pool_size=resolved["pacing"]["easy_pool_size"],
-            gamma=resolved["hardness"]["gamma"],
-            alpha_f=resolved["hardness"]["alpha_f"],
-            augment=AugmentationSpec(
-                blur_sigma_range=tuple(resolved["augment"]["blur_sigma_range"]),
-                brightness_range=tuple(resolved["augment"]["brightness_range"]),
-                rotation_range_degrees=tuple(resolved["augment"]["rotation_range_degrees"]),
-                translation_range_pixels=tuple(resolved["augment"]["translation_range_pixels"]),
-            ),
-            augment_all=resolved["augment_all"],
-            batch_size=resolved["batch_size"],
-            hidden_units=resolved["hidden_units"],
-            seed=resolved["seed"],
-            babystep_start_fraction=resolved["babystep"]["start_fraction"],
-            babystep_growth_factor=resolved["babystep"]["growth_factor"],
-            babystep_step_length=resolved["babystep"]["step_length"],
-        )
+        return _build(runner.RunConfig, resolved)
     except ValueError as exc:  # includes dataclass validation errors
         raise ConfigError(str(exc))
 
@@ -200,15 +225,10 @@ def write_pgm(image: np.ndarray, path: Path) -> None:
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     resolved = resolve_config(args.config, args.override)
-    config = DatasetConfig(**resolved["dataset"])
-    out = Path(args.out)
-    _prepare_out_dir(out, args.force, "train_manifest.json")
-    train, test = forgeries.generate_dataset(config)
-    for tag, split in (("train", train), ("test", test)):
-        forgeries.save_dataset(split, out / f"{tag}_manifest.json", out / f"{tag}_pixels.bin")
+    train, test = forgeries.generate_dataset(build_run_config(resolved).dataset)
     amps = [s.artifact_amplitude for s in train if s.is_fake]
     sigmas = [s.blur_sigma for s in train]
-    print(f"wrote {len(train)} train / {len(test)} test samples to {out}")
+    print(f"generated {len(train)} train / {len(test)} test samples")
     print(f"class balance: {sum(s.is_fake for s in train)} fake / "
           f"{sum(not s.is_fake for s in train)} real")
     counts, edges = np.histogram(amps, bins=8)
@@ -254,19 +274,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     resolved = resolve_config(args.config, args.override)
-    grid = resolved["compare"]
+    grid = _build(CompareGrid, resolved, "compare.")
     out = Path(args.out)
     _prepare_out_dir(out, args.force, "comparison.csv")
     configs = []
-    for mode in grid["modes"]:
-        for aug in grid["augment_all"]:
-            for seed in grid["seeds"]:
+    for mode in grid.modes:
+        for aug in grid.augment_all:
+            for seed in grid.seeds:
                 variant = copy.deepcopy(resolved)
-                variant["mode"] = mode
-                variant["augment_all"] = aug
-                variant["seed"] = seed
-                if mode == "dih":
-                    variant["hardness"]["alpha_f"] = 0
+                variant.update(mode=mode, augment_all=aug, seed=seed)
+                _apply_dih_rule(variant)
                 configs.append(build_run_config(variant))
     rows = runner.compare_modes(configs)
     (out / "comparison.csv").write_text(runner.comparison_csv_text(rows))
@@ -284,13 +301,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_inspect_dfh(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     try:
-        resolved = json.loads((run_dir / "resolved_config.json").read_text())
         state = hardness.HardnessState.from_json(
             (run_dir / "hardness_state.json").read_text()
         )
     except FileNotFoundError as exc:
         raise ConfigError(f"missing run artifact: {exc.filename}")
-    train, _ = forgeries.generate_dataset(DatasetConfig(**resolved["dataset"]))
+    resolved = resolve_config(str(run_dir / "resolved_config.json"), [])
+    train, _ = forgeries.generate_dataset(build_run_config(resolved).dataset)
     scores = hardness.dfh_all(state)
     n = len(scores)
     top_k, bottom_k = args.top, args.bottom
@@ -367,19 +384,23 @@ def build_parser() -> argparse.ArgumentParser:
             "--override", action="append", default=[], metavar="KEY=VALUE",
             help="dotted-path config override (repeatable)",
         )
+
+    def add_out_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--force", action="store_true", help="overwrite existing artifacts")
 
-    p = sub.add_parser("gen-data", help="generate and save a synthetic dataset")
+    p = sub.add_parser("gen-data", help="generate a synthetic dataset and print its statistics")
     add_config_args(p)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="run one training experiment")
     add_config_args(p)
+    add_out_args(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compare", help="run the mode-comparison grid")
     add_config_args(p)
+    add_out_args(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("inspect-dfh", help="dump extreme-hardness samples from a run")

@@ -14,10 +14,7 @@ Images are 2-D float64 arrays in [0, 1]. Fake is the positive class.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -72,7 +69,7 @@ class ToySample:
     paired_real_id: int | None = None
     artifact_mask: np.ndarray | None = None
     #: Pre-post-processing pixels (pristine base for reals, base+bump for
-    #: fakes). Not serialized; regenerate from config when needed.
+    #: fakes).
     clean_image: np.ndarray | None = None
 
     @property
@@ -291,56 +288,3 @@ def dfh_extremes_report(
         "top": _stats(order[::-1][:m]),
         "bottom": _stats(order[:m]),
     }
-
-
-# ---------------------------------------------------------------------------
-# On-disk format: JSON manifest + raw little-endian float32 pixel blob.
-
-def save_dataset(samples: list[ToySample], manifest_path: Path, blob_path: Path) -> None:
-    samples = sorted(samples, key=lambda s: s.id)
-    if not samples:
-        raise ValueError("empty dataset")
-    height, width = samples[0].image.shape
-    manifest = {
-        "n": len(samples),
-        "width": width,
-        "height": height,
-        "samples": [
-            {
-                "id": s.id,
-                "label": s.label,
-                "amplitude": s.artifact_amplitude,
-                "sigma": s.blur_sigma,
-                "delta": s.brightness_delta,
-                "paired_real_id": s.paired_real_id,
-            }
-            for s in samples
-        ],
-    }
-    Path(manifest_path).write_text(json.dumps(manifest, indent=1))
-    blob = np.concatenate([s.image.ravel() for s in samples]).astype("<f4")
-    Path(blob_path).write_bytes(blob.tobytes())
-
-
-def load_dataset(manifest_path: Path, blob_path: Path) -> list[ToySample]:
-    manifest = json.loads(Path(manifest_path).read_text())
-    n, width, height = manifest["n"], manifest["width"], manifest["height"]
-    raw = Path(blob_path).read_bytes()
-    expected = n * width * height * struct.calcsize("<f")
-    if len(raw) != expected:
-        raise ValueError(f"pixel blob is {len(raw)} bytes, expected {expected}")
-    pixels = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(n, height, width)
-    samples = []
-    for rec in manifest["samples"]:
-        samples.append(
-            ToySample(
-                id=rec["id"],
-                image=pixels[rec["id"]],
-                label=rec["label"],
-                artifact_amplitude=rec["amplitude"],
-                blur_sigma=rec["sigma"],
-                brightness_delta=rec["delta"],
-                paired_real_id=rec["paired_real_id"],
-            )
-        )
-    return samples

@@ -74,10 +74,6 @@ def forward_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
     return np.clip(_sigmoid(logits), PROB_EPS, 1.0 - PROB_EPS)
 
 
-def forward(params: ModelParams, x: np.ndarray) -> float:
-    return float(forward_batch(params, x.reshape(1, -1))[0])
-
-
 def bce_loss(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Elementwise binary cross-entropy; inputs assumed pre-clamped."""
     p = np.asarray(p, dtype=np.float64)

@@ -77,6 +77,9 @@ def _ranked_ids(scores: np.ndarray, k: int, largest: bool) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if not 0 <= k <= len(scores):
         raise ValueError(f"k={k} outside 0..{len(scores)}")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if len(bad):
+        raise ValueError(f"non-finite score {scores[bad[0]]} at index {bad[0]}")
     # Stable sort on negated scores keeps ties ordered by smaller index.
     key = -scores if largest else scores
     order = np.argsort(key, kind="stable")

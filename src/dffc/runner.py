@@ -66,24 +66,38 @@ EXTREMES_FRACTION = 0.1
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's hyper-parameters, and the schema of the JSON config.
+
+    Each field sits at the dotted path in its ``json`` metadata, or at its
+    own name, in field order; the dataset and augmentation fields are
+    whole sections. The CLI derives its defaults, key check and type
+    check from these fields.
+    """
+
     mode: str = "dffc"
-    dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    eta_max: float = 0.1
-    eta_min: float = 0.001
+    seed: int = 0
     total_epochs: int = 20
-    milestones: tuple[int, ...] = (2, 5, 8, 12, 15)
-    alpha_k: float = 0.9
-    easy_pool_size: int = 1000
-    gamma: float = 0.9
-    alpha_f: float = 0.5
-    augment: AugmentationSpec = field(default_factory=AugmentationSpec)
-    augment_all: bool = False
     batch_size: int = 64
     hidden_units: int = 32
-    seed: int = 0
-    babystep_start_fraction: float = 0.25
-    babystep_growth_factor: float = 1.5
-    babystep_step_length: int = 3
+    augment_all: bool = False
+    dataset: DatasetConfig = field(default_factory=DatasetConfig)
+    eta_max: float = field(default=0.1, metadata={"json": "lr.eta_max"})
+    eta_min: float = field(default=0.001, metadata={"json": "lr.eta_min"})
+    gamma: float = field(default=0.9, metadata={"json": "hardness.gamma"})
+    alpha_f: float = field(default=0.5, metadata={"json": "hardness.alpha_f"})
+    milestones: tuple[int, ...] = field(
+        default=(2, 5, 8, 12, 15), metadata={"json": "pacing.milestones"}
+    )
+    alpha_k: float = field(default=0.9, metadata={"json": "pacing.alpha_k"})
+    easy_pool_size: int = field(default=1000, metadata={"json": "pacing.easy_pool_size"})
+    babystep_start_fraction: float = field(
+        default=0.25, metadata={"json": "babystep.start_fraction"}
+    )
+    babystep_growth_factor: float = field(
+        default=1.5, metadata={"json": "babystep.growth_factor"}
+    )
+    babystep_step_length: int = field(default=3, metadata={"json": "babystep.step_length"})
+    augment: AugmentationSpec = field(default_factory=AugmentationSpec)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -148,22 +162,15 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def evaluate(
-    params: ModelParams,
-    test_set: list[ToySample],
-    prior_terciles: np.ndarray,
-    normalization: tuple[np.ndarray, np.ndarray] | None = None,
+    params: ModelParams, X: np.ndarray, y: np.ndarray, prior_terciles: np.ndarray
 ) -> dict:
     """Accuracy at threshold 0.5, tied-rank AUC, accuracy per quality tercile.
 
-    ``normalization`` is the (mean, std) pixel transform the model was
-    trained under, if any.
+    ``X`` holds the test pixels in the transform the model was trained
+    under, one row per sample, and ``y`` their targets.
     """
-    if not test_set:
+    if len(X) == 0:
         raise ValueError("empty test set")
-    X = np.stack([s.image.ravel() for s in test_set])
-    if normalization is not None:
-        X = (X - normalization[0]) / normalization[1]
-    y = np.array([s.target for s in test_set])
     scores = forward_batch(params, X)
     correct = (scores >= 0.5) == (y == 1.0)
     acc_by_tercile = [
@@ -329,13 +336,13 @@ def run_training(
                 )
                 hardness.update_dih(state, entry.sample_id, s_t, in_hard_pool=True)
 
-        # Evaluation-set mirror update.
-        test_losses = bce_loss(forward_batch(params, X_test), y_test)
+        metrics = evaluate(params, X_test, y_test, terciles)
+        # Evaluation-set mirror update, from the same test-set scores.
+        test_losses = bce_loss(metrics["scores"], y_test)
         for i, loss_i in enumerate(test_losses):
             s_t = hardness.instantaneous_hardness(float(loss_i), eta, config.eta_max)
             hardness.update_dih(test_state, i, s_t, in_hard_pool=True)
 
-        metrics = evaluate(params, test, terciles, normalization=(pixel_mean, pixel_std))
         dfh_now = hardness.dfh_all(state)
         out.rows.append(
             {

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,12 +28,9 @@ SMALL_OVERRIDES = [
 ]
 
 
-def _hash_tree(root: Path) -> dict[str, str]:
-    return {
-        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
+#: SHA-256 of ``json.dumps(cli.DEFAULT_CONFIG, indent=1)``: the layout and
+#: defaults of ``resolved_config.json``, which earlier runs are reproduced from.
+DEFAULT_CONFIG_SHA256 = "8735814627d83550f6bff6545cf996b06efdf993320a5d92c08b2183c5ff9fa0"
 
 
 class TestResolveConfig:
@@ -93,25 +89,57 @@ class TestResolveConfig:
             cli.build_run_config(resolved)
 
 
-class TestGenData:
-    def test_writes_and_is_deterministic(self, tmp_path, capsys):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        args = ["gen-data", *SMALL_OVERRIDES]
-        assert cli.main([*args, "--out", str(out_a)]) == 0
-        assert cli.main([*args, "--out", str(out_b)]) == 0
-        for name in ("train_manifest.json", "train_pixels.bin",
-                     "test_manifest.json", "test_pixels.bin"):
-            assert (out_a / name).exists()
-        assert _hash_tree(out_a) == _hash_tree(out_b)
-        assert "amplitude histogram" in capsys.readouterr().out
+class TestSchema:
+    def test_default_config_layout_is_pinned(self):
+        text = json.dumps(cli.DEFAULT_CONFIG, indent=1)
+        assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_CONFIG_SHA256
 
-    def test_refuses_overwrite_without_force(self, tmp_path, capsys):
-        out = tmp_path / "d"
-        args = ["gen-data", *SMALL_OVERRIDES, "--out", str(out)]
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ("seed=1.5", "seed"),
+            ("dataset.n_train=10.0", "dataset.n_train"),
+            ("total_epochs=2.5", "total_epochs"),
+            ("hardness.gamma=null", "hardness.gamma"),
+            ('pacing.alpha_k="0.9"', "pacing.alpha_k"),
+            ("pacing.milestones=3", "pacing.milestones"),
+            ("dataset.blur_range=[0,NaN]", "dataset.blur_range"),
+            ("compare.seeds=[1.5]", "compare.seeds"),
+            ("batch_size=true", "batch_size"),
+            ("augment_all=1", "augment_all"),
+            ("hardness.alpha_f=Infinity", "hardness.alpha_f"),
+            ("hardness=0.5", "hardness"),
+        ],
+    )
+    def test_bad_value_exits_two_naming_the_key(self, override, key, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = cli.main(["train", "--override", override, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and key in errors[0], err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_int_accepted_for_float_field(self):
+        config = cli.build_run_config(cli.resolve_config(None, ["lr.eta_max=1"]))
+        assert config.eta_max == 1
+
+
+class TestGenData:
+    def test_printout_is_deterministic(self, capsys):
+        args = ["gen-data", *SMALL_OVERRIDES]
         assert cli.main(args) == 0
-        assert cli.main(args) == 2
-        assert "--force" in capsys.readouterr().err
-        assert cli.main([*args, "--force"]) == 0
+        first = capsys.readouterr().out
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == first
+        assert "generated 60 train / 20 test samples" in first
+        assert "amplitude histogram" in first
+
+    def test_has_no_out_option(self, tmp_path):
+        with pytest.raises(SystemExit):
+            cli.main(["gen-data", "--out", str(tmp_path / "d")])
+        assert not (tmp_path / "d").exists()
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +171,17 @@ class TestTrain:
         assert code == 0
         assert (out / "metrics.csv").read_bytes() == (run_dir / "metrics.csv").read_bytes()
         assert (out / "checkpoint.bin").read_bytes() == (run_dir / "checkpoint.bin").read_bytes()
+
+    def test_refuses_overwrite_without_force(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        out.mkdir()
+        (out / "resolved_config.json").write_text("{}")
+        args = ["train", *SMALL_OVERRIDES, "--out", str(out)]
+        assert cli.main(args) == 2
+        assert "--force" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+        assert cli.main([*args, "--force"]) == 0
+        assert (out / "metrics.csv").exists()
 
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         code = cli.main(
@@ -213,6 +252,18 @@ class TestCompare:
         assert lines[1].startswith("vanilla,") and lines[2].startswith("dffc,")
         printed = capsys.readouterr().out
         assert "vanilla" in printed and "dffc" in printed
+
+    def test_dih_in_grid_sets_alpha_f_zero(self, tmp_path):
+        # An explicit alpha_f is the dffc runs' setting, not a contradiction.
+        out = tmp_path / "cmp"
+        code = cli.main(
+            ["compare", *SMALL_OVERRIDES,
+             "--override", 'compare.modes=["dih"]',
+             "--override", "hardness.alpha_f=0.3",
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert (out / "comparison.csv").read_text().splitlines()[1].startswith("dih,")
 
 
 class TestWritePgm:

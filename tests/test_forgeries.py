@@ -8,7 +8,7 @@ Oracle notes:
       with exactly one pixel differing by more than the threshold.
   [DERIVED] laplacian_variance oracle -- direct convolution with the 3x3
       kernel using numpy padding, written independently of the source.
-  [TRIVIAL] determinism, pairing, ranges, round-trips, validation.
+  [TRIVIAL] determinism, pairing, ranges, validation.
 """
 
 from __future__ import annotations
@@ -27,10 +27,8 @@ from dffc.forgeries import (
     dfh_extremes_report,
     generate_dataset,
     laplacian_variance,
-    load_dataset,
     quality_prior,
     quality_priors,
-    save_dataset,
     ssim,
     tampering_ratio,
 )
@@ -317,29 +315,3 @@ class TestExtremesReport:
         with pytest.raises(ValueError):
             dfh_extremes_report(reals, np.zeros(1), fraction=0.1)
 
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path, small_dataset):
-        train, _ = small_dataset
-        manifest, blob = tmp_path / "m.json", tmp_path / "p.bin"
-        save_dataset(train, manifest, blob)
-        loaded = load_dataset(manifest, blob)
-        assert len(loaded) == len(train)
-        for a, b in zip(train, loaded):
-            assert a.id == b.id and a.label == b.label
-            assert a.paired_real_id == b.paired_real_id
-            assert b.blur_sigma == pytest.approx(a.blur_sigma)
-            # Pixels round-trip through float32.
-            np.testing.assert_allclose(b.image, a.image, atol=1e-6)
-
-    def test_truncated_blob_rejected(self, tmp_path, small_dataset):
-        train, _ = small_dataset
-        manifest, blob = tmp_path / "m.json", tmp_path / "p.bin"
-        save_dataset(train, manifest, blob)
-        blob.write_bytes(blob.read_bytes()[:-8])
-        with pytest.raises(ValueError):
-            load_dataset(manifest, blob)
-
-    def test_empty_dataset_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_dataset([], tmp_path / "m.json", tmp_path / "p.bin")

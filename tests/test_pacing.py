@@ -131,6 +131,17 @@ class TestSelection:
         assert len(select_hard_pool(scores, 0)) == 0
         np.testing.assert_array_equal(select_hard_pool(scores, 2), [0, 1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        scores = np.array([0.1, 0.2, bad, 0.3, np.nan])
+        for select in (
+            lambda: select_hard_pool(scores, 1),
+            lambda: select_easy_pool(scores, 1),
+            lambda: babystep_pool(scores, 1, 0.25, 1.5, 3),
+        ):
+            with pytest.raises(ValueError, match="at index 2"):
+                select()
+
 
 class TestPools:
     def test_full_pool_covers_everything_once(self):

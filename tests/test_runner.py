@@ -316,8 +316,8 @@ class TestCompare:
 class TestEvaluate:
     def test_empty_test_set_rejected(self):
         params = init_params(4, 2, seed=0)
-        with pytest.raises(ValueError):
-            runner.evaluate(params, [], np.array([]))
+        with pytest.raises(ValueError, match="empty test set"):
+            runner.evaluate(params, np.empty((0, 4)), np.array([]), np.array([]))
 
 
 class TestEpochAssembly:
