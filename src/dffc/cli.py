@@ -275,8 +275,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     resolved = resolve_config(args.config, args.override)
     grid = _build(CompareGrid, resolved, "compare.")
-    out = Path(args.out)
-    _prepare_out_dir(out, args.force, "comparison.csv")
     configs = []
     for mode in grid.modes:
         for aug in grid.augment_all:
@@ -285,6 +283,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 variant.update(mode=mode, augment_all=aug, seed=seed)
                 _apply_dih_rule(variant)
                 configs.append(build_run_config(variant))
+    out = Path(args.out)
+    _prepare_out_dir(out, args.force, "comparison.csv")
     rows = runner.compare_modes(configs)
     (out / "comparison.csv").write_text(runner.comparison_csv_text(rows))
     for entry in runner.summarize_comparison(rows):

@@ -189,16 +189,24 @@ def generate_dataset(config: DatasetConfig) -> tuple[list[ToySample], list[ToySa
     return train, test
 
 
-def laplacian_variance(image: np.ndarray) -> float:
-    """Variance of the 3x3 Laplacian response (reflect padding); a sharpness score."""
-    padded = np.pad(image, 1, mode="reflect")
-    resp = np.zeros_like(image)
+def laplacian_variance(images: np.ndarray) -> float | np.ndarray:
+    """Variance of the 3x3 Laplacian response (reflect padding); a sharpness score.
+
+    ``images`` is one ``(h, w)`` image, giving a float, or an ``(n, h, w)``
+    stack, giving one variance per image (the image is the ``n = 1`` case).
+    """
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim == 2:
+        return float(laplacian_variance(images[None])[0])
+    n, h, w = images.shape
+    padded = np.pad(images, ((0, 0), (1, 1), (1, 1)), mode="reflect")
+    resp = np.zeros_like(images)
     for dy in range(3):
         for dx in range(3):
-            w = _LAPLACIAN_KERNEL[dy, dx]
-            if w:
-                resp += w * padded[dy : dy + image.shape[0], dx : dx + image.shape[1]]
-    return float(resp.var())
+            tap = _LAPLACIAN_KERNEL[dy, dx]
+            if tap:
+                resp += tap * padded[:, dy : dy + h, dx : dx + w]
+    return resp.reshape(n, -1).var(axis=1)
 
 
 def quality_prior(image: np.ndarray, normalizer: float) -> float:
@@ -210,7 +218,7 @@ def quality_prior(image: np.ndarray, normalizer: float) -> float:
 
 def quality_priors(samples: list[ToySample], normalizer: float | None = None) -> tuple[np.ndarray, float]:
     """Priors for a whole split; the normalizer defaults to the split's max sharpness."""
-    variances = np.array([laplacian_variance(s.image) for s in samples])
+    variances = laplacian_variance(np.stack([s.image for s in samples]))
     if normalizer is None:
         normalizer = float(variances.max())
     if normalizer <= 0.0:

@@ -18,7 +18,6 @@ platforms.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,40 +95,64 @@ class HardnessState:
         )
 
 
-def instantaneous_hardness(loss: float, eta_t: float, eta_max: float) -> float:
-    """Loss scaled by eta_max / eta_t.
+def instantaneous_hardness(
+    loss: float | np.ndarray, eta_t: float, eta_max: float
+) -> float | np.ndarray:
+    """Loss scaled by eta_max / eta_t, for one loss or an array of losses.
 
-    Raises :class:`ValueError` for a negative or non-finite loss, and
+    A float loss gives a float and an array an array. Raises
+    :class:`ValueError` for a negative or non-finite loss, and
     :class:`InvalidScheduleError` when the learning rate is outside
     (0, eta_max]; that always indicates a broken schedule upstream.
     """
-    if not math.isfinite(loss):
-        raise ValueError(f"loss must be finite, got {loss}")
-    if loss < 0.0:
-        raise ValueError(f"loss must be non-negative, got {loss}")
+    losses = np.asarray(loss, dtype=np.float64)
+    for problem, bad in (("finite", ~np.isfinite(losses)), ("non-negative", losses < 0.0)):
+        where = np.flatnonzero(bad)
+        if len(where):
+            at = f" at index {where[0]}" if losses.ndim else ""
+            raise ValueError(f"loss must be {problem}, got {losses.flat[where[0]]}{at}")
     if eta_t <= 0.0 or eta_t > eta_max:
         raise InvalidScheduleError(
             f"learning rate {eta_t} outside (0, {eta_max}]"
         )
-    return loss * eta_max / eta_t
+    s_t = losses * eta_max / eta_t
+    return s_t if losses.ndim else float(s_t)
 
 
-def _check_index(state: HardnessState, sample_id: int) -> None:
-    if not 0 <= sample_id < state.n_samples:
-        raise IndexError(f"sample_id {sample_id} out of range for N={state.n_samples}")
+def _check_index(state: HardnessState, sample_id: int | np.ndarray) -> None:
+    ids = np.asarray(sample_id)
+    bad = np.flatnonzero((ids < 0) | (ids >= state.n_samples))
+    if len(bad):
+        raise IndexError(f"sample_id {ids.flat[bad[0]]} out of range for N={state.n_samples}")
 
 
 def update_dih(
-    state: HardnessState, sample_id: int, s_t: float, in_hard_pool: bool
+    state: HardnessState,
+    sample_id: int | np.ndarray,
+    s_t: float | np.ndarray,
+    in_hard_pool: bool,
 ) -> HardnessState:
-    """EMA update for one sample; a no-op when the sample sat outside the hard pool."""
-    _check_index(state, sample_id)
-    if s_t < 0.0:
-        raise ValueError(f"instantaneous hardness must be non-negative, got {s_t}")
+    """EMA update for one sample, or for an array of distinct samples with
+    one instantaneous hardness each; a no-op outside the hard pool."""
+    ids = np.asarray(sample_id)
+    s_t = np.asarray(s_t, dtype=np.float64)
+    if ids.shape != s_t.shape:
+        raise ValueError(f"{ids.size} sample ids but {s_t.size} hardness values")
+    _check_index(state, ids)
+    bad = np.flatnonzero(~(np.isfinite(s_t) & (s_t >= 0.0)))
+    if len(bad):
+        raise ValueError(
+            f"instantaneous hardness must be finite and non-negative, got {s_t.flat[bad[0]]} "
+            f"for sample {ids.flat[bad[0]]}"
+        )
+    if ids.ndim:
+        unique, counts = np.unique(ids, return_counts=True)
+        if len(unique) < len(ids):
+            raise ValueError(f"sample ids must be distinct; {unique[counts > 1][0]} repeats")
     if in_hard_pool:
         g = state.gamma
-        state.dih[sample_id] = g * s_t + (1.0 - g) * state.dih[sample_id]
-        state.update_count[sample_id] += 1
+        state.dih[ids] = g * s_t + (1.0 - g) * state.dih[ids]
+        state.update_count[ids] += 1
     return state
 
 

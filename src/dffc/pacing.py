@@ -7,8 +7,10 @@ bottom-E samples, which enter the pool as augmented copies to keep the
 data diverse. A static "easiest-first, growing prefix" baseline
 (BabyStep) is also provided.
 
-Everything here is a pure function of its inputs; given the same seed
-the resulting pool is bit-identical.
+A pool is two int64 arrays in training order: each entry's sample id and
+its augmentation seed, -1 for an original. Everything here is a pure
+function of its inputs; given the same seed the resulting pool is
+bit-identical.
 """
 
 from __future__ import annotations
@@ -96,27 +98,40 @@ def select_easy_pool(dfh_scores: np.ndarray, e: int) -> np.ndarray:
     return _ranked_ids(dfh_scores, e, largest=False)
 
 
-@dataclass(frozen=True)
-class PoolEntry:
-    """One pool slot: an original sample, or an augmented copy of one."""
+@dataclass(frozen=True, eq=False)
+class EpochPool:
+    """One epoch's training entries, in training order.
 
-    sample_id: int
-    augmentation_seed: int | None = None
+    ``entries[j]`` is the sample id of entry ``j`` and ``seeds[j]`` its
+    augmentation seed, or -1 for an unaugmented original. Seeds come from
+    ``generate_state(1)`` as uint32 values, so -1 is never a seed. The
+    originals are the hard pool and the augmented copies the easy pool.
+    """
+
+    entries: np.ndarray
+    seeds: np.ndarray
 
     @property
-    def is_augmented(self) -> bool:
-        return self.augmentation_seed is not None
+    def hard_ids(self) -> np.ndarray:
+        """Sorted ids of the originals."""
+        return np.unique(self.entries[self.seeds < 0])
 
-
-@dataclass(frozen=True)
-class EpochPool:
-    hard_ids: frozenset[int]
-    easy_ids: frozenset[int]
-    entries: tuple[PoolEntry, ...]
+    @property
+    def easy_ids(self) -> np.ndarray:
+        """Sorted ids of the augmented copies."""
+        return np.unique(self.entries[self.seeds >= 0])
 
     @property
     def overlap(self) -> int:
-        return len(self.hard_ids & self.easy_ids)
+        """Samples that appear both raw and augmented."""
+        return len(np.intersect1d(self.hard_ids, self.easy_ids, assume_unique=True))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EpochPool):
+            return NotImplemented
+        return np.array_equal(self.entries, other.entries) and np.array_equal(
+            self.seeds, other.seeds
+        )
 
 
 def derive_augmentation_seed(rng_seed: int, t: int, sample_id: int, salt: int = 0) -> int:
@@ -124,10 +139,9 @@ def derive_augmentation_seed(rng_seed: int, t: int, sample_id: int, salt: int = 
     return int(np.random.SeedSequence((rng_seed, t, sample_id, salt)).generate_state(1)[0])
 
 
-def _shuffled(entries: list[PoolEntry], rng_seed: int, t: int) -> tuple[PoolEntry, ...]:
-    rng = np.random.default_rng((rng_seed, t))
-    perm = rng.permutation(len(entries))
-    return tuple(entries[i] for i in perm)
+def _shuffled(ids: np.ndarray, seeds: np.ndarray, rng_seed: int, t: int) -> EpochPool:
+    perm = np.random.default_rng((rng_seed, t)).permutation(len(ids))
+    return EpochPool(entries=ids[perm], seeds=seeds[perm])
 
 
 def full_pool(n_samples: int, t: int, rng_seed: int) -> EpochPool:
@@ -136,23 +150,13 @@ def full_pool(n_samples: int, t: int, rng_seed: int) -> EpochPool:
     Used for warm-up epochs and for plain uncurated training, so both
     produce the same batch stream under the same seed.
     """
-    entries = [PoolEntry(i) for i in range(n_samples)]
-    return EpochPool(
-        hard_ids=frozenset(range(n_samples)),
-        easy_ids=frozenset(),
-        entries=_shuffled(entries, rng_seed, t),
-    )
+    return pool_from_ids(np.arange(n_samples), t, rng_seed)
 
 
 def pool_from_ids(ids: np.ndarray, t: int, rng_seed: int) -> EpochPool:
     """Pool of unaugmented originals over an explicit id set (static curricula)."""
     ids = np.sort(np.asarray(ids, dtype=np.int64))
-    entries = [PoolEntry(int(i)) for i in ids]
-    return EpochPool(
-        hard_ids=frozenset(int(i) for i in ids),
-        easy_ids=frozenset(),
-        entries=_shuffled(entries, rng_seed, t),
-    )
+    return _shuffled(ids, np.full(len(ids), -1, dtype=np.int64), rng_seed, t)
 
 
 def build_epoch_pool(
@@ -173,19 +177,21 @@ def build_epoch_pool(
         )
     if t <= schedule.warmup_epochs:
         return full_pool(schedule.n_samples, t, rng_seed)
-    k_n = pool_size_at_epoch(schedule, t)
-    hard = select_hard_pool(dfh_scores, k_n)
+    hard = select_hard_pool(dfh_scores, pool_size_at_epoch(schedule, t))
     easy = select_easy_pool(dfh_scores, min(schedule.easy_pool_size, schedule.n_samples))
-    entries = [PoolEntry(int(i)) for i in hard]
-    entries += [
-        PoolEntry(int(i), derive_augmentation_seed(rng_seed, t, int(i)))
-        for i in easy
-    ]
-    return EpochPool(
-        hard_ids=frozenset(int(i) for i in hard),
-        easy_ids=frozenset(int(i) for i in easy),
-        entries=_shuffled(entries, rng_seed, t),
-    )
+    seeds = np.full(len(hard) + len(easy), -1, dtype=np.int64)
+    seeds[len(hard) :] = [derive_augmentation_seed(rng_seed, t, int(i)) for i in easy]
+    return _shuffled(np.concatenate([hard, easy]), seeds, rng_seed, t)
+
+
+def check_babystep(start_fraction: float, growth_factor: float, step_length: int) -> None:
+    """Reject BabyStep parameters that cannot describe a growing prefix."""
+    if not 0.0 < start_fraction <= 1.0:
+        raise ValueError(f"start_fraction must be in (0, 1], got {start_fraction}")
+    if growth_factor < 1.0:
+        raise ValueError(f"growth_factor must be >= 1, got {growth_factor}")
+    if step_length < 1:
+        raise ValueError(f"step_length must be >= 1, got {step_length}")
 
 
 def babystep_pool(
@@ -197,12 +203,7 @@ def babystep_pool(
 ) -> np.ndarray:
     """Easiest-m(t) prefix by static hardness, growing geometrically every
     ``step_length`` epochs until it saturates at the full dataset."""
-    if not 0.0 < start_fraction <= 1.0:
-        raise ValueError(f"start_fraction must be in (0, 1], got {start_fraction}")
-    if growth_factor < 1.0:
-        raise ValueError(f"growth_factor must be >= 1, got {growth_factor}")
-    if step_length < 1:
-        raise ValueError(f"step_length must be >= 1, got {step_length}")
+    check_babystep(start_fraction, growth_factor, step_length)
     if t < 1:
         raise ValueError(f"epoch must be >= 1, got {t}")
     static_hardness = np.asarray(static_hardness, dtype=np.float64)

@@ -9,9 +9,12 @@ Modes:
 * ``dffc``      - the full dynamic curriculum (loss EMA + quality prior,
                   augmented easy pool).
 
-A run is single-threaded and bit-reproducible from its config. Per-epoch
-diagnostics (entry streams, recorded losses, pool id sets) are kept on
-the returned log so tests can assert the wiring directly.
+A run is single-threaded and bit-reproducible from its config. Each epoch
+trains on one :class:`pacing.EpochPool` (sample ids and augmentation
+seeds as arrays), gathered into one pixel matrix, and updates DIH with
+one whole-array step for the trained hard pool and one for the test set.
+Per-epoch diagnostics (the trained pools, recorded losses, pool id sets)
+are kept on the returned log so tests can assert the wiring directly.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import csv
 import io
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import rankdata
@@ -113,6 +116,15 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         object.__setattr__(self, "milestones", tuple(int(m) for m in self.milestones))
+        # Each mode checks only the section it reads.
+        if self.mode in ("dih", "dffc"):
+            self.pacing_schedule(self.dataset.n_train)
+        if self.mode == "babystep":
+            pacing.check_babystep(
+                self.babystep_start_fraction,
+                self.babystep_growth_factor,
+                self.babystep_step_length,
+            )
 
     def lr_schedule(self) -> LrSchedule:
         return LrSchedule(self.eta_max, self.eta_min, self.total_epochs)
@@ -138,7 +150,7 @@ class MetricsLog:
     train_hardness: hardness.HardnessState
     test_hardness: hardness.HardnessState
     # Diagnostics for tests; not serialized.
-    entry_streams: list[list[tuple[int, int | None]]] = field(default_factory=list)
+    entry_streams: list[pacing.EpochPool] = field(default_factory=list)
     loss_streams: list[np.ndarray] = field(default_factory=list)
     hard_id_sets: list[frozenset[int]] = field(default_factory=list)
     easy_id_sets: list[frozenset[int]] = field(default_factory=list)
@@ -212,20 +224,17 @@ def _select_traces(
     order = np.argsort(scores, kind="stable")
     n = len(order)
     k = min(TRACE_GROUP_SIZE, n // 3) or 1
-    bottom = [int(i) for i in order[:k]]
-    top = [int(i) for i in order[-k:]]
+    bottom, top = order[:k], order[-k:]
     mid_lo, mid_hi = n // 3, max(n // 3 + 1, 2 * n // 3)
-    pool = [int(i) for i in order[mid_lo:mid_hi] if int(i) not in set(bottom + top)]
+    pool = order[mid_lo:mid_hi]
+    pool = pool[~np.isin(pool, np.concatenate([bottom, top]))]
     rng = np.random.default_rng((seed, 7))
     median = (
-        sorted(
-            int(pool[i])
-            for i in rng.choice(len(pool), size=min(k, len(pool)), replace=False)
-        )
-        if pool
-        else []
+        np.sort(pool[rng.choice(len(pool), size=min(k, len(pool)), replace=False)])
+        if len(pool)
+        else pool
     )
-    return {"top": top, "bottom": bottom, "median": median}
+    return {"top": top.tolist(), "bottom": bottom.tolist(), "median": median.tolist()}
 
 
 def run_training(
@@ -278,43 +287,33 @@ def run_training(
         eta = cosine_lr(lr, t)
         selection_scores = hardness.dfh_all(state)
         pool = _build_pool(config, schedule, state, prior, t, n)
-        entries = pool.entries
-        # A pool entry is a "hard original" iff it entered through the hard
-        # pool (easy-pool copies are always augmented).  Only those drive
-        # DIH updates, even under --augment-all where the originals also
-        # get an augmentation seed attached below.
-        hard_original = tuple(not e.is_augmented for e in entries)
+        hard_ids, easy_ids = pool.hard_ids, pool.easy_ids
+        # The originals are the hard pool, and only they drive DIH updates,
+        # even under --augment-all, which gives them a seed too.
+        originals = pool.seeds < 0
+        trained = pool
         if config.augment_all:
-            entries = tuple(
-                e
-                if e.is_augmented
-                else replace(
-                    e,
-                    augmentation_seed=pacing.derive_augmentation_seed(
-                        config.seed, t, e.sample_id, salt=1
-                    ),
-                )
-                for e in entries
-            )
+            seeds = pool.seeds.copy()
+            seeds[originals] = [
+                pacing.derive_augmentation_seed(config.seed, t, int(i), salt=1)
+                for i in pool.entries[originals]
+            ]
+            trained = pacing.EpochPool(entries=pool.entries, seeds=seeds)
 
         # Assemble the epoch's pixel matrix, then overwrite the augmented
         # rows chunk by chunk with standardized augmented copies.
-        ids = np.array([e.sample_id for e in entries], dtype=np.int64)
+        ids = trained.entries
         X_epoch = X_train[ids]
         y_epoch = y_train[ids]
-        augmented = [i for i, e in enumerate(entries) if e.is_augmented]
+        augmented = np.flatnonzero(trained.seeds >= 0)
         for start in range(0, len(augmented), AUGMENT_CHUNK):
             rows = augmented[start : start + AUGMENT_CHUNK]
-            pixels = augment_pixels(
-                train_images[ids[rows]],
-                config.augment,
-                [entries[i].augmentation_seed for i in rows],
-            )
+            pixels = augment_pixels(train_images[ids[rows]], config.augment, trained.seeds[rows])
             X_epoch[rows] = (pixels.reshape(len(rows), d) - pixel_mean) / pixel_std
 
         # Mini-batch SGD; losses are recorded before each batch's update.
-        epoch_losses = np.empty(len(entries))
-        for start in range(0, len(entries), config.batch_size):
+        epoch_losses = np.empty(len(ids))
+        for start in range(0, len(ids), config.batch_size):
             stop = start + config.batch_size
             Xb, yb = X_epoch[start:stop], y_epoch[start:stop]
             probs = forward_batch(params, Xb)
@@ -324,31 +323,24 @@ def run_training(
         if len(bad):
             raise ValueError(
                 f"epoch {t}: non-finite training loss {epoch_losses[bad[0]]} "
-                f"(sample {entries[bad[0]].sample_id})"
+                f"(sample {ids[bad[0]]})"
             )
 
-        # Hardness updates: only originals that sit in the hard pool (all
-        # samples during warm-up / vanilla; the selected subset otherwise).
-        for i, entry in enumerate(entries):
-            if hard_original[i] and entry.sample_id in pool.hard_ids:
-                s_t = hardness.instantaneous_hardness(
-                    float(epoch_losses[i]), eta, config.eta_max
-                )
-                hardness.update_dih(state, entry.sample_id, s_t, in_hard_pool=True)
+        s_t = hardness.instantaneous_hardness(epoch_losses[originals], eta, config.eta_max)
+        hardness.update_dih(state, ids[originals], s_t, in_hard_pool=True)
 
         metrics = evaluate(params, X_test, y_test, terciles)
         # Evaluation-set mirror update, from the same test-set scores.
         test_losses = bce_loss(metrics["scores"], y_test)
-        for i, loss_i in enumerate(test_losses):
-            s_t = hardness.instantaneous_hardness(float(loss_i), eta, config.eta_max)
-            hardness.update_dih(test_state, i, s_t, in_hard_pool=True)
+        test_s_t = hardness.instantaneous_hardness(test_losses, eta, config.eta_max)
+        hardness.update_dih(test_state, np.arange(len(test)), test_s_t, in_hard_pool=True)
 
         dfh_now = hardness.dfh_all(state)
         out.rows.append(
             {
                 "epoch": t,
                 "eta": eta,
-                "pool_size": len(pool.hard_ids),
+                "pool_size": len(hard_ids),
                 "train_loss_mean": float(epoch_losses.mean()),
                 "test_acc": metrics["accuracy"],
                 "test_auc": metrics["auc"],
@@ -358,12 +350,12 @@ def run_training(
                 "mean_dfh": float(dfh_now.mean()),
             }
         )
-        selected = sorted(pool.hard_ids | pool.easy_ids)
+        selected = np.union1d(hard_ids, easy_ids)
         out.pool_rows.append(
             {
                 "epoch": t,
-                "hard_size": len(pool.hard_ids),
-                "easy_size": len(pool.easy_ids),
+                "hard_size": len(hard_ids),
+                "easy_size": len(easy_ids),
                 "overlap": pool.overlap,
                 "dfh_min": float(selection_scores[selected].min()),
                 "dfh_max": float(selection_scores[selected].max()),
@@ -379,13 +371,13 @@ def run_training(
             for sid, trace in out.dfh_traces.items():
                 trace["values"].append(float(dfh_now[sid]))
 
-        out.entry_streams.append([(e.sample_id, e.augmentation_seed) for e in entries])
+        out.entry_streams.append(trained)
         out.loss_streams.append(epoch_losses)
-        out.hard_id_sets.append(pool.hard_ids)
-        out.easy_id_sets.append(pool.easy_ids)
+        out.hard_id_sets.append(frozenset(hard_ids.tolist()))
+        out.easy_id_sets.append(frozenset(easy_ids.tolist()))
         log.info(
             "epoch %d: eta=%.5f pool=%d loss=%.4f acc=%.4f auc=%.4f",
-            t, eta, len(pool.hard_ids), out.rows[-1]["train_loss_mean"],
+            t, eta, len(hard_ids), out.rows[-1]["train_loss_mean"],
             metrics["accuracy"], metrics["auc"],
         )
 

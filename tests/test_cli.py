@@ -121,6 +121,34 @@ class TestSchema:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, overrides, field",
+        [
+            ("train", ["pacing.milestones=[]"], "milestones"),
+            ("train", ["mode=dih", "pacing.milestones=[2,30]"], "total_epochs"),
+            ("train", ["mode=babystep", "babystep.growth_factor=0.5"], "growth_factor"),
+            ("compare", ["pacing.milestones=[]"], "milestones"),
+        ],
+    )
+    def test_schedule_of_the_mode_checked_before_out_dir(
+        self, command, overrides, field, tmp_path, capsys
+    ):
+        out = tmp_path / "x"
+        flags = [arg for override in overrides for arg in ("--override", override)]
+        assert cli.main([command, *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and field in errors[0], err
+        assert not out.exists()
+
+    def test_schedule_of_another_mode_not_checked(self):
+        for overrides in (
+            ["mode=vanilla", "pacing.milestones=[]"],
+            ["mode=babystep", "pacing.milestones=[]"],
+            ["babystep.growth_factor=0.5"],
+        ):
+            cli.build_run_config(cli.resolve_config(None, overrides))
+
     def test_int_accepted_for_float_field(self):
         config = cli.build_run_config(cli.resolve_config(None, ["lr.eta_max=1"]))
         assert config.eta_max == 1

@@ -212,6 +212,28 @@ class TestQualityPrior:
     def test_constant_image_has_zero_variance(self):
         assert laplacian_variance(np.full((8, 8), 0.3)) == 0.0
 
+    @pytest.mark.parametrize(
+        "shape", [(4, 4), (5, 5), (16, 16), (32, 32), (3, 3), (7, 9), (33, 17)]
+    )
+    def test_stack_equals_per_image_taps_exactly(self, shape):
+        # Reference: the single-image tap loop, image by image.
+        kernel = np.array([[0, 1, 0], [1, -4, 1], [0, 1, 0]], dtype=np.float64)
+
+        def one(image):
+            padded = np.pad(image, 1, mode="reflect")
+            resp = np.zeros_like(image)
+            for dy in range(3):
+                for dx in range(3):
+                    tap = kernel[dy, dx]
+                    if tap:
+                        resp += tap * padded[dy : dy + shape[0], dx : dx + shape[1]]
+            return float(resp.var())
+
+        stack = np.random.default_rng(sum(shape)).uniform(size=(6, *shape))
+        expected = [one(image) for image in stack]
+        assert laplacian_variance(stack).tolist() == expected
+        assert [laplacian_variance(image) for image in stack] == expected
+
     def test_blur_increases_prior(self):
         train, _ = generate_dataset(DatasetConfig(n_train=4, n_test=2, seed=0))
         from dffc.augment import gaussian_blur

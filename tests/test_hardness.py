@@ -102,6 +102,55 @@ class TestDihUpdate:
             update_dih(state, 0, -0.5, in_hard_pool=True)
 
 
+class TestArrayUpdates:
+    """One call over an array of distinct ids equals a loop of scalar calls."""
+
+    def test_update_dih_array_equals_scalar_loop(self):
+        rng = np.random.default_rng(21)
+        prior = rng.uniform(0.0, 1.0, 50)
+        by_array = HardnessState.fresh(prior, gamma=0.7, alpha_f=0.5)
+        by_scalar = HardnessState.fresh(prior, gamma=0.7, alpha_f=0.5)
+        for _ in range(20):
+            ids = rng.permutation(50)[: rng.integers(1, 51)]
+            s_t = rng.uniform(0.0, 3.0, len(ids))
+            update_dih(by_array, ids, s_t, in_hard_pool=True)
+            for sample_id, s in zip(ids.tolist(), s_t.tolist()):
+                update_dih(by_scalar, sample_id, s, in_hard_pool=True)
+            assert by_array.dih.tolist() == by_scalar.dih.tolist()
+            assert by_array.update_count.tolist() == by_scalar.update_count.tolist()
+
+    def test_instantaneous_hardness_array_equals_scalar_calls(self):
+        losses = np.random.default_rng(5).uniform(0.0, 4.0, 200)
+        for eta in (0.1, 0.037, 1e-3):
+            expected = [instantaneous_hardness(loss, eta, 0.1) for loss in losses.tolist()]
+            assert instantaneous_hardness(losses, eta, 0.1).tolist() == expected
+
+    def test_duplicate_ids_rejected(self):
+        state = HardnessState.fresh(np.zeros(5), gamma=0.9, alpha_f=0.5)
+        with pytest.raises(ValueError, match="3 repeats"):
+            update_dih(state, np.array([1, 3, 3]), np.ones(3), in_hard_pool=True)
+        assert state.update_count.tolist() == [0] * 5
+
+    def test_length_mismatch_rejected(self):
+        state = HardnessState.fresh(np.zeros(5), gamma=0.9, alpha_f=0.5)
+        with pytest.raises(ValueError, match="3 sample ids but 2 hardness values"):
+            update_dih(state, np.array([0, 1, 2]), np.ones(2), in_hard_pool=True)
+
+    @pytest.mark.parametrize("bad_id", [7, -1])
+    def test_out_of_range_id_named(self, bad_id):
+        state = HardnessState.fresh(np.zeros(5), gamma=0.9, alpha_f=0.5)
+        with pytest.raises(IndexError, match=f"sample_id {bad_id} out of range"):
+            update_dih(state, np.array([0, bad_id, 2]), np.ones(3), in_hard_pool=True)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.25])
+    def test_bad_value_in_array_named(self, bad):
+        with pytest.raises(ValueError, match=f"got {bad} at index 1"):
+            instantaneous_hardness(np.array([0.1, bad, 0.3]), 0.05, 0.1)
+        state = HardnessState.fresh(np.zeros(5), gamma=0.9, alpha_f=0.5)
+        with pytest.raises(ValueError, match=f"got {bad} for sample 4"):
+            update_dih(state, np.array([0, 4, 2]), np.array([0.1, bad, 0.3]), True)
+
+
 class TestDfh:
     def test_combines_dih_and_weighted_prior(self):
         state = HardnessState(

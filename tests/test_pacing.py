@@ -8,7 +8,6 @@ from dffc.errors import InvalidScheduleError
 from dffc.pacing import (
     EpochPool,
     PacingSchedule,
-    PoolEntry,
     babystep_pool,
     build_epoch_pool,
     derive_augmentation_seed,
@@ -146,17 +145,20 @@ class TestSelection:
 class TestPools:
     def test_full_pool_covers_everything_once(self):
         pool = full_pool(10, t=1, rng_seed=0)
-        assert pool.hard_ids == frozenset(range(10))
-        assert pool.easy_ids == frozenset()
-        assert sorted(e.sample_id for e in pool.entries) == list(range(10))
-        assert not any(e.is_augmented for e in pool.entries)
+        np.testing.assert_array_equal(pool.hard_ids, np.arange(10))
+        assert len(pool.easy_ids) == 0
+        np.testing.assert_array_equal(np.sort(pool.entries), np.arange(10))
+        assert (pool.seeds == -1).all()
 
     def test_full_pool_shuffle_is_seeded(self):
         a = full_pool(50, t=3, rng_seed=9)
         b = full_pool(50, t=3, rng_seed=9)
         c = full_pool(50, t=4, rng_seed=9)
-        assert a.entries == b.entries
-        assert a.entries != c.entries
+        assert a == b
+        np.testing.assert_array_equal(a.entries, b.entries)
+        assert a != c
+        assert not np.array_equal(a.entries, c.entries)
+        assert a != EpochPool(entries=a.entries, seeds=a.seeds + 1)
 
     def test_warmup_equals_full_pool(self):
         schedule = default_schedule(n=30, easy=5)
@@ -170,15 +172,13 @@ class TestPools:
         k = pool_size_at_epoch(schedule, 6)
         assert len(pool.hard_ids) == k
         assert len(pool.easy_ids) == 5
-        assert pool.hard_ids == frozenset(int(i) for i in select_hard_pool(scores, k))
-        assert pool.easy_ids == frozenset(int(i) for i in select_easy_pool(scores, 5))
-        for entry in pool.entries:
-            if entry.sample_id in pool.easy_ids and entry.is_augmented:
-                assert entry.augmentation_seed == derive_augmentation_seed(
-                    7, 6, entry.sample_id
-                )
-        n_aug = sum(e.is_augmented for e in pool.entries)
-        assert n_aug == 5
+        np.testing.assert_array_equal(pool.hard_ids, select_hard_pool(scores, k))
+        np.testing.assert_array_equal(pool.easy_ids, select_easy_pool(scores, 5))
+        augmented = pool.seeds >= 0
+        for sample_id, seed in zip(pool.entries[augmented], pool.seeds[augmented]):
+            assert seed == derive_augmentation_seed(7, 6, int(sample_id))
+        assert augmented.sum() == 5
+        assert len(pool.entries) == k + 5
 
     def test_score_length_checked(self):
         schedule = default_schedule(n=30)
@@ -187,15 +187,17 @@ class TestPools:
 
     def test_pool_from_ids_sorted_membership(self):
         pool = pool_from_ids(np.array([5, 2, 9]), t=1, rng_seed=0)
-        assert pool.hard_ids == frozenset({2, 5, 9})
-        assert sorted(e.sample_id for e in pool.entries) == [2, 5, 9]
+        np.testing.assert_array_equal(pool.hard_ids, [2, 5, 9])
+        np.testing.assert_array_equal(np.sort(pool.entries), [2, 5, 9])
 
     def test_overlap_counts_shared_ids(self):
+        # Sample 3 is in the pool both raw and augmented.
         pool = EpochPool(
-            hard_ids=frozenset({1, 2, 3}),
-            easy_ids=frozenset({3, 4}),
-            entries=(PoolEntry(1),),
+            entries=np.array([1, 3, 2, 4, 3]),
+            seeds=np.array([-1, -1, -1, 17, 23]),
         )
+        np.testing.assert_array_equal(pool.hard_ids, [1, 2, 3])
+        np.testing.assert_array_equal(pool.easy_ids, [3, 4])
         assert pool.overlap == 1
 
     def test_augmentation_seed_is_stable_and_distinct(self):

@@ -118,10 +118,11 @@ class TestRunWiring:
         std = (raw.std(axis=0) + 1e-8) / runner.INPUT_GAIN
         params = init_params(train[0].image.size, config.hidden_units, config.seed)
 
-        entries = result.entry_streams[0]
-        first = entries[: config.batch_size]
-        X = np.stack([(train[sid].image.ravel() - mean) / std for sid, _ in first])
-        y = np.array([train[sid].target for sid, _ in first])
+        pool = result.entry_streams[0]
+        assert (pool.seeds[: config.batch_size] == -1).all()
+        first = pool.entries[: config.batch_size]
+        X = np.stack([(train[sid].image.ravel() - mean) / std for sid in first])
+        y = np.array([train[sid].target for sid in first])
         expected = bce_loss(forward_batch(params, X), y)
         np.testing.assert_array_equal(result.loss_streams[0][: len(first)], expected)
 
@@ -130,8 +131,8 @@ class TestRunWiring:
         # Replay which sample ids were eligible for a DIH update and check
         # the recorded update counts match exactly.
         expected_counts = np.zeros(config.dataset.n_train, dtype=int)
-        for entries, hard_ids in zip(result.entry_streams, result.hard_id_sets):
-            originals = {sid for sid, aug_seed in entries if aug_seed is None}
+        for pool, hard_ids in zip(result.entry_streams, result.hard_id_sets):
+            originals = set(pool.entries[pool.seeds == -1].tolist())
             for sid in originals & hard_ids:
                 expected_counts[sid] += 1
         np.testing.assert_array_equal(result.train_hardness.update_count, expected_counts)
@@ -236,8 +237,8 @@ class TestVanillaAndBabystep:
             augment_all=True,
         )
         result = runner.run_training(config)
-        for entries in result.entry_streams:
-            assert all(aug_seed is not None for _, aug_seed in entries)
+        for pool in result.entry_streams:
+            assert (pool.seeds >= 0).all()
 
 
 class TestReductions:
