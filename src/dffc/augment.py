@@ -133,29 +133,34 @@ def _reflected_range(n: int, radius: int) -> np.ndarray:
     return table
 
 
-def _blur_stack(images: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """:func:`gaussian_blur` of each image by its own positive sigma.
+def blur_stack(images: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """:func:`gaussian_blur` of each image by its own sigma; sigma=0 copies it.
 
-    Every kernel is padded with zero taps to the largest radius, so all
-    entries share one reflected gather per axis. A zero tap adds exactly
-    0.0 and the taps are summed in order from zeros, as in
-    :func:`_conv1d_reflect`.
+    Every kernel of a positive sigma is padded with zero taps to the
+    largest radius, so the blurred entries share one reflected gather per
+    axis. A zero tap adds exactly 0.0 and the taps are summed in order
+    from zeros, as in :func:`_conv1d_reflect`.
     """
-    kernels = [gaussian_kernel_1d(float(sigma)) for sigma in sigmas]
+    out = images.copy()
+    blurred = np.flatnonzero(sigmas > 0.0)
+    if not len(blurred):
+        return out
+    kernels = [gaussian_kernel_1d(float(sigma)) for sigma in sigmas[blurred]]
     radius = max(len(k) for k in kernels) // 2
     taps = np.zeros((len(kernels), 2 * radius + 1))
     for row, k in zip(taps, kernels):
         pad = radius - len(k) // 2
         row[pad : pad + len(k)] = k
     _, h, w = images.shape
-    out = images
+    acc = images[blurred]
     for axis, size in ((1, h), (2, w)):
-        padded = np.take(out, _reflected_range(size, radius), axis=axis)
-        out = np.zeros_like(images)
+        padded = np.take(acc, _reflected_range(size, radius), axis=axis)
+        acc = np.zeros((len(blurred), h, w))
         for j in range(2 * radius + 1):
             window = padded[:, j : j + h, :] if axis == 1 else padded[:, :, j : j + w]
-            out += taps[:, j, None, None] * window
-    return np.clip(out, 0.0, 1.0)
+            acc += taps[:, j, None, None] * window
+    out[blurred] = np.clip(acc, 0.0, 1.0)
+    return out
 
 
 def _floor_and_fraction(src: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -240,10 +245,7 @@ def augment_pixels(
             rng.uniform(*spec.translation_range_pixels),
         )
     sigmas, deltas, rotations, dxs, dys = draws.T
-    out = images.copy()
-    blurred = np.flatnonzero(sigmas > 0.0)
-    if len(blurred):
-        out[blurred] = _blur_stack(images[blurred], sigmas[blurred])
+    out = blur_stack(images, sigmas)
     out += deltas[:, None, None]
     np.clip(out, 0.0, 1.0, out=out)
     return _affine_stack(out, rotations, dxs, dys)

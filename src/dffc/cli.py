@@ -226,16 +226,14 @@ def write_pgm(image: np.ndarray, path: Path) -> None:
 def cmd_gen_data(args: argparse.Namespace) -> int:
     resolved = resolve_config(args.config, args.override)
     train, test = forgeries.generate_dataset(build_run_config(resolved).dataset)
-    amps = [s.artifact_amplitude for s in train if s.is_fake]
-    sigmas = [s.blur_sigma for s in train]
+    n_fake = int(train.targets.sum())
     print(f"generated {len(train)} train / {len(test)} test samples")
-    print(f"class balance: {sum(s.is_fake for s in train)} fake / "
-          f"{sum(not s.is_fake for s in train)} real")
-    counts, edges = np.histogram(amps, bins=8)
+    print(f"class balance: {n_fake} fake / {len(train) - n_fake} real")
+    counts, edges = np.histogram(train.amplitudes[1::2], bins=8)
     print("fake amplitude histogram:")
     for c, lo, hi in zip(counts, edges, edges[1:]):
         print(f"  [{lo:.3f}, {hi:.3f}): {c}")
-    counts, edges = np.histogram(sigmas, bins=8)
+    counts, edges = np.histogram(train.blur_sigmas, bins=8)
     print("blur sigma histogram:")
     for c, lo, hi in zip(counts, edges, edges[1:]):
         print(f"  [{lo:.3f}, {hi:.3f}): {c}")
@@ -299,6 +297,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect_dfh(args: argparse.Namespace) -> int:
+    for flag, k in (("--top", args.top), ("--bottom", args.bottom)):
+        if k < 0:
+            raise ConfigError(f"{flag} must be non-negative, got {k}")
     run_dir = Path(args.run_dir)
     try:
         state = hardness.HardnessState.from_json(
@@ -310,6 +311,11 @@ def cmd_inspect_dfh(args: argparse.Namespace) -> int:
     train, _ = forgeries.generate_dataset(build_run_config(resolved).dataset)
     scores = hardness.dfh_all(state)
     n = len(scores)
+    if n != len(train):
+        raise ConfigError(
+            f"hardness_state.json holds {n} samples, but resolved_config.json "
+            f"generates {len(train)} training samples"
+        )
     top_k, bottom_k = args.top, args.bottom
     if top_k > n or bottom_k > n:
         print(f"warning: k exceeds sample count {n}; clamping", file=sys.stderr)
@@ -323,14 +329,13 @@ def cmd_inspect_dfh(args: argparse.Namespace) -> int:
         (out / group).mkdir(parents=True, exist_ok=True)
         rows = []
         for sid in ids:
-            sample = train[sid]
-            write_pgm(sample.image, out / group / f"sample_{sid:05d}.pgm")
+            write_pgm(train.images[sid], out / group / f"sample_{sid:05d}.pgm")
             rows.append(
                 {
                     "id": sid,
-                    "label": sample.label,
-                    "amplitude": sample.artifact_amplitude,
-                    "sigma": sample.blur_sigma,
+                    "label": (forgeries.LABEL_REAL, forgeries.LABEL_FAKE)[sid % 2],
+                    "amplitude": float(train.amplitudes[sid]),
+                    "sigma": float(train.blur_sigmas[sid]),
                     "q": float(state.prior[sid]),
                     "dih": float(state.dih[sid]),
                     "dfh": float(scores[sid]),

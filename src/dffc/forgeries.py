@@ -4,12 +4,18 @@ Each training pair starts from a procedurally generated grayscale "real"
 image (smooth low-frequency content plus a fixed fine checkerboard
 dither). The fake copy adds a banded elliptical artifact of random
 amplitude, size, location and phase; both copies are then independently
-post-processed with Gaussian blur and a brightness shift. Ground truth
-(amplitude, blur strength, tamper mask, real/fake pairing) is kept
-alongside, which is what makes the tamper-ratio and similarity analyses
-possible at all.
+post-processed with Gaussian blur and a brightness shift.
 
-Images are 2-D float64 arrays in [0, 1]. Fake is the positive class.
+A split is a :class:`Split` of aligned arrays, one row per sample: the
+images, the clean (pre-post-processing) images, and the ground-truth
+amplitude, blur sigma and brightness delta. The pairing is the row
+layout, real in row ``2p`` and fake in row ``2p + 1``, and the clean
+images are what make the tamper-ratio and similarity analyses possible
+at all. The tamper mask is not stored; it is where a fake's clean image
+differs from its real's. Each pair draws its parameters from its own
+generator; the images are then built a stack of pairs at a time.
+
+Images are float64 in [0, 1]. Fake is the positive class.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dffc.augment import gaussian_blur
+from dffc.augment import blur_stack
 from dffc.errors import ConfigError
 
 LABEL_REAL = "real"
@@ -58,47 +64,60 @@ class DatasetConfig:
             raise ConfigError("seed must be non-negative")
 
 
-@dataclass
-class ToySample:
-    id: int
-    image: np.ndarray
-    label: str
-    artifact_amplitude: float
-    blur_sigma: float
-    brightness_delta: float
-    paired_real_id: int | None = None
-    artifact_mask: np.ndarray | None = None
-    #: Pre-post-processing pixels (pristine base for reals, base+bump for
-    #: fakes).
-    clean_image: np.ndarray | None = None
+#: Pairs generated per step. 64 to 256 pairs run equally fast; the step's
+#: temporaries grow with it. Generating the 32 px default dataset (48 MB
+#: of arrays) raises the peak RSS by 60 MB at 128 pairs, and by 114 MB
+#: with each split in one step.
+GENERATE_CHUNK = 128
+
+#: Whole-cycle low-frequency Fourier modes (horizontal, vertical) of the
+#: base images.
+_MODES = ((1, 0), (0, 1), (1, 1), (1, -1), (0, 2), (1, 2), (1, -2))
+
+
+@dataclass(frozen=True)
+class Split:
+    """One split as aligned arrays in which row i is sample i.
+
+    Rows ``2p`` and ``2p + 1`` are the real and the fake of pair p, so the
+    fakes are the odd rows and fake i's real is row ``i - 1``.
+    ``clean_images`` holds the pixels before post-processing: the pristine
+    base for a real, base plus artifact for a fake. ``amplitudes`` is 0.0
+    for the reals.
+    """
+
+    images: np.ndarray
+    clean_images: np.ndarray
+    amplitudes: np.ndarray
+    blur_sigmas: np.ndarray
+    brightness_deltas: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.images)
 
     @property
-    def is_fake(self) -> bool:
-        return self.label == LABEL_FAKE
-
-    @property
-    def target(self) -> float:
-        return 1.0 if self.is_fake else 0.0
+    def targets(self) -> np.ndarray:
+        """1.0 for a fake (odd row), 0.0 for a real."""
+        return (np.arange(len(self)) % 2).astype(np.float64)
 
 
-def _base_image(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Smooth low-frequency composite with pixel values inside [0.2, 0.8].
+def _base_images(amps: np.ndarray, phases: np.ndarray, size: int) -> np.ndarray:
+    """Smooth low-frequency composites with pixel values inside [0.2, 0.8].
 
-    Content is a random mix of whole-cycle low-frequency Fourier modes,
-    so pristine images carry no energy in the mid-frequency band the
-    forgery artifact occupies.
+    Image i is a random mix of the whole-cycle low-frequency Fourier
+    ``_MODES``, with amplitudes ``amps[i]`` and phases ``phases[i]`` (one
+    column per mode), so pristine images carry no energy in the
+    mid-frequency band the forgery artifact occupies.
     """
     ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
-    img = np.full((size, size), 0.5)
+    img = np.full((len(amps), size, size), 0.5)
     # Whole-cycle Fourier modes are exactly orthogonal (over the image
     # grid) to the forgery's banding frequency, so pristine images carry
     # no energy at the frequency the artifact occupies.
-    modes = [(1, 0), (0, 1), (1, 1), (1, -1), (0, 2), (1, 2), (1, -2)]
-    budget = 0.3 / len(modes)
-    for h, v in modes:
-        amp = rng.uniform(0.2, 1.0) * budget
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        img += amp * np.cos(2.0 * np.pi * (h * xs + v * ys) / size + phase)
+    budget = 0.3 / len(_MODES)
+    for (h, v), amp, phase in zip(_MODES, amps.T, phases.T):
+        wave = 2.0 * np.pi * (h * xs + v * ys) / size
+        img += (amp * budget)[:, None, None] * np.cos(wave + phase[:, None, None])
     # Fixed-amplitude checkerboard dither at the Nyquist frequency.  Its
     # Laplacian response dwarfs the smooth content's, so measured
     # sharpness tracks the post-processing blur level instead of the
@@ -107,18 +126,16 @@ def _base_image(rng: np.random.Generator, size: int) -> np.ndarray:
     return img
 
 
-def _bump(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Smooth elliptical artifact template with compact support.
+def _bumps(draws: np.ndarray, size: int) -> np.ndarray:
+    """Smooth elliptical artifact templates with compact support.
 
-    The envelope (peak 1) is modulated by mid-frequency vertical banding.
-    Natural content is smooth in that band, so the modulation is what
-    makes fakes detectable at all, and post-processing blur attenuates
-    it, which is what grades sample difficulty.
+    Row i of ``draws`` is bump i's centre, radii and banding phase (cx, cy,
+    rx, ry, phase). The envelope (peak 1) is modulated by mid-frequency
+    vertical banding. Natural content is smooth in that band, so the
+    modulation is what makes fakes detectable at all, and post-processing
+    blur attenuates it, which is what grades sample difficulty.
     """
-    cx = rng.uniform(0.25 * size, 0.75 * size)
-    cy = rng.uniform(0.25 * size, 0.75 * size)
-    rx = rng.uniform(0.33 * size, 0.45 * size)
-    ry = rng.uniform(0.33 * size, 0.45 * size)
+    cx, cy, rx, ry, phase = (col[:, None, None] for col in draws.T)
     ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
     r = np.sqrt(((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2)
     envelope = np.where(r < 1.0, np.cos(0.5 * np.pi * np.clip(r, 0.0, 1.0)) ** 2, 0.0)
@@ -127,62 +144,49 @@ def _bump(rng: np.random.Generator, size: int) -> np.ndarray:
     # response, so the easy-pool translation augmentation cannot flip an
     # augmented fake into looking pristine, and blur at sigma 1.5 still
     # only halves the banding energy.
-    phase = rng.uniform(0.0, 2.0 * np.pi)
     modulation = np.cos(0.25 * np.pi * xs + phase)
     return envelope * modulation
 
 
-def _postprocess(
-    image: np.ndarray, rng: np.random.Generator, config: DatasetConfig
-) -> tuple[np.ndarray, float, float]:
-    sigma = rng.uniform(*config.blur_range)
-    delta = rng.uniform(*config.brightness_range)
-    out = gaussian_blur(image, sigma) if sigma > 0.0 else image.copy()
-    return np.clip(out + delta, 0.0, 1.0), sigma, delta
-
-
-def _generate_split(config: DatasetConfig, n: int, split_code: int) -> list[ToySample]:
-    samples: list[ToySample] = []
+def _generate_split(config: DatasetConfig, n: int, split_code: int) -> Split:
     size = config.image_size
-    for pair in range(n // 2):
+    n_modes = len(_MODES)
+    # Each pair's uniforms, in draw order: (amplitude, phase) per base
+    # mode, the bump's cx, cy, rx, ry and banding phase, the artifact
+    # amplitude, then (blur sigma, brightness delta) for the real and for
+    # the fake.
+    centre, radius = (0.25 * size, 0.75 * size), (0.33 * size, 0.45 * size)
+    phase = (0.0, 2.0 * np.pi)
+    bounds = [(0.2, 1.0), phase] * n_modes + [centre, centre, radius, radius, phase]
+    bounds += [config.amplitude_range] + [config.blur_range, config.brightness_range] * 2
+    draws = np.empty((n // 2, len(bounds)))
+    for pair, row in enumerate(draws):
         # Per-pair stream keyed by (seed, split, pair) so generation is
         # order-independent and parallelizable.
         rng = np.random.default_rng((config.seed, split_code, pair))
-        base = _base_image(rng, size)
-        bump = _bump(rng, size)
-        amplitude = rng.uniform(*config.amplitude_range)
-        fake_clean = np.clip(base + amplitude * bump, 0.0, 1.0)
-        real_img, real_sigma, real_delta = _postprocess(base, rng, config)
-        fake_img, fake_sigma, fake_delta = _postprocess(fake_clean, rng, config)
-        real_id, fake_id = 2 * pair, 2 * pair + 1
-        samples.append(
-            ToySample(
-                id=real_id,
-                image=real_img,
-                label=LABEL_REAL,
-                artifact_amplitude=0.0,
-                blur_sigma=real_sigma,
-                brightness_delta=real_delta,
-                clean_image=base,
-            )
-        )
-        samples.append(
-            ToySample(
-                id=fake_id,
-                image=fake_img,
-                label=LABEL_FAKE,
-                artifact_amplitude=amplitude,
-                blur_sigma=fake_sigma,
-                brightness_delta=fake_delta,
-                paired_real_id=real_id,
-                artifact_mask=bump != 0.0,
-                clean_image=fake_clean,
-            )
-        )
-    return samples
+        row[:] = [rng.uniform(lo, hi) for lo, hi in bounds]
+    modes, bump, pair_amplitudes = np.split(draws[:, :-4], [2 * n_modes, -1], axis=1)
+    # (sigma, delta) rows in sample order: real, fake, real, fake, ...
+    sigmas, deltas = draws[:, -4:].reshape(n, 2).T.copy()
+    amplitudes = np.zeros(n)
+    amplitudes[1::2] = pair_amplitudes[:, 0]
+
+    clean = np.empty((n, size, size))
+    images = np.empty((n, size, size))
+    for start in range(0, n // 2, GENERATE_CHUNK):
+        pairs = slice(start, start + GENERATE_CHUNK)
+        rows = slice(2 * start, 2 * (start + GENERATE_CHUNK))
+        base = _base_images(modes[pairs, 0::2], modes[pairs, 1::2], size)
+        fake = base + pair_amplitudes[pairs, :, None] * _bumps(bump[pairs], size)
+        clean[rows][0::2] = base
+        clean[rows][1::2] = np.clip(fake, 0.0, 1.0)
+        # Post-processing: blur (none at sigma 0), then a brightness shift.
+        blurred = blur_stack(clean[rows], sigmas[rows])
+        images[rows] = np.clip(blurred + deltas[rows, None, None], 0.0, 1.0)
+    return Split(images, clean, amplitudes, sigmas, deltas)
 
 
-def generate_dataset(config: DatasetConfig) -> tuple[list[ToySample], list[ToySample]]:
+def generate_dataset(config: DatasetConfig) -> tuple[Split, Split]:
     """Deterministic (train, test) splits with exactly balanced classes."""
     train = _generate_split(config, config.n_train, split_code=0)
     test = _generate_split(config, config.n_test, split_code=1)
@@ -216,9 +220,9 @@ def quality_prior(image: np.ndarray, normalizer: float) -> float:
     return float(np.clip(1.0 - laplacian_variance(image) / normalizer, 0.0, 1.0))
 
 
-def quality_priors(samples: list[ToySample], normalizer: float | None = None) -> tuple[np.ndarray, float]:
-    """Priors for a whole split; the normalizer defaults to the split's max sharpness."""
-    variances = laplacian_variance(np.stack([s.image for s in samples]))
+def quality_priors(images: np.ndarray, normalizer: float | None = None) -> tuple[np.ndarray, float]:
+    """Priors for an ``(n, h, w)`` stack; the normalizer defaults to its max sharpness."""
+    variances = laplacian_variance(images)
     if normalizer is None:
         normalizer = float(variances.max())
     if normalizer <= 0.0:
@@ -258,35 +262,25 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     return float(num / den)
 
 
-def dfh_extremes_report(
-    samples: list[ToySample], dfh_scores: np.ndarray, fraction: float
-) -> dict:
+def dfh_extremes_report(split: Split, dfh_scores: np.ndarray, fraction: float) -> dict:
     """Tamper-ratio / similarity statistics for the hardest- and easiest-
     scored fakes, measured against their pristine paired reals."""
     if not 0.0 < fraction <= 0.5:
         raise ValueError(f"fraction must be in (0, 0.5], got {fraction}")
-    by_id = {s.id: s for s in samples}
-    fakes = [s for s in samples if s.is_fake]
-    if not fakes:
+    if len(split) < 2:
         raise ValueError("no fake samples in dataset")
-    for s in fakes:
-        if s.clean_image is None or by_id[s.paired_real_id].clean_image is None:
-            raise ValueError("pristine images unavailable; regenerate the dataset from config")
-    fake_ids = np.array([s.id for s in fakes])
+    fake_ids = np.arange(1, len(split), 2)
     scores = np.asarray(dfh_scores, dtype=np.float64)[fake_ids]
     order = np.argsort(scores, kind="stable")
-    m = max(1, int(len(fakes) * fraction))
+    m = max(1, int(len(fake_ids) * fraction))
 
     def _stats(idx: np.ndarray) -> dict:
-        ids = [int(fake_ids[i]) for i in idx]
-        tars, ssims = [], []
-        for sid in ids:
-            fake = by_id[sid]
-            real = by_id[fake.paired_real_id]
-            tars.append(tampering_ratio(fake.clean_image, real.clean_image))
-            ssims.append(ssim(fake.clean_image, real.clean_image))
+        ids = fake_ids[idx]
+        clean = split.clean_images
+        tars = [tampering_ratio(clean[i], clean[i - 1]) for i in ids]
+        ssims = [ssim(clean[i], clean[i - 1]) for i in ids]
         return {
-            "ids": ids,
+            "ids": ids.tolist(),
             "mean_tar": float(np.mean(tars)),
             "mean_ssim": float(np.mean(ssims)),
         }

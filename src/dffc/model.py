@@ -24,9 +24,6 @@ class ModelParams:
     w2: np.ndarray  # (hidden,)
     b2: float
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.W1.copy(), self.b1.copy(), self.w2.copy(), self.b2)
-
 
 @dataclass(frozen=True)
 class LrSchedule:

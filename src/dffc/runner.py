@@ -31,7 +31,7 @@ from scipy.stats import rankdata
 from dffc import forgeries, hardness, pacing
 from dffc.augment import AugmentationSpec, augment_pixels
 from dffc.errors import ConfigError
-from dffc.forgeries import DatasetConfig, ToySample
+from dffc.forgeries import DatasetConfig, Split
 from dffc.model import (
     LrSchedule,
     ModelParams,
@@ -239,14 +239,14 @@ def _select_traces(
 
 def run_training(
     config: RunConfig,
-    dataset: tuple[list[ToySample], list[ToySample]] | None = None,
+    dataset: tuple[Split, Split] | None = None,
 ) -> MetricsLog:
     train, test = dataset if dataset is not None else forgeries.generate_dataset(config.dataset)
     n = len(train)
-    d = train[0].image.size
+    d = train.images[0].size
 
-    prior, normalizer = forgeries.quality_priors(train)
-    test_prior, _ = forgeries.quality_priors(test, normalizer=normalizer)
+    prior, normalizer = forgeries.quality_priors(train.images)
+    test_prior, _ = forgeries.quality_priors(test.images, normalizer=normalizer)
     terciles = tercile_assignments(test_prior)
 
     state = hardness.HardnessState.fresh(prior, config.gamma, config.alpha_f)
@@ -263,14 +263,13 @@ def run_training(
     # pixels leave the net in a barely-trainable regime under the small
     # uniform init.  The extra gain speeds up margin growth, which the
     # short 20-epoch budget with a decaying learning rate needs.
-    raw_train = np.stack([s.image.ravel() for s in train])
+    raw_train = train.images.reshape(n, d)
     pixel_mean = raw_train.mean(axis=0)
     pixel_std = (raw_train.std(axis=0) + 1e-8) / INPUT_GAIN
     X_train = (raw_train - pixel_mean) / pixel_std
-    train_images = raw_train.reshape(n, *train[0].image.shape)
-    y_train = np.array([s.target for s in train])
-    X_test = (np.stack([s.image.ravel() for s in test]) - pixel_mean) / pixel_std
-    y_test = np.array([s.target for s in test])
+    y_train = train.targets
+    X_test = (test.images.reshape(len(test), d) - pixel_mean) / pixel_std
+    y_test = test.targets
 
     out = MetricsLog(
         rows=[],
@@ -308,7 +307,7 @@ def run_training(
         augmented = np.flatnonzero(trained.seeds >= 0)
         for start in range(0, len(augmented), AUGMENT_CHUNK):
             rows = augmented[start : start + AUGMENT_CHUNK]
-            pixels = augment_pixels(train_images[ids[rows]], config.augment, trained.seeds[rows])
+            pixels = augment_pixels(train.images[ids[rows]], config.augment, trained.seeds[rows])
             X_epoch[rows] = (pixels.reshape(len(rows), d) - pixel_mean) / pixel_std
 
         # Mini-batch SGD; losses are recorded before each batch's update.

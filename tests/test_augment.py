@@ -11,6 +11,7 @@ from dffc.augment import (
     AugmentationSpec,
     affine,
     augment_pixels,
+    blur_stack,
     brightness_adjust,
     gaussian_blur,
     gaussian_kernel_1d,
@@ -55,6 +56,18 @@ class TestBlur:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             gaussian_blur(np.zeros((4, 4)), -0.1)
+
+    @pytest.mark.parametrize("size", [5, 16])
+    def test_stack_equals_per_image_blur_exactly(self, size):
+        # Sigmas up to 3 give radii up to 9, beyond a 5 px image.
+        rng = np.random.default_rng(size)
+        images = rng.uniform(0, 1, (12, size, size))
+        sigmas = rng.uniform(0.0, 3.0, 12)
+        sigmas[::3] = 0.0
+        expected = np.stack([gaussian_blur(img, s) for img, s in zip(images, sigmas)])
+        out = blur_stack(images, sigmas)
+        assert out.tobytes() == expected.tobytes()
+        assert blur_stack(images, np.zeros(12)).tobytes() == images.tobytes()
 
 
 class TestBrightness:

@@ -251,6 +251,28 @@ class TestInspectAndReport:
         report = json.loads((run_dir / "inspection" / "report.json").read_text())
         assert report == {"top": [], "bottom": []}
 
+    @pytest.mark.parametrize("flag", ["--top", "--bottom"])
+    def test_inspect_rejects_negative_k(self, run_dir, tmp_path, flag, capsys):
+        copy = _copy_run_state(run_dir, tmp_path)
+        code = cli.main(["inspect-dfh", "--run-dir", str(copy), flag, "-1"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert flag in err[0] and "-1" in err[0]
+        assert not (copy / "inspection").exists()
+
+    def test_inspect_rejects_sample_count_mismatch(self, run_dir, tmp_path, capsys):
+        copy = _copy_run_state(run_dir, tmp_path)
+        resolved = json.loads((copy / "resolved_config.json").read_text())
+        resolved["dataset"]["n_train"] = 80
+        (copy / "resolved_config.json").write_text(json.dumps(resolved))
+        code = cli.main(["inspect-dfh", "--run-dir", str(copy)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "60" in err[0] and "80" in err[0]
+        assert not (copy / "inspection").exists()
+
     def test_inspect_missing_run_dir(self, tmp_path, capsys):
         code = cli.main(["inspect-dfh", "--run-dir", str(tmp_path / "nope")])
         assert code == 2
@@ -263,6 +285,15 @@ class TestInspectAndReport:
 
     def test_report_missing_artifacts(self, tmp_path):
         assert cli.main(["report", "--run-dir", str(tmp_path / "nope")]) == 2
+
+
+def _copy_run_state(run_dir, tmp_path):
+    """The two artifacts ``inspect-dfh`` reads, in a fresh run directory."""
+    copy = tmp_path / "run"
+    copy.mkdir()
+    for name in ("resolved_config.json", "hardness_state.json"):
+        (copy / name).write_bytes((run_dir / name).read_bytes())
+    return copy
 
 
 class TestCompare:

@@ -8,22 +8,26 @@ Oracle notes:
       with exactly one pixel differing by more than the threshold.
   [DERIVED] laplacian_variance oracle -- direct convolution with the 3x3
       kernel using numpy padding, written independently of the source.
+  [DERIVED] generation chunking -- each pair draws from its own
+      generator, so the split is the same whatever the chunk size, and a
+      smaller split is a prefix of a larger one.
   [TRIVIAL] determinism, pairing, ranges, validation.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from dffc import forgeries
 from dffc.errors import ConfigError
 from dffc.forgeries import (
     DEFAULT_TAR_THRESHOLD,
-    LABEL_FAKE,
-    LABEL_REAL,
     DatasetConfig,
-    ToySample,
+    Split,
     dfh_extremes_report,
     generate_dataset,
     laplacian_variance,
@@ -37,6 +41,12 @@ from dffc.forgeries import (
 @pytest.fixture(scope="module")
 def small_dataset():
     return generate_dataset(DatasetConfig(n_train=80, n_test=40, seed=7))
+
+
+def assert_splits_identical(a: Split, b: Split) -> None:
+    for f in dataclasses.fields(Split):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
 
 
 class TestDatasetConfig:
@@ -68,71 +78,70 @@ class TestDatasetConfig:
 
 class TestGeneration:
     def test_deterministic_across_calls(self, small_dataset):
-        train, test = small_dataset
-        train2, test2 = generate_dataset(DatasetConfig(n_train=80, n_test=40, seed=7))
-        for a, b in zip(train + test, train2 + test2):
-            assert a.id == b.id and a.label == b.label
-            np.testing.assert_array_equal(a.image, b.image)
+        again = generate_dataset(DatasetConfig(n_train=80, n_test=40, seed=7))
+        for split, split_again in zip(small_dataset, again):
+            assert_splits_identical(split, split_again)
 
     def test_seed_changes_content(self, small_dataset):
         train, _ = small_dataset
         other, _ = generate_dataset(DatasetConfig(n_train=80, n_test=40, seed=8))
-        assert any(
-            not np.array_equal(a.image, b.image) for a, b in zip(train, other)
-        )
+        assert not np.array_equal(train.images, other.images)
 
     def test_sizes_ids_and_balance(self, small_dataset):
         train, test = small_dataset
         assert len(train) == 80 and len(test) == 40
         for split in (train, test):
-            assert [s.id for s in split] == list(range(len(split)))
-            n_fake = sum(s.is_fake for s in split)
-            assert n_fake == len(split) // 2
+            n = len(split)
+            for f in dataclasses.fields(Split):
+                assert len(getattr(split, f.name)) == n, f.name
+            assert split.targets.tolist() == [0.0, 1.0] * (n // 2)
 
     def test_pairing_structure(self, small_dataset):
+        cfg = DatasetConfig(n_train=80, n_test=40, seed=7)
         train, _ = small_dataset
-        for s in train:
-            if s.label == LABEL_REAL:
-                assert s.paired_real_id is None
-                assert s.artifact_mask is None
-                assert s.artifact_amplitude == 0.0
-                assert s.target == 0.0
-            else:
-                assert s.label == LABEL_FAKE
-                assert s.paired_real_id == s.id - 1
-                assert train[s.paired_real_id].label == LABEL_REAL
-                assert s.target == 1.0
+        reals, fakes = train.clean_images[0::2], train.clean_images[1::2]
+        assert (train.amplitudes[0::2] == 0.0).all()
+        # A fake is its real's base plus an artifact of at most its
+        # amplitude, so row i - 1 holds the real that fake i was made from.
+        amps = train.amplitudes[1::2]
+        assert (np.abs(fakes - reals).max(axis=(1, 2)) <= amps).all()
+        assert np.abs(fakes - np.roll(reals, 1, axis=0)).max() > cfg.amplitude_range[1]
 
     def test_pixel_and_parameter_ranges(self, small_dataset):
         cfg = DatasetConfig(n_train=80, n_test=40, seed=7)
-        train, test = small_dataset
-        for s in train + test:
-            assert s.image.shape == (cfg.image_size, cfg.image_size)
-            assert s.image.min() >= 0.0 and s.image.max() <= 1.0
-            assert cfg.blur_range[0] <= s.blur_sigma <= cfg.blur_range[1]
+        for split in small_dataset:
+            assert split.images.shape[1:] == (cfg.image_size, cfg.image_size)
+            assert split.images.min() >= 0.0 and split.images.max() <= 1.0
+            lo, hi = cfg.blur_range
+            assert ((lo <= split.blur_sigmas) & (split.blur_sigmas <= hi)).all()
             lo, hi = cfg.brightness_range
-            assert lo <= s.brightness_delta <= hi
-            if s.is_fake:
-                alo, ahi = cfg.amplitude_range
-                assert alo <= s.artifact_amplitude <= ahi
+            deltas = split.brightness_deltas
+            assert ((lo <= deltas) & (deltas <= hi)).all()
+            lo, hi = cfg.amplitude_range
+            amps = split.amplitudes[1::2]
+            assert ((lo <= amps) & (amps <= hi)).all()
 
-    def test_mask_matches_tamper_support(self, small_dataset):
+    def test_every_fake_differs_from_its_real(self, small_dataset):
         train, _ = small_dataset
-        for s in train:
-            if not s.is_fake:
-                continue
-            real = train[s.paired_real_id]
-            diff = np.abs(s.clean_image - real.clean_image) > 0.0
-            # The modulated bump can be zero at isolated pixels inside its
-            # support, but every tampered pixel must be inside the mask.
-            assert np.all(s.artifact_mask[diff])
-            assert s.artifact_mask.any()
+        reals, fakes = train.clean_images[0::2], train.clean_images[1::2]
+        assert (fakes != reals).any(axis=(1, 2)).all()
 
     def test_clean_images_present(self, small_dataset):
         train, _ = small_dataset
-        for s in train:
-            assert s.clean_image is not None
-            assert s.clean_image.min() >= 0.0 and s.clean_image.max() <= 1.0
+        assert train.clean_images.shape == train.images.shape
+        assert train.clean_images.min() >= 0.0 and train.clean_images.max() <= 1.0
+
+    def test_chunk_size_does_not_change_the_split(self, small_dataset, monkeypatch):
+        monkeypatch.setattr(forgeries, "GENERATE_CHUNK", 3)
+        chunked = generate_dataset(DatasetConfig(n_train=80, n_test=40, seed=7))
+        for split, split_chunked in zip(small_dataset, chunked):
+            assert_splits_identical(split, split_chunked)
+
+    def test_smaller_split_is_a_prefix(self, small_dataset):
+        train, _ = small_dataset
+        larger, _ = generate_dataset(DatasetConfig(n_train=400, n_test=40, seed=7))
+        prefix = Split(*(getattr(larger, f.name)[:80] for f in dataclasses.fields(Split)))
+        assert_splits_identical(train, prefix)
 
 
 class TestTamperingRatio:
@@ -238,7 +247,7 @@ class TestQualityPrior:
         train, _ = generate_dataset(DatasetConfig(n_train=4, n_test=2, seed=0))
         from dffc.augment import gaussian_blur
 
-        img = train[0].image
+        img = train.images[0]
         normalizer = laplacian_variance(img)
         sharp = quality_prior(img, normalizer)
         blurred = quality_prior(gaussian_blur(img, 1.5), normalizer)
@@ -246,7 +255,7 @@ class TestQualityPrior:
 
     def test_priors_in_unit_interval_and_normalizer(self, small_dataset):
         train, _ = small_dataset
-        priors, normalizer = quality_priors(train)
+        priors, normalizer = quality_priors(train.images)
         assert priors.shape == (len(train),)
         assert normalizer > 0.0
         assert priors.min() >= 0.0 and priors.max() <= 1.0
@@ -256,52 +265,41 @@ class TestQualityPrior:
         # The prior exists to proxy post-processing degradation; it must
         # correlate with the known blur sigma, not with scene content.
         train, _ = small_dataset
-        priors, _ = quality_priors(train)
-        sigmas = np.array([s.blur_sigma for s in train])
-        rho = spearmanr(sigmas, priors).statistic
+        priors, _ = quality_priors(train.images)
+        rho = spearmanr(train.blur_sigmas, priors).statistic
         assert rho > 0.5, f"Spearman(blur, prior) = {rho:.3f}"
 
     def test_normalizer_validation(self):
         with pytest.raises(ValueError):
             quality_prior(np.zeros((4, 4)), 0.0)
         with pytest.raises(ValueError):
-            quality_priors(
-                [ToySample(id=0, image=np.zeros((4, 4)), label=LABEL_REAL,
-                           artifact_amplitude=0.0, blur_sigma=0.0,
-                           brightness_delta=0.0)],
-                normalizer=-1.0,
-            )
+            quality_priors(np.zeros((1, 4, 4)), normalizer=-1.0)
 
 
 class TestExtremesReport:
     def test_constructed_ranking(self, small_dataset):
         train, _ = small_dataset
         # Score fakes by their own amplitude: strongest artifact -> top.
-        scores = np.zeros(len(train))
-        for s in train:
-            scores[s.id] = s.artifact_amplitude
-        report = dfh_extremes_report(train, scores, fraction=0.1)
+        report = dfh_extremes_report(train, train.amplitudes, fraction=0.1)
         n_fakes = len(train) // 2
         m = max(1, int(n_fakes * 0.1))
         assert len(report["top"]["ids"]) == m
         assert len(report["bottom"]["ids"]) == m
-        amp = {s.id: s.artifact_amplitude for s in train if s.is_fake}
-        top_amps = [amp[i] for i in report["top"]["ids"]]
-        bottom_amps = [amp[i] for i in report["bottom"]["ids"]]
-        assert min(top_amps) >= max(bottom_amps)
+        assert all(i % 2 == 1 for i in report["top"]["ids"] + report["bottom"]["ids"])
+        top_amps = train.amplitudes[report["top"]["ids"]]
+        bottom_amps = train.amplitudes[report["bottom"]["ids"]]
+        assert top_amps.min() >= bottom_amps.max()
 
     def test_stats_follow_the_ranking(self, small_dataset):
         # Rank fakes by the very quantity each stat reports; the grouped
         # means must then separate in the matching direction.
         train, _ = small_dataset
-        by_id = {s.id: s for s in train}
+        clean = train.clean_images
         tar_scores = np.zeros(len(train))
         ssim_scores = np.zeros(len(train))
-        for s in train:
-            if s.is_fake:
-                real = by_id[s.paired_real_id]
-                tar_scores[s.id] = tampering_ratio(s.clean_image, real.clean_image)
-                ssim_scores[s.id] = -ssim(s.clean_image, real.clean_image)
+        for i in range(1, len(train), 2):
+            tar_scores[i] = tampering_ratio(clean[i], clean[i - 1])
+            ssim_scores[i] = -ssim(clean[i], clean[i - 1])
         by_tar = dfh_extremes_report(train, tar_scores, fraction=0.1)
         assert by_tar["top"]["mean_tar"] > by_tar["bottom"]["mean_tar"]
         by_ssim = dfh_extremes_report(train, ssim_scores, fraction=0.1)
@@ -314,26 +312,7 @@ class TestExtremesReport:
             with pytest.raises(ValueError):
                 dfh_extremes_report(train, scores, fraction=bad)
 
-    def test_requires_clean_images(self, small_dataset):
-        train, _ = small_dataset
-        stripped = [
-            ToySample(
-                id=s.id, image=s.image, label=s.label,
-                artifact_amplitude=s.artifact_amplitude,
-                blur_sigma=s.blur_sigma, brightness_delta=s.brightness_delta,
-                paired_real_id=s.paired_real_id,
-            )
-            for s in train
-        ]
-        with pytest.raises(ValueError):
-            dfh_extremes_report(stripped, np.zeros(len(train)), fraction=0.1)
-
     def test_requires_fakes(self):
-        reals = [
-            ToySample(id=0, image=np.zeros((4, 4)), label=LABEL_REAL,
-                      artifact_amplitude=0.0, blur_sigma=0.0,
-                      brightness_delta=0.0, clean_image=np.zeros((4, 4)))
-        ]
+        empty = Split(np.zeros((0, 4, 4)), np.zeros((0, 4, 4)), *np.zeros((3, 0)))
         with pytest.raises(ValueError):
-            dfh_extremes_report(reals, np.zeros(1), fraction=0.1)
-
+            dfh_extremes_report(empty, np.zeros(0), fraction=0.1)

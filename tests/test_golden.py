@@ -9,6 +9,8 @@ final DIH value, update count and prior. The dffc configs augment 300 or
 more copies per epoch, so the easy-pool augmentation spans several
 chunks of ``runner.AUGMENT_CHUNK``; the vanilla and babystep configs
 train on ``pacing.full_pool`` and ``pacing.pool_from_ids``.
+``GOLDEN_DATASET`` pins the generated splits themselves, and
+``GOLDEN_EXTREMES`` the TAR/SSIM extremes report and the DFH traces.
 
 The BLAS build can change the last bits of a matrix product, so a digest
 may differ on another machine. A failing assertion names the machine and
@@ -26,6 +28,7 @@ import numpy as np
 import pytest
 
 from dffc import cli, runner
+from dffc.forgeries import DatasetConfig, generate_dataset
 
 SMALL = [
     "dataset.n_train=400", "dataset.n_test=100", "total_epochs=5",
@@ -67,6 +70,32 @@ GOLDEN_POOL = {
 }
 
 
+#: SHA-256 per split (train, test) of the images, the clean images and the
+#: blur sigmas, brightness deltas and amplitudes (0.0 for reals), joined
+#: by NUL, per ``DatasetConfig``. The 5 px config blurs with kernel radii
+#: up to 9, beyond the image.
+GOLDEN_DATASET = {
+    "default": (
+        {},
+        "127204960bd48973d5f4184ad61368cd9b3a08876ac67085085983c3cde1cad8",
+        "39459c26ec47d0abd0d2fe8d22151b3826396aebb602d08fe506a41ba6bcf2ac",
+    ),
+    "32px": (
+        {"image_size": 32, "seed": 3},
+        "8d46ac0955891d63fd7bd2729730af1909f21e7c9daa406b9c0c8555aeada7c3",
+        "cdd0f49653ffd7590e3f99a566ecb9fc94db6079e5020f348918df3770cfbd65",
+    ),
+    "5px_wide_blur": (
+        {"image_size": 5, "blur_range": (0, 3), "n_train": 300, "n_test": 100, "seed": 9},
+        "bb57f71190176980a7c1d073126c295774afe5fb9f134741ddcfa74a3d5f3613",
+        "6d6f54e414ee257243df6935035d6d1d977a110b22f5bec8422e50d0befe925b",
+    ),
+}
+
+#: SHA-256 of ``extremes.json`` + NUL + ``dfh_trace.json`` for the ``SMALL`` dffc run.
+GOLDEN_EXTREMES = "501c8f9e0cafebbbdbd8d63ad695e5857dcab01b729cbfd35f10787cd8c10976"
+
+
 def run_digest(overrides: list[str], out_dir, files=("metrics.csv", "checkpoint.bin")) -> str:
     resolved = cli.resolve_config(None, overrides)
     result = runner.run_training(cli.build_run_config(resolved))
@@ -86,6 +115,26 @@ def test_pool_log_and_hardness_match_golden_digest(name, tmp_path):
     extra, _ = GOLDEN[name]
     files = ("pool_log.csv", "hardness_state.json")
     assert run_digest(SMALL + extra, tmp_path, files) == GOLDEN_POOL[name], mismatch_note()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DATASET))
+def test_dataset_matches_golden_digest(name):
+    kwargs, *digests = GOLDEN_DATASET[name]
+    splits = generate_dataset(DatasetConfig(**kwargs))
+    assert [split_digest(split) for split in splits] == digests
+
+
+def test_extremes_and_traces_match_golden_digest(tmp_path):
+    files = ("extremes.json", "dfh_trace.json")
+    assert run_digest(SMALL, tmp_path, files) == GOLDEN_EXTREMES, mismatch_note()
+
+
+def split_digest(split) -> str:
+    arrays = (
+        split.images, split.clean_images,
+        split.blur_sigmas, split.brightness_deltas, split.amplitudes,
+    )
+    return hashlib.sha256(b"\0".join(a.tobytes() for a in arrays)).hexdigest()
 
 
 def mismatch_note() -> str:

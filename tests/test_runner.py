@@ -55,7 +55,7 @@ class TestTerciles:
 
     def test_all_buckets_used_on_default_data(self):
         _, test = generate_dataset(DatasetConfig(n_train=4, n_test=60, seed=1))
-        priors, _ = quality_priors(test)
+        priors, _ = quality_priors(test.images)
         buckets = runner.tercile_assignments(priors)
         assert set(buckets) == {0, 1, 2}
 
@@ -113,16 +113,16 @@ class TestRunWiring:
     def test_first_batch_losses_use_initial_params(self, small_result):
         config, result = small_result
         train, _ = generate_dataset(config.dataset)
-        raw = np.stack([s.image.ravel() for s in train])
+        raw = train.images.reshape(len(train), -1)
         mean = raw.mean(axis=0)
         std = (raw.std(axis=0) + 1e-8) / runner.INPUT_GAIN
-        params = init_params(train[0].image.size, config.hidden_units, config.seed)
+        params = init_params(raw.shape[1], config.hidden_units, config.seed)
 
         pool = result.entry_streams[0]
         assert (pool.seeds[: config.batch_size] == -1).all()
         first = pool.entries[: config.batch_size]
-        X = np.stack([(train[sid].image.ravel() - mean) / std for sid in first])
-        y = np.array([train[sid].target for sid in first])
+        X = (raw[first] - mean) / std
+        y = (first % 2).astype(np.float64)  # fakes are the odd rows
         expected = bce_loss(forward_batch(params, X), y)
         np.testing.assert_array_equal(result.loss_streams[0][: len(first)], expected)
 
