@@ -3,7 +3,11 @@
 Images are 2-D float64 arrays in [0, 1]. The three operations (Gaussian
 blur, brightness shift, affine warp) are applied in that fixed order by
 :func:`augment_pixels`; every parameter is drawn from the spec ranges by
-a generator seeded per entry, so augmentation is fully reproducible.
+a stream keyed by the entry's seed, so augmentation is fully
+reproducible. The streams are numpy's: entry i's five draws are
+``default_rng(seed_i).uniform(lo, hi)`` in order (SeedSequence, then
+PCG64), computed for the whole stack at once by :mod:`dffc.streams`.
+A seed must lie in 0..2**64 - 1.
 
 :func:`augment_pixels` works on a stack of images with one seed each, so
 the runner augments the easy-pool copies of an epoch in chunks. Every
@@ -21,6 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from dffc import streams
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,27 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-(xs**2) / (2.0 * sigma**2))
     return k / k.sum()
+
+
+def gaussian_kernels(sigmas: np.ndarray) -> np.ndarray:
+    """Row i is ``gaussian_kernel_1d(sigmas[i])``, centred in zero taps to the
+    largest radius; every sigma must be positive.
+
+    The kernels of one radius are built in one step, with the same operations
+    as the single kernel: ``np.float_power(sigma, 2.0)`` is the libm ``pow``
+    behind Python's ``sigma**2`` (numpy's array ``**2`` is ``x*x``, which
+    rounds differently for some sigmas), and each row is summed on its own.
+    """
+    radii = np.ceil(3.0 * sigmas).astype(np.int64)
+    radius = int(radii.max())
+    taps = np.zeros((len(sigmas), 2 * radius + 1))
+    two_var = 2.0 * np.float_power(sigmas, 2.0)
+    for r in np.unique(radii):
+        rows = np.flatnonzero(radii == r)
+        xs = np.arange(-r, r + 1, dtype=np.float64)
+        k = np.exp(-(xs**2) / two_var[rows, None])
+        taps[rows, radius - r : radius + r + 1] = k / k.sum(axis=1, keepdims=True)
+    return taps
 
 
 def _conv1d_reflect(image: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
@@ -85,12 +112,18 @@ def brightness_adjust(image: np.ndarray, delta: float) -> np.ndarray:
 
 def _reflect_index(idx: np.ndarray, n: int) -> np.ndarray:
     # Mirror without repeating the edge sample (period 2n-2), matching
-    # numpy's "reflect" padding.
+    # numpy's "reflect" padding. Indices inside the frame map to themselves,
+    # so only the others are folded; with none, ``idx`` itself is returned.
     if n == 1:
         return np.zeros_like(idx)
+    outside = (idx < 0) | (idx >= n)
+    if not outside.any():
+        return idx
     period = 2 * n - 2
-    idx = np.mod(idx, period)
-    return np.where(idx >= n, period - idx, idx)
+    folded = np.mod(idx[outside], period)
+    out = idx.copy()
+    out[outside] = np.where(folded >= n, period - folded, folded)
+    return out
 
 
 def affine(image: np.ndarray, rotation_degrees: float, dx: float, dy: float) -> np.ndarray:
@@ -145,12 +178,8 @@ def blur_stack(images: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     blurred = np.flatnonzero(sigmas > 0.0)
     if not len(blurred):
         return out
-    kernels = [gaussian_kernel_1d(float(sigma)) for sigma in sigmas[blurred]]
-    radius = max(len(k) for k in kernels) // 2
-    taps = np.zeros((len(kernels), 2 * radius + 1))
-    for row, k in zip(taps, kernels):
-        pad = radius - len(k) // 2
-        row[pad : pad + len(k)] = k
+    taps = gaussian_kernels(sigmas[blurred])
+    radius = taps.shape[1] // 2
     _, h, w = images.shape
     acc = images[blurred]
     for axis, size in ((1, h), (2, w)):
@@ -222,7 +251,8 @@ def augment_pixels(
 
     ``images`` is a stack ``(n, h, w)`` with a sequence of ``n`` seeds, or
     one ``(h, w)`` image with an int seed (the ``n = 1`` case). Entry ``i``
-    draws its five parameters from ``default_rng(seeds[i])`` and comes out
+    draws its five parameters from ``default_rng(seeds[i])``, computed for
+    every entry at once by :func:`streams.uniforms`, and comes out
     bit-identical to ``affine(brightness_adjust(gaussian_blur(image,
     sigma), delta), theta, dx, dy)`` whichever entries share its stack.
     """
@@ -234,16 +264,16 @@ def augment_pixels(
             f"expected an (n, h, w) stack with n seeds, got shape {images.shape} "
             f"and {len(seeds)} seeds"
         )
-    draws = np.empty((len(seeds), 5))
-    for row, seed in zip(draws, seeds):
-        rng = np.random.default_rng(int(seed))
-        row[:] = (
-            rng.uniform(*spec.blur_sigma_range),
-            rng.uniform(*spec.brightness_range),
-            rng.uniform(*spec.rotation_range_degrees),
-            rng.uniform(*spec.translation_range_pixels),
-            rng.uniform(*spec.translation_range_pixels),
-        )
+    draws = streams.uniforms(
+        (seeds,),
+        (
+            spec.blur_sigma_range,
+            spec.brightness_range,
+            spec.rotation_range_degrees,
+            spec.translation_range_pixels,
+            spec.translation_range_pixels,
+        ),
+    )
     sigmas, deltas, rotations, dxs, dys = draws.T
     out = blur_stack(images, sigmas)
     out += deltas[:, None, None]

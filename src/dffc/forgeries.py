@@ -12,8 +12,10 @@ amplitude, blur sigma and brightness delta. The pairing is the row
 layout, real in row ``2p`` and fake in row ``2p + 1``, and the clean
 images are what make the tamper-ratio and similarity analyses possible
 at all. The tamper mask is not stored; it is where a fake's clean image
-differs from its real's. Each pair draws its parameters from its own
-generator; the images are then built a stack of pairs at a time.
+differs from its real's. Pair p draws its 24 parameters from its own
+stream, numpy's ``default_rng((seed, split, p))`` (split 0 for train, 1 for
+test), computed for every pair of a split at once by :mod:`dffc.streams`;
+the images are then built a stack of pairs at a time.
 
 Images are float64 in [0, 1]. Fake is the positive class.
 """
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dffc import streams
 from dffc.augment import blur_stack
 from dffc.errors import ConfigError
 
@@ -60,8 +63,8 @@ class DatasetConfig:
             raise ConfigError(f"n_test must be positive and even, got {self.n_test}")
         if self.image_size < 4:
             raise ConfigError(f"image_size must be >= 4, got {self.image_size}")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        if not 0 <= self.seed < streams.KEY_LIMIT:
+            raise ConfigError(f"seed must be in 0..2**64 - 1, got {self.seed}")
 
 
 #: Pairs generated per step. 64 to 256 pairs run equally fast; the step's
@@ -159,12 +162,9 @@ def _generate_split(config: DatasetConfig, n: int, split_code: int) -> Split:
     phase = (0.0, 2.0 * np.pi)
     bounds = [(0.2, 1.0), phase] * n_modes + [centre, centre, radius, radius, phase]
     bounds += [config.amplitude_range] + [config.blur_range, config.brightness_range] * 2
-    draws = np.empty((n // 2, len(bounds)))
-    for pair, row in enumerate(draws):
-        # Per-pair stream keyed by (seed, split, pair) so generation is
-        # order-independent and parallelizable.
-        rng = np.random.default_rng((config.seed, split_code, pair))
-        row[:] = [rng.uniform(lo, hi) for lo, hi in bounds]
+    # Pair p's stream is default_rng((seed, split, p)), so generation is
+    # order-independent and every pair is drawn in the same array step.
+    draws = streams.uniforms((config.seed, split_code, np.arange(n // 2)), bounds)
     modes, bump, pair_amplitudes = np.split(draws[:, :-4], [2 * n_modes, -1], axis=1)
     # (sigma, delta) rows in sample order: real, fake, real, fake, ...
     sigmas, deltas = draws[:, -4:].reshape(n, 2).T.copy()

@@ -8,8 +8,12 @@ data diverse. A static "easiest-first, growing prefix" baseline
 (BabyStep) is also provided.
 
 A pool is two int64 arrays in training order: each entry's sample id and
-its augmentation seed, -1 for an original. Everything here is a pure
-function of its inputs; given the same seed the resulting pool is
+its augmentation seed, -1 for an original. The seed of an entry is
+numpy's ``SeedSequence((rng_seed, t, id, salt)).generate_state(1)[0]``
+(salt 0 for the easy pool, 1 for the originals under ``augment_all``),
+computed for a whole epoch as one array by :mod:`dffc.streams`;
+``rng_seed`` must be below 2**64 and ids below 2**32. Everything here is a
+pure function of its inputs; given the same seed the resulting pool is
 bit-identical.
 """
 
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dffc import streams
 from dffc.errors import InvalidScheduleError
 
 
@@ -134,9 +139,20 @@ class EpochPool:
         )
 
 
-def derive_augmentation_seed(rng_seed: int, t: int, sample_id: int, salt: int = 0) -> int:
-    """Deterministic per-entry seed; stable across platforms."""
-    return int(np.random.SeedSequence((rng_seed, t, sample_id, salt)).generate_state(1)[0])
+def derive_augmentation_seed(
+    rng_seed: int, t: int, ids: int | np.ndarray, salt: int = 0
+) -> int | np.ndarray:
+    """Each entry's augmentation seed, ``SeedSequence((rng_seed, t, id, salt))
+    .generate_state(1)[0]``, computed for every id at once by
+    :func:`streams.derived_seeds`.
+
+    ``ids`` is an array of sample ids, giving an int64 array, or one id,
+    giving an int (the n = 1 case). ``rng_seed`` must be below 2**64 and
+    every id below 2**32; anything else raises a ``ValueError``.
+    """
+    if np.ndim(ids) == 0:
+        return int(derive_augmentation_seed(rng_seed, t, np.array([ids]), salt)[0])
+    return streams.derived_seeds((rng_seed, t, ids, salt))
 
 
 def _shuffled(ids: np.ndarray, seeds: np.ndarray, rng_seed: int, t: int) -> EpochPool:
@@ -180,7 +196,7 @@ def build_epoch_pool(
     hard = select_hard_pool(dfh_scores, pool_size_at_epoch(schedule, t))
     easy = select_easy_pool(dfh_scores, min(schedule.easy_pool_size, schedule.n_samples))
     seeds = np.full(len(hard) + len(easy), -1, dtype=np.int64)
-    seeds[len(hard) :] = [derive_augmentation_seed(rng_seed, t, int(i)) for i in easy]
+    seeds[len(hard) :] = derive_augmentation_seed(rng_seed, t, easy)
     return _shuffled(np.concatenate([hard, easy]), seeds, rng_seed, t)
 
 

@@ -23,12 +23,12 @@ import csv
 import io
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.stats import rankdata
 
-from dffc import forgeries, hardness, pacing
+from dffc import forgeries, hardness, pacing, streams
 from dffc.augment import AugmentationSpec, augment_pixels
 from dffc.errors import ConfigError
 from dffc.forgeries import DatasetConfig, Split
@@ -113,8 +113,8 @@ class RunConfig:
             raise ConfigError("hidden_units must be >= 1")
         if self.total_epochs < 1:
             raise ConfigError("total_epochs must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        if not 0 <= self.seed < streams.KEY_LIMIT:
+            raise ConfigError(f"seed must be in 0..2**64 - 1, got {self.seed}")
         object.__setattr__(self, "milestones", tuple(int(m) for m in self.milestones))
         # Each mode checks only the section it reads.
         if self.mode in ("dih", "dffc"):
@@ -293,10 +293,9 @@ def run_training(
         trained = pool
         if config.augment_all:
             seeds = pool.seeds.copy()
-            seeds[originals] = [
-                pacing.derive_augmentation_seed(config.seed, t, int(i), salt=1)
-                for i in pool.entries[originals]
-            ]
+            seeds[originals] = pacing.derive_augmentation_seed(
+                config.seed, t, pool.entries[originals], salt=1
+            )
             trained = pacing.EpochPool(entries=pool.entries, seeds=seeds)
 
         # Assemble the epoch's pixel matrix, then overwrite the augmented
@@ -390,16 +389,23 @@ def run_training(
 def compare_modes(configs: list[RunConfig]) -> list[dict]:
     """Run each config and report its final-epoch headline metrics.
 
-    All configs must share the dataset seed so rows are comparable.
+    All configs must share one dataset config, so rows are comparable; the
+    dataset is generated once and every run trains on it.
     """
     if not configs:
         raise ConfigError("compare_modes needs at least one config")
-    dataset_seeds = {c.dataset.seed for c in configs}
-    if len(dataset_seeds) != 1:
-        raise ConfigError(f"configs must share a dataset seed, got {sorted(dataset_seeds)}")
+    first = configs[0].dataset
+    for other in (config.dataset for config in configs[1:]):
+        for name in (f.name for f in fields(DatasetConfig)):
+            a, b = getattr(first, name), getattr(other, name)
+            if a != b:
+                raise ConfigError(
+                    f"configs must share one dataset: dataset.{name} is {a} and {b}"
+                )
+    dataset = forgeries.generate_dataset(first)
     rows = []
     for config in configs:
-        result = run_training(config)
+        result = run_training(config, dataset)
         final = result.rows[-1]
         rows.append(
             {

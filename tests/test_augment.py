@@ -9,12 +9,14 @@ import pytest
 
 from dffc.augment import (
     AugmentationSpec,
+    _reflect_index,
     affine,
     augment_pixels,
     blur_stack,
     brightness_adjust,
     gaussian_blur,
     gaussian_kernel_1d,
+    gaussian_kernels,
 )
 
 
@@ -36,6 +38,56 @@ class TestKernel:
             [math.exp(-(x**2) / (2 * sigma**2)) for x in range(-radius, radius + 1)]
         )
         np.testing.assert_allclose(k, raw / raw.sum(), atol=1e-12)
+
+
+    def test_batched_kernels_equal_single_kernels_exactly(self):
+        rng = np.random.default_rng(0)
+        boundaries = np.array([k / 3.0 for k in range(1, 19)])
+        sigmas = np.concatenate(
+            [
+                rng.uniform(0.0, 3.0, 20000),
+                10.0 ** rng.uniform(-4.0, 0.5, 2000),
+                boundaries,
+                np.nextafter(boundaries, 0.0),
+                np.nextafter(boundaries, np.inf),
+            ]
+        )
+        sigmas = sigmas[sigmas > 0.0]
+        taps = gaussian_kernels(sigmas)
+        radius = taps.shape[1] // 2
+        for sigma, row in zip(sigmas, taps):
+            k = gaussian_kernel_1d(float(sigma))
+            r = len(k) // 2
+            assert np.array_equal(row[radius - r : radius + r + 1], k), sigma
+            assert not row[: radius - r].any() and not row[radius + r + 1 :].any()
+
+
+class TestReflectIndex:
+    @staticmethod
+    def expected(idx, n):
+        if n == 1:
+            return np.zeros_like(idx)
+        m = np.mod(idx, 2 * n - 2)
+        return np.where(m >= n, 2 * n - 2 - m, m)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 33])
+    def test_matches_period_formula(self, n):
+        rng = np.random.default_rng(n)
+        idx = np.concatenate(
+            [
+                rng.integers(-3 * n, 4 * n, 500),
+                rng.integers(-(10**12), 10**12, 100),
+                [-(10**12), 10**12, -1, 0, n - 1, n],
+            ]
+        )
+        np.testing.assert_array_equal(_reflect_index(idx, n), self.expected(idx, n))
+
+    def test_in_frame_indices_returned_unchanged(self):
+        idx = np.arange(16).reshape(4, 4)
+        assert _reflect_index(idx, 16) is idx
+        shifted = idx - 2
+        np.testing.assert_array_equal(_reflect_index(shifted, 16), self.expected(shifted, 16))
+        np.testing.assert_array_equal(shifted, idx - 2)
 
 
 class TestBlur:

@@ -64,6 +64,7 @@ class TestDatasetConfig:
             {"n_test": 3},
             {"image_size": 3},
             {"seed": -1},
+            {"seed": 2**64},
             {"amplitude_range": (0.3, 0.1)},
             {"amplitude_range": (-0.1, 0.2)},
             {"blur_range": (1.0, 0.5)},

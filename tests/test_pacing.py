@@ -212,6 +212,28 @@ class TestPools:
             1, 2, 3
         )
 
+    @pytest.mark.parametrize("rng_seed", [0, 7, 2**32 + 5])
+    @pytest.mark.parametrize("salt", [0, 1])
+    def test_augmentation_seed_array_equals_scalar_loop(self, rng_seed, salt):
+        ids = np.random.default_rng(rng_seed % 100).permutation(300)[:120]
+        seeds = derive_augmentation_seed(rng_seed, 6, ids, salt=salt)
+        assert seeds.dtype == np.int64 and seeds.shape == ids.shape
+        loop = [derive_augmentation_seed(rng_seed, 6, int(i), salt=salt) for i in ids]
+        assert all(type(seed) is int for seed in loop)
+        assert seeds.tolist() == loop
+        assert loop == [
+            int(np.random.SeedSequence((rng_seed, 6, int(i), salt)).generate_state(1)[0])
+            for i in ids
+        ]
+
+    @pytest.mark.parametrize(
+        "rng_seed, ids, value",
+        [(-1, np.arange(3), "-1"), (2**64, np.arange(3), str(2**64)), (0, 2**32, str(2**32))],
+    )
+    def test_augmentation_seed_rejects_out_of_range_keys(self, rng_seed, ids, value):
+        with pytest.raises(ValueError, match=value):
+            derive_augmentation_seed(rng_seed, 6, ids)
+
 
 class TestBabystep:
     def test_prefix_growth_hand_case(self):

@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dffc import hardness, pacing, runner
+from dffc import forgeries, hardness, pacing, runner
 from dffc.errors import ConfigError
 from dffc.forgeries import DatasetConfig, generate_dataset, quality_priors
 from dffc.model import bce_loss, forward_batch, init_params
@@ -87,6 +87,7 @@ class TestRunConfig:
             {"hidden_units": 0},
             {"total_epochs": 0},
             {"seed": -1},
+            {"seed": 2**64},
         ],
     )
     def test_invalid_values(self, kwargs):
@@ -300,6 +301,45 @@ class TestCompare:
         summary = runner.summarize_comparison(rows)
         assert {s["mode"] for s in summary} == {"vanilla", "dffc", "dih"}
         assert all(s["n_seeds"] == 1 for s in summary)
+
+    def test_mismatched_dataset_configs_rejected(self):
+        configs = [
+            runner.RunConfig(dataset=DatasetConfig(n_train=40, n_test=20, seed=1)),
+            runner.RunConfig(dataset=DatasetConfig(n_train=80, n_test=20, image_size=8, seed=1)),
+        ]
+        with pytest.raises(ConfigError, match="dataset.n_train is 40 and 80"):
+            runner.compare_modes(configs)
+
+    def test_dataset_generated_once_with_unchanged_rows(self, monkeypatch):
+        dataset = DatasetConfig(n_train=40, n_test=20, seed=6)
+        configs = [
+            runner.RunConfig(
+                mode=mode, dataset=dataset, total_epochs=3, milestones=(2, 3),
+                easy_pool_size=5, batch_size=16, hidden_units=8, seed=seed,
+                augment_all=aug, alpha_f=0.0 if mode == "dih" else 0.5,
+            )
+            for mode, aug, seed in (
+                ("vanilla", False, 6), ("dffc", False, 6), ("dffc", True, 7), ("dih", False, 6)
+            )
+        ]
+        expected = []
+        for config in configs:
+            final = runner.run_training(config).rows[-1]
+            expected.append(
+                {
+                    "mode": config.mode, "augment_all": config.augment_all,
+                    "seed": config.seed, "final_acc": final["test_acc"],
+                    "final_auc": final["test_auc"], "acc_hard": final["acc_hard"],
+                }
+            )
+        generated = []
+        generate = forgeries.generate_dataset
+        monkeypatch.setattr(
+            forgeries, "generate_dataset", lambda cfg: generated.append(cfg) or generate(cfg)
+        )
+        rows = runner.compare_modes(configs)
+        assert generated == [dataset]
+        assert runner.comparison_csv_text(rows) == runner.comparison_csv_text(expected)
 
     def test_mismatched_dataset_seeds_rejected(self):
         configs = [
