@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from dffc import forgeries, hardness, runner
-from dffc.errors import ConfigError
+from dffc.errors import ConfigError, require_keys
 from dffc.model import save_checkpoint
 
 log = logging.getLogger("dffc")
@@ -203,6 +203,13 @@ def build_run_config(resolved: dict) -> runner.RunConfig:
         raise ConfigError(str(exc))
 
 
+def _read_artifact(path: Path) -> str:
+    try:
+        return path.read_text()
+    except FileNotFoundError:
+        raise ConfigError(f"missing run artifact: {path}")
+
+
 def _prepare_out_dir(out_dir: Path, force: bool, marker: str) -> None:
     if (out_dir / marker).exists() and not force:
         raise ConfigError(
@@ -242,8 +249,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 def write_run_artifacts(out: Path, resolved: dict, result: runner.MetricsLog) -> None:
     (out / "resolved_config.json").write_text(json.dumps(resolved, indent=1))
-    (out / "metrics.csv").write_text(runner.metrics_csv_text(result))
-    (out / "pool_log.csv").write_text(runner.pool_log_csv_text(result))
+    (out / "metrics.csv").write_text(runner.csv_text(runner.METRICS_COLUMNS, result.rows))
+    (out / "pool_log.csv").write_text(runner.csv_text(runner.POOL_LOG_COLUMNS, result.pool_rows))
     (out / "dfh_trace.json").write_text(runner.dfh_trace_json(result))
     (out / "extremes.json").write_text(json.dumps(result.extremes, indent=1))
     (out / "hardness_state.json").write_text(result.train_hardness.to_json())
@@ -284,7 +291,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out = Path(args.out)
     _prepare_out_dir(out, args.force, "comparison.csv")
     rows = runner.compare_modes(configs)
-    (out / "comparison.csv").write_text(runner.comparison_csv_text(rows))
+    (out / "comparison.csv").write_text(runner.csv_text(runner.COMPARISON_COLUMNS, rows))
     for entry in runner.summarize_comparison(rows):
         print(
             f"{entry['mode']:>9} aug={str(entry['augment_all']):<5} "
@@ -301,12 +308,12 @@ def cmd_inspect_dfh(args: argparse.Namespace) -> int:
         if k < 0:
             raise ConfigError(f"{flag} must be non-negative, got {k}")
     run_dir = Path(args.run_dir)
+    path = run_dir / "hardness_state.json"
+    text = _read_artifact(path)
     try:
-        state = hardness.HardnessState.from_json(
-            (run_dir / "hardness_state.json").read_text()
-        )
-    except FileNotFoundError as exc:
-        raise ConfigError(f"missing run artifact: {exc.filename}")
+        state = hardness.HardnessState.from_json(text)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}")
     resolved = resolve_config(str(run_dir / "resolved_config.json"), [])
     train, _ = forgeries.generate_dataset(build_run_config(resolved).dataset)
     scores = hardness.dfh_all(state)
@@ -357,11 +364,18 @@ def cmd_inspect_dfh(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
+    metrics_path, extremes_path = run_dir / "metrics.csv", run_dir / "extremes.json"
+    metrics = _read_artifact(metrics_path).strip().splitlines()
+    if len(metrics) < 2:
+        raise ConfigError(f"{metrics_path}: expected a header and epoch rows")
+    text = _read_artifact(extremes_path)
     try:
-        metrics = (run_dir / "metrics.csv").read_text().strip().splitlines()
-        extremes = json.loads((run_dir / "extremes.json").read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"missing run artifact: {exc.filename}")
+        extremes = json.loads(text)
+        require_keys(extremes, ("top", "bottom"))
+        for group in ("top", "bottom"):
+            require_keys(extremes[group], ("ids", "mean_tar", "mean_ssim"), f"{group}.")
+    except ValueError as exc:
+        raise ConfigError(f"{extremes_path}: {exc}")
     header = metrics[0].split(",")
     final = dict(zip(header, metrics[-1].split(",")))
     print("final epoch metrics:")

@@ -7,22 +7,36 @@ value per training sample:
   ratio of the peak learning rate to the current one (so late, small-step
   epochs are not read as "everything became easy");
 * DIH: an exponential moving average of instantaneous hardness over the
-  epochs in which the sample was part of the hard pool;
+  epochs in which the sample was trained in the hard pool (the only
+  samples :func:`update_dih` is called for);
 * a static quality prior in [0, 1] (blurrier / lower-quality images are
   considered harder a priori), weighted by ``alpha_f``.
 
 All vectors are float64 so that selection by ranking is stable across
-platforms.
+platforms. ``hardness_state.json`` holds one object with the keys of
+:data:`STATE_KEYS`, written by :meth:`HardnessState.to_json` and read by
+:meth:`HardnessState.from_json`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from dffc.errors import InvalidScheduleError
+from dffc.errors import InvalidScheduleError, require_keys
+
+#: The keys of ``hardness_state.json``, in the order they are written.
+STATE_KEYS = ("gamma", "alpha_f", "dih", "prior", "update_count")
+
+
+def check_hardness(gamma: float, alpha_f: float) -> None:
+    """Reject an EMA weight outside [0, 1] or a negative prior weight."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
+    if alpha_f < 0.0:
+        raise ValueError(f"alpha_f must be non-negative, got {alpha_f}")
 
 
 @dataclass
@@ -38,21 +52,15 @@ class HardnessState:
     prior: np.ndarray
     gamma: float
     alpha_f: float
-    update_count: np.ndarray = field(default=None)  # type: ignore[assignment]
+    update_count: np.ndarray
 
     def __post_init__(self) -> None:
         self.dih = np.asarray(self.dih, dtype=np.float64)
         self.prior = np.asarray(self.prior, dtype=np.float64)
-        if self.update_count is None:
-            self.update_count = np.zeros(len(self.dih), dtype=np.int64)
-        else:
-            self.update_count = np.asarray(self.update_count, dtype=np.int64)
+        self.update_count = np.asarray(self.update_count, dtype=np.int64)
         if not (len(self.dih) == len(self.prior) == len(self.update_count)):
             raise ValueError("dih, prior and update_count must have equal length")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.alpha_f < 0.0:
-            raise ValueError(f"alpha_f must be non-negative, got {self.alpha_f}")
+        check_hardness(self.gamma, self.alpha_f)
         for name in ("dih", "prior"):
             values = getattr(self, name)
             bad = np.flatnonzero(~np.isfinite(values))
@@ -66,32 +74,30 @@ class HardnessState:
     @classmethod
     def fresh(cls, prior: np.ndarray, gamma: float, alpha_f: float) -> "HardnessState":
         """State with zero loss history for ``len(prior)`` samples."""
-        prior = np.asarray(prior, dtype=np.float64)
-        return cls(dih=np.zeros(len(prior)), prior=prior, gamma=gamma, alpha_f=alpha_f)
+        n = len(prior)
+        return cls(
+            dih=np.zeros(n), prior=prior, gamma=gamma, alpha_f=alpha_f,
+            update_count=np.zeros(n, dtype=np.int64),
+        )
 
     @property
     def n_samples(self) -> int:
         return len(self.dih)
 
     def to_json(self) -> str:
-        doc = {
-            "gamma": self.gamma,
-            "alpha_f": self.alpha_f,
-            "dih": self.dih.tolist(),
-            "prior": self.prior.tolist(),
-            "update_count": self.update_count.tolist(),
-        }
-        return json.dumps(doc)
+        return json.dumps({key: np.asarray(getattr(self, key)).tolist() for key in STATE_KEYS})
 
     @classmethod
     def from_json(cls, text: str) -> "HardnessState":
+        """The state :meth:`to_json` wrote; a ``ValueError`` names a missing key."""
         doc = json.loads(text)
+        require_keys(doc, STATE_KEYS)
         return cls(
-            dih=np.asarray(doc["dih"], dtype=np.float64),
-            prior=np.asarray(doc["prior"], dtype=np.float64),
+            dih=doc["dih"],
+            prior=doc["prior"],
             gamma=float(doc["gamma"]),
             alpha_f=float(doc["alpha_f"]),
-            update_count=np.asarray(doc.get("update_count", np.zeros(len(doc["dih"]))), dtype=np.int64),
+            update_count=doc["update_count"],
         )
 
 
@@ -130,10 +136,11 @@ def update_dih(
     state: HardnessState,
     sample_id: int | np.ndarray,
     s_t: float | np.ndarray,
-    in_hard_pool: bool,
 ) -> HardnessState:
     """EMA update for one sample, or for an array of distinct samples with
-    one instantaneous hardness each; a no-op outside the hard pool."""
+    one instantaneous hardness each. The runner calls it only for the
+    samples trained in the hard pool, so the DIH of every other sample
+    keeps its value."""
     ids = np.asarray(sample_id)
     s_t = np.asarray(s_t, dtype=np.float64)
     if ids.shape != s_t.shape:
@@ -149,10 +156,9 @@ def update_dih(
         unique, counts = np.unique(ids, return_counts=True)
         if len(unique) < len(ids):
             raise ValueError(f"sample ids must be distinct; {unique[counts > 1][0]} repeats")
-    if in_hard_pool:
-        g = state.gamma
-        state.dih[ids] = g * s_t + (1.0 - g) * state.dih[ids]
-        state.update_count[ids] += 1
+    g = state.gamma
+    state.dih[ids] = g * s_t + (1.0 - g) * state.dih[ids]
+    state.update_count[ids] += 1
     return state
 
 

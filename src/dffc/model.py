@@ -27,9 +27,9 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class LrSchedule:
-    eta_max: float = 0.1
-    eta_min: float = 0.001
-    total_epochs: int = 20
+    eta_max: float
+    eta_min: float
+    total_epochs: int
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eta_min <= self.eta_max:

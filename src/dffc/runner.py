@@ -13,14 +13,15 @@ A run is single-threaded and bit-reproducible from its config. Each epoch
 trains on one :class:`pacing.EpochPool` (sample ids and augmentation
 seeds as arrays), gathered into one pixel matrix, and updates DIH with
 one whole-array step for the trained hard pool and one for the test set.
-Per-epoch diagnostics (the trained pools, recorded losses, pool id sets)
-are kept on the returned log so tests can assert the wiring directly.
+The trained pools and recorded losses of every epoch are kept on the
+returned log so tests can assert the wiring directly; without
+``augment_all`` an epoch's pool ids are its pool's ``hard_ids`` and
+``easy_ids``. Each CSV artifact has one column tuple, from which
+:func:`csv_text` writes its header and rows.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import logging
 from dataclasses import dataclass, field, fields
@@ -47,11 +48,12 @@ log = logging.getLogger("dffc")
 
 MODES = ("vanilla", "dih", "dffc", "babystep")
 
-METRICS_HEADER = (
-    "epoch,eta,pool_size,train_loss_mean,test_acc,test_auc,"
-    "acc_easy,acc_mid,acc_hard,mean_dfh"
+METRICS_COLUMNS = (
+    "epoch", "eta", "pool_size", "train_loss_mean", "test_acc", "test_auc",
+    "acc_easy", "acc_mid", "acc_hard", "mean_dfh",
 )
-POOL_LOG_HEADER = "epoch,hard_size,easy_size,overlap,dfh_min,dfh_max"
+POOL_LOG_COLUMNS = ("epoch", "hard_size", "easy_size", "overlap", "dfh_min", "dfh_max")
+COMPARISON_COLUMNS = ("mode", "augment_all", "seed", "final_acc", "final_auc", "acc_hard")
 
 TRACE_START_EPOCH = 3
 #: Scale applied on top of per-pixel standardization.  The one-hidden-layer
@@ -116,7 +118,9 @@ class RunConfig:
         if not 0 <= self.seed < streams.KEY_LIMIT:
             raise ConfigError(f"seed must be in 0..2**64 - 1, got {self.seed}")
         object.__setattr__(self, "milestones", tuple(int(m) for m in self.milestones))
-        # Each mode checks only the section it reads.
+        self.lr_schedule()
+        hardness.check_hardness(self.gamma, self.alpha_f)
+        # Each mode checks only the pacing or babystep section it reads.
         if self.mode in ("dih", "dffc"):
             self.pacing_schedule(self.dataset.n_train)
         if self.mode == "babystep":
@@ -148,12 +152,9 @@ class MetricsLog:
     extremes: dict
     final_params: ModelParams
     train_hardness: hardness.HardnessState
-    test_hardness: hardness.HardnessState
     # Diagnostics for tests; not serialized.
     entry_streams: list[pacing.EpochPool] = field(default_factory=list)
     loss_streams: list[np.ndarray] = field(default_factory=list)
-    hard_id_sets: list[frozenset[int]] = field(default_factory=list)
-    easy_id_sets: list[frozenset[int]] = field(default_factory=list)
 
 
 def tercile_assignments(priors: np.ndarray) -> np.ndarray:
@@ -199,7 +200,7 @@ def evaluate(
 def _build_pool(
     config: RunConfig,
     schedule: pacing.PacingSchedule | None,
-    state: hardness.HardnessState,
+    selection_scores: np.ndarray,
     prior: np.ndarray,
     t: int,
     n: int,
@@ -215,7 +216,7 @@ def _build_pool(
             config.babystep_step_length,
         )
         return pacing.pool_from_ids(ids, t, config.seed)
-    return pacing.build_epoch_pool(schedule, hardness.dfh_all(state), t, config.seed)
+    return pacing.build_epoch_pool(schedule, selection_scores, t, config.seed)
 
 
 def _select_traces(
@@ -250,8 +251,8 @@ def run_training(
     terciles = tercile_assignments(test_prior)
 
     state = hardness.HardnessState.fresh(prior, config.gamma, config.alpha_f)
-    # Evaluation-set mirror of the hardness recursion (every sample counts
-    # as in-pool each epoch); diagnostic only, never drives selection.
+    # Evaluation-set mirror of the hardness recursion (every test sample is
+    # updated each epoch); it feeds the extremes report, never selection.
     test_state = hardness.HardnessState.fresh(test_prior, config.gamma, config.alpha_f)
 
     params = init_params(d, config.hidden_units, config.seed)
@@ -279,13 +280,12 @@ def run_training(
         extremes={},
         final_params=params,
         train_hardness=state,
-        test_hardness=test_state,
     )
 
     for t in range(1, config.total_epochs + 1):
         eta = cosine_lr(lr, t)
         selection_scores = hardness.dfh_all(state)
-        pool = _build_pool(config, schedule, state, prior, t, n)
+        pool = _build_pool(config, schedule, selection_scores, prior, t, n)
         hard_ids, easy_ids = pool.hard_ids, pool.easy_ids
         # The originals are the hard pool, and only they drive DIH updates,
         # even under --augment-all, which gives them a seed too.
@@ -325,13 +325,13 @@ def run_training(
             )
 
         s_t = hardness.instantaneous_hardness(epoch_losses[originals], eta, config.eta_max)
-        hardness.update_dih(state, ids[originals], s_t, in_hard_pool=True)
+        hardness.update_dih(state, ids[originals], s_t)
 
         metrics = evaluate(params, X_test, y_test, terciles)
         # Evaluation-set mirror update, from the same test-set scores.
         test_losses = bce_loss(metrics["scores"], y_test)
         test_s_t = hardness.instantaneous_hardness(test_losses, eta, config.eta_max)
-        hardness.update_dih(test_state, np.arange(len(test)), test_s_t, in_hard_pool=True)
+        hardness.update_dih(test_state, np.arange(len(test)), test_s_t)
 
         dfh_now = hardness.dfh_all(state)
         out.rows.append(
@@ -371,8 +371,6 @@ def run_training(
 
         out.entry_streams.append(trained)
         out.loss_streams.append(epoch_losses)
-        out.hard_id_sets.append(frozenset(hard_ids.tolist()))
-        out.easy_id_sets.append(frozenset(easy_ids.tolist()))
         log.info(
             "epoch %d: eta=%.5f pool=%d loss=%.4f acc=%.4f auc=%.4f",
             t, eta, len(hard_ids), out.rows[-1]["train_loss_mean"],
@@ -439,35 +437,11 @@ def summarize_comparison(rows: list[dict]) -> list[dict]:
 # ---------------------------------------------------------------------------
 # Serialization of run artifacts.
 
-def metrics_csv_text(logres: MetricsLog) -> str:
-    buf = io.StringIO()
-    buf.write(METRICS_HEADER + "\n")
-    for row in logres.rows:
-        buf.write(
-            ",".join(
-                str(row[key])
-                for key in (
-                    "epoch", "eta", "pool_size", "train_loss_mean", "test_acc",
-                    "test_auc", "acc_easy", "acc_mid", "acc_hard", "mean_dfh",
-                )
-            )
-            + "\n"
-        )
-    return buf.getvalue()
-
-
-def pool_log_csv_text(logres: MetricsLog) -> str:
-    buf = io.StringIO()
-    buf.write(POOL_LOG_HEADER + "\n")
-    for row in logres.pool_rows:
-        buf.write(
-            ",".join(
-                str(row[key])
-                for key in ("epoch", "hard_size", "easy_size", "overlap", "dfh_min", "dfh_max")
-            )
-            + "\n"
-        )
-    return buf.getvalue()
+def csv_text(columns: tuple[str, ...], rows: list[dict]) -> str:
+    """The header ``columns``, then each row's values in that order, as ``str``."""
+    lines = [",".join(columns)]
+    lines += (",".join(str(row[key]) for key in columns) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def dfh_trace_json(logres: MetricsLog) -> str:
@@ -475,15 +449,3 @@ def dfh_trace_json(logres: MetricsLog) -> str:
         {str(sid): trace for sid, trace in sorted(logres.dfh_traces.items())},
         indent=1,
     )
-
-
-def comparison_csv_text(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["mode", "augment_all", "seed", "final_acc", "final_auc", "acc_hard"])
-    for row in rows:
-        writer.writerow(
-            [row["mode"], row["augment_all"], row["seed"],
-             row["final_acc"], row["final_auc"], row["acc_hard"]]
-        )
-    return buf.getvalue()

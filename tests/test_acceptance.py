@@ -37,7 +37,7 @@ def test_criterion_01_hardness_math_oracles():
     # Single EMA update from d=1: 0.9*2 + 0.1*1 = 1.9 -> with s=2, d0=1.
     state = hardness.HardnessState.fresh(np.zeros(1), gamma=0.9, alpha_f=0.5)
     state.dih[0] = 1.0
-    hardness.update_dih(state, 0, 2.0, in_hard_pool=True)
+    hardness.update_dih(state, 0, 2.0)
     assert state.dih[0] == pytest.approx(1.9, abs=1e-12)
 
     # DFH = dih + alpha_f * q.
@@ -55,7 +55,7 @@ def test_criterion_01_hardness_math_oracles():
         st = hardness.HardnessState.fresh(np.zeros(1), gamma=g, alpha_f=0.0)
         st.dih[0] = d0
         for s in seq:
-            hardness.update_dih(st, 0, float(s), in_hard_pool=True)
+            hardness.update_dih(st, 0, float(s))
         closed = (1.0 - g) ** len(seq) * d0 + sum(
             g * (1.0 - g) ** (len(seq) - 1 - k) * s for k, s in enumerate(seq)
         )
@@ -184,8 +184,9 @@ def test_criterion_05_reduction_properties():
     # (b) Quality prior disabled: pool selection must match dih mode.
     b1 = runner.run_training(runner.RunConfig(mode="dffc", alpha_f=0.0, **common))
     b2 = runner.run_training(runner.RunConfig(mode="dih", alpha_f=0.0, **common))
-    assert b1.hard_id_sets == b2.hard_id_sets
-    assert b1.easy_id_sets == b2.easy_id_sets
+    for p1, p2 in zip(b1.entry_streams, b2.entry_streams, strict=True):
+        np.testing.assert_array_equal(p1.hard_ids, p2.hard_ids)
+        np.testing.assert_array_equal(p1.easy_ids, p2.easy_ids)
     assert b1.entry_streams == b2.entry_streams
 
 

@@ -128,6 +128,11 @@ class TestSchema:
             ("train", ["mode=dih", "pacing.milestones=[2,30]"], "total_epochs"),
             ("train", ["mode=babystep", "babystep.growth_factor=0.5"], "growth_factor"),
             ("compare", ["pacing.milestones=[]"], "milestones"),
+            ("train", ["lr.eta_min=0"], "eta_min"),
+            ("train", ["lr.eta_max=0.0001"], "eta_max"),
+            ("train", ["hardness.gamma=2"], "gamma"),
+            ("train", ["hardness.alpha_f=-1"], "alpha_f"),
+            ("compare", ["hardness.gamma=2"], "gamma"),
         ],
     )
     def test_schedule_of_the_mode_checked_before_out_dir(
@@ -286,12 +291,39 @@ class TestInspectAndReport:
     def test_report_missing_artifacts(self, tmp_path):
         assert cli.main(["report", "--run-dir", str(tmp_path / "nope")]) == 2
 
+    @pytest.mark.parametrize(
+        "command, name, edit, named",
+        [
+            ("inspect-dfh", "hardness_state.json", lambda text: _drop_key(text, "prior"), "'prior'"),
+            ("inspect-dfh", "hardness_state.json", lambda _: "[1, 2]", "JSON object"),
+            ("report", "extremes.json", lambda text: _drop_key(text, "top"), "'top'"),
+            ("report", "metrics.csv", lambda _: "", "epoch rows"),
+        ],
+        ids=["state-without-prior", "state-not-an-object", "extremes-without-top", "empty-metrics"],
+    )
+    def test_malformed_artifact_named_without_traceback(
+        self, run_dir, tmp_path, command, name, edit, named, capsys
+    ):
+        copy = _copy_run_state(run_dir, tmp_path)
+        (copy / name).write_text(edit((copy / name).read_text()))
+        assert cli.main([command, "--run-dir", str(copy)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert name in err[0] and named in err[0]
+        assert not (copy / "inspection").exists()
+
+
+def _drop_key(text, key):
+    doc = json.loads(text)
+    del doc[key]
+    return json.dumps(doc)
+
 
 def _copy_run_state(run_dir, tmp_path):
-    """The two artifacts ``inspect-dfh`` reads, in a fresh run directory."""
+    """The artifacts ``inspect-dfh`` and ``report`` read, in a fresh run directory."""
     copy = tmp_path / "run"
     copy.mkdir()
-    for name in ("resolved_config.json", "hardness_state.json"):
+    for name in ("resolved_config.json", "hardness_state.json", "metrics.csv", "extremes.json"):
         (copy / name).write_bytes((run_dir / name).read_bytes())
     return copy
 

@@ -9,8 +9,9 @@ final DIH value, update count and prior. The dffc configs augment 300 or
 more copies per epoch, so the easy-pool augmentation spans several
 chunks of ``runner.AUGMENT_CHUNK``; the vanilla and babystep configs
 train on ``pacing.full_pool`` and ``pacing.pool_from_ids``.
-``GOLDEN_DATASET`` pins the generated splits themselves, and
-``GOLDEN_EXTREMES`` the TAR/SSIM extremes report and the DFH traces.
+``GOLDEN_DATASET`` pins the generated splits themselves,
+``GOLDEN_EXTREMES`` the TAR/SSIM extremes report and the DFH traces, and
+``GOLDEN_COMPARISON`` the ``comparison.csv`` of a two-mode, two-seed grid.
 
 The BLAS build can change the last bits of a matrix product, so a digest
 may differ on another machine. A failing assertion names the machine and
@@ -95,6 +96,10 @@ GOLDEN_DATASET = {
 #: SHA-256 of ``extremes.json`` + NUL + ``dfh_trace.json`` for the ``SMALL`` dffc run.
 GOLDEN_EXTREMES = "501c8f9e0cafebbbdbd8d63ad695e5857dcab01b729cbfd35f10787cd8c10976"
 
+#: SHA-256 of ``comparison.csv`` for a ``compare`` grid of vanilla and dffc
+#: over seeds 1 and 2 on the ``SMALL`` config.
+GOLDEN_COMPARISON = "9a014a974f82efd8341bb4dc455c5c73389dc0018f07bc6e6da1aed88afac571"
+
 
 def run_digest(overrides: list[str], out_dir, files=("metrics.csv", "checkpoint.bin")) -> str:
     resolved = cli.resolve_config(None, overrides)
@@ -127,6 +132,14 @@ def test_dataset_matches_golden_digest(name):
 def test_extremes_and_traces_match_golden_digest(tmp_path):
     files = ("extremes.json", "dfh_trace.json")
     assert run_digest(SMALL, tmp_path, files) == GOLDEN_EXTREMES, mismatch_note()
+
+
+def test_comparison_matches_golden_digest(tmp_path):
+    grid = ['compare.modes=["vanilla","dffc"]', "compare.seeds=[1,2]"]
+    flags = [arg for override in SMALL + grid for arg in ("--override", override)]
+    assert cli.main(["compare", *flags, "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "comparison.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_COMPARISON, mismatch_note()
 
 
 def split_digest(split) -> str:

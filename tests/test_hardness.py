@@ -53,20 +53,15 @@ class TestInstantaneousHardness:
 class TestDihUpdate:
     def test_single_update_weighted_by_gamma(self):
         state = HardnessState.fresh(np.zeros(1), gamma=0.9, alpha_f=0.5)
-        update_dih(state, 0, 2.0, in_hard_pool=True)
+        update_dih(state, 0, 2.0)
         assert state.dih[0] == pytest.approx(1.8, abs=1e-15)
 
-    def test_out_of_pool_is_noop(self):
-        state = HardnessState.fresh(np.zeros(2), gamma=0.9, alpha_f=0.5)
-        update_dih(state, 1, 5.0, in_hard_pool=False)
-        assert state.dih[1] == 0.0
-        assert state.update_count[1] == 0
-
     def test_update_count_tracks_pool_membership(self):
-        state = HardnessState.fresh(np.zeros(1), gamma=0.5, alpha_f=0.0)
-        for k in range(4):
-            update_dih(state, 0, 1.0, in_hard_pool=(k % 2 == 0))
-        assert state.update_count[0] == 2
+        # The runner calls update_dih for the hard pool only: one count per call.
+        state = HardnessState.fresh(np.zeros(3), gamma=0.5, alpha_f=0.0)
+        for ids in ([0], [0, 2], [2], [0]):
+            update_dih(state, np.array(ids), np.ones(len(ids)))
+        assert state.update_count.tolist() == [3, 0, 2]
 
     def test_closed_form_random_sequences(self):
         rng = np.random.default_rng(11)
@@ -75,7 +70,7 @@ class TestDihUpdate:
             seq = rng.uniform(0.0, 3.0, rng.integers(1, 30))
             state = HardnessState.fresh(np.zeros(1), gamma=gamma, alpha_f=0.0)
             for s in seq:
-                update_dih(state, 0, float(s), in_hard_pool=True)
+                update_dih(state, 0, float(s))
             assert state.dih[0] == pytest.approx(
                 closed_form_dih(seq, gamma), abs=1e-12
             )
@@ -88,18 +83,18 @@ class TestDihUpdate:
     def test_closed_form_property(self, gamma, seq):
         state = HardnessState.fresh(np.zeros(1), gamma=gamma, alpha_f=0.0)
         for s in seq:
-            update_dih(state, 0, s, in_hard_pool=True)
+            update_dih(state, 0, s)
         assert state.dih[0] == pytest.approx(closed_form_dih(seq, gamma), abs=1e-9)
 
     def test_bad_index_rejected(self):
         state = HardnessState.fresh(np.zeros(3), gamma=0.9, alpha_f=0.5)
         with pytest.raises(IndexError):
-            update_dih(state, 3, 1.0, in_hard_pool=True)
+            update_dih(state, 3, 1.0)
 
     def test_negative_hardness_rejected(self):
         state = HardnessState.fresh(np.zeros(1), gamma=0.9, alpha_f=0.5)
         with pytest.raises(ValueError):
-            update_dih(state, 0, -0.5, in_hard_pool=True)
+            update_dih(state, 0, -0.5)
 
 
 class TestArrayUpdates:
@@ -113,9 +108,9 @@ class TestArrayUpdates:
         for _ in range(20):
             ids = rng.permutation(50)[: rng.integers(1, 51)]
             s_t = rng.uniform(0.0, 3.0, len(ids))
-            update_dih(by_array, ids, s_t, in_hard_pool=True)
+            update_dih(by_array, ids, s_t)
             for sample_id, s in zip(ids.tolist(), s_t.tolist()):
-                update_dih(by_scalar, sample_id, s, in_hard_pool=True)
+                update_dih(by_scalar, sample_id, s)
             assert by_array.dih.tolist() == by_scalar.dih.tolist()
             assert by_array.update_count.tolist() == by_scalar.update_count.tolist()
 
@@ -128,19 +123,19 @@ class TestArrayUpdates:
     def test_duplicate_ids_rejected(self):
         state = HardnessState.fresh(np.zeros(5), gamma=0.9, alpha_f=0.5)
         with pytest.raises(ValueError, match="3 repeats"):
-            update_dih(state, np.array([1, 3, 3]), np.ones(3), in_hard_pool=True)
+            update_dih(state, np.array([1, 3, 3]), np.ones(3))
         assert state.update_count.tolist() == [0] * 5
 
     def test_length_mismatch_rejected(self):
         state = HardnessState.fresh(np.zeros(5), gamma=0.9, alpha_f=0.5)
         with pytest.raises(ValueError, match="3 sample ids but 2 hardness values"):
-            update_dih(state, np.array([0, 1, 2]), np.ones(2), in_hard_pool=True)
+            update_dih(state, np.array([0, 1, 2]), np.ones(2))
 
     @pytest.mark.parametrize("bad_id", [7, -1])
     def test_out_of_range_id_named(self, bad_id):
         state = HardnessState.fresh(np.zeros(5), gamma=0.9, alpha_f=0.5)
         with pytest.raises(IndexError, match=f"sample_id {bad_id} out of range"):
-            update_dih(state, np.array([0, bad_id, 2]), np.ones(3), in_hard_pool=True)
+            update_dih(state, np.array([0, bad_id, 2]), np.ones(3))
 
     @pytest.mark.parametrize("bad", [float("nan"), -0.25])
     def test_bad_value_in_array_named(self, bad):
@@ -148,7 +143,7 @@ class TestArrayUpdates:
             instantaneous_hardness(np.array([0.1, bad, 0.3]), 0.05, 0.1)
         state = HardnessState.fresh(np.zeros(5), gamma=0.9, alpha_f=0.5)
         with pytest.raises(ValueError, match=f"got {bad} for sample 4"):
-            update_dih(state, np.array([0, 4, 2]), np.array([0.1, bad, 0.3]), True)
+            update_dih(state, np.array([0, 4, 2]), np.array([0.1, bad, 0.3]))
 
 
 class TestDfh:
@@ -158,6 +153,7 @@ class TestDfh:
             prior=np.array([0.4, 1.0]),
             gamma=0.9,
             alpha_f=0.5,
+            update_count=np.zeros(2),
         )
         assert dfh(state, 0) == pytest.approx(0.4, abs=1e-15)
         assert dfh(state, 1) == pytest.approx(1.5, abs=1e-15)
@@ -169,6 +165,7 @@ class TestDfh:
             prior=rng.uniform(0, 1, 40),
             gamma=0.9,
             alpha_f=0.5,
+            update_count=np.zeros(40),
         )
         expected = np.array([dfh(state, i) for i in range(40)])
         np.testing.assert_allclose(dfh_all(state), expected, atol=1e-15)
@@ -186,7 +183,8 @@ class TestStateValidation:
     def test_prior_outside_unit_interval(self):
         with pytest.raises(ValueError):
             HardnessState(
-                dih=np.zeros(1), prior=np.array([1.2]), gamma=0.9, alpha_f=0.5
+                dih=np.zeros(1), prior=np.array([1.2]), gamma=0.9, alpha_f=0.5,
+                update_count=np.zeros(1),
             )
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -198,13 +196,15 @@ class TestStateValidation:
     def test_non_finite_dih_rejected(self, bad):
         with pytest.raises(ValueError, match=f"dih values must be finite; sample 0 has {bad}"):
             HardnessState(
-                dih=np.array([bad, 0.0]), prior=np.zeros(2), gamma=0.9, alpha_f=0.5
+                dih=np.array([bad, 0.0]), prior=np.zeros(2), gamma=0.9, alpha_f=0.5,
+                update_count=np.zeros(2),
             )
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             HardnessState(
-                dih=np.zeros(2), prior=np.zeros(3), gamma=0.9, alpha_f=0.5
+                dih=np.zeros(2), prior=np.zeros(3), gamma=0.9, alpha_f=0.5,
+                update_count=np.zeros(2),
             )
 
     def test_json_round_trip(self):
@@ -226,3 +226,15 @@ class TestStateValidation:
         state = HardnessState.fresh(np.array([0.5]), gamma=0.9, alpha_f=0.5)
         doc = json.loads(state.to_json())
         assert set(doc) == {"gamma", "alpha_f", "dih", "prior", "update_count"}
+
+    @pytest.mark.parametrize("key", ["gamma", "alpha_f", "dih", "prior", "update_count"])
+    def test_from_json_names_a_missing_key(self, key):
+        doc = json.loads(HardnessState.fresh(np.array([0.5]), gamma=0.9, alpha_f=0.5).to_json())
+        del doc[key]
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            HardnessState.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ("3", "int"), ("null", "NoneType")])
+    def test_from_json_rejects_a_non_object(self, text, kind):
+        with pytest.raises(ValueError, match=f"expected a JSON object, got {kind}"):
+            HardnessState.from_json(text)

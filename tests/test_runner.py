@@ -26,6 +26,18 @@ from dffc.forgeries import DatasetConfig, generate_dataset, quality_priors
 from dffc.model import bce_loss, forward_batch, init_params
 
 
+def metrics_text(result: runner.MetricsLog) -> str:
+    return runner.csv_text(runner.METRICS_COLUMNS, result.rows)
+
+
+def pool_log_text(result: runner.MetricsLog) -> str:
+    return runner.csv_text(runner.POOL_LOG_COLUMNS, result.pool_rows)
+
+
+def comparison_text(rows: list[dict]) -> str:
+    return runner.csv_text(runner.COMPARISON_COLUMNS, rows)
+
+
 class TestRocAuc:
     def test_hand_case_three_quarters(self):
         scores = np.array([0.1, 0.4, 0.35, 0.8])
@@ -132,10 +144,8 @@ class TestRunWiring:
         # Replay which sample ids were eligible for a DIH update and check
         # the recorded update counts match exactly.
         expected_counts = np.zeros(config.dataset.n_train, dtype=int)
-        for pool, hard_ids in zip(result.entry_streams, result.hard_id_sets):
-            originals = set(pool.entries[pool.seeds == -1].tolist())
-            for sid in originals & hard_ids:
-                expected_counts[sid] += 1
+        for pool in result.entry_streams:
+            expected_counts[pool.entries[pool.seeds == -1]] += 1
         np.testing.assert_array_equal(result.train_hardness.update_count, expected_counts)
         # Samples never selected after the warm-up keep fewer updates.
         assert expected_counts.max() == config.total_epochs
@@ -154,11 +164,11 @@ class TestRunWiring:
     def test_easy_pool_appears_after_warmup(self, small_result):
         config, result = small_result
         warmup = config.milestones[0]
-        for t, easy_ids in enumerate(result.easy_id_sets, start=1):
+        for t, pool in enumerate(result.entry_streams, start=1):
             if t <= warmup:
-                assert easy_ids == frozenset()
+                assert len(pool.easy_ids) == 0
             else:
-                assert len(easy_ids) == config.easy_pool_size
+                assert len(pool.easy_ids) == config.easy_pool_size
 
     def test_metrics_rows_shape(self, small_result):
         config, result = small_result
@@ -187,8 +197,8 @@ class TestRunWiring:
     def test_byte_determinism(self, small_result):
         config, result = small_result
         again = runner.run_training(config)
-        assert runner.metrics_csv_text(result) == runner.metrics_csv_text(again)
-        assert runner.pool_log_csv_text(result) == runner.pool_log_csv_text(again)
+        assert metrics_text(result) == metrics_text(again)
+        assert pool_log_text(result) == pool_log_text(again)
         assert runner.dfh_trace_json(result) == runner.dfh_trace_json(again)
 
 
@@ -203,9 +213,9 @@ class TestVanillaAndBabystep:
             seed=2,
         )
         result = runner.run_training(config)
-        for hard_ids, easy_ids in zip(result.hard_id_sets, result.easy_id_sets):
-            assert hard_ids == frozenset(range(40))
-            assert easy_ids == frozenset()
+        for pool in result.entry_streams:
+            assert pool.hard_ids.tolist() == list(range(40))
+            assert len(pool.easy_ids) == 0
 
     def test_babystep_pool_growth(self):
         config = runner.RunConfig(
@@ -220,10 +230,11 @@ class TestVanillaAndBabystep:
             babystep_step_length=2,
         )
         result = runner.run_training(config)
-        sizes = [len(h) for h in result.hard_id_sets]
+        hard_id_sets = [set(pool.hard_ids.tolist()) for pool in result.entry_streams]
+        sizes = [len(h) for h in hard_id_sets]
         assert sizes == [10, 10, 20, 20, 40, 40]
         # Stages are easiest-first and nested.
-        for a, b in zip(result.hard_id_sets, result.hard_id_sets[1:]):
+        for a, b in zip(hard_id_sets, hard_id_sets[1:]):
             assert a <= b
 
     def test_augment_all_attaches_seeds_everywhere(self):
@@ -257,7 +268,7 @@ class TestReductions:
         assert a.entry_streams == b.entry_streams
         for la, lb in zip(a.loss_streams, b.loss_streams):
             np.testing.assert_array_equal(la, lb)
-        assert runner.metrics_csv_text(a) == runner.metrics_csv_text(b)
+        assert metrics_text(a) == metrics_text(b)
 
     def test_zero_alpha_f_equals_dih(self):
         dataset = DatasetConfig(n_train=40, n_test=20, seed=5)
@@ -274,10 +285,11 @@ class TestReductions:
         dih_cfg = runner.RunConfig(mode="dih", alpha_f=0.0, **common)
         a = runner.run_training(dffc_cfg)
         b = runner.run_training(dih_cfg)
-        assert a.hard_id_sets == b.hard_id_sets
-        assert a.easy_id_sets == b.easy_id_sets
+        for pa, pb in zip(a.entry_streams, b.entry_streams, strict=True):
+            np.testing.assert_array_equal(pa.hard_ids, pb.hard_ids)
+            np.testing.assert_array_equal(pa.easy_ids, pb.easy_ids)
         assert a.entry_streams == b.entry_streams
-        assert runner.metrics_csv_text(a) == runner.metrics_csv_text(b)
+        assert metrics_text(a) == metrics_text(b)
 
 
 class TestCompare:
@@ -294,7 +306,7 @@ class TestCompare:
         ]
         rows = runner.compare_modes(configs)
         assert [r["mode"] for r in rows] == ["vanilla", "dffc", "dih"]
-        text = runner.comparison_csv_text(rows)
+        text = comparison_text(rows)
         lines = text.strip().split("\n")
         assert lines[0].startswith("mode,")
         assert len(lines) == 4
@@ -339,7 +351,7 @@ class TestCompare:
         )
         rows = runner.compare_modes(configs)
         assert generated == [dataset]
-        assert runner.comparison_csv_text(rows) == runner.comparison_csv_text(expected)
+        assert comparison_text(rows) == comparison_text(expected)
 
     def test_mismatched_dataset_seeds_rejected(self):
         configs = [
@@ -367,7 +379,7 @@ class TestEpochAssembly:
         reference = runner.run_training(small_run_config)
         monkeypatch.setattr(runner, "AUGMENT_CHUNK", 3)
         chunked = runner.run_training(small_run_config)
-        assert runner.metrics_csv_text(chunked) == runner.metrics_csv_text(reference)
+        assert metrics_text(chunked) == metrics_text(reference)
         for a, b in zip(chunked.loss_streams, reference.loss_streams):
             np.testing.assert_array_equal(a, b)
 
