@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,12 +36,7 @@ class AugmentationSpec:
     translation_range_pixels: tuple[float, float] = (-2.0, 2.0)
 
     def __post_init__(self) -> None:
-        for name in (
-            "blur_sigma_range",
-            "brightness_range",
-            "rotation_range_degrees",
-            "translation_range_pixels",
-        ):
+        for name in (f.name for f in fields(self)):
             lo, hi = getattr(self, name)
             object.__setattr__(self, name, (float(lo), float(hi)))
             if lo > hi:
@@ -158,14 +152,6 @@ def affine(image: np.ndarray, rotation_degrees: float, dx: float, dy: float) -> 
     return np.clip(out, 0.0, 1.0)
 
 
-@lru_cache(maxsize=64)
-def _reflected_range(n: int, radius: int) -> np.ndarray:
-    """Indices of ``n`` samples padded by ``radius`` on each side, reflected."""
-    table = _reflect_index(np.arange(-radius, n + radius), n)
-    table.flags.writeable = False
-    return table
-
-
 def blur_stack(images: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """:func:`gaussian_blur` of each image by its own sigma; sigma=0 copies it.
 
@@ -183,7 +169,7 @@ def blur_stack(images: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     _, h, w = images.shape
     acc = images[blurred]
     for axis, size in ((1, h), (2, w)):
-        padded = np.take(acc, _reflected_range(size, radius), axis=axis)
+        padded = np.take(acc, _reflect_index(np.arange(-radius, size + radius), size), axis=axis)
         acc = np.zeros((len(blurred), h, w))
         for j in range(2 * radius + 1):
             window = padded[:, j : j + h, :] if axis == 1 else padded[:, :, j : j + w]

@@ -236,7 +236,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     n_fake = int(train.targets.sum())
     print(f"generated {len(train)} train / {len(test)} test samples")
     print(f"class balance: {n_fake} fake / {len(train) - n_fake} real")
-    counts, edges = np.histogram(train.amplitudes[1::2], bins=8)
+    counts, edges = np.histogram(train.amplitudes[train.targets == 1.0], bins=8)
     print("fake amplitude histogram:")
     for c, lo, hi in zip(counts, edges, edges[1:]):
         print(f"  [{lo:.3f}, {hi:.3f}): {c}")
@@ -340,7 +340,7 @@ def cmd_inspect_dfh(args: argparse.Namespace) -> int:
             rows.append(
                 {
                     "id": sid,
-                    "label": (forgeries.LABEL_REAL, forgeries.LABEL_FAKE)[sid % 2],
+                    "label": forgeries.LABEL_FAKE if train.targets[sid] else forgeries.LABEL_REAL,
                     "amplitude": float(train.amplitudes[sid]),
                     "sigma": float(train.blur_sigmas[sid]),
                     "q": float(state.prior[sid]),
@@ -372,8 +372,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     try:
         extremes = json.loads(text)
         require_keys(extremes, ("top", "bottom"))
+        kinds = {"ids": "a flat list of integers", "mean_tar": "a number", "mean_ssim": "a number"}
         for group in ("top", "bottom"):
-            require_keys(extremes[group], ("ids", "mean_tar", "mean_ssim"), f"{group}.")
+            require_keys(extremes[group], kinds, f"{group}.")
     except ValueError as exc:
         raise ConfigError(f"{extremes_path}: {exc}")
     header = metrics[0].split(",")

@@ -213,15 +213,9 @@ def laplacian_variance(images: np.ndarray) -> float | np.ndarray:
     return resp.reshape(n, -1).var(axis=1)
 
 
-def quality_prior(image: np.ndarray, normalizer: float) -> float:
-    """Static hardness in [0, 1]: blurrier (lower Laplacian variance) is harder."""
-    if normalizer <= 0.0:
-        raise ValueError(f"normalizer must be positive, got {normalizer}")
-    return float(np.clip(1.0 - laplacian_variance(image) / normalizer, 0.0, 1.0))
-
-
 def quality_priors(images: np.ndarray, normalizer: float | None = None) -> tuple[np.ndarray, float]:
-    """Priors for an ``(n, h, w)`` stack; the normalizer defaults to its max sharpness."""
+    """Static hardness in [0, 1] of each image of an ``(n, h, w)`` stack: blurrier (lower
+    Laplacian variance) is harder. The normalizer defaults to the stack's max sharpness."""
     variances = laplacian_variance(images)
     if normalizer is None:
         normalizer = float(variances.max())

@@ -27,8 +27,10 @@ import numpy as np
 
 from dffc.errors import InvalidScheduleError, require_keys
 
-#: The keys of ``hardness_state.json``, in the order they are written.
-STATE_KEYS = ("gamma", "alpha_f", "dih", "prior", "update_count")
+#: The keys of ``hardness_state.json``, in the order they are written, and
+#: the kind of value each holds.
+STATE_KEYS = {"gamma": "a number", "alpha_f": "a number", "dih": "a flat list of numbers",
+              "prior": "a flat list of numbers", "update_count": "a flat list of integers"}
 
 
 def check_hardness(gamma: float, alpha_f: float) -> None:
@@ -89,7 +91,7 @@ class HardnessState:
 
     @classmethod
     def from_json(cls, text: str) -> "HardnessState":
-        """The state :meth:`to_json` wrote; a ``ValueError`` names a missing key."""
+        """The state :meth:`to_json` wrote; a ``ValueError`` names a missing or bad key."""
         doc = json.loads(text)
         require_keys(doc, STATE_KEYS)
         return cls(

@@ -1,5 +1,7 @@
 """From-scratch binary classifier: one-hidden-layer ReLU MLP, BCE loss,
-plain SGD, and a per-epoch cosine learning-rate schedule."""
+plain SGD, and a per-epoch cosine learning-rate schedule. Each SGD step
+runs one forward pass: :func:`gradients` also returns the clamped
+probabilities the step's losses are recorded from."""
 
 from __future__ import annotations
 
@@ -61,14 +63,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _forward(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and clamped output probabilities."""
+    hidden = np.maximum(X @ params.W1.T + params.b1, 0.0)
+    return hidden, np.clip(_sigmoid(hidden @ params.w2 + params.b2), PROB_EPS, 1.0 - PROB_EPS)
+
+
 def forward_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
     """Probabilities for a (batch, inputs) pixel matrix."""
     X = np.atleast_2d(X)
     if X.shape[1] != params.W1.shape[1]:
         raise ValueError(f"expected {params.W1.shape[1]} inputs, got {X.shape[1]}")
-    hidden = np.maximum(X @ params.W1.T + params.b1, 0.0)
-    logits = hidden @ params.w2 + params.b2
-    return np.clip(_sigmoid(logits), PROB_EPS, 1.0 - PROB_EPS)
+    return _forward(params, X)[1]
 
 
 def bce_loss(p: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -78,8 +84,9 @@ def bce_loss(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
 
-def gradients(params: ModelParams, X: np.ndarray, y: np.ndarray) -> ModelParams:
-    """Mean-over-batch gradient of the clamped BCE loss.
+def gradients(params: ModelParams, X: np.ndarray, y: np.ndarray) -> tuple[ModelParams, np.ndarray]:
+    """Mean-over-batch gradient of the clamped BCE loss, and the clamped
+    probabilities of the same forward pass (equal to :func:`forward_batch`).
 
     Where the output clamp is active the loss is locally constant in the
     logit, so those rows contribute zero (this is what a finite-difference
@@ -89,19 +96,12 @@ def gradients(params: ModelParams, X: np.ndarray, y: np.ndarray) -> ModelParams:
     y = np.asarray(y, dtype=np.float64).ravel()
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    Z1 = X @ params.W1.T + params.b1
-    A1 = np.maximum(Z1, 0.0)
-    p_raw = _sigmoid(A1 @ params.w2 + params.b2)
-    live = (p_raw > PROB_EPS) & (p_raw < 1.0 - PROB_EPS)
-    dz2 = np.where(live, p_raw - y, 0.0) / X.shape[0]
-    dA1 = np.outer(dz2, params.w2)
-    dZ1 = dA1 * (Z1 > 0.0)
-    return ModelParams(
-        W1=dZ1.T @ X,
-        b1=dZ1.sum(axis=0),
-        w2=A1.T @ dz2,
-        b2=float(dz2.sum()),
-    )
+    A1, probs = _forward(params, X)
+    live = (probs > PROB_EPS) & (probs < 1.0 - PROB_EPS)
+    dz2 = np.where(live, probs - y, 0.0) / X.shape[0]
+    dZ1 = np.outer(dz2, params.w2) * (A1 > 0.0)
+    grads = ModelParams(W1=dZ1.T @ X, b1=dZ1.sum(axis=0), w2=A1.T @ dz2, b2=float(dz2.sum()))
+    return grads, probs
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, eta: float) -> ModelParams:

@@ -314,9 +314,9 @@ def run_training(
         for start in range(0, len(ids), config.batch_size):
             stop = start + config.batch_size
             Xb, yb = X_epoch[start:stop], y_epoch[start:stop]
-            probs = forward_batch(params, Xb)
+            grads, probs = gradients(params, Xb, yb)
             epoch_losses[start:stop] = bce_loss(probs, yb)
-            params = sgd_step(params, gradients(params, Xb, yb), eta)
+            params = sgd_step(params, grads, eta)
         bad = np.flatnonzero(~np.isfinite(epoch_losses))
         if len(bad):
             raise ValueError(

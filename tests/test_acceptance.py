@@ -147,7 +147,7 @@ def test_criterion_04_gradient_finite_differences():
                 break
         y = rng.integers(0, 2, size=b).astype(np.float64)
 
-        g = gradients(params, X, y)
+        g, _ = gradients(params, X, y)
         analytic = _flatten(ModelParams(g.W1, g.b1, g.w2, g.b2))
 
         def mean_loss(vec):

@@ -224,6 +224,22 @@ class TestTrain:
         assert "error:" in capsys.readouterr().err
 
 
+def _edit(dotted, change):
+    """An edit of a JSON document that replaces the value at ``dotted`` by
+    ``change(value)``."""
+
+    def edit(text):
+        doc = json.loads(text)
+        *parents, key = dotted.split(".")
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        node[key] = change(node[key])
+        return json.dumps(doc)
+
+    return edit
+
+
 class TestInspectAndReport:
     def test_inspect_writes_images_and_report(self, run_dir, capsys):
         code = cli.main(
@@ -298,8 +314,28 @@ class TestInspectAndReport:
             ("inspect-dfh", "hardness_state.json", lambda _: "[1, 2]", "JSON object"),
             ("report", "extremes.json", lambda text: _drop_key(text, "top"), "'top'"),
             ("report", "metrics.csv", lambda _: "", "epoch rows"),
+            ("inspect-dfh", "hardness_state.json", _edit("gamma", lambda _: None), "'gamma'"),
+            ("inspect-dfh", "hardness_state.json", _edit("alpha_f", lambda _: "0.5"), "'alpha_f'"),
+            (
+                "inspect-dfh", "hardness_state.json",
+                _edit("update_count", lambda _: [None]), "'update_count'",
+            ),
+            (
+                "inspect-dfh", "hardness_state.json",
+                _edit("prior", lambda prior: [[q] for q in prior]), "'prior'",
+            ),
+            ("report", "extremes.json", _edit("top.mean_tar", lambda _: "x"), "'top.mean_tar'"),
+            (
+                "report", "extremes.json",
+                _edit("bottom.mean_ssim", lambda _: None), "'bottom.mean_ssim'",
+            ),
+            ("report", "extremes.json", _edit("top.ids", lambda _: 3), "'top.ids'"),
         ],
-        ids=["state-without-prior", "state-not-an-object", "extremes-without-top", "empty-metrics"],
+        ids=[
+            "state-without-prior", "state-not-an-object", "extremes-without-top", "empty-metrics",
+            "state-null-gamma", "state-string-alpha_f", "state-null-update_count", "state-2d-prior",
+            "extremes-string-mean_tar", "extremes-null-mean_ssim", "extremes-ids-not-a-list",
+        ],
     )
     def test_malformed_artifact_named_without_traceback(
         self, run_dir, tmp_path, command, name, edit, named, capsys

@@ -31,7 +31,6 @@ from dffc.forgeries import (
     dfh_extremes_report,
     generate_dataset,
     laplacian_variance,
-    quality_prior,
     quality_priors,
     ssim,
     tampering_ratio,
@@ -250,8 +249,7 @@ class TestQualityPrior:
 
         img = train.images[0]
         normalizer = laplacian_variance(img)
-        sharp = quality_prior(img, normalizer)
-        blurred = quality_prior(gaussian_blur(img, 1.5), normalizer)
+        (sharp, blurred), _ = quality_priors(np.stack([img, gaussian_blur(img, 1.5)]), normalizer)
         assert blurred > sharp
 
     def test_priors_in_unit_interval_and_normalizer(self, small_dataset):
@@ -272,7 +270,7 @@ class TestQualityPrior:
 
     def test_normalizer_validation(self):
         with pytest.raises(ValueError):
-            quality_prior(np.zeros((4, 4)), 0.0)
+            quality_priors(np.zeros((1, 4, 4)), normalizer=0.0)
         with pytest.raises(ValueError):
             quality_priors(np.zeros((1, 4, 4)), normalizer=-1.0)
 

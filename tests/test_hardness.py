@@ -234,6 +234,19 @@ class TestStateValidation:
         with pytest.raises(ValueError, match=f"missing key '{key}'"):
             HardnessState.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("gamma", None), ("gamma", True), ("alpha_f", "0.5"), ("dih", "x"),
+            ("prior", [[0.1]]), ("update_count", [None]), ("update_count", [1.5]),
+        ],
+    )
+    def test_from_json_names_a_value_of_the_wrong_kind(self, key, value):
+        doc = json.loads(HardnessState.fresh(np.array([0.5]), gamma=0.9, alpha_f=0.5).to_json())
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"key '{key}' must be a"):
+            HardnessState.from_json(json.dumps(doc))
+
     @pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ("3", "int"), ("null", "NoneType")])
     def test_from_json_rejects_a_non_object(self, text, kind):
         with pytest.raises(ValueError, match=f"expected a JSON object, got {kind}"):

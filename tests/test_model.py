@@ -112,7 +112,7 @@ class TestGradients:
         x = rng.normal(size=(8, 6))
         y = rng.integers(0, 2, size=8).astype(np.float64)
 
-        grads = gradients(params, x, y)
+        grads, _ = gradients(params, x, y)
         analytic = _flatten(
             ModelParams(W1=grads.W1, b1=grads.b1, w2=grads.w2, b2=grads.b2)
         )
@@ -131,6 +131,17 @@ class TestGradients:
             down[i] -= h
             numeric[i] = (mean_loss(up) - mean_loss(down)) / (2.0 * h)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6], ids=["live", "clamped"])
+    def test_probabilities_are_forward_batch(self, scale):
+        # Huge weights saturate the output, as in test_probabilities_clamped.
+        params = init_params(4, 3, seed=0)
+        params = ModelParams(W1=params.W1 * scale, b1=params.b1, w2=params.w2 * scale, b2=0.0)
+        x = np.random.default_rng(0).normal(size=(16, 4))
+        probs = gradients(params, x, np.arange(16) % 2)[1]
+        np.testing.assert_array_equal(probs, forward_batch(params, x))
+        clamped = (probs == PROB_EPS) | (probs == 1.0 - PROB_EPS)
+        assert clamped.any() == (scale > 1.0)
 
     def test_sgd_step_hand_case(self):
         params = ModelParams(
@@ -158,7 +169,8 @@ class TestGradients:
         probs = forward_batch(params, x)
         before = bce_loss(probs, y).mean()
         for _ in range(200):
-            params = sgd_step(params, gradients(params, x, y), eta=0.5)
+            grads, _ = gradients(params, x, y)
+            params = sgd_step(params, grads, eta=0.5)
         probs = forward_batch(params, x)
         after = bce_loss(probs, y).mean()
         assert after < before * 0.5
