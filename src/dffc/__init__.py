@@ -6,8 +6,8 @@ training pool at milestones, and a synthetic forgery benchmark with a
 from-scratch MLP classifier to exercise the whole loop end to end.
 """
 
-from dffc.errors import ConfigError, InvalidScheduleError
+from dffc.errors import ConfigError
 
 __version__ = "0.1.0"
 
-__all__ = ["ConfigError", "InvalidScheduleError", "__version__"]
+__all__ = ["ConfigError", "__version__"]

@@ -26,6 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from dffc import streams
+from dffc.errors import check_range
 
 
 @dataclass(frozen=True)
@@ -37,12 +38,8 @@ class AugmentationSpec:
 
     def __post_init__(self) -> None:
         for name in (f.name for f in fields(self)):
-            lo, hi = getattr(self, name)
-            object.__setattr__(self, name, (float(lo), float(hi)))
-            if lo > hi:
-                raise ValueError(f"{name}: lo {lo} > hi {hi}")
-        if self.blur_sigma_range[0] < 0.0:
-            raise ValueError("blur sigma must be non-negative")
+            bounds = check_range(name, getattr(self, name), non_negative=name == "blur_sigma_range")
+            object.__setattr__(self, name, bounds)
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:

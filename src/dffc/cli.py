@@ -10,9 +10,10 @@ wrong type: an int field takes no bool or float, a float field takes an
 int or a finite float, a bool field only true or false, and a tuple
 field a list of the right length. ``--override key=value`` uses dotted
 paths and takes precedence over the file. Mode ``dih`` sets
-``hardness.alpha_f`` to 0; an explicit non-zero value contradicts it.
-``resolved_config.json`` written into each run directory reproduces the
-run bit-identically.
+``hardness.alpha_f`` to 0 unless a non-zero value is given, which
+``RunConfig`` rejects. A bad value raises ``ConfigError`` before an out
+dir exists. ``resolved_config.json`` written into each run directory
+reproduces the run bit-identically.
 
 Set DFFC_LOG=error|info|debug to control verbosity.
 """
@@ -48,6 +49,11 @@ class CompareGrid:
     modes: tuple[str, ...] = ("vanilla", "babystep", "dih", "dffc")
     augment_all: tuple[bool, ...] = (False,)
     seeds: tuple[int, ...] = (0,)
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            if not getattr(self, f.name):
+                raise ConfigError(f"compare.{f.name} must hold at least one value")
 
 
 @functools.cache
@@ -163,17 +169,14 @@ def _parse_overrides(pairs: list[str]) -> dict:
 
 
 def _apply_dih_rule(resolved: dict, explicit_alpha_f: object = None) -> None:
-    """Mode ``dih`` is ``dffc`` without the quality prior: ``hardness.alpha_f``
-    becomes 0, and an explicit non-zero value is an error."""
-    if resolved["mode"] != "dih":
-        return
-    if explicit_alpha_f not in (None, 0):
-        raise ConfigError(f"mode 'dih' contradicts hardness.alpha_f={explicit_alpha_f}")
-    resolved["hardness"]["alpha_f"] = 0
+    """Mode ``dih``'s default: ``hardness.alpha_f`` becomes 0 unless the user
+    gave a non-zero value, which ``RunConfig`` then rejects."""
+    if resolved["mode"] == "dih" and explicit_alpha_f in (None, 0):
+        resolved["hardness"]["alpha_f"] = 0
 
 
 def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
-    """defaults < file < overrides, with unknown-key, type and mode checks."""
+    """defaults < file < overrides, with key and type checks and the dih default."""
     file_cfg: dict = {}
     if config_path is not None:
         try:
@@ -197,10 +200,7 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
 
 
 def build_run_config(resolved: dict) -> runner.RunConfig:
-    try:
-        return _build(runner.RunConfig, resolved)
-    except ValueError as exc:  # includes dataclass validation errors
-        raise ConfigError(str(exc))
+    return _build(runner.RunConfig, resolved)
 
 
 def _read_artifact(path: Path) -> str:

@@ -1,12 +1,22 @@
-"""Exception types and the key check shared across the package."""
+"""The one exception type that every check run while a run config is built
+raises, and the key and range checks shared across the package."""
 
-
-class InvalidScheduleError(ValueError):
-    """A learning-rate or pacing schedule violated its constraints."""
+import math
 
 
 class ConfigError(ValueError):
-    """A run or dataset configuration failed validation."""
+    """A run, dataset, augmentation or schedule configuration failed validation."""
+
+
+def check_range(name: str, bounds: tuple, non_negative: bool = False) -> tuple[float, float]:
+    """``bounds`` as two floats ``(lo, hi)``; a :class:`ConfigError` naming ``name``
+    unless ``lo <= hi``, ``hi - lo`` is finite and, if asked, ``lo >= 0``."""
+    lo, hi = map(float, bounds)
+    if not 0.0 <= hi - lo < math.inf:
+        raise ConfigError(f"{name}: need lo <= hi and a finite hi - lo, got ({lo}, {hi})")
+    if non_negative and lo < 0.0:
+        raise ConfigError(f"{name}: lo must be non-negative, got {lo}")
+    return lo, hi
 
 
 def _is_number(value: object, kind: type | tuple[type, ...] = (int, float)) -> bool:

@@ -28,7 +28,7 @@ import numpy as np
 
 from dffc import streams
 from dffc.augment import blur_stack
-from dffc.errors import ConfigError
+from dffc.errors import ConfigError, check_range
 
 LABEL_REAL = "real"
 LABEL_FAKE = "fake"
@@ -51,12 +51,8 @@ class DatasetConfig:
 
     def __post_init__(self) -> None:
         for name in ("amplitude_range", "blur_range", "brightness_range"):
-            lo, hi = getattr(self, name)
-            object.__setattr__(self, name, (float(lo), float(hi)))
-            if lo > hi:
-                raise ConfigError(f"{name}: lo {lo} > hi {hi}")
-        if self.amplitude_range[0] < 0.0 or self.blur_range[0] < 0.0:
-            raise ConfigError("amplitude and blur ranges must be non-negative")
+            bounds = check_range(name, getattr(self, name), non_negative=name != "brightness_range")
+            object.__setattr__(self, name, bounds)
         if self.n_train <= 0 or self.n_train % 2:
             raise ConfigError(f"n_train must be positive and even, got {self.n_train}")
         if self.n_test <= 0 or self.n_test % 2:

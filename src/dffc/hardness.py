@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dffc.errors import InvalidScheduleError, require_keys
+from dffc.errors import ConfigError, require_keys
 
 #: The keys of ``hardness_state.json``, in the order they are written, and
 #: the kind of value each holds.
@@ -36,9 +36,9 @@ STATE_KEYS = {"gamma": "a number", "alpha_f": "a number", "dih": "a flat list of
 def check_hardness(gamma: float, alpha_f: float) -> None:
     """Reject an EMA weight outside [0, 1] or a negative prior weight."""
     if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
+        raise ConfigError(f"gamma must be in [0, 1], got {gamma}")
     if alpha_f < 0.0:
-        raise ValueError(f"alpha_f must be non-negative, got {alpha_f}")
+        raise ConfigError(f"alpha_f must be non-negative, got {alpha_f}")
 
 
 @dataclass
@@ -108,10 +108,10 @@ def instantaneous_hardness(
 ) -> float | np.ndarray:
     """Loss scaled by eta_max / eta_t, for one loss or an array of losses.
 
-    A float loss gives a float and an array an array. Raises
-    :class:`ValueError` for a negative or non-finite loss, and
-    :class:`InvalidScheduleError` when the learning rate is outside
-    (0, eta_max]; that always indicates a broken schedule upstream.
+    A float loss gives a float and an array an array. Raises a
+    :class:`ValueError` for a negative or non-finite loss, or a learning
+    rate outside (0, eta_max]. The run config has checked the schedule
+    already, so a bad rate here is a fault in the caller, not in a config.
     """
     losses = np.asarray(loss, dtype=np.float64)
     for problem, bad in (("finite", ~np.isfinite(losses)), ("non-negative", losses < 0.0)):
@@ -120,9 +120,7 @@ def instantaneous_hardness(
             at = f" at index {where[0]}" if losses.ndim else ""
             raise ValueError(f"loss must be {problem}, got {losses.flat[where[0]]}{at}")
     if eta_t <= 0.0 or eta_t > eta_max:
-        raise InvalidScheduleError(
-            f"learning rate {eta_t} outside (0, {eta_max}]"
-        )
+        raise ValueError(f"learning rate {eta_t} outside (0, {eta_max}]")
     s_t = losses * eta_max / eta_t
     return s_t if losses.ndim else float(s_t)
 

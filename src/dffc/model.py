@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dffc.errors import InvalidScheduleError
+from dffc.errors import ConfigError
 
 #: Output probabilities are clamped into [PROB_EPS, 1 - PROB_EPS] so the
 #: loss stays finite.
@@ -29,17 +29,19 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class LrSchedule:
+    """Cosine-schedule bounds and length: the one check of ``total_epochs``."""
+
     eta_max: float
     eta_min: float
     total_epochs: int
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eta_min <= self.eta_max:
-            raise InvalidScheduleError(
+            raise ConfigError(
                 f"need 0 < eta_min <= eta_max, got {self.eta_min}, {self.eta_max}"
             )
         if self.total_epochs < 1:
-            raise InvalidScheduleError("total_epochs must be >= 1")
+            raise ConfigError("total_epochs must be >= 1")
 
 
 def init_params(n_inputs: int, n_hidden: int, seed: int) -> ModelParams:

@@ -14,7 +14,8 @@ numpy's ``SeedSequence((rng_seed, t, id, salt)).generate_state(1)[0]``
 computed for a whole epoch as one array by :mod:`dffc.streams`;
 ``rng_seed`` must be below 2**64 and ids below 2**32. Everything here is a
 pure function of its inputs; given the same seed the resulting pool is
-bit-identical.
+bit-identical. A bad schedule raises ``ConfigError``; ``RunConfig``
+coerces the milestones to ints before it builds one.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dffc import streams
-from dffc.errors import InvalidScheduleError
+from dffc.errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -37,26 +38,21 @@ class PacingSchedule:
     total_epochs: int
 
     def __post_init__(self) -> None:
-        ms = tuple(int(m) for m in self.milestones)
-        object.__setattr__(self, "milestones", ms)
+        ms = self.milestones
         if not ms:
-            raise InvalidScheduleError("milestones must be non-empty")
+            raise ConfigError("milestones must be non-empty")
         if any(m <= 0 for m in ms):
-            raise InvalidScheduleError("milestones must be positive epoch indices")
+            raise ConfigError("milestones must be positive epoch indices")
         if any(b <= a for a, b in zip(ms, ms[1:])):
-            raise InvalidScheduleError(f"milestones must be strictly increasing: {ms}")
+            raise ConfigError(f"milestones must be strictly increasing: {ms}")
         if ms[-1] > self.total_epochs:
-            raise InvalidScheduleError(
-                f"last milestone {ms[-1]} exceeds total_epochs {self.total_epochs}"
-            )
+            raise ConfigError(f"last milestone {ms[-1]} exceeds total_epochs {self.total_epochs}")
         if not 0.0 < self.alpha_k <= 1.0:
-            raise InvalidScheduleError(f"alpha_k must be in (0, 1], got {self.alpha_k}")
+            raise ConfigError(f"alpha_k must be in (0, 1], got {self.alpha_k}")
         if self.easy_pool_size < 0:
-            raise InvalidScheduleError("easy_pool_size must be non-negative")
+            raise ConfigError("easy_pool_size must be non-negative")
         if self.n_samples <= 0:
-            raise InvalidScheduleError("n_samples must be positive")
-        if self.total_epochs <= 0:
-            raise InvalidScheduleError("total_epochs must be positive")
+            raise ConfigError("n_samples must be positive")
 
     @property
     def warmup_epochs(self) -> int:
@@ -203,11 +199,11 @@ def build_epoch_pool(
 def check_babystep(start_fraction: float, growth_factor: float, step_length: int) -> None:
     """Reject BabyStep parameters that cannot describe a growing prefix."""
     if not 0.0 < start_fraction <= 1.0:
-        raise ValueError(f"start_fraction must be in (0, 1], got {start_fraction}")
+        raise ConfigError(f"start_fraction must be in (0, 1], got {start_fraction}")
     if growth_factor < 1.0:
-        raise ValueError(f"growth_factor must be >= 1, got {growth_factor}")
+        raise ConfigError(f"growth_factor must be >= 1, got {growth_factor}")
     if step_length < 1:
-        raise ValueError(f"step_length must be >= 1, got {step_length}")
+        raise ConfigError(f"step_length must be >= 1, got {step_length}")
 
 
 def babystep_pool(

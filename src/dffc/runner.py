@@ -108,13 +108,11 @@ class RunConfig:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.mode == "dih" and self.alpha_f != 0.0:
-            raise ConfigError("mode 'dih' requires alpha_f=0 (quality prior disabled)")
+            raise ConfigError(f"mode 'dih' needs hardness.alpha_f = 0, got {self.alpha_f}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.hidden_units < 1:
             raise ConfigError("hidden_units must be >= 1")
-        if self.total_epochs < 1:
-            raise ConfigError("total_epochs must be >= 1")
         if not 0 <= self.seed < streams.KEY_LIMIT:
             raise ConfigError(f"seed must be in 0..2**64 - 1, got {self.seed}")
         object.__setattr__(self, "milestones", tuple(int(m) for m in self.milestones))
@@ -177,7 +175,8 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 def evaluate(
     params: ModelParams, X: np.ndarray, y: np.ndarray, prior_terciles: np.ndarray
 ) -> dict:
-    """Accuracy at threshold 0.5, tied-rank AUC, accuracy per quality tercile.
+    """Accuracy at threshold 0.5, tied-rank AUC, accuracy per quality tercile
+    (``nan`` for a tercile with no test sample).
 
     ``X`` holds the test pixels in the transform the model was trained
     under, one row per sample, and ``y`` their targets.
@@ -186,9 +185,8 @@ def evaluate(
         raise ValueError("empty test set")
     scores = forward_batch(params, X)
     correct = (scores >= 0.5) == (y == 1.0)
-    acc_by_tercile = [
-        float(correct[prior_terciles == bucket].mean()) for bucket in (0, 1, 2)
-    ]
+    in_tercile = (correct[prior_terciles == bucket] for bucket in (0, 1, 2))
+    acc_by_tercile = [float(c.mean()) if c.size else np.nan for c in in_tercile]
     return {
         "accuracy": float(correct.mean()),
         "auc": roc_auc(scores, y),

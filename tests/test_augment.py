@@ -18,6 +18,7 @@ from dffc.augment import (
     gaussian_kernel_1d,
     gaussian_kernels,
 )
+from dffc.errors import ConfigError
 
 
 class TestKernel:
@@ -168,12 +169,20 @@ class TestSpec:
         assert spec.translation_range_pixels == (-2.0, 2.0)
 
     def test_inverted_range_rejected(self):
-        with pytest.raises(ValueError):
-            AugmentationSpec(brightness_range=(0.2, -0.2))
+        for bounds in ((0.2, -0.2), (1, 0)):
+            with pytest.raises(ConfigError, match="brightness_range"):
+                AugmentationSpec(brightness_range=bounds)
+            with pytest.raises(ConfigError, match="blur_sigma_range"):
+                AugmentationSpec(blur_sigma_range=bounds)
 
     def test_negative_blur_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="blur_sigma_range"):
             AugmentationSpec(blur_sigma_range=(-0.5, 1.0))
+
+    def test_range_width_must_be_finite(self):
+        # Uniform draws over a width beyond the largest float are not finite.
+        with pytest.raises(ConfigError, match="brightness_range"):
+            AugmentationSpec(brightness_range=(-1e308, 1e308))
 
 
 class TestAugmentPixels:

@@ -72,8 +72,9 @@ class TestResolveConfig:
         assert resolved["hardness"]["alpha_f"] == 0
 
     def test_dih_mode_contradiction_rejected(self):
-        with pytest.raises(ConfigError, match="contradicts"):
-            cli.resolve_config(None, ["mode=dih", "hardness.alpha_f=0.5"])
+        resolved = cli.resolve_config(None, ["mode=dih", "hardness.alpha_f=0.5"])
+        with pytest.raises(ConfigError, match=r"mode 'dih' needs hardness\.alpha_f = 0, got 0\.5"):
+            cli.build_run_config(resolved)
 
     def test_missing_config_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -133,6 +134,11 @@ class TestSchema:
             ("train", ["hardness.gamma=2"], "gamma"),
             ("train", ["hardness.alpha_f=-1"], "alpha_f"),
             ("compare", ["hardness.gamma=2"], "gamma"),
+            ("compare", ["compare.seeds=[]"], "compare.seeds"),
+            ("compare", ["compare.modes=[]"], "compare.modes"),
+            ("compare", ["compare.augment_all=[]"], "compare.augment_all"),
+            ("train", ["augment.brightness_range=[-1e308,1e308]"], "brightness_range"),
+            ("train", ["dataset.brightness_range=[-1e308,1e308]"], "brightness_range"),
         ],
     )
     def test_schedule_of_the_mode_checked_before_out_dir(
@@ -222,6 +228,16 @@ class TestTrain:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_empty_quality_tercile_reads_nan(self, tmp_path):
+        # Two test samples leave the mid tercile empty; its accuracy is nan,
+        # with no RuntimeWarning (an error under this suite's filter).
+        out = tmp_path / "r"
+        flags = ["--override", "mode=vanilla", "--override", "dataset.n_test=2"]
+        assert cli.main(["train", *SMALL_OVERRIDES, *flags, "--out", str(out)]) == 0
+        header, *rows = (out / "metrics.csv").read_text().splitlines()
+        column = header.split(",").index("acc_mid")
+        assert [row.split(",")[column] for row in rows] == ["nan"] * 6
 
 
 def _edit(dotted, change):

@@ -69,6 +69,7 @@ class TestDatasetConfig:
             {"blur_range": (1.0, 0.5)},
             {"blur_range": (-0.5, 0.5)},
             {"brightness_range": (0.1, -0.1)},
+            {"brightness_range": (-1e308, 1e308)},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dffc.errors import InvalidScheduleError
 from dffc.hardness import (
     HardnessState,
     dfh,
@@ -37,7 +36,7 @@ class TestInstantaneousHardness:
 
     @pytest.mark.parametrize("eta", [0.0, -0.01, 0.2])
     def test_rate_outside_schedule_rejected(self, eta):
-        with pytest.raises(InvalidScheduleError):
+        with pytest.raises(ValueError, match="learning rate"):
             instantaneous_hardness(0.5, eta, 0.1)
 
     def test_negative_loss_rejected(self):

@@ -4,7 +4,7 @@ oracle, and pool assembly."""
 import numpy as np
 import pytest
 
-from dffc.errors import InvalidScheduleError
+from dffc.errors import ConfigError
 from dffc.pacing import (
     EpochPool,
     PacingSchedule,
@@ -77,15 +77,15 @@ class TestPoolSize:
 
 class TestScheduleValidation:
     def test_milestones_must_increase(self):
-        with pytest.raises(InvalidScheduleError):
+        with pytest.raises(ConfigError):
             PacingSchedule((5, 5), 0.9, 10, 100, 20)
 
     def test_last_milestone_within_run(self):
-        with pytest.raises(InvalidScheduleError):
+        with pytest.raises(ConfigError):
             PacingSchedule((2, 25), 0.9, 10, 100, 20)
 
     def test_alpha_k_range(self):
-        with pytest.raises(InvalidScheduleError):
+        with pytest.raises(ConfigError):
             PacingSchedule((2, 5), 0.0, 10, 100, 20)
 
     def test_warmup_is_first_milestone(self):

@@ -100,6 +100,12 @@ class TestRunConfig:
             {"total_epochs": 0},
             {"seed": -1},
             {"seed": 2**64},
+            {"eta_min": 0},
+            {"milestones": ()},
+            {"alpha_k": 0},
+            {"gamma": 2},
+            {"alpha_f": -1},
+            {"mode": "babystep", "babystep_growth_factor": 0.5},
         ],
     )
     def test_invalid_values(self, kwargs):
