@@ -11,9 +11,11 @@ int or a finite float, a bool field only true or false, and a tuple
 field a list of the right length. ``--override key=value`` uses dotted
 paths and takes precedence over the file. Mode ``dih`` sets
 ``hardness.alpha_f`` to 0 unless a non-zero value is given, which
-``RunConfig`` rejects. A bad value raises ``ConfigError`` before an out
-dir exists. ``resolved_config.json`` written into each run directory
-reproduces the run bit-identically.
+``RunConfig`` rejects. A bad value raises ``ConfigError`` naming its
+dotted key before an out dir exists, and a config file or run artifact
+that cannot be read as UTF-8 text raises one naming the file.
+``resolved_config.json`` written into each run directory reproduces the
+run bit-identically.
 
 Set DFFC_LOG=error|info|debug to control verbosity.
 """
@@ -27,6 +29,7 @@ import functools
 import json
 import logging
 import os
+import re
 import sys
 import typing
 from collections.abc import Iterable
@@ -53,7 +56,7 @@ class CompareGrid:
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             if not getattr(self, f.name):
-                raise ConfigError(f"compare.{f.name} must hold at least one value")
+                raise ConfigError(f"{f.name} must hold at least one value")
 
 
 @functools.cache
@@ -123,12 +126,26 @@ def _typed(value: object, hint: object, key: str) -> object:
 
 
 def _build(cls: type, resolved: dict, prefix: str = ""):
-    """An instance of ``cls`` from its typed values in the resolved config."""
-    return cls(**{
+    """An instance of ``cls`` from its typed values in the resolved config.
+
+    The message of a ``ConfigError`` that ``cls``'s checks raise starts with
+    the name of the field it blames, which is the last part of that field's
+    dotted path; it is re-raised with the name replaced by the whole path.
+    """
+    fields = _fields(cls, prefix)
+    values = {
         name: _build(hint, resolved, path + ".") if dataclasses.is_dataclass(hint)
         else _typed(_lookup(resolved, path), hint, path)
-        for name, path, hint, _ in _fields(cls, prefix)
-    })
+        for name, path, hint, _ in fields
+    }
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        name = re.match(r"\w*", str(exc)).group()
+        paths = {path.rpartition(".")[2]: path for _, path, _, _ in fields}
+        if paths.get(name, name) == name:
+            raise
+        raise ConfigError(paths[name] + str(exc)[len(name):]) from exc
 
 
 def _check_keys(user: dict, defaults: dict, path: str = "") -> list[str]:
@@ -175,14 +192,25 @@ def _apply_dih_rule(resolved: dict, explicit_alpha_f: object = None) -> None:
         resolved["hardness"]["alpha_f"] = 0
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The UTF-8 text of the ``what`` at ``path``, or a ``ConfigError`` naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+
+
 def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
     """defaults < file < overrides, with key and type checks and the dih default."""
     file_cfg: dict = {}
     if config_path is not None:
+        text = _read_text(Path(config_path), "config file")
         try:
-            file_cfg = json.loads(Path(config_path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {config_path}")
+            file_cfg = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {config_path} is not valid JSON: {exc}")
         if not isinstance(file_cfg, dict):
@@ -201,13 +229,6 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
 
 def build_run_config(resolved: dict) -> runner.RunConfig:
     return _build(runner.RunConfig, resolved)
-
-
-def _read_artifact(path: Path) -> str:
-    try:
-        return path.read_text()
-    except FileNotFoundError:
-        raise ConfigError(f"missing run artifact: {path}")
 
 
 def _prepare_out_dir(out_dir: Path, force: bool, marker: str) -> None:
@@ -309,7 +330,7 @@ def cmd_inspect_dfh(args: argparse.Namespace) -> int:
             raise ConfigError(f"{flag} must be non-negative, got {k}")
     run_dir = Path(args.run_dir)
     path = run_dir / "hardness_state.json"
-    text = _read_artifact(path)
+    text = _read_text(path, "run artifact")
     try:
         state = hardness.HardnessState.from_json(text)
     except ValueError as exc:
@@ -365,10 +386,10 @@ def cmd_inspect_dfh(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     metrics_path, extremes_path = run_dir / "metrics.csv", run_dir / "extremes.json"
-    metrics = _read_artifact(metrics_path).strip().splitlines()
+    metrics = _read_text(metrics_path, "run artifact").strip().splitlines()
     if len(metrics) < 2:
         raise ConfigError(f"{metrics_path}: expected a header and epoch rows")
-    text = _read_artifact(extremes_path)
+    text = _read_text(extremes_path, "run artifact")
     try:
         extremes = json.loads(text)
         require_keys(extremes, ("top", "bottom"))

@@ -38,7 +38,7 @@ class LrSchedule:
     def __post_init__(self) -> None:
         if not 0.0 < self.eta_min <= self.eta_max:
             raise ConfigError(
-                f"need 0 < eta_min <= eta_max, got {self.eta_min}, {self.eta_max}"
+                f"eta_min: need 0 < eta_min <= eta_max, got {self.eta_min}, {self.eta_max}"
             )
         if self.total_epochs < 1:
             raise ConfigError("total_epochs must be >= 1")

@@ -46,7 +46,9 @@ class PacingSchedule:
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ConfigError(f"milestones must be strictly increasing: {ms}")
         if ms[-1] > self.total_epochs:
-            raise ConfigError(f"last milestone {ms[-1]} exceeds total_epochs {self.total_epochs}")
+            raise ConfigError(
+                f"milestones: last milestone {ms[-1]} exceeds total_epochs {self.total_epochs}"
+            )
         if not 0.0 < self.alpha_k <= 1.0:
             raise ConfigError(f"alpha_k must be in (0, 1], got {self.alpha_k}")
         if self.easy_pool_size < 0:

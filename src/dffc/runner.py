@@ -27,7 +27,6 @@ import logging
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.stats import rankdata
 
 from dffc import forgeries, hardness, pacing, streams
 from dffc.augment import AugmentationSpec, augment_pixels
@@ -76,7 +75,8 @@ class RunConfig:
     Each field sits at the dotted path in its ``json`` metadata, or at its
     own name, in field order; the dataset and augmentation fields are
     whole sections. The CLI derives its defaults, key check and type
-    check from these fields.
+    check from these fields. The last part of every path is unique: a
+    check's error starts with it, and the CLI names the whole path.
     """
 
     mode: str = "dffc"
@@ -106,7 +106,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "dih" and self.alpha_f != 0.0:
             raise ConfigError(f"mode 'dih' needs hardness.alpha_f = 0, got {self.alpha_f}")
         if self.batch_size < 1:
@@ -162,21 +162,32 @@ def tercile_assignments(priors: np.ndarray) -> np.ndarray:
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-statistic AUC with midranks for ties."""
+    """The rank-sum (Mann-Whitney) AUC of Hanley & McNeil (1982): the
+    positives' rank sum less its minimum, over ``n_pos * n_neg``, where tied
+    scores share their midrank. A non-finite score raises a ``ValueError``
+    naming its index."""
     labels = np.asarray(labels)
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC undefined for a single-class label set")
-    ranks = rankdata(scores)  # midranks
+    scores = np.asarray(scores)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise ValueError(f"AUC needs finite scores, got {scores[bad[0]]} at index {bad[0]}")
+    # A tie group's midrank is its last rank less (count - 1) / 2; every
+    # rank is an integer or a half, so the sum below is exact.
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def evaluate(
     params: ModelParams, X: np.ndarray, y: np.ndarray, prior_terciles: np.ndarray
 ) -> dict:
-    """Accuracy at threshold 0.5, tied-rank AUC, accuracy per quality tercile
-    (``nan`` for a tercile with no test sample).
+    """Accuracy at threshold 0.5, the rank-sum AUC of :func:`roc_auc` (ties
+    share their midrank), accuracy per quality tercile (``nan`` for a
+    tercile with no test sample).
 
     ``X`` holds the test pixels in the transform the model was trained
     under, one row per sample, and ``y`` their targets.

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dffc import cli
+from dffc import cli, runner
 from dffc.errors import ConfigError
 
 SMALL_OVERRIDES = [
@@ -139,6 +143,16 @@ class TestSchema:
             ("compare", ["compare.augment_all=[]"], "compare.augment_all"),
             ("train", ["augment.brightness_range=[-1e308,1e308]"], "brightness_range"),
             ("train", ["dataset.brightness_range=[-1e308,1e308]"], "brightness_range"),
+            # A rule's error names the dotted key of the field it blames.
+            ("train", ["augment.brightness_range=[1,0]"], "augment.brightness_range"),
+            ("train", ["dataset.brightness_range=[1,0]"], "dataset.brightness_range"),
+            ("train", ["hardness.gamma=2"], "hardness.gamma"),
+            ("train", ["lr.eta_min=0"], "lr.eta_min"),
+            ("train", ["pacing.alpha_k=0"], "pacing.alpha_k"),
+            ("train", ["pacing.milestones=[3,2]"], "pacing.milestones"),
+            ("train", ["mode=babystep", "babystep.step_length=0"], "babystep.step_length"),
+            ("train", ["dataset.n_train=3"], "dataset.n_train"),
+            ("train", ["augment.blur_sigma_range=[-1,1]"], "augment.blur_sigma_range"),
         ],
     )
     def test_schedule_of_the_mode_checked_before_out_dir(
@@ -160,9 +174,46 @@ class TestSchema:
         ):
             cli.build_run_config(cli.resolve_config(None, overrides))
 
+    def test_last_part_of_each_run_config_path_is_unique(self):
+        # A check's error starts with it, and _build maps it to the whole path.
+        names = [path.rpartition(".")[2] for _, path, _, _ in cli._fields(runner.RunConfig)]
+        assert len(set(names)) == len(names)
+
     def test_int_accepted_for_float_field(self):
         config = cli.build_run_config(cli.resolve_config(None, ["lr.eta_max=1"]))
         assert config.eta_max == 1
+
+
+class TestUnreadableConfig:
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_config_file_named(self, kind, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        if kind == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(b"\xff{}")
+        out = tmp_path / "x"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert str(cfg) in err[0]
+        assert not out.exists()
+
+
+class TestRuntime:
+    def test_importing_the_cli_loads_no_scipy(self):
+        # A fresh interpreter: this test process has imported scipy itself.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = (
+            "import sys, dffc.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.strip() == "[]", done.stdout
 
 
 class TestGenData:
@@ -322,6 +373,19 @@ class TestInspectAndReport:
 
     def test_report_missing_artifacts(self, tmp_path):
         assert cli.main(["report", "--run-dir", str(tmp_path / "nope")]) == 2
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("inspect-dfh", "hardness_state.json"), ("report", "metrics.csv")],
+    )
+    def test_non_utf8_artifact_named(self, run_dir, tmp_path, command, name, capsys):
+        copy = _copy_run_state(run_dir, tmp_path)
+        (copy / name).write_bytes(b"\xff" + (copy / name).read_bytes())
+        assert cli.main([command, "--run-dir", str(copy)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert str(copy / name) in err[0]
+        assert not (copy / "inspection").exists()
 
     @pytest.mark.parametrize(
         "command, name, edit, named",

@@ -4,6 +4,9 @@ Oracle notes:
   [DERIVED] roc_auc hand case -- scores [0.1,0.4,0.35,0.8], labels
       [0,0,1,1]: one of four positive/negative pairs is mis-ranked,
       AUC = 0.75.
+  [ORACLE] roc_auc over heavily tied random scores -- equals the rank-sum
+      form over scipy.stats.rankdata's average ranks exactly; scipy is a
+      test-only dependency.
   [DERIVED] loss wiring -- epoch-1 first-batch losses must equal BCE of
       the forward pass at the initial parameters, reconstructed outside
       the runner from the same standardization.
@@ -19,6 +22,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from dffc import forgeries, hardness, pacing, runner
 from dffc.errors import ConfigError
@@ -57,6 +61,27 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             runner.roc_auc(np.array([0.1, 0.2]), np.array([1, 1]))
+
+    def test_equals_rank_sum_over_scipy_midranks(self):
+        rng = np.random.default_rng(20)
+        for _ in range(3000):
+            n = int(rng.integers(2, 401))
+            scores = np.round(rng.uniform(0.0, 1.0, n), int(rng.integers(0, 4)))
+            labels = rng.integers(0, 2, n)
+            labels[:2] = (0, 1)
+            n_pos = int(labels.sum())
+            n_neg = n - n_pos
+            oracle = (rankdata(scores)[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (
+                n_pos * n_neg
+            )
+            assert runner.roc_auc(scores, labels) == oracle
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected_naming_its_index(self, bad):
+        scores = np.array([0.1, 0.4, 0.35, bad, 0.8])
+        labels = np.array([0, 0, 1, 1, 1])
+        with pytest.raises(ValueError, match=f"got {bad} at index 3"):
+            runner.roc_auc(scores, labels)
 
 
 class TestTerciles:
