@@ -79,13 +79,16 @@ def _leaves(cls: type, prefix: str = "") -> Iterable[tuple[str, object, object]]
 
 
 def _nest(pairs: Iterable[tuple[str, object]]) -> dict:
-    """A nested dict from (dotted path, value) pairs, in their order."""
+    """A nested dict from (dotted path, value) pairs, in their order; a path
+    under a key that an earlier pair set to a non-object is a ``ConfigError``."""
     tree: dict = {}
     for dotted, value in pairs:
         node = tree
         *parents, leaf = dotted.split(".")
         for part in parents:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"{dotted}: {part} is already set to {node!r}, not an object")
         node[leaf] = value
     return tree
 

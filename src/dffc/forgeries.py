@@ -189,15 +189,10 @@ def generate_dataset(config: DatasetConfig) -> tuple[Split, Split]:
     return train, test
 
 
-def laplacian_variance(images: np.ndarray) -> float | np.ndarray:
-    """Variance of the 3x3 Laplacian response (reflect padding); a sharpness score.
-
-    ``images`` is one ``(h, w)`` image, giving a float, or an ``(n, h, w)``
-    stack, giving one variance per image (the image is the ``n = 1`` case).
-    """
+def laplacian_variance(images: np.ndarray) -> np.ndarray:
+    """Variance of the 3x3 Laplacian response (reflect padding) of each image
+    of an ``(n, h, w)`` stack; a sharpness score."""
     images = np.asarray(images, dtype=np.float64)
-    if images.ndim == 2:
-        return float(laplacian_variance(images[None])[0])
     n, h, w = images.shape
     padded = np.pad(images, ((0, 0), (1, 1), (1, 1)), mode="reflect")
     resp = np.zeros_like(images)

@@ -103,71 +103,50 @@ class HardnessState:
         )
 
 
-def instantaneous_hardness(
-    loss: float | np.ndarray, eta_t: float, eta_max: float
-) -> float | np.ndarray:
-    """Loss scaled by eta_max / eta_t, for one loss or an array of losses.
+def instantaneous_hardness(losses: np.ndarray, eta_t: float, eta_max: float) -> np.ndarray:
+    """Each loss of an array scaled by eta_max / eta_t.
 
-    A float loss gives a float and an array an array. Raises a
-    :class:`ValueError` for a negative or non-finite loss, or a learning
-    rate outside (0, eta_max]. The run config has checked the schedule
-    already, so a bad rate here is a fault in the caller, not in a config.
+    Raises a :class:`ValueError` for a negative or non-finite loss, naming
+    its index, or for a learning rate outside (0, eta_max]. The run config
+    has checked the schedule already, so a bad rate here is a fault in the
+    caller, not in a config.
     """
-    losses = np.asarray(loss, dtype=np.float64)
+    losses = np.asarray(losses, dtype=np.float64)
     for problem, bad in (("finite", ~np.isfinite(losses)), ("non-negative", losses < 0.0)):
         where = np.flatnonzero(bad)
         if len(where):
-            at = f" at index {where[0]}" if losses.ndim else ""
-            raise ValueError(f"loss must be {problem}, got {losses.flat[where[0]]}{at}")
+            raise ValueError(f"loss must be {problem}, got {losses[where[0]]} at index {where[0]}")
     if eta_t <= 0.0 or eta_t > eta_max:
         raise ValueError(f"learning rate {eta_t} outside (0, {eta_max}]")
-    s_t = losses * eta_max / eta_t
-    return s_t if losses.ndim else float(s_t)
+    return losses * eta_max / eta_t
 
 
-def _check_index(state: HardnessState, sample_id: int | np.ndarray) -> None:
-    ids = np.asarray(sample_id)
-    bad = np.flatnonzero((ids < 0) | (ids >= state.n_samples))
-    if len(bad):
-        raise IndexError(f"sample_id {ids.flat[bad[0]]} out of range for N={state.n_samples}")
-
-
-def update_dih(
-    state: HardnessState,
-    sample_id: int | np.ndarray,
-    s_t: float | np.ndarray,
-) -> HardnessState:
-    """EMA update for one sample, or for an array of distinct samples with
-    one instantaneous hardness each. The runner calls it only for the
-    samples trained in the hard pool, so the DIH of every other sample
-    keeps its value."""
-    ids = np.asarray(sample_id)
+def update_dih(state: HardnessState, ids: np.ndarray, s_t: np.ndarray) -> HardnessState:
+    """EMA update for an array of distinct samples with one instantaneous
+    hardness each. The runner calls it only for the samples trained in the
+    hard pool, so the DIH of every other sample keeps its value."""
+    ids = np.asarray(ids)
     s_t = np.asarray(s_t, dtype=np.float64)
     if ids.shape != s_t.shape:
         raise ValueError(f"{ids.size} sample ids but {s_t.size} hardness values")
-    _check_index(state, ids)
+    bad = np.flatnonzero((ids < 0) | (ids >= state.n_samples))
+    if len(bad):
+        raise IndexError(f"sample_id {ids[bad[0]]} out of range for N={state.n_samples}")
     bad = np.flatnonzero(~(np.isfinite(s_t) & (s_t >= 0.0)))
     if len(bad):
         raise ValueError(
-            f"instantaneous hardness must be finite and non-negative, got {s_t.flat[bad[0]]} "
-            f"for sample {ids.flat[bad[0]]}"
+            f"instantaneous hardness must be finite and non-negative, got {s_t[bad[0]]} "
+            f"for sample {ids[bad[0]]}"
         )
-    if ids.ndim:
-        unique, counts = np.unique(ids, return_counts=True)
-        if len(unique) < len(ids):
-            raise ValueError(f"sample ids must be distinct; {unique[counts > 1][0]} repeats")
+    unique, counts = np.unique(ids, return_counts=True)
+    if len(unique) < len(ids):
+        raise ValueError(f"sample ids must be distinct; {unique[counts > 1][0]} repeats")
     g = state.gamma
     state.dih[ids] = g * s_t + (1.0 - g) * state.dih[ids]
     state.update_count[ids] += 1
     return state
 
 
-def dfh(state: HardnessState, sample_id: int) -> float:
-    """Combined hardness: loss-history EMA plus weighted quality prior."""
-    _check_index(state, sample_id)
-    return float(state.dih[sample_id] + state.alpha_f * state.prior[sample_id])
-
-
 def dfh_all(state: HardnessState) -> np.ndarray:
-    """Vectorized :func:`dfh` over every sample."""
+    """Combined hardness of every sample: loss-history EMA plus weighted quality prior."""
     return state.dih + state.alpha_f * state.prior

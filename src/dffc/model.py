@@ -73,7 +73,6 @@ def _forward(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def forward_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
     """Probabilities for a (batch, inputs) pixel matrix."""
-    X = np.atleast_2d(X)
     if X.shape[1] != params.W1.shape[1]:
         raise ValueError(f"expected {params.W1.shape[1]} inputs, got {X.shape[1]}")
     return _forward(params, X)[1]
@@ -94,7 +93,7 @@ def gradients(params: ModelParams, X: np.ndarray, y: np.ndarray) -> tuple[ModelP
     logit, so those rows contribute zero (this is what a finite-difference
     check sees too).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     if X.shape[0] == 0:
         raise ValueError("empty batch")
@@ -148,21 +147,3 @@ def save_checkpoint(params: ModelParams, seed: int, epoch: int, header_path: Pat
         [params.W1.ravel(), params.b1, params.w2, [params.b2]]
     ).astype("<f8")
     Path(blob_path).write_bytes(blob.tobytes())
-
-
-def load_checkpoint(header_path: Path, blob_path: Path) -> tuple[ModelParams, dict]:
-    header = json.loads(Path(header_path).read_text())
-    shapes = header["shapes"]
-    flat = np.frombuffer(Path(blob_path).read_bytes(), dtype="<f8").astype(np.float64)
-    h, d = shapes["W1"]
-    n1 = h * d
-    expected = n1 + 2 * h + 1
-    if len(flat) != expected:
-        raise ValueError(f"parameter blob holds {len(flat)} floats, expected {expected}")
-    params = ModelParams(
-        W1=flat[:n1].reshape(h, d),
-        b1=flat[n1 : n1 + h],
-        w2=flat[n1 + h : n1 + 2 * h],
-        b2=float(flat[n1 + 2 * h]),
-    )
-    return params, header

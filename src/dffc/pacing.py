@@ -129,27 +129,15 @@ class EpochPool:
         """Samples that appear both raw and augmented."""
         return len(np.intersect1d(self.hard_ids, self.easy_ids, assume_unique=True))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EpochPool):
-            return NotImplemented
-        return np.array_equal(self.entries, other.entries) and np.array_equal(
-            self.seeds, other.seeds
-        )
 
+def derive_augmentation_seed(rng_seed: int, t: int, ids: np.ndarray, salt: int = 0) -> np.ndarray:
+    """The int64 augmentation seed of each id of an array,
+    ``SeedSequence((rng_seed, t, id, salt)).generate_state(1)[0]``, computed
+    for every id at once by :func:`streams.derived_seeds`.
 
-def derive_augmentation_seed(
-    rng_seed: int, t: int, ids: int | np.ndarray, salt: int = 0
-) -> int | np.ndarray:
-    """Each entry's augmentation seed, ``SeedSequence((rng_seed, t, id, salt))
-    .generate_state(1)[0]``, computed for every id at once by
-    :func:`streams.derived_seeds`.
-
-    ``ids`` is an array of sample ids, giving an int64 array, or one id,
-    giving an int (the n = 1 case). ``rng_seed`` must be below 2**64 and
-    every id below 2**32; anything else raises a ``ValueError``.
+    ``rng_seed`` must be below 2**64 and every id below 2**32; anything else
+    raises a ``ValueError``.
     """
-    if np.ndim(ids) == 0:
-        return int(derive_augmentation_seed(rng_seed, t, np.array([ids]), salt)[0])
     return streams.derived_seeds((rng_seed, t, ids, salt))
 
 

@@ -1,0 +1,117 @@
+"""Independent references the tests check the package against.
+
+The single-image augmentations (:func:`gaussian_blur`,
+:func:`brightness_adjust`, :func:`affine`) are the bit-exact oracles of
+``dffc.augment``'s stack operations, :func:`load_checkpoint` decodes the
+``checkpoint.json`` and ``checkpoint.bin`` that ``model.save_checkpoint``
+writes, and :func:`assert_pool_streams_equal` compares epoch pools.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from collections.abc import Sequence
+from pathlib import Path
+
+import numpy as np
+
+from dffc.augment import _reflect_index
+from dffc.model import ModelParams
+from dffc.pacing import EpochPool
+
+
+def gaussian_kernel_1d(sigma: float) -> np.ndarray:
+    """Discrete Gaussian with radius ceil(3*sigma), normalized to sum 1."""
+    radius = math.ceil(3.0 * sigma)
+    xs = np.arange(-radius, radius + 1, dtype=np.float64)
+    k = np.exp(-(xs**2) / (2.0 * sigma**2))
+    return k / k.sum()
+
+
+def _conv1d_reflect(image: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    radius = len(kernel) // 2
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (radius, radius)
+    padded = np.pad(image, pad, mode="reflect")
+    out = np.zeros_like(image)
+    for j, w in enumerate(kernel):
+        if axis == 0:
+            out += w * padded[j : j + image.shape[0], :]
+        else:
+            out += w * padded[:, j : j + image.shape[1]]
+    return out
+
+
+def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian blur with reflect padding; sigma=0 is the identity."""
+    if sigma < 0.0:
+        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    if sigma == 0.0:
+        return image.copy()
+    kernel = gaussian_kernel_1d(sigma)
+    out = _conv1d_reflect(image, kernel, axis=0)
+    out = _conv1d_reflect(out, kernel, axis=1)
+    return np.clip(out, 0.0, 1.0)
+
+
+def brightness_adjust(image: np.ndarray, delta: float) -> np.ndarray:
+    return np.clip(image + delta, 0.0, 1.0)
+
+
+def affine(image: np.ndarray, rotation_degrees: float, dx: float, dy: float) -> np.ndarray:
+    """Rotation about the image center plus translation, bilinear sampling.
+
+    Inverse-mapped: each output pixel samples the input at the inverse
+    transform, with reflected reads outside the frame. rotation=0, dx=1
+    gives output(x, y) = input(x-1, y).
+    """
+    h, w = image.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    theta = math.radians(rotation_degrees)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    u = xs - dx - cx
+    v = ys - dy - cy
+    src_x = cos_t * u + sin_t * v + cx
+    src_y = -sin_t * u + cos_t * v + cy
+
+    x0 = np.floor(src_x).astype(np.int64)
+    y0 = np.floor(src_y).astype(np.int64)
+    fx = src_x - x0
+    fy = src_y - y0
+    x0r, x1r = _reflect_index(x0, w), _reflect_index(x0 + 1, w)
+    y0r, y1r = _reflect_index(y0, h), _reflect_index(y0 + 1, h)
+    out = (
+        image[y0r, x0r] * (1 - fy) * (1 - fx)
+        + image[y0r, x1r] * (1 - fy) * fx
+        + image[y1r, x0r] * fy * (1 - fx)
+        + image[y1r, x1r] * fy * fx
+    )
+    return np.clip(out, 0.0, 1.0)
+
+
+def load_checkpoint(header_path: Path, blob_path: Path) -> tuple[ModelParams, dict]:
+    header = json.loads(Path(header_path).read_text())
+    shapes = header["shapes"]
+    flat = np.frombuffer(Path(blob_path).read_bytes(), dtype="<f8").astype(np.float64)
+    h, d = shapes["W1"]
+    n1 = h * d
+    expected = n1 + 2 * h + 1
+    if len(flat) != expected:
+        raise ValueError(f"parameter blob holds {len(flat)} floats, expected {expected}")
+    params = ModelParams(
+        W1=flat[:n1].reshape(h, d),
+        b1=flat[n1 : n1 + h],
+        w2=flat[n1 + h : n1 + 2 * h],
+        b2=float(flat[n1 + 2 * h]),
+    )
+    return params, header
+
+
+def assert_pool_streams_equal(a: Sequence[EpochPool], b: Sequence[EpochPool]) -> None:
+    """Two pool streams hold the same pools, entry for entry and seed for seed."""
+    assert len(a) == len(b)
+    for t, (pa, pb) in enumerate(zip(a, b), start=1):
+        np.testing.assert_array_equal(pa.entries, pb.entries, err_msg=f"entries of pool {t}")
+        np.testing.assert_array_equal(pa.seeds, pb.seeds, err_msg=f"seeds of pool {t}")

@@ -1,21 +1,18 @@
 """Augmentation tests: kernel shape, identity cases, hand-checked warps,
-seeded determinism, and the stack version of ``augment_pixels`` checked
-for exact equality against the single-image operations."""
+seeded determinism, and ``augment_pixels`` checked for exact equality
+against the single-image operations of ``oracles.py``."""
 
 import math
 
 import numpy as np
 import pytest
+from oracles import affine, brightness_adjust, gaussian_blur, gaussian_kernel_1d
 
 from dffc.augment import (
     AugmentationSpec,
     _reflect_index,
-    affine,
     augment_pixels,
     blur_stack,
-    brightness_adjust,
-    gaussian_blur,
-    gaussian_kernel_1d,
     gaussian_kernels,
 )
 from dffc.errors import ConfigError
@@ -187,32 +184,32 @@ class TestSpec:
 
 class TestAugmentPixels:
     def test_same_seed_same_output(self):
-        img = np.random.default_rng(5).uniform(0, 1, (16, 16))
+        img = np.random.default_rng(5).uniform(0, 1, (1, 16, 16))
         spec = AugmentationSpec()
         np.testing.assert_array_equal(
-            augment_pixels(img, spec, 123), augment_pixels(img, spec, 123)
+            augment_pixels(img, spec, [123]), augment_pixels(img, spec, [123])
         )
 
     def test_different_seed_different_output(self):
-        img = np.random.default_rng(6).uniform(0, 1, (16, 16))
+        img = np.random.default_rng(6).uniform(0, 1, (1, 16, 16))
         spec = AugmentationSpec()
         assert not np.array_equal(
-            augment_pixels(img, spec, 1), augment_pixels(img, spec, 2)
+            augment_pixels(img, spec, [1]), augment_pixels(img, spec, [2])
         )
 
     def test_degenerate_spec_is_identity(self):
-        img = np.random.default_rng(7).uniform(0, 1, (8, 8))
+        img = np.random.default_rng(7).uniform(0, 1, (1, 8, 8))
         spec = AugmentationSpec(
             blur_sigma_range=(0.0, 0.0),
             brightness_range=(0.0, 0.0),
             rotation_range_degrees=(0.0, 0.0),
             translation_range_pixels=(0.0, 0.0),
         )
-        np.testing.assert_allclose(augment_pixels(img, spec, 99), img, atol=1e-12)
+        np.testing.assert_allclose(augment_pixels(img, spec, [99]), img, atol=1e-12)
 
     def test_output_stays_in_unit_range(self):
-        img = np.random.default_rng(8).uniform(0, 1, (16, 16))
-        out = augment_pixels(img, AugmentationSpec(), 77)
+        img = np.random.default_rng(8).uniform(0, 1, (1, 16, 16))
+        out = augment_pixels(img, AugmentationSpec(), [77])
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
@@ -264,15 +261,6 @@ class TestAugmentStack:
         assert len(radii) >= 4
         expected = np.stack([oracle(img, spec, s) for img, s in zip(images, seeds)])
         np.testing.assert_array_equal(augment_pixels(images, spec, seeds), expected)
-
-    def test_single_entry_stack_equals_single_image(self):
-        images, seeds = stack_and_seeds(1, 16, seed=12)
-        spec = AugmentationSpec()
-        stacked = augment_pixels(images, spec, seeds)
-        single = augment_pixels(images[0], spec, seeds[0])
-        assert stacked.shape == (1, 16, 16) and single.shape == (16, 16)
-        np.testing.assert_array_equal(stacked[0], single)
-        np.testing.assert_array_equal(single, oracle(images[0], spec, seeds[0]))
 
     def test_output_does_not_depend_on_chunk_mates(self):
         images, seeds = stack_and_seeds(30, 16, seed=13)

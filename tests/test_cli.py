@@ -226,6 +226,17 @@ class TestGenData:
         assert "generated 60 train / 20 test samples" in first
         assert "amplitude histogram" in first
 
+    @pytest.mark.parametrize(
+        "first, second", [("seed=1", "seed.x=1"), ("hardness=0.5", "hardness.gamma=0.9")]
+    )
+    def test_override_under_a_non_object_names_the_key(self, first, second, capsys):
+        code = cli.main(["gen-data", "--override", first, "--override", second])
+        err = capsys.readouterr().err
+        assert code == 2
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and second.split("=")[0] in errors[0], err
+        assert "Traceback" not in err
+
     def test_has_no_out_option(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["gen-data", "--out", str(tmp_path / "d")])

