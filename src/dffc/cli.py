@@ -271,10 +271,33 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
+#: A run whose final test AUC is at most this has not learned to tell the
+#: classes apart; a default run ends at 1.0.
+COLLAPSE_AUC = 0.6
+
+
+def collapse_warning(epochs: list[dict]) -> str | None:
+    """The ``warning:`` line for a run that did not learn, or None: its final
+    ``test_auc`` is at most :data:`COLLAPSE_AUC`, or its final
+    ``train_loss_mean`` is above epoch 1's. ``epochs`` are the run's
+    records, or the rows of its ``metrics.csv`` as text."""
+    first, final = epochs[0], epochs[-1]
+    require_keys(first, ("train_loss_mean",))
+    require_keys(final, ("test_auc", "train_loss_mean"))
+    auc, loss = float(final["test_auc"]), float(final["train_loss_mean"])
+    first_loss = float(first["train_loss_mean"])
+    reasons = []
+    if auc <= COLLAPSE_AUC:
+        reasons.append(f"final test_auc {auc:.4f} is at most {COLLAPSE_AUC}")
+    if loss > first_loss:
+        reasons.append(f"final train_loss_mean {loss:.4f} is above epoch 1's {first_loss:.4f}")
+    return f"warning: the run did not learn: {'; '.join(reasons)}" if reasons else None
+
+
 def write_run_artifacts(out: Path, resolved: dict, result: runner.MetricsLog) -> None:
     (out / "resolved_config.json").write_text(json.dumps(resolved, indent=1))
-    (out / "metrics.csv").write_text(runner.csv_text(runner.METRICS_COLUMNS, result.rows))
-    (out / "pool_log.csv").write_text(runner.csv_text(runner.POOL_LOG_COLUMNS, result.pool_rows))
+    (out / "metrics.csv").write_text(runner.csv_text(runner.METRICS_COLUMNS, result.epochs))
+    (out / "pool_log.csv").write_text(runner.csv_text(runner.POOL_LOG_COLUMNS, result.epochs))
     (out / "dfh_trace.json").write_text(runner.dfh_trace_json(result))
     (out / "extremes.json").write_text(json.dumps(result.extremes, indent=1))
     (out / "hardness_state.json").write_text(result.train_hardness.to_json())
@@ -294,10 +317,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     _prepare_out_dir(out, args.force, "resolved_config.json")
     result = runner.run_training(config)
     write_run_artifacts(out, resolved, result)
-    final = result.rows[-1]
+    final = result.epochs[-1]
     print(f"run complete: mode={config.mode} seed={config.seed} "
           f"acc={final['test_acc']:.4f} auc={final['test_auc']:.4f}")
     print(f"artifacts in {out}")
+    warning = collapse_warning(result.epochs)
+    if warning:
+        print(warning, file=sys.stderr)
     return 0
 
 
@@ -402,9 +428,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"{extremes_path}: {exc}")
     header = metrics[0].split(",")
-    final = dict(zip(header, metrics[-1].split(",")))
+    epochs = [dict(zip(header, line.split(","))) for line in metrics[1:]]
+    try:
+        warning = collapse_warning(epochs)
+    except ValueError as exc:
+        raise ConfigError(f"{metrics_path}: {exc}")
     print("final epoch metrics:")
-    for key, value in final.items():
+    for key, value in epochs[-1].items():
         print(f"  {key}: {value}")
     for group in ("top", "bottom"):
         stats = extremes[group]
@@ -412,6 +442,8 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"{group}-DFH fakes: mean TAR={stats['mean_tar']:.4f} "
             f"mean SSIM={stats['mean_ssim']:.4f} (n={len(stats['ids'])})"
         )
+    if warning:
+        print(warning, file=sys.stderr)
     return 0
 
 

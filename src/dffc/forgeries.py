@@ -210,8 +210,13 @@ def quality_priors(images: np.ndarray, normalizer: float | None = None) -> tuple
     variances = laplacian_variance(images)
     if normalizer is None:
         normalizer = float(variances.max())
-    if normalizer <= 0.0:
-        raise ValueError("normalizer must be positive")
+        if normalizer == 0.0:
+            raise ValueError(
+                f"all {len(images)} images are flat (zero Laplacian variance), "
+                "so their max sharpness gives no positive normalizer"
+            )
+    if not normalizer > 0.0:
+        raise ValueError(f"normalizer must be positive, got {normalizer}")
     priors = np.clip(1.0 - variances / normalizer, 0.0, 1.0)
     return priors, normalizer
 

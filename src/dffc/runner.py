@@ -13,11 +13,11 @@ A run is single-threaded and bit-reproducible from its config. Each epoch
 trains on one :class:`pacing.EpochPool` (sample ids and augmentation
 seeds as arrays), gathered into one pixel matrix, and updates DIH with
 one whole-array step for the trained hard pool and one for the test set.
-The trained pools and recorded losses of every epoch are kept on the
-returned log so tests can assert the wiring directly; without
-``augment_all`` an epoch's pool ids are its pool's ``hard_ids`` and
-``easy_ids``. Each CSV artifact has one column tuple, from which
-:func:`csv_text` writes its header and rows.
+The returned :class:`MetricsLog` keeps one record per epoch, and every
+artifact and printout of a run is read from these records: each CSV
+artifact has one column tuple, from which :func:`csv_text` writes its
+header and a row per record, and a DFH trace is one id's DFH in the
+records from ``TRACE_START_EPOCH`` on.
 """
 
 from __future__ import annotations
@@ -143,16 +143,21 @@ class RunConfig:
 
 @dataclass
 class MetricsLog:
-    rows: list[dict]
-    pool_rows: list[dict]
-    dfh_traces: dict[int, dict]
+    """A finished run.
+
+    ``epochs`` holds one dict per epoch: every column of ``METRICS_COLUMNS``
+    and ``POOL_LOG_COLUMNS``, ``pool`` (the trained :class:`pacing.EpochPool`;
+    under ``augment_all`` its originals carry seeds too), ``losses`` (that
+    pool's losses in training order) and ``dfh`` (every sample's DFH after
+    the epoch's update). ``trace_groups`` holds the ids traced from
+    ``TRACE_START_EPOCH``, or nothing for a shorter run.
+    """
+
+    epochs: list[dict]
     trace_groups: dict[str, list[int]]
     extremes: dict
     final_params: ModelParams
     train_hardness: hardness.HardnessState
-    # Diagnostics for tests; not serialized.
-    entry_streams: list[pacing.EpochPool] = field(default_factory=list)
-    loss_streams: list[np.ndarray] = field(default_factory=list)
 
 
 def tercile_assignments(priors: np.ndarray) -> np.ndarray:
@@ -281,16 +286,7 @@ def run_training(
     X_test = (test.images.reshape(len(test), d) - pixel_mean) / pixel_std
     y_test = test.targets
 
-    out = MetricsLog(
-        rows=[],
-        pool_rows=[],
-        dfh_traces={},
-        trace_groups={},
-        extremes={},
-        final_params=params,
-        train_hardness=state,
-    )
-
+    epochs: list[dict] = []
     for t in range(1, config.total_epochs + 1):
         eta = cosine_lr(lr, t)
         selection_scores = hardness.dfh_all(state)
@@ -342,55 +338,41 @@ def run_training(
         test_s_t = hardness.instantaneous_hardness(test_losses, eta, config.eta_max)
         hardness.update_dih(test_state, np.arange(len(test)), test_s_t)
 
+        acc_easy, acc_mid, acc_hard = metrics["acc_by_tercile"]
         dfh_now = hardness.dfh_all(state)
-        out.rows.append(
+        # Ids repeat in a pool's entries, which leaves their min and max as they are.
+        pool_scores = selection_scores[pool.entries]
+        epochs.append(
             {
-                "epoch": t,
-                "eta": eta,
-                "pool_size": len(hard_ids),
+                "epoch": t, "eta": eta, "pool_size": len(hard_ids),
                 "train_loss_mean": float(epoch_losses.mean()),
-                "test_acc": metrics["accuracy"],
-                "test_auc": metrics["auc"],
-                "acc_easy": metrics["acc_by_tercile"][0],
-                "acc_mid": metrics["acc_by_tercile"][1],
-                "acc_hard": metrics["acc_by_tercile"][2],
+                "test_acc": metrics["accuracy"], "test_auc": metrics["auc"],
+                "acc_easy": acc_easy, "acc_mid": acc_mid, "acc_hard": acc_hard,
                 "mean_dfh": float(dfh_now.mean()),
+                "hard_size": len(hard_ids), "easy_size": len(easy_ids), "overlap": pool.overlap,
+                "dfh_min": float(pool_scores.min()), "dfh_max": float(pool_scores.max()),
+                "pool": trained, "losses": epoch_losses, "dfh": dfh_now,
             }
         )
-        selected = np.union1d(hard_ids, easy_ids)
-        out.pool_rows.append(
-            {
-                "epoch": t,
-                "hard_size": len(hard_ids),
-                "easy_size": len(easy_ids),
-                "overlap": pool.overlap,
-                "dfh_min": float(selection_scores[selected].min()),
-                "dfh_max": float(selection_scores[selected].max()),
-            }
-        )
-
-        if t == TRACE_START_EPOCH:
-            out.trace_groups = _select_traces(dfh_now, config.seed)
-            for ids in out.trace_groups.values():
-                for sid in ids:
-                    out.dfh_traces[sid] = {"start_epoch": t, "values": []}
-        if t >= TRACE_START_EPOCH:
-            for sid, trace in out.dfh_traces.items():
-                trace["values"].append(float(dfh_now[sid]))
-
-        out.entry_streams.append(trained)
-        out.loss_streams.append(epoch_losses)
         log.info(
-            "epoch %d: eta=%.5f pool=%d loss=%.4f acc=%.4f auc=%.4f",
-            t, eta, len(hard_ids), out.rows[-1]["train_loss_mean"],
-            metrics["accuracy"], metrics["auc"],
+            "epoch %(epoch)d: eta=%(eta).5f pool=%(pool_size)d loss=%(train_loss_mean).4f "
+            "acc=%(test_acc).4f auc=%(test_auc).4f",
+            epochs[-1],
         )
 
-    out.final_params = params
-    out.extremes = forgeries.dfh_extremes_report(
-        test, hardness.dfh_all(test_state), EXTREMES_FRACTION
+    return MetricsLog(
+        epochs=epochs,
+        trace_groups=(
+            _select_traces(epochs[TRACE_START_EPOCH - 1]["dfh"], config.seed)
+            if len(epochs) >= TRACE_START_EPOCH
+            else {}
+        ),
+        extremes=forgeries.dfh_extremes_report(
+            test, hardness.dfh_all(test_state), EXTREMES_FRACTION
+        ),
+        final_params=params,
+        train_hardness=state,
     )
-    return out
 
 
 def compare_modes(configs: list[RunConfig]) -> list[dict]:
@@ -412,8 +394,7 @@ def compare_modes(configs: list[RunConfig]) -> list[dict]:
     dataset = forgeries.generate_dataset(first)
     rows = []
     for config in configs:
-        result = run_training(config, dataset)
-        final = result.rows[-1]
+        final = run_training(config, dataset).epochs[-1]
         rows.append(
             {
                 "mode": config.mode,
@@ -454,7 +435,16 @@ def csv_text(columns: tuple[str, ...], rows: list[dict]) -> str:
 
 
 def dfh_trace_json(logres: MetricsLog) -> str:
+    """Each traced id's DFH in every record from ``TRACE_START_EPOCH`` on."""
+    traced = sorted({sid for ids in logres.trace_groups.values() for sid in ids})
+    later = logres.epochs[TRACE_START_EPOCH - 1 :]
     return json.dumps(
-        {str(sid): trace for sid, trace in sorted(logres.dfh_traces.items())},
+        {
+            str(sid): {
+                "start_epoch": TRACE_START_EPOCH,
+                "values": [float(record["dfh"][sid]) for record in later],
+            }
+            for sid in traced
+        },
         indent=1,
     )

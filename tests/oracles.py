@@ -4,14 +4,14 @@ The single-image augmentations (:func:`gaussian_blur`,
 :func:`brightness_adjust`, :func:`affine`) are the bit-exact oracles of
 ``dffc.augment``'s stack operations, :func:`load_checkpoint` decodes the
 ``checkpoint.json`` and ``checkpoint.bin`` that ``model.save_checkpoint``
-writes, and :func:`assert_pool_streams_equal` compares epoch pools.
+writes, :func:`assert_pools_equal` compares two epoch pools and
+:func:`assert_pool_streams_equal` two runs' epoch records.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ import numpy as np
 from dffc.augment import _reflect_index
 from dffc.model import ModelParams
 from dffc.pacing import EpochPool
+from dffc.runner import MetricsLog
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -109,9 +110,15 @@ def load_checkpoint(header_path: Path, blob_path: Path) -> tuple[ModelParams, di
     return params, header
 
 
-def assert_pool_streams_equal(a: Sequence[EpochPool], b: Sequence[EpochPool]) -> None:
-    """Two pool streams hold the same pools, entry for entry and seed for seed."""
-    assert len(a) == len(b)
-    for t, (pa, pb) in enumerate(zip(a, b), start=1):
-        np.testing.assert_array_equal(pa.entries, pb.entries, err_msg=f"entries of pool {t}")
-        np.testing.assert_array_equal(pa.seeds, pb.seeds, err_msg=f"seeds of pool {t}")
+def assert_pools_equal(a: EpochPool, b: EpochPool, t: int = 1) -> None:
+    """Epoch ``t``'s two pools are equal, entry for entry and seed for seed."""
+    np.testing.assert_array_equal(a.entries, b.entries, err_msg=f"entries of pool {t}")
+    np.testing.assert_array_equal(a.seeds, b.seeds, err_msg=f"seeds of pool {t}")
+
+
+def assert_pool_streams_equal(a: MetricsLog, b: MetricsLog) -> None:
+    """Two runs trained on the same pools, with the same losses, every epoch."""
+    assert len(a.epochs) == len(b.epochs)
+    for t, (ra, rb) in enumerate(zip(a.epochs, b.epochs), start=1):
+        assert_pools_equal(ra["pool"], rb["pool"], t)
+        np.testing.assert_array_equal(ra["losses"], rb["losses"], err_msg=f"losses of epoch {t}")

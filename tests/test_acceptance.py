@@ -178,17 +178,15 @@ def test_criterion_05_reduction_properties():
     # whole run and the batch stream must equal vanilla's exactly.
     a1 = runner.run_training(runner.RunConfig(milestones=(20,), **common))
     a2 = runner.run_training(runner.RunConfig(mode="vanilla", **common))
-    assert_pool_streams_equal(a1.entry_streams, a2.entry_streams)
-    for la, lb in zip(a1.loss_streams, a2.loss_streams):
-        np.testing.assert_array_equal(la, lb)
+    assert_pool_streams_equal(a1, a2)
 
     # (b) Quality prior disabled: pool selection must match dih mode.
     b1 = runner.run_training(runner.RunConfig(mode="dffc", alpha_f=0.0, **common))
     b2 = runner.run_training(runner.RunConfig(mode="dih", alpha_f=0.0, **common))
-    for p1, p2 in zip(b1.entry_streams, b2.entry_streams, strict=True):
-        np.testing.assert_array_equal(p1.hard_ids, p2.hard_ids)
-        np.testing.assert_array_equal(p1.easy_ids, p2.easy_ids)
-    assert_pool_streams_equal(b1.entry_streams, b2.entry_streams)
+    for r1, r2 in zip(b1.epochs, b2.epochs, strict=True):
+        np.testing.assert_array_equal(r1["pool"].hard_ids, r2["pool"].hard_ids)
+        np.testing.assert_array_equal(r1["pool"].easy_ids, r2["pool"].easy_ids)
+    assert_pool_streams_equal(b1, b2)
 
 
 def test_criterion_06_metric_correctness():
@@ -214,10 +212,10 @@ def test_criterion_06_metric_correctness():
 def test_criterion_07_directional_experiment(five_seed_runs):
     """dffc vs vanilla: hard-tercile acc and AUC within tolerance, < 3 min."""
     runs = five_seed_runs["runs"]
-    dffc_hard = np.mean([runs[s]["dffc"].rows[-1]["acc_hard"] for s in runs])
-    van_hard = np.mean([runs[s]["vanilla"].rows[-1]["acc_hard"] for s in runs])
-    dffc_auc = np.mean([runs[s]["dffc"].rows[-1]["test_auc"] for s in runs])
-    van_auc = np.mean([runs[s]["vanilla"].rows[-1]["test_auc"] for s in runs])
+    dffc_hard = np.mean([runs[s]["dffc"].epochs[-1]["acc_hard"] for s in runs])
+    van_hard = np.mean([runs[s]["vanilla"].epochs[-1]["acc_hard"] for s in runs])
+    dffc_auc = np.mean([runs[s]["dffc"].epochs[-1]["test_auc"] for s in runs])
+    van_auc = np.mean([runs[s]["vanilla"].epochs[-1]["test_auc"] for s in runs])
     elapsed = five_seed_runs["elapsed_seconds"]
     print(
         f"\nhard-tercile acc: dffc={dffc_hard:.4f} vanilla={van_hard:.4f} "
@@ -238,13 +236,13 @@ def test_criterion_08_dfh_decay(five_seed_runs):
     decay_pass, trace_pass, details = [], [], []
     for seed, pair in runs.items():
         res = pair["dffc"]
-        by_epoch = {row["epoch"]: row["mean_dfh"] for row in res.rows}
+        by_epoch = {record["epoch"]: record["mean_dfh"] for record in res.epochs}
         decay_ok = by_epoch[20] < by_epoch[3]
 
         def group_means(group):
             ids = res.trace_groups[group]
-            values = np.array([res.dfh_traces[i]["values"] for i in ids])
-            return values.mean(axis=0)
+            traced = res.epochs[runner.TRACE_START_EPOCH - 1 :]
+            return np.array([record["dfh"][ids] for record in traced]).mean(axis=1)
 
         top, bottom = group_means("top"), group_means("bottom")
         trace_ok = bool(np.all(bottom < top))

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_golden import SMALL
 
 from dffc import cli, runner
 from dffc.errors import ConfigError
@@ -302,6 +303,59 @@ class TestTrain:
         assert [row.split(",")[column] for row in rows] == ["nan"] * 6
 
 
+class TestCollapseWarning:
+    """``SMALL`` of ``test_golden.py`` learns (dffc AUC 0.877); with
+    ``lr.eta_max=1e6`` it collapses (AUC 0.44, loss 7.03 -> 8.78)."""
+
+    @pytest.mark.parametrize("extra, warns", [([], False), (["lr.eta_max=1e6"], True)],
+                             ids=["learns", "collapsed"])
+    def test_train_and_report_warn_only_on_a_collapsed_run(self, extra, warns, tmp_path, capsys):
+        flags = [arg for override in SMALL + extra for arg in ("--override", override)]
+        assert cli.main(["train", *flags, "--out", str(tmp_path)]) == 0
+        train_err = capsys.readouterr().err
+        assert cli.main(["report", "--run-dir", str(tmp_path)]) == 0
+        report_err = capsys.readouterr().err
+        for err in (train_err, report_err):
+            warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+            assert len(warnings) == warns, err
+        assert train_err == report_err
+
+    @pytest.mark.parametrize(
+        "auc, final_loss, named",
+        [
+            (0.6, 0.1, ["test_auc 0.6000"]),
+            (0.61, 0.5, ["train_loss_mean 0.5000 is above epoch 1's 0.4000"]),
+            (0.5, 0.5, ["test_auc 0.5000", "train_loss_mean 0.5000"]),
+            (0.61, 0.4, []),
+        ],
+        ids=["auc-at-the-bound", "loss-rose", "both", "neither"],
+    )
+    def test_each_rule_on_hand_records(self, auc, final_loss, named):
+        epochs = [
+            {"test_auc": 0.9, "train_loss_mean": 0.4},
+            {"test_auc": auc, "train_loss_mean": final_loss},
+        ]
+        warning = cli.collapse_warning(epochs)
+        if not named:
+            assert warning is None
+        else:
+            assert warning.startswith("warning:") and "\n" not in warning
+            assert all(part in warning for part in named), warning
+
+
+class TestShortRun:
+    def test_run_shorter_than_the_trace_start_has_no_traces(self, tmp_path):
+        assert runner.TRACE_START_EPOCH > 2
+        short = ["--override", "total_epochs=2", "--override", "pacing.milestones=[2]"]
+        out = tmp_path / "r"
+        assert cli.main(["train", *SMALL_OVERRIDES, *short, "--out", str(out)]) == 0
+        assert (out / "dfh_trace.json").read_text() == "{}"
+        resolved = cli.resolve_config(str(out / "resolved_config.json"), [])
+        assert runner.run_training(cli.build_run_config(resolved)).trace_groups == {}
+        assert cli.main(["report", "--run-dir", str(out)]) == 0
+        assert cli.main(["inspect-dfh", "--run-dir", str(out)]) == 0
+
+
 def _edit(dotted, change):
     """An edit of a JSON document that replaces the value at ``dotted`` by
     ``change(value)``."""
@@ -405,6 +459,10 @@ class TestInspectAndReport:
             ("inspect-dfh", "hardness_state.json", lambda _: "[1, 2]", "JSON object"),
             ("report", "extremes.json", lambda text: _drop_key(text, "top"), "'top'"),
             ("report", "metrics.csv", lambda _: "", "epoch rows"),
+            (
+                "report", "metrics.csv",
+                lambda text: text.replace("test_auc", "auc", 1), "'test_auc'",
+            ),
             ("inspect-dfh", "hardness_state.json", _edit("gamma", lambda _: None), "'gamma'"),
             ("inspect-dfh", "hardness_state.json", _edit("alpha_f", lambda _: "0.5"), "'alpha_f'"),
             (
@@ -424,6 +482,7 @@ class TestInspectAndReport:
         ],
         ids=[
             "state-without-prior", "state-not-an-object", "extremes-without-top", "empty-metrics",
+            "metrics-without-test_auc",
             "state-null-gamma", "state-string-alpha_f", "state-null-update_count", "state-2d-prior",
             "extremes-string-mean_tar", "extremes-null-mean_ssim", "extremes-ids-not-a-list",
         ],

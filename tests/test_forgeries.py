@@ -274,6 +274,15 @@ class TestQualityPrior:
         with pytest.raises(ValueError):
             quality_priors(np.zeros((1, 4, 4)), normalizer=-1.0)
 
+    @pytest.mark.parametrize("normalizer", [0.0, -1.0, np.nan])
+    def test_explicit_normalizer_named_with_its_value(self, normalizer):
+        with pytest.raises(ValueError, match=f"normalizer must be positive, got {normalizer}"):
+            quality_priors(np.ones((2, 4, 4)), normalizer=normalizer)
+
+    def test_flat_images_named_with_their_count(self):
+        with pytest.raises(ValueError, match="all 3 images are flat"):
+            quality_priors(np.full((3, 4, 4), 0.7))
+
 
 class TestExtremesReport:
     def test_constructed_ranking(self, small_dataset):

@@ -3,7 +3,7 @@ oracle, and pool assembly."""
 
 import numpy as np
 import pytest
-from oracles import assert_pool_streams_equal
+from oracles import assert_pools_equal
 
 from dffc.errors import ConfigError
 from dffc.pacing import (
@@ -155,15 +155,15 @@ class TestPools:
         a = full_pool(50, t=3, rng_seed=9)
         b = full_pool(50, t=3, rng_seed=9)
         c = full_pool(50, t=4, rng_seed=9)
-        assert_pool_streams_equal([a], [b])
+        assert_pools_equal(a, b)
         assert not np.array_equal(a.entries, c.entries)
         with pytest.raises(AssertionError, match="seeds of pool 1"):
-            assert_pool_streams_equal([a], [EpochPool(entries=a.entries, seeds=a.seeds + 1)])
+            assert_pools_equal(a, EpochPool(entries=a.entries, seeds=a.seeds + 1))
 
     def test_warmup_equals_full_pool(self):
         schedule = default_schedule(n=30, easy=5)
         scores = np.random.default_rng(1).uniform(0, 1, 30)
-        assert_pool_streams_equal([build_epoch_pool(schedule, scores, 2, 7)], [full_pool(30, 2, 7)])
+        assert_pools_equal(build_epoch_pool(schedule, scores, 2, 7), full_pool(30, 2, 7))
 
     def test_post_warmup_composition(self):
         schedule = default_schedule(n=30, easy=5)

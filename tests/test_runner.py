@@ -11,14 +11,15 @@ Oracle notes:
       the forward pass at the initial parameters, reconstructed outside
       the runner from the same standardization.
   [DERIVED] reductions -- a hard-pool milestone at the final epoch makes
-      curriculum selection inert, so entry and loss streams must equal
-      vanilla's; alpha_f=0 makes dffc's pools equal dih's.
+      curriculum selection inert, so every epoch record's pool and losses
+      must equal vanilla's; alpha_f=0 makes dffc's pools equal dih's.
   [TRIVIAL] config validation, determinism, CSV shape.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -32,11 +33,15 @@ from dffc.model import bce_loss, forward_batch, init_params
 
 
 def metrics_text(result: runner.MetricsLog) -> str:
-    return runner.csv_text(runner.METRICS_COLUMNS, result.rows)
+    return runner.csv_text(runner.METRICS_COLUMNS, result.epochs)
 
 
 def pool_log_text(result: runner.MetricsLog) -> str:
-    return runner.csv_text(runner.POOL_LOG_COLUMNS, result.pool_rows)
+    return runner.csv_text(runner.POOL_LOG_COLUMNS, result.epochs)
+
+
+def pools(result: runner.MetricsLog) -> list[pacing.EpochPool]:
+    return [record["pool"] for record in result.epochs]
 
 
 def comparison_text(rows: list[dict]) -> str:
@@ -163,20 +168,20 @@ class TestRunWiring:
         std = (raw.std(axis=0) + 1e-8) / runner.INPUT_GAIN
         params = init_params(raw.shape[1], config.hidden_units, config.seed)
 
-        pool = result.entry_streams[0]
+        pool = result.epochs[0]["pool"]
         assert (pool.seeds[: config.batch_size] == -1).all()
         first = pool.entries[: config.batch_size]
         X = (raw[first] - mean) / std
         y = (first % 2).astype(np.float64)  # fakes are the odd rows
         expected = bce_loss(forward_batch(params, X), y)
-        np.testing.assert_array_equal(result.loss_streams[0][: len(first)], expected)
+        np.testing.assert_array_equal(result.epochs[0]["losses"][: len(first)], expected)
 
     def test_dih_updates_only_inside_hard_pool(self, small_result):
         config, result = small_result
         # Replay which sample ids were eligible for a DIH update and check
         # the recorded update counts match exactly.
         expected_counts = np.zeros(config.dataset.n_train, dtype=int)
-        for pool in result.entry_streams:
+        for pool in pools(result):
             expected_counts[pool.entries[pool.seeds == -1]] += 1
         np.testing.assert_array_equal(result.train_hardness.update_count, expected_counts)
         # Samples never selected after the warm-up keep fewer updates.
@@ -186,7 +191,7 @@ class TestRunWiring:
     def test_pool_size_trajectory(self, small_result):
         config, result = small_result
         schedule = config.pacing_schedule(config.dataset.n_train)
-        sizes = [row["pool_size"] for row in result.rows]
+        sizes = [record["pool_size"] for record in result.epochs]
         expected = [
             pacing.pool_size_at_epoch(schedule, t)
             for t in range(1, config.total_epochs + 1)
@@ -196,7 +201,7 @@ class TestRunWiring:
     def test_easy_pool_appears_after_warmup(self, small_result):
         config, result = small_result
         warmup = config.milestones[0]
-        for t, pool in enumerate(result.entry_streams, start=1):
+        for t, pool in enumerate(pools(result), start=1):
             if t <= warmup:
                 assert len(pool.easy_ids) == 0
             else:
@@ -204,17 +209,19 @@ class TestRunWiring:
 
     def test_metrics_rows_shape(self, small_result):
         config, result = small_result
-        assert len(result.rows) == config.total_epochs
-        for row in result.rows:
-            assert 0.0 <= row["test_acc"] <= 1.0
-            assert 0.0 <= row["test_auc"] <= 1.0
-            assert row["eta"] <= config.eta_max
+        assert len(result.epochs) == config.total_epochs
+        for record in result.epochs:
+            assert 0.0 <= record["test_acc"] <= 1.0
+            assert 0.0 <= record["test_auc"] <= 1.0
+            assert record["eta"] <= config.eta_max
 
     def test_traces_recorded_from_start_epoch(self, small_result):
         config, result = small_result
         n_values = config.total_epochs - runner.TRACE_START_EPOCH + 1
-        assert result.dfh_traces
-        for trace in result.dfh_traces.values():
+        traces = json.loads(runner.dfh_trace_json(result))
+        traced = {sid for ids in result.trace_groups.values() for sid in ids}
+        assert traces and sorted(map(int, traces)) == sorted(traced)
+        for trace in traces.values():
             assert trace["start_epoch"] == runner.TRACE_START_EPOCH
             assert len(trace["values"]) == n_values
         for group in ("top", "median", "bottom"):
@@ -245,7 +252,7 @@ class TestVanillaAndBabystep:
             seed=2,
         )
         result = runner.run_training(config)
-        for pool in result.entry_streams:
+        for pool in pools(result):
             assert pool.hard_ids.tolist() == list(range(40))
             assert len(pool.easy_ids) == 0
 
@@ -262,7 +269,7 @@ class TestVanillaAndBabystep:
             babystep_step_length=2,
         )
         result = runner.run_training(config)
-        hard_id_sets = [set(pool.hard_ids.tolist()) for pool in result.entry_streams]
+        hard_id_sets = [set(pool.hard_ids.tolist()) for pool in pools(result)]
         sizes = [len(h) for h in hard_id_sets]
         assert sizes == [10, 10, 20, 20, 40, 40]
         # Stages are easiest-first and nested.
@@ -281,7 +288,7 @@ class TestVanillaAndBabystep:
             augment_all=True,
         )
         result = runner.run_training(config)
-        for pool in result.entry_streams:
+        for pool in pools(result):
             assert (pool.seeds >= 0).all()
 
 
@@ -297,9 +304,7 @@ class TestReductions:
         vanilla_cfg = runner.RunConfig(mode="vanilla", **common)
         a = runner.run_training(dffc_cfg)
         b = runner.run_training(vanilla_cfg)
-        assert_pool_streams_equal(a.entry_streams, b.entry_streams)
-        for la, lb in zip(a.loss_streams, b.loss_streams):
-            np.testing.assert_array_equal(la, lb)
+        assert_pool_streams_equal(a, b)
         assert metrics_text(a) == metrics_text(b)
 
     def test_zero_alpha_f_equals_dih(self):
@@ -317,10 +322,10 @@ class TestReductions:
         dih_cfg = runner.RunConfig(mode="dih", alpha_f=0.0, **common)
         a = runner.run_training(dffc_cfg)
         b = runner.run_training(dih_cfg)
-        for pa, pb in zip(a.entry_streams, b.entry_streams, strict=True):
+        for pa, pb in zip(pools(a), pools(b), strict=True):
             np.testing.assert_array_equal(pa.hard_ids, pb.hard_ids)
             np.testing.assert_array_equal(pa.easy_ids, pb.easy_ids)
-        assert_pool_streams_equal(a.entry_streams, b.entry_streams)
+        assert_pool_streams_equal(a, b)
         assert metrics_text(a) == metrics_text(b)
 
 
@@ -368,7 +373,7 @@ class TestCompare:
         ]
         expected = []
         for config in configs:
-            final = runner.run_training(config).rows[-1]
+            final = runner.run_training(config).epochs[-1]
             expected.append(
                 {
                     "mode": config.mode, "augment_all": config.augment_all,
@@ -412,8 +417,7 @@ class TestEpochAssembly:
         monkeypatch.setattr(runner, "AUGMENT_CHUNK", 3)
         chunked = runner.run_training(small_run_config)
         assert metrics_text(chunked) == metrics_text(reference)
-        for a, b in zip(chunked.loss_streams, reference.loss_streams):
-            np.testing.assert_array_equal(a, b)
+        assert_pool_streams_equal(chunked, reference)
 
     def test_non_finite_epoch_loss_rejected(self, small_run_config, monkeypatch):
         real_bce = runner.bce_loss
