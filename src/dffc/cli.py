@@ -12,8 +12,10 @@ field a list of the right length. ``--override key=value`` uses dotted
 paths and takes precedence over the file. Mode ``dih`` sets
 ``hardness.alpha_f`` to 0 unless a non-zero value is given, which
 ``RunConfig`` rejects. A bad value raises ``ConfigError`` naming its
-dotted key before an out dir exists, and a config file or run artifact
-that cannot be read as UTF-8 text raises one naming the file.
+dotted key before the run starts, and a config file or run artifact
+that cannot be read as UTF-8 text raises one naming the file. The out
+dir is made only when the artifacts are written, so a run that fails
+leaves none behind.
 ``resolved_config.json`` written into each run directory reproduces the
 run bit-identically.
 
@@ -234,12 +236,11 @@ def build_run_config(resolved: dict) -> runner.RunConfig:
     return _build(runner.RunConfig, resolved)
 
 
-def _prepare_out_dir(out_dir: Path, force: bool, marker: str) -> None:
+def _check_out_dir(out_dir: Path, force: bool, marker: str) -> None:
     if (out_dir / marker).exists() and not force:
         raise ConfigError(
             f"{out_dir} already holds run artifacts; pass --force to overwrite"
         )
-    out_dir.mkdir(parents=True, exist_ok=True)
 
 
 def write_pgm(image: np.ndarray, path: Path) -> None:
@@ -295,6 +296,7 @@ def collapse_warning(epochs: list[dict]) -> str | None:
 
 
 def write_run_artifacts(out: Path, resolved: dict, result: runner.MetricsLog) -> None:
+    out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.json").write_text(json.dumps(resolved, indent=1))
     (out / "metrics.csv").write_text(runner.csv_text(runner.METRICS_COLUMNS, result.epochs))
     (out / "pool_log.csv").write_text(runner.csv_text(runner.POOL_LOG_COLUMNS, result.epochs))
@@ -314,7 +316,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     resolved = resolve_config(args.config, args.override)
     config = build_run_config(resolved)
     out = Path(args.out)
-    _prepare_out_dir(out, args.force, "resolved_config.json")
+    _check_out_dir(out, args.force, "resolved_config.json")
     result = runner.run_training(config)
     write_run_artifacts(out, resolved, result)
     final = result.epochs[-1]
@@ -339,8 +341,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 _apply_dih_rule(variant)
                 configs.append(build_run_config(variant))
     out = Path(args.out)
-    _prepare_out_dir(out, args.force, "comparison.csv")
+    _check_out_dir(out, args.force, "comparison.csv")
     rows = runner.compare_modes(configs)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "comparison.csv").write_text(runner.csv_text(runner.COMPARISON_COLUMNS, rows))
     for entry in runner.summarize_comparison(rows):
         print(

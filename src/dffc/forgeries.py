@@ -53,6 +53,12 @@ class DatasetConfig:
         for name in ("amplitude_range", "blur_range", "brightness_range"):
             bounds = check_range(name, getattr(self, name), non_negative=name != "brightness_range")
             object.__setattr__(self, name, bounds)
+        lo, hi = self.brightness_range
+        if not (-1.0 < lo and hi < 1.0):
+            raise ConfigError(
+                f"brightness_range: need -1 < lo and hi < 1, or every pixel of a "
+                f"shifted image clips to one value; got ({lo}, {hi})"
+            )
         if self.n_train <= 0 or self.n_train % 2:
             raise ConfigError(f"n_train must be positive and even, got {self.n_train}")
         if self.n_test <= 0 or self.n_test % 2:

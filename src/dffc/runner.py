@@ -11,7 +11,8 @@ Modes:
 
 A run is single-threaded and bit-reproducible from its config. Each epoch
 trains on one :class:`pacing.EpochPool` (sample ids and augmentation
-seeds as arrays), gathered into one pixel matrix, and updates DIH with
+seeds as arrays), gathered into one pixel matrix whose augmented rows
+come from one call of ``augment_pixels`` per epoch, and updates DIH with
 one whole-array step for the trained hard pool and one for the test set.
 The returned :class:`MetricsLog` keeps one record per epoch, and every
 artifact and printout of a run is read from these records: each CSV
@@ -60,11 +61,6 @@ TRACE_START_EPOCH = 3
 #: that class margins keep growing once the cosine schedule has decayed.
 INPUT_GAIN = 5.0
 TRACE_GROUP_SIZE = 5
-#: Easy-pool copies augmented per call of ``augment_pixels``. Chunks of 64
-#: to 256 16 px images run equally fast; the chunk's temporaries grow with
-#: it (about 3.4 MB at 128, 6.9 MB at 256), and at 256 they raise the peak
-#: RSS of a default dffc run by about 3%.
-AUGMENT_CHUNK = 128
 EXTREMES_FRACTION = 0.1
 
 
@@ -304,15 +300,16 @@ def run_training(
             trained = pacing.EpochPool(entries=pool.entries, seeds=seeds)
 
         # Assemble the epoch's pixel matrix, then overwrite the augmented
-        # rows chunk by chunk with standardized augmented copies.
+        # rows with their standardized augmented copies, made in one call.
         ids = trained.entries
         X_epoch = X_train[ids]
         y_epoch = y_train[ids]
         augmented = np.flatnonzero(trained.seeds >= 0)
-        for start in range(0, len(augmented), AUGMENT_CHUNK):
-            rows = augmented[start : start + AUGMENT_CHUNK]
-            pixels = augment_pixels(train.images[ids[rows]], config.augment, trained.seeds[rows])
-            X_epoch[rows] = (pixels.reshape(len(rows), d) - pixel_mean) / pixel_std
+        if len(augmented):
+            pixels = augment_pixels(
+                train.images[ids[augmented]], config.augment, trained.seeds[augmented]
+            )
+            X_epoch[augmented] = (pixels.reshape(len(augmented), d) - pixel_mean) / pixel_std
 
         # Mini-batch SGD; losses are recorded before each batch's update.
         epoch_losses = np.empty(len(ids))

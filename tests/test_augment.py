@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from oracles import affine, brightness_adjust, gaussian_blur, gaussian_kernel_1d
 
+from dffc import augment
 from dffc.augment import (
     AugmentationSpec,
     _reflect_index,
@@ -118,6 +119,19 @@ class TestBlur:
         out = blur_stack(images, sigmas)
         assert out.tobytes() == expected.tobytes()
         assert blur_stack(images, np.zeros(12)).tobytes() == images.tobytes()
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_every_radius_in_one_stack(self, order):
+        # Radius ceil(3 * sigma): two sigmas for each radius 1 to 5, and zeros.
+        sigmas = np.array([0.0, 0.0, 0.0] + [r / 3.0 - d for r in range(1, 6) for d in (0.01, 0.3)])
+        assert sorted({math.ceil(3 * s) for s in sigmas}) == [0, 1, 2, 3, 4, 5]
+        if order == "descending":
+            sigmas = sigmas[::-1]
+        elif order == "shuffled":
+            sigmas = np.random.default_rng(17).permutation(sigmas)
+        images = np.random.default_rng(18).uniform(0, 1, (len(sigmas), 13, 9))
+        expected = np.stack([gaussian_blur(img, s) for img, s in zip(images, sigmas)])
+        assert blur_stack(images, sigmas).tobytes() == expected.tobytes()
 
 
 class TestBrightness:
@@ -242,6 +256,12 @@ class TestAugmentStack:
             (16, AugmentationSpec(blur_sigma_range=(3.0, 6.0))),
             # shifts of many image widths read far outside the frame
             (8, AugmentationSpec(translation_range_pixels=(-1e6, 1e6))),
+            (
+                16,
+                AugmentationSpec(
+                    rotation_range_degrees=(-40.0, 40.0), translation_range_pixels=(-1e6, 1e6)
+                ),
+            ),
         ],
     )
     def test_matches_single_image_oracle(self, size, spec):
@@ -272,6 +292,14 @@ class TestAugmentStack:
         for lo, hi in ((0, 1), (1, 7), (7, 30)):
             part = augment_pixels(images[lo:hi], spec, seeds[lo:hi])
             np.testing.assert_array_equal(part, whole[lo:hi])
+
+    def test_stack_spanning_many_chunks(self, monkeypatch):
+        # 300 entries in chunks of 7: 42 full chunks and one of 6.
+        monkeypatch.setattr(augment, "AUGMENT_CHUNK", 7)
+        images, seeds = stack_and_seeds(300, 16, seed=19)
+        spec = AugmentationSpec()
+        expected = np.stack([oracle(img, spec, s) for img, s in zip(images, seeds)])
+        assert augment_pixels(images, spec, seeds).tobytes() == expected.tobytes()
 
     def test_input_left_untouched(self):
         images, seeds = stack_and_seeds(8, 16, seed=15)

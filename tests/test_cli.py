@@ -154,6 +154,10 @@ class TestSchema:
             ("train", ["mode=babystep", "babystep.step_length=0"], "babystep.step_length"),
             ("train", ["dataset.n_train=3"], "dataset.n_train"),
             ("train", ["augment.blur_sigma_range=[-1,1]"], "augment.blur_sigma_range"),
+            # A shift of 1 or more clips every pixel of a [0, 1] image.
+            ("train", ["dataset.brightness_range=[2,2]"], "dataset.brightness_range"),
+            ("train", ["dataset.brightness_range=[-1,-1]"], "dataset.brightness_range"),
+            ("train", ["dataset.brightness_range=[0.5,1]"], "dataset.brightness_range"),
         ],
     )
     def test_schedule_of_the_mode_checked_before_out_dir(
@@ -284,6 +288,17 @@ class TestTrain:
         assert not (out / "metrics.csv").exists()
         assert cli.main([*args, "--force"]) == 0
         assert (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_failed_run_leaves_no_out_dir(self, command, tmp_path, monkeypatch, capsys):
+        def nan_losses(probs, y):
+            return np.full(len(y), np.nan)
+
+        monkeypatch.setattr(runner, "bce_loss", nan_losses)
+        out = tmp_path / "nested" / "x"
+        assert cli.main([command, *SMALL_OVERRIDES, "--out", str(out)]) == 1
+        assert "non-finite training loss" in capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
 
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         code = cli.main(

@@ -6,8 +6,8 @@ numeric drift between versions. These digests pin the bytes themselves:
 ``GOLDEN_POOL`` those of ``pool_log.csv`` and ``hardness_state.json``,
 which hold every epoch's pool sizes, overlap and DFH range and every
 final DIH value, update count and prior. The dffc configs augment 300 or
-more copies per epoch, so the easy-pool augmentation spans several
-chunks of ``runner.AUGMENT_CHUNK``; the vanilla and babystep configs
+more copies per epoch in one ``augment_pixels`` call, which spans several
+chunks of ``augment.AUGMENT_CHUNK``; the vanilla and babystep configs
 train on ``pacing.full_pool`` and ``pacing.pool_from_ids``.
 ``GOLDEN_DATASET`` pins the generated splits themselves,
 ``GOLDEN_EXTREMES`` the TAR/SSIM extremes report and the DFH traces, and

@@ -26,7 +26,7 @@ import pytest
 from oracles import assert_pool_streams_equal
 from scipy.stats import rankdata
 
-from dffc import forgeries, hardness, pacing, runner
+from dffc import augment, forgeries, hardness, pacing, runner
 from dffc.errors import ConfigError
 from dffc.forgeries import DatasetConfig, generate_dataset, quality_priors
 from dffc.model import bce_loss, forward_batch, init_params
@@ -414,7 +414,7 @@ class TestEpochAssembly:
     def test_chunk_size_does_not_change_the_run(self, small_run_config, monkeypatch):
         # Ten easy copies per epoch: chunks of 3 split them 3+3+3+1.
         reference = runner.run_training(small_run_config)
-        monkeypatch.setattr(runner, "AUGMENT_CHUNK", 3)
+        monkeypatch.setattr(augment, "AUGMENT_CHUNK", 3)
         chunked = runner.run_training(small_run_config)
         assert metrics_text(chunked) == metrics_text(reference)
         assert_pool_streams_equal(chunked, reference)
