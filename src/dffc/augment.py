@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from dffc import streams
-from dffc.errors import check_range
+from dffc.errors import ConfigError, check_range
 
 #: Entries blurred, shifted and warped per step of :func:`augment_pixels`.
 #: The output is one array, so the temporaries grow with the chunk, not with
@@ -48,6 +48,12 @@ class AugmentationSpec:
         for name in (f.name for f in fields(self)):
             bounds = check_range(name, getattr(self, name), non_negative=name == "blur_sigma_range")
             object.__setattr__(self, name, bounds)
+        # The warp's int64 pixel index holds any rotation of a shift of at most 2**62.
+        lo, hi = self.translation_range_pixels
+        if max(-lo, hi) > 2.0**62:
+            raise ConfigError(
+                f"translation_range_pixels: need |lo| and |hi| at most 2**62, got ({lo}, {hi})"
+            )
 
 
 def gaussian_kernels(sigmas: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from dffc import forgeries, hardness, runner
-from dffc.errors import ConfigError, require_keys
+from dffc.errors import ConfigError, require_keys, typed
 from dffc.model import save_checkpoint
 
 log = logging.getLogger("dffc")
@@ -109,29 +109,8 @@ DEFAULT_CONFIG = _nest(
 )
 
 
-_EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
-
-
-def _typed(value: object, hint: object, key: str) -> object:
-    """``value`` checked against the annotation ``hint``; lists come back as tuples."""
-    if typing.get_origin(hint) is tuple:
-        kinds = typing.get_args(hint)
-        variadic = kinds[-1] is Ellipsis
-        if not isinstance(value, list | tuple) or not (variadic or len(value) == len(kinds)):
-            count = "" if variadic else f"{len(kinds)} "
-            raise ConfigError(f"{key}: expected a list of {count}values, got {value!r}")
-        if variadic:
-            kinds = kinds[:1] * len(value)
-        return tuple(_typed(v, kind, f"{key}[{i}]") for i, (v, kind) in enumerate(zip(value, kinds)))
-    kinds = (int, float) if hint is float else (hint,)
-    # abs() <= max is False for NaN, the infinities and ints beyond float range.
-    if type(value) not in kinds or (hint is float and not abs(value) <= sys.float_info.max):
-        raise ConfigError(f"{key}: expected {_EXPECTED[hint]}, got {value!r}")
-    return value
-
-
 def _build(cls: type, resolved: dict, prefix: str = ""):
-    """An instance of ``cls`` from its typed values in the resolved config.
+    """An instance of ``cls`` from the values :func:`resolve_config` typed, lists as tuples.
 
     The message of a ``ConfigError`` that ``cls``'s checks raise starts with
     the name of the field it blames, which is the last part of that field's
@@ -140,9 +119,10 @@ def _build(cls: type, resolved: dict, prefix: str = ""):
     fields = _fields(cls, prefix)
     values = {
         name: _build(hint, resolved, path + ".") if dataclasses.is_dataclass(hint)
-        else _typed(_lookup(resolved, path), hint, path)
+        else _lookup(resolved, path)
         for name, path, hint, _ in fields
     }
+    values = {name: tuple(v) if isinstance(v, list) else v for name, v in values.items()}
     try:
         return cls(**values)
     except ConfigError as exc:
@@ -227,7 +207,7 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(bad))}")
     resolved = _deep_merge(DEFAULT_CONFIG, user)
     for path, hint, _ in _LEAVES:
-        _typed(_lookup(resolved, path), hint, path)
+        typed(_lookup(resolved, path), hint, path)
     _apply_dih_rule(resolved, user.get("hardness", {}).get("alpha_f"))
     return resolved
 
@@ -425,9 +405,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     try:
         extremes = json.loads(text)
         require_keys(extremes, ("top", "bottom"))
-        kinds = {"ids": "a flat list of integers", "mean_tar": "a number", "mean_ssim": "a number"}
         for group in ("top", "bottom"):
-            require_keys(extremes[group], kinds, f"{group}.")
+            require_keys(extremes[group], forgeries.EXTREMES_KEYS, f"{group}.")
     except ValueError as exc:
         raise ConfigError(f"{extremes_path}: {exc}")
     header = metrics[0].split(",")

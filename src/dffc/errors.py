@@ -1,7 +1,10 @@
 """The one exception type that every check run while a run config is built
-raises, and the key and range checks shared across the package."""
+raises, and the checks shared across the package: :func:`typed` is the one
+check of the type of a JSON value, read from a config or a run artifact."""
 
 import math
+import sys
+import typing
 
 
 class ConfigError(ValueError):
@@ -19,28 +22,36 @@ def check_range(name: str, bounds: tuple, non_negative: bool = False) -> tuple[f
     return lo, hi
 
 
-def _is_number(value: object, kind: type | tuple[type, ...] = (int, float)) -> bool:
-    # JSON true and false load as bool, a subclass of int; they are not numbers.
-    return isinstance(value, kind) and not isinstance(value, bool)
+_EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 
-#: The kinds of value :func:`require_keys` checks, each with its test.
-_KINDS = {
-    "a number": _is_number,
-    "a flat list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
-    "a flat list of integers": lambda v: isinstance(v, list) and all(_is_number(x, int) for x in v),
-}
+def typed(value: object, hint: object, key: str) -> object:
+    """``value`` checked against the annotation ``hint``; lists come back as tuples."""
+    if typing.get_origin(hint) is tuple:
+        kinds = typing.get_args(hint)
+        variadic = kinds[-1] is Ellipsis
+        if not isinstance(value, list | tuple) or not (variadic or len(value) == len(kinds)):
+            count = "" if variadic else f"{len(kinds)} "
+            raise ConfigError(f"{key}: expected a list of {count}values, got {value!r}")
+        if variadic:
+            kinds = kinds[:1] * len(value)
+        return tuple(typed(v, kind, f"{key}[{i}]") for i, (v, kind) in enumerate(zip(value, kinds)))
+    kinds = (int, float) if hint is float else (hint,)
+    # abs() <= max is False for NaN, the infinities and ints beyond float range.
+    if type(value) not in kinds or (hint is float and not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{key}: expected {_EXPECTED[hint]}, got {value!r}")
+    return value
 
 
-def require_keys(doc: object, keys: tuple[str, ...] | dict[str, str], prefix: str = "") -> None:
+def require_keys(doc: object, keys: tuple[str, ...] | dict[str, object], prefix: str = "") -> None:
     """Raise a ``ValueError`` unless ``doc`` is a dict holding every key of
-    ``keys``, and, where ``keys`` maps each key to a kind of :data:`_KINDS`,
-    a value of that kind; the message names the first bad key as ``prefix + key``."""
+    ``keys``, and, where ``keys`` maps each key to an annotation, a value that
+    :func:`typed` accepts; the message names the first bad key as ``prefix + key``."""
     if not isinstance(doc, dict):
         where = f" at {prefix.rstrip('.')}" if prefix else ""
         raise ValueError(f"expected a JSON object{where}, got {type(doc).__name__}")
     for key in keys:
         if key not in doc:
             raise ValueError(f"missing key {prefix + key!r}")
-        if isinstance(keys, dict) and not _KINDS[keys[key]](doc[key]):
-            raise ValueError(f"key {prefix + key!r} must be {keys[key]}")
+        if isinstance(keys, dict):
+            typed(doc[key], keys[key], prefix + key)

@@ -227,15 +227,11 @@ def quality_priors(images: np.ndarray, normalizer: float | None = None) -> tuple
     return priors, normalizer
 
 
-def tampering_ratio(
-    fake: np.ndarray, real: np.ndarray, threshold: float = DEFAULT_TAR_THRESHOLD
-) -> float:
-    """Fraction of pixels differing by strictly more than ``threshold``."""
+def tampering_ratio(fake: np.ndarray, real: np.ndarray) -> float:
+    """Fraction of pixels differing by strictly more than :data:`DEFAULT_TAR_THRESHOLD`."""
     if fake.shape != real.shape:
         raise ValueError(f"shape mismatch: {fake.shape} vs {real.shape}")
-    if threshold <= 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    return float(np.mean(np.abs(fake - real) > threshold))
+    return float(np.mean(np.abs(fake - real) > DEFAULT_TAR_THRESHOLD))
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -258,17 +254,24 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     return float(num / den)
 
 
-def dfh_extremes_report(split: Split, dfh_scores: np.ndarray, fraction: float) -> dict:
+#: The share of a split's fakes in each group of :func:`dfh_extremes_report`.
+EXTREMES_FRACTION = 0.1
+
+#: The keys of the ``top`` and ``bottom`` groups of ``extremes.json``, and the
+#: annotation :func:`~dffc.errors.typed` checks each value against.
+EXTREMES_KEYS = {"ids": tuple[int, ...], "mean_tar": float, "mean_ssim": float}
+
+
+def dfh_extremes_report(split: Split, dfh_scores: np.ndarray) -> dict:
     """Tamper-ratio / similarity statistics for the hardest- and easiest-
-    scored fakes, measured against their pristine paired reals."""
-    if not 0.0 < fraction <= 0.5:
-        raise ValueError(f"fraction must be in (0, 0.5], got {fraction}")
+    scored :data:`EXTREMES_FRACTION` of fakes, measured against their
+    pristine paired reals: the ``extremes.json`` document."""
     if len(split) < 2:
         raise ValueError("no fake samples in dataset")
     fake_ids = np.arange(1, len(split), 2)
     scores = np.asarray(dfh_scores, dtype=np.float64)[fake_ids]
     order = np.argsort(scores, kind="stable")
-    m = max(1, int(len(fake_ids) * fraction))
+    m = max(1, int(len(fake_ids) * EXTREMES_FRACTION))
 
     def _stats(idx: np.ndarray) -> dict:
         ids = fake_ids[idx]
@@ -282,7 +285,7 @@ def dfh_extremes_report(split: Split, dfh_scores: np.ndarray, fraction: float) -
         }
 
     return {
-        "fraction": fraction,
+        "fraction": EXTREMES_FRACTION,
         "top": _stats(order[::-1][:m]),
         "bottom": _stats(order[:m]),
     }

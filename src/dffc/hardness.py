@@ -28,9 +28,9 @@ import numpy as np
 from dffc.errors import ConfigError, require_keys
 
 #: The keys of ``hardness_state.json``, in the order they are written, and
-#: the kind of value each holds.
-STATE_KEYS = {"gamma": "a number", "alpha_f": "a number", "dih": "a flat list of numbers",
-              "prior": "a flat list of numbers", "update_count": "a flat list of integers"}
+#: the annotation :func:`~dffc.errors.typed` checks each value against.
+STATE_KEYS = {"gamma": float, "alpha_f": float, "dih": tuple[float, ...],
+              "prior": tuple[float, ...], "update_count": tuple[int, ...]}
 
 
 def check_hardness(gamma: float, alpha_f: float) -> None:
@@ -91,7 +91,8 @@ class HardnessState:
 
     @classmethod
     def from_json(cls, text: str) -> "HardnessState":
-        """The state :meth:`to_json` wrote; a ``ValueError`` names a missing or bad key."""
+        """The state :meth:`to_json` wrote. A ``ValueError`` names a missing key, or a
+        value that :func:`~dffc.errors.typed` rejects, such as a NaN ``prior[0]``."""
         doc = json.loads(text)
         require_keys(doc, STATE_KEYS)
         return cls(

@@ -61,7 +61,6 @@ TRACE_START_EPOCH = 3
 #: that class margins keep growing once the cosine schedule has decayed.
 INPUT_GAIN = 5.0
 TRACE_GROUP_SIZE = 5
-EXTREMES_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -364,9 +363,7 @@ def run_training(
             if len(epochs) >= TRACE_START_EPOCH
             else {}
         ),
-        extremes=forgeries.dfh_extremes_report(
-            test, hardness.dfh_all(test_state), EXTREMES_FRACTION
-        ),
+        extremes=forgeries.dfh_extremes_report(test, hardness.dfh_all(test_state)),
         final_params=params,
         train_hardness=state,
     )

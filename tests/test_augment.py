@@ -195,6 +195,21 @@ class TestSpec:
         with pytest.raises(ConfigError, match="brightness_range"):
             AugmentationSpec(brightness_range=(-1e308, 1e308))
 
+    def test_translation_beyond_the_warp_index_rejected(self):
+        # The warp reads pixels through int64 indices; a rotation can scale a
+        # shift by sqrt(2), so 2**62 is the largest bound it can take.
+        for bounds in ((1e19, 1e19), (-(2.0**62) - 2048, 0.0), (0.0, 2.0**63)):
+            with pytest.raises(ConfigError, match="translation_range_pixels"):
+                AugmentationSpec(translation_range_pixels=bounds)
+        images = np.random.default_rng(4).uniform(0, 1, (3, 8, 8))
+        for rotation in (-180.0, -45.0, 45.0, 135.0, 180.0):
+            for shift in (-(2.0**62), 2.0**62):
+                spec = AugmentationSpec(
+                    rotation_range_degrees=(rotation, rotation),
+                    translation_range_pixels=(shift, shift),
+                )
+                assert np.isfinite(augment_pixels(images, spec, [1, 2, 3])).all()
+
 
 class TestAugmentPixels:
     def test_same_seed_same_output(self):

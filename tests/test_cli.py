@@ -158,6 +158,11 @@ class TestSchema:
             ("train", ["dataset.brightness_range=[2,2]"], "dataset.brightness_range"),
             ("train", ["dataset.brightness_range=[-1,-1]"], "dataset.brightness_range"),
             ("train", ["dataset.brightness_range=[0.5,1]"], "dataset.brightness_range"),
+            # The warp's int64 pixel index cannot reach a shift beyond 2**62.
+            (
+                "train", ["augment.translation_range_pixels=[1e19,1e19]"],
+                "augment.translation_range_pixels",
+            ),
         ],
     )
     def test_schedule_of_the_mode_checked_before_out_dir(
@@ -478,22 +483,31 @@ class TestInspectAndReport:
                 "report", "metrics.csv",
                 lambda text: text.replace("test_auc", "auc", 1), "'test_auc'",
             ),
-            ("inspect-dfh", "hardness_state.json", _edit("gamma", lambda _: None), "'gamma'"),
-            ("inspect-dfh", "hardness_state.json", _edit("alpha_f", lambda _: "0.5"), "'alpha_f'"),
             (
                 "inspect-dfh", "hardness_state.json",
-                _edit("update_count", lambda _: [None]), "'update_count'",
+                _edit("gamma", lambda _: None), "gamma: expected",
             ),
             (
                 "inspect-dfh", "hardness_state.json",
-                _edit("prior", lambda prior: [[q] for q in prior]), "'prior'",
+                _edit("alpha_f", lambda _: "0.5"), "alpha_f: expected",
             ),
-            ("report", "extremes.json", _edit("top.mean_tar", lambda _: "x"), "'top.mean_tar'"),
+            (
+                "inspect-dfh", "hardness_state.json",
+                _edit("update_count", lambda _: [None]), "update_count[0]: expected",
+            ),
+            (
+                "inspect-dfh", "hardness_state.json",
+                _edit("prior", lambda prior: [[q] for q in prior]), "prior[0]: expected",
+            ),
             (
                 "report", "extremes.json",
-                _edit("bottom.mean_ssim", lambda _: None), "'bottom.mean_ssim'",
+                _edit("top.mean_tar", lambda _: "x"), "top.mean_tar: expected",
             ),
-            ("report", "extremes.json", _edit("top.ids", lambda _: 3), "'top.ids'"),
+            (
+                "report", "extremes.json",
+                _edit("bottom.mean_ssim", lambda _: None), "bottom.mean_ssim: expected",
+            ),
+            ("report", "extremes.json", _edit("top.ids", lambda _: 3), "top.ids: expected"),
         ],
         ids=[
             "state-without-prior", "state-not-an-object", "extremes-without-top", "empty-metrics",
@@ -512,6 +526,42 @@ class TestInspectAndReport:
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert name in err[0] and named in err[0]
         assert not (copy / "inspection").exists()
+
+    @pytest.mark.parametrize(
+        "command, key, path, value",
+        [
+            pytest.param(command, key, path, value, id=f"{command}-{key}-{value}")
+            for command, key, path in (
+                ("train", "hardness.gamma", None),
+                ("inspect-dfh", "gamma", ["gamma"]),
+                ("report", "top.mean_tar", ["top", "mean_tar"]),
+            )
+            for value in ("null", "true", '"x"', "NaN", "Infinity")
+        ]
+        + [pytest.param("inspect-dfh", "dih[0]", ["dih", 0], "NaN", id="inspect-dfh-dih[0]-NaN")],
+    )
+    def test_config_and_artifact_values_share_one_check(
+        self, run_dir, tmp_path, command, key, path, value, capsys
+    ):
+        """A number read from a config override, ``hardness_state.json`` or
+        ``extremes.json`` (``path`` in it) is held to the same rule."""
+        if command == "train":
+            argv = ["train", "--override", f"{key}={value}", "--out", str(tmp_path / "x")]
+        else:
+            copy = _copy_run_state(run_dir, tmp_path)
+            name = {"inspect-dfh": "hardness_state.json", "report": "extremes.json"}[command]
+            doc = json.loads((copy / name).read_text())
+            *parents, last = path
+            node = doc
+            for part in parents:
+                node = node[part]
+            node[last] = json.loads(value)
+            (copy / name).write_text(json.dumps(doc))
+            argv = [command, "--run-dir", str(copy)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert f"{key}: expected a finite number" in err[0], err
 
 
 def _drop_key(text, key):

@@ -167,8 +167,6 @@ class TestTamperingRatio:
     def test_errors(self):
         with pytest.raises(ValueError):
             tampering_ratio(np.zeros((2, 2)), np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            tampering_ratio(np.zeros((2, 2)), np.zeros((2, 2)), threshold=0.0)
 
 
 class TestSsim:
@@ -288,7 +286,7 @@ class TestExtremesReport:
     def test_constructed_ranking(self, small_dataset):
         train, _ = small_dataset
         # Score fakes by their own amplitude: strongest artifact -> top.
-        report = dfh_extremes_report(train, train.amplitudes, fraction=0.1)
+        report = dfh_extremes_report(train, train.amplitudes)
         n_fakes = len(train) // 2
         m = max(1, int(n_fakes * 0.1))
         assert len(report["top"]["ids"]) == m
@@ -308,19 +306,12 @@ class TestExtremesReport:
         for i in range(1, len(train), 2):
             tar_scores[i] = tampering_ratio(clean[i], clean[i - 1])
             ssim_scores[i] = -ssim(clean[i], clean[i - 1])
-        by_tar = dfh_extremes_report(train, tar_scores, fraction=0.1)
+        by_tar = dfh_extremes_report(train, tar_scores)
         assert by_tar["top"]["mean_tar"] > by_tar["bottom"]["mean_tar"]
-        by_ssim = dfh_extremes_report(train, ssim_scores, fraction=0.1)
+        by_ssim = dfh_extremes_report(train, ssim_scores)
         assert by_ssim["top"]["mean_ssim"] < by_ssim["bottom"]["mean_ssim"]
-
-    def test_fraction_validation(self, small_dataset):
-        train, _ = small_dataset
-        scores = np.zeros(len(train))
-        for bad in (0.0, 0.6, -0.1):
-            with pytest.raises(ValueError):
-                dfh_extremes_report(train, scores, fraction=bad)
 
     def test_requires_fakes(self):
         empty = Split(np.zeros((0, 4, 4)), np.zeros((0, 4, 4)), *np.zeros((3, 0)))
         with pytest.raises(ValueError):
-            dfh_extremes_report(empty, np.zeros(0), fraction=0.1)
+            dfh_extremes_report(empty, np.zeros(0))

@@ -233,7 +233,7 @@ class TestStateValidation:
     def test_from_json_names_a_value_of_the_wrong_kind(self, key, value):
         doc = json.loads(HardnessState.fresh(np.array([0.5]), gamma=0.9, alpha_f=0.5).to_json())
         doc[key] = value
-        with pytest.raises(ValueError, match=f"key '{key}' must be a"):
+        with pytest.raises(ValueError, match=rf"^{key}(\[0\])?: expected a"):
             HardnessState.from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ("3", "int"), ("null", "NoneType")])
