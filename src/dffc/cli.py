@@ -9,7 +9,8 @@ are sensitive to silent hyperparameter typos), and so are values of the
 wrong type: an int field takes no bool or float, a float field takes an
 int or a finite float, a bool field only true or false, and a tuple
 field a list of the right length. ``--override key=value`` uses dotted
-paths and takes precedence over the file. Mode ``dih`` sets
+paths; the file and each override in turn set the leaves they name,
+and a section that holds a non-object is an error. Mode ``dih`` sets
 ``hardness.alpha_f`` to 0 unless a non-zero value is given, which
 ``RunConfig`` rejects. A bad value raises ``ConfigError`` naming its
 dotted key before the run starts, and a config file or run artifact
@@ -25,7 +26,6 @@ Set DFFC_LOG=error|info|debug to control verbosity.
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import functools
 import json
@@ -59,6 +59,9 @@ class CompareGrid:
         for f in dataclasses.fields(self):
             if not getattr(self, f.name):
                 raise ConfigError(f"{f.name} must hold at least one value")
+        for mode in self.modes:
+            if mode not in runner.MODES:
+                raise ConfigError(f"modes must each be one of {runner.MODES}, got {mode!r}")
 
 
 @functools.cache
@@ -81,36 +84,47 @@ def _leaves(cls: type, prefix: str = "") -> Iterable[tuple[str, object, object]]
 
 
 def _nest(pairs: Iterable[tuple[str, object]]) -> dict:
-    """A nested dict from (dotted path, value) pairs, in their order; a path
-    under a key that an earlier pair set to a non-object is a ``ConfigError``."""
+    """A nested dict from (dotted path, value) pairs, in their order."""
     tree: dict = {}
     for dotted, value in pairs:
         node = tree
         *parents, leaf = dotted.split(".")
         for part in parents:
             node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"{dotted}: {part} is already set to {node!r}, not an object")
         node[leaf] = value
     return tree
 
 
-def _lookup(tree: dict, dotted: str) -> object:
-    for part in dotted.split("."):
-        tree = tree[part]
-    return tree
+#: Dotted path -> (annotation, default) of every config value, in the
+#: layout order of ``resolved_config.json``.
+_LEAVES = {
+    path: (hint, default)
+    for path, hint, default in (*_leaves(runner.RunConfig), *_leaves(CompareGrid, "compare."))
+}
+
+#: Every proper prefix of a path in ``_LEAVES``, the root ``""`` included.
+_SECTIONS = {"", *(path[:i] for path in _LEAVES for i, char in enumerate(path) if char == ".")}
 
 
-_LEAVES = [*_leaves(runner.RunConfig), *_leaves(CompareGrid, "compare.")]
+def _flatten(value: object, path: str) -> dict:
+    """``{dotted path: value}`` of the config value at ``path``: ``{path: value}``
+    unless ``path`` names a section, which must hold an object. Keys inside an
+    object are single parts; only the ``path`` of an override holds dots."""
+    if path not in _SECTIONS:
+        return {path: value}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object, got {value!r}")
+    flat = {}
+    for key, sub in value.items():
+        child = f"{path}.{key}" if path else key
+        if "." in key:
+            raise ConfigError(f"unknown config keys: {child}")
+        flat.update(_flatten(sub, child))
+    return flat
 
-DEFAULT_CONFIG = _nest(
-    (path, list(default) if isinstance(default, tuple) else default)
-    for path, _, default in _LEAVES
-)
 
-
-def _build(cls: type, resolved: dict, prefix: str = ""):
-    """An instance of ``cls`` from the values :func:`resolve_config` typed, lists as tuples.
+def _build(cls: type, flat: dict, prefix: str = ""):
+    """An instance of ``cls`` from the typed values of ``flat``, lists as tuples.
 
     The message of a ``ConfigError`` that ``cls``'s checks raise starts with
     the name of the field it blames, which is the last part of that field's
@@ -118,8 +132,7 @@ def _build(cls: type, resolved: dict, prefix: str = ""):
     """
     fields = _fields(cls, prefix)
     values = {
-        name: _build(hint, resolved, path + ".") if dataclasses.is_dataclass(hint)
-        else _lookup(resolved, path)
+        name: _build(hint, flat, path + ".") if dataclasses.is_dataclass(hint) else flat[path]
         for name, path, hint, _ in fields
     }
     values = {name: tuple(v) if isinstance(v, list) else v for name, v in values.items()}
@@ -133,48 +146,25 @@ def _build(cls: type, resolved: dict, prefix: str = ""):
         raise ConfigError(paths[name] + str(exc)[len(name):]) from exc
 
 
-def _check_keys(user: dict, defaults: dict, path: str = "") -> list[str]:
-    bad = []
-    for key, value in user.items():
-        here = f"{path}{key}"
-        if key not in defaults:
-            bad.append(here)
-        elif isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{here}: expected an object, got {value!r}")
-            bad += _check_keys(value, defaults[key], here + ".")
-    return bad
-
-
-def _deep_merge(base: dict, overlay: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in overlay.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
-def _parse_overrides(pairs: list[str]) -> dict:
+def _parse_overrides(pairs: list[str]) -> list[tuple[str, object]]:
     parsed = []
     for pair in pairs:
-        if "=" not in pair:
+        dotted, sep, raw = pair.partition("=")
+        if not (sep and dotted):
             raise ConfigError(f"override {pair!r} is not of the form key=value")
-        dotted, raw = pair.split("=", 1)
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
         parsed.append((dotted, value))
-    return _nest(parsed)
+    return parsed
 
 
-def _apply_dih_rule(resolved: dict, explicit_alpha_f: object = None) -> None:
+def _apply_dih_rule(flat: dict, explicit_alpha_f: object = None) -> None:
     """Mode ``dih``'s default: ``hardness.alpha_f`` becomes 0 unless the user
     gave a non-zero value, which ``RunConfig`` then rejects."""
-    if resolved["mode"] == "dih" and explicit_alpha_f in (None, 0):
-        resolved["hardness"]["alpha_f"] = 0
+    if flat["mode"] == "dih" and explicit_alpha_f in (None, 0):
+        flat["hardness.alpha_f"] = 0
 
 
 def _read_text(path: Path, what: str) -> str:
@@ -190,8 +180,9 @@ def _read_text(path: Path, what: str) -> str:
 
 
 def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
-    """defaults < file < overrides, with key and type checks and the dih default."""
-    file_cfg: dict = {}
+    """defaults < file < overrides per leaf, with key and type checks and the
+    dih default; a nested dict in the layout of ``resolved_config.json``."""
+    user: dict = {}
     if config_path is not None:
         text = _read_text(Path(config_path), "config file")
         try:
@@ -200,20 +191,21 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"config file {config_path} is not valid JSON: {exc}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config root must be a JSON object")
-    override_cfg = _parse_overrides(overrides)
-    user = _deep_merge(file_cfg, override_cfg)
-    bad = _check_keys(user, DEFAULT_CONFIG)
+        user = _flatten(file_cfg, "")
+    for dotted, value in _parse_overrides(overrides):
+        user.update(_flatten(value, dotted))
+    bad = user.keys() - _LEAVES.keys()
     if bad:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(bad))}")
-    resolved = _deep_merge(DEFAULT_CONFIG, user)
-    for path, hint, _ in _LEAVES:
-        typed(_lookup(resolved, path), hint, path)
-    _apply_dih_rule(resolved, user.get("hardness", {}).get("alpha_f"))
-    return resolved
+    flat = {path: user.get(path, default) for path, (_, default) in _LEAVES.items()}
+    for path, (hint, _) in _LEAVES.items():
+        typed(flat[path], hint, path)
+    _apply_dih_rule(flat, user.get("hardness.alpha_f"))
+    return _nest((path, list(v) if isinstance(v, tuple) else v) for path, v in flat.items())
 
 
 def build_run_config(resolved: dict) -> runner.RunConfig:
-    return _build(runner.RunConfig, resolved)
+    return _build(runner.RunConfig, _flatten(resolved, ""))
 
 
 def _check_out_dir(out_dir: Path, force: bool, marker: str) -> None:
@@ -310,16 +302,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    resolved = resolve_config(args.config, args.override)
-    grid = _build(CompareGrid, resolved, "compare.")
+    flat = _flatten(resolve_config(args.config, args.override), "")
+    grid = _build(CompareGrid, flat, "compare.")
     configs = []
     for mode in grid.modes:
         for aug in grid.augment_all:
             for seed in grid.seeds:
-                variant = copy.deepcopy(resolved)
-                variant.update(mode=mode, augment_all=aug, seed=seed)
+                variant = flat | {"mode": mode, "augment_all": aug, "seed": seed}
                 _apply_dih_rule(variant)
-                configs.append(build_run_config(variant))
+                configs.append(_build(runner.RunConfig, variant))
     out = Path(args.out)
     _check_out_dir(out, args.force, "comparison.csv")
     rows = runner.compare_modes(configs)

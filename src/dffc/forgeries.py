@@ -227,31 +227,27 @@ def quality_priors(images: np.ndarray, normalizer: float | None = None) -> tuple
     return priors, normalizer
 
 
-def tampering_ratio(fake: np.ndarray, real: np.ndarray) -> float:
-    """Fraction of pixels differing by strictly more than :data:`DEFAULT_TAR_THRESHOLD`."""
-    if fake.shape != real.shape:
-        raise ValueError(f"shape mismatch: {fake.shape} vs {real.shape}")
-    return float(np.mean(np.abs(fake - real) > DEFAULT_TAR_THRESHOLD))
+def tampering_ratios(fakes: np.ndarray, reals: np.ndarray) -> np.ndarray:
+    """Per row pair of two ``(m, p)`` pixel stacks: the fraction of pixels
+    differing by strictly more than :data:`DEFAULT_TAR_THRESHOLD`."""
+    return np.mean(np.abs(fakes - reals) > DEFAULT_TAR_THRESHOLD, axis=1)
 
 
-def ssim(a: np.ndarray, b: np.ndarray) -> float:
-    """Structural similarity over a single global window (images are tiny).
+def ssims(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Structural similarity of each row pair of two ``(m, p)`` pixel stacks,
+    ``p >= 2``, over a single global window (images are tiny).
 
     Unit dynamic range, C1 = 0.01^2, C2 = 0.03^2, unbiased (co)variance.
     """
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     c1, c2 = 0.01**2, 0.03**2
-    a = a.astype(np.float64).ravel()
-    b = b.astype(np.float64).ravel()
-    mu_a, mu_b = a.mean(), b.mean()
-    n = len(a)
-    var_a = a.var(ddof=1) if n > 1 else 0.0
-    var_b = b.var(ddof=1) if n > 1 else 0.0
-    cov = ((a - mu_a) * (b - mu_b)).sum() / (n - 1) if n > 1 else 0.0
+    mu_a, mu_b = a.mean(axis=1), b.mean(axis=1)
+    var_a, var_b = a.var(axis=1, ddof=1), b.var(axis=1, ddof=1)
+    cov = ((a - mu_a[:, None]) * (b - mu_b[:, None])).sum(axis=1) / (a.shape[1] - 1)
     num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
-    den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
-    return float(num / den)
+    # ** 2 on an array multiplies, which on some images differs in the last
+    # bit from the pow() that ** 2 on a numpy scalar calls; float_power calls pow().
+    den = (np.float_power(mu_a, 2.0) + np.float_power(mu_b, 2.0) + c1) * (var_a + var_b + c2)
+    return num / den
 
 
 #: The share of a split's fakes in each group of :func:`dfh_extremes_report`.
@@ -272,16 +268,15 @@ def dfh_extremes_report(split: Split, dfh_scores: np.ndarray) -> dict:
     scores = np.asarray(dfh_scores, dtype=np.float64)[fake_ids]
     order = np.argsort(scores, kind="stable")
     m = max(1, int(len(fake_ids) * EXTREMES_FRACTION))
+    clean = split.clean_images.reshape(len(split), -1)
 
     def _stats(idx: np.ndarray) -> dict:
         ids = fake_ids[idx]
-        clean = split.clean_images
-        tars = [tampering_ratio(clean[i], clean[i - 1]) for i in ids]
-        ssims = [ssim(clean[i], clean[i - 1]) for i in ids]
+        fakes, reals = clean[ids], clean[ids - 1]
         return {
             "ids": ids.tolist(),
-            "mean_tar": float(np.mean(tars)),
-            "mean_ssim": float(np.mean(ssims)),
+            "mean_tar": float(np.mean(tampering_ratios(fakes, reals))),
+            "mean_ssim": float(np.mean(ssims(fakes, reals))),
         }
 
     return {

@@ -210,5 +210,8 @@ def babystep_pool(
         raise ValueError(f"epoch must be >= 1, got {t}")
     static_hardness = np.asarray(static_hardness, dtype=np.float64)
     n = len(static_hardness)
-    m = min(n, math.ceil(n * start_fraction * growth_factor ** ((t - 1) // step_length)))
+    try:
+        m = min(n, math.ceil(n * start_fraction * growth_factor ** ((t - 1) // step_length)))
+    except OverflowError:  # a size beyond float range saturates like any other
+        m = n
     return select_easy_pool(static_hardness, m)

@@ -2,7 +2,9 @@
 
 The single-image augmentations (:func:`gaussian_blur`,
 :func:`brightness_adjust`, :func:`affine`) are the bit-exact oracles of
-``dffc.augment``'s stack operations, :func:`load_checkpoint` decodes the
+``dffc.augment``'s stack operations, :func:`tampering_ratio` and
+:func:`ssim` the bit-exact oracles of ``dffc.forgeries``' row-wise
+``tampering_ratios`` and ``ssims``, :func:`load_checkpoint` decodes the
 ``checkpoint.json`` and ``checkpoint.bin`` that ``model.save_checkpoint``
 writes, :func:`assert_pools_equal` compares two epoch pools and
 :func:`assert_pool_streams_equal` two runs' epoch records.
@@ -17,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from dffc.augment import _reflect_index
+from dffc.forgeries import DEFAULT_TAR_THRESHOLD
 from dffc.model import ModelParams
 from dffc.pacing import EpochPool
 from dffc.runner import MetricsLog
@@ -90,6 +93,33 @@ def affine(image: np.ndarray, rotation_degrees: float, dx: float, dy: float) -> 
         + image[y1r, x1r] * fy * fx
     )
     return np.clip(out, 0.0, 1.0)
+
+
+def tampering_ratio(fake: np.ndarray, real: np.ndarray) -> float:
+    """Fraction of pixels differing by strictly more than ``DEFAULT_TAR_THRESHOLD``."""
+    if fake.shape != real.shape:
+        raise ValueError(f"shape mismatch: {fake.shape} vs {real.shape}")
+    return float(np.mean(np.abs(fake - real) > DEFAULT_TAR_THRESHOLD))
+
+
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
+    """Structural similarity over a single global window (images are tiny).
+
+    Unit dynamic range, C1 = 0.01^2, C2 = 0.03^2, unbiased (co)variance.
+    """
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    c1, c2 = 0.01**2, 0.03**2
+    a = a.astype(np.float64).ravel()
+    b = b.astype(np.float64).ravel()
+    mu_a, mu_b = a.mean(), b.mean()
+    n = len(a)
+    var_a = a.var(ddof=1) if n > 1 else 0.0
+    var_b = b.var(ddof=1) if n > 1 else 0.0
+    cov = ((a - mu_a) * (b - mu_b)).sum() / (n - 1) if n > 1 else 0.0
+    num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
+    den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+    return float(num / den)
 
 
 def load_checkpoint(header_path: Path, blob_path: Path) -> tuple[ModelParams, dict]:

@@ -13,10 +13,10 @@ import time
 
 import numpy as np
 import pytest
-from oracles import assert_pool_streams_equal
+from oracles import assert_pool_streams_equal, ssim, tampering_ratio
 
 from dffc import cli, hardness, pacing, runner
-from dffc.forgeries import DatasetConfig, ssim, tampering_ratio
+from dffc.forgeries import DatasetConfig
 from dffc.model import (
     ModelParams,
     bce_loss,

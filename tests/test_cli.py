@@ -33,15 +33,81 @@ SMALL_OVERRIDES = [
 ]
 
 
-#: SHA-256 of ``json.dumps(cli.DEFAULT_CONFIG, indent=1)``: the layout and
-#: defaults of ``resolved_config.json``, which earlier runs are reproduced from.
+#: SHA-256 of ``json.dumps(cli.resolve_config(None, []), indent=1)``: the layout
+#: and defaults of ``resolved_config.json``, which earlier runs are reproduced from.
 DEFAULT_CONFIG_SHA256 = "8735814627d83550f6bff6545cf996b06efdf993320a5d92c08b2183c5ff9fa0"
 
 
+#: One value away from its default per kind of leaf: root, section, list and
+#: ``compare`` values.
+LEAF_VALUES = {
+    "seed": 3,
+    "augment_all": True,
+    "dataset.n_train": 40,
+    "dataset.blur_range": [0.1, 0.2],
+    "hardness.gamma": 0.8,
+    "pacing.milestones": [1, 2],
+    "augment.rotation_range_degrees": [-5, 5],
+    "compare.modes": ["dih"],
+}
+
+
+def _config_args(form, tmp_path):
+    """The ``resolve_config`` arguments that set ``LEAF_VALUES``: in a file, as
+    dotted overrides, or with one override per root key, a whole section each."""
+    if form == "dotted":
+        return None, [f"{path}={json.dumps(value)}" for path, value in LEAF_VALUES.items()]
+    tree = {}
+    for path, value in LEAF_VALUES.items():
+        *parents, key = path.split(".")
+        node = tree
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[key] = value
+    if form == "section":
+        return None, [f"{key}={json.dumps(value)}" for key, value in tree.items()]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tree))
+    return str(cfg), []
+
+
 class TestResolveConfig:
+    @pytest.mark.parametrize("form", ["file", "dotted", "section"])
+    def test_leaves_set_in_any_form_resolve_alike(self, form, tmp_path):
+        expected = cli.resolve_config(None, [])
+        for path, value in LEAF_VALUES.items():
+            *parents, key = path.split(".")
+            node = expected
+            for part in parents:
+                node = node[part]
+            node[key] = value
+        resolved = cli.resolve_config(*_config_args(form, tmp_path))
+        assert json.dumps(resolved) == json.dumps(expected)
+
+    def test_later_section_override_keeps_earlier_leaves(self):
+        resolved = cli.resolve_config(None, ["dataset.n_test=20", 'dataset={"n_train": 40}'])
+        assert resolved["dataset"]["n_test"] == 20
+        assert resolved["dataset"]["n_train"] == 40
+
+    def test_bad_file_section_named_under_a_dotted_override(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": 5}))
+        code = cli.main(["gen-data", "--config", str(cfg), "--override", "dataset.n_train=40"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: dataset: expected an object"), err
+
+    def test_dotted_key_in_a_file_is_unknown(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset.n_train": 40}))
+        with pytest.raises(ConfigError, match=r"unknown config keys: dataset\.n_train$"):
+            cli.resolve_config(str(cfg), [])
+
     def test_defaults_when_nothing_given(self):
         resolved = cli.resolve_config(None, [])
-        assert resolved == cli.DEFAULT_CONFIG
+        assert cli.build_run_config(resolved) == runner.RunConfig()
+        grid = cli._build(cli.CompareGrid, cli._flatten(resolved, ""), "compare.")
+        assert grid == cli.CompareGrid()
 
     def test_file_overrides_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -89,6 +155,11 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="key=value"):
             cli.resolve_config(None, ["seed"])
 
+    def test_override_without_a_key(self):
+        # An empty path would name the root and set any leaf from an object.
+        with pytest.raises(ConfigError, match="key=value"):
+            cli.resolve_config(None, ['={"seed": 3}'])
+
     def test_build_run_config_surfaces_validation(self):
         resolved = cli.resolve_config(None, ["total_epochs=0"])
         with pytest.raises(ConfigError):
@@ -97,7 +168,7 @@ class TestResolveConfig:
 
 class TestSchema:
     def test_default_config_layout_is_pinned(self):
-        text = json.dumps(cli.DEFAULT_CONFIG, indent=1)
+        text = json.dumps(cli.resolve_config(None, []), indent=1)
         assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_CONFIG_SHA256
 
     @pytest.mark.parametrize(
@@ -163,6 +234,7 @@ class TestSchema:
                 "train", ["augment.translation_range_pixels=[1e19,1e19]"],
                 "augment.translation_range_pixels",
             ),
+            ("compare", ['compare.modes=["dffc","dfc"]'], "compare.modes"),
         ],
     )
     def test_schedule_of_the_mode_checked_before_out_dir(
@@ -237,14 +309,22 @@ class TestGenData:
         assert "amplitude histogram" in first
 
     @pytest.mark.parametrize(
-        "first, second", [("seed=1", "seed.x=1"), ("hardness=0.5", "hardness.gamma=0.9")]
+        "first, second, named",
+        [
+            pytest.param("seed=1", "seed.x=1", "seed.x", id="seed=1-seed.x=1"),
+            # The section override is bad on its own, whatever follows it.
+            pytest.param(
+                "hardness=0.5", "hardness.gamma=0.9", "hardness: expected an object",
+                id="hardness=0.5-hardness.gamma=0.9",
+            ),
+        ],
     )
-    def test_override_under_a_non_object_names_the_key(self, first, second, capsys):
+    def test_override_under_a_non_object_names_the_key(self, first, second, named, capsys):
         code = cli.main(["gen-data", "--override", first, "--override", second])
         err = capsys.readouterr().err
         assert code == 2
         errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and second.split("=")[0] in errors[0], err
+        assert len(errors) == 1 and named in errors[0], err
         assert "Traceback" not in err
 
     def test_has_no_out_option(self, tmp_path):

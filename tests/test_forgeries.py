@@ -20,7 +20,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import gaussian_blur
+from oracles import gaussian_blur, ssim, tampering_ratio
 from scipy.stats import spearmanr
 
 from dffc import forgeries
@@ -33,8 +33,8 @@ from dffc.forgeries import (
     generate_dataset,
     laplacian_variance,
     quality_priors,
-    ssim,
-    tampering_ratio,
+    ssims,
+    tampering_ratios,
 )
 
 
@@ -195,6 +195,21 @@ class TestSsim:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             ssim(np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+class TestRowwiseMetrics:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("size", [4, 5, 16, 32])
+    def test_match_the_single_image_references_bit_for_bit(self, size, seed):
+        # The default 1000 pairs: squaring a mean by multiplication instead
+        # of pow() moves its last bit about once in a thousand values.
+        config = DatasetConfig(n_test=10, image_size=size, seed=seed)
+        clean = generate_dataset(config)[0].clean_images
+        fakes, reals = clean[1::2], clean[::2]
+        rows = [stack.reshape(len(stack), -1) for stack in (fakes, reals)]
+        pairs = list(zip(fakes, reals))
+        assert tampering_ratios(*rows).tolist() == [tampering_ratio(f, r) for f, r in pairs]
+        assert ssims(*rows).tolist() == [ssim(f, r) for f, r in pairs]
 
 
 def _laplacian_variance_oracle(image: np.ndarray) -> float:

@@ -257,6 +257,13 @@ class TestBabystep:
         assert len(babystep_pool(hardness, 50, 0.25, 1.5, 3)) == 10
 
     @pytest.mark.parametrize(
+        "t, growth_factor", [(3, 1e200), (2, 1e308)], ids=["power-overflows", "product-overflows"]
+    )
+    def test_size_beyond_float_range_saturates(self, t, growth_factor):
+        # 1e200 ** 2 raises OverflowError; 10 * 1e308 is inf, which math.ceil rejects.
+        assert len(babystep_pool(np.zeros(10), t, 1.0, growth_factor, 1)) == 10
+
+    @pytest.mark.parametrize(
         "kwargs",
         [
             {"start_fraction": 0.0},

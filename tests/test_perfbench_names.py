@@ -49,3 +49,11 @@ def test_warm_up_config_fields_resolve(bench):
         easy_pool_size=5,
     )
     assert isinstance(small, runner.RunConfig)
+
+
+def test_every_workload_config_resolves_and_builds(bench):
+    # bench.setup resolves and builds each workload's config this way.
+    for workload in bench.WORKLOADS:
+        overrides = bench.run_overrides(workload, 0)
+        config = bench.cli.build_run_config(bench.cli.resolve_config(None, overrides))
+        assert (config.seed, config.dataset.seed) == (0, 0), workload
