@@ -11,11 +11,16 @@ A seed must lie in 0..2**64 - 1.
 
 :func:`augment_pixels` works on a stack of images with one seed each, so
 the runner augments all the easy-pool copies of an epoch in one call. It
-draws every entry's parameters in one step, then blurs, shifts and warps
-the stack ``AUGMENT_CHUNK`` entries at a time. Every entry of a stack
-comes out bit-identical to the single-image operations ``gaussian_blur``,
-``brightness_adjust`` and ``affine`` of ``tests/oracles.py``, the reference
-it is tested against, whichever entries share its stack or its chunk.
+draws every entry's parameters and builds every blur kernel in one step,
+orders the entries by blur radius, widest first, and then blurs, shifts and
+warps them in runs of one radius and at most ``AUGMENT_CHUNK`` entries. The
+blur leaves a run transposed, and the warp reads it as it is, with its row
+and column offsets swapped, from a copy reflect-padded just enough to hold
+every read, so one flat offset per pixel finds all four of its corners.
+Every entry of a stack comes out bit-identical to the single-image
+operations ``gaussian_blur``, ``brightness_adjust`` and ``affine`` of
+``tests/oracles.py``, the reference it is tested against, whichever entries
+share its stack or its run.
 """
 
 from __future__ import annotations
@@ -29,11 +34,13 @@ import numpy as np
 from dffc import streams
 from dffc.errors import ConfigError, check_range
 
-#: Entries blurred, shifted and warped per step of :func:`augment_pixels`.
-#: The output is one array, so the temporaries grow with the chunk, not with
-#: the stack: about 3.5 MB at 128 16 px images, 6.9 MB at 256. On a 2-CPU
-#: Xeon (2 MB of L2 per core), 1 000 images took 28-32 ms in chunks of 64
-#: or 128, 40-42 ms in chunks of 256 and 50-53 ms in chunks of 512 or more.
+#: Most entries blurred, shifted and warped per step of :func:`augment_pixels`.
+#: The output is one array, so the temporaries grow with the run, not with
+#: the stack: beyond its output, a call on 1 000 16 px images peaks at 1.7 MB
+#: of traced memory in runs of 64, 3.2 MB at 128 and 5.9 MB at 256. On a
+#: 2-CPU Xeon (2 MB of L2 per core) it took 16-25 ms in runs of 64 or 128,
+#: within 3% of each other when timed alternately, and about 35% longer in
+#: runs of 256 or 512.
 AUGMENT_CHUNK = 128
 
 
@@ -95,68 +102,105 @@ def _reflect_index(idx: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _radius_runs(sigmas: np.ndarray, size: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """The entries of ``sigmas``, widest blur radius first, in runs of one
+    radius and at most ``size`` entries: each run's indices into ``sigmas``
+    and its kernels, ``(m, 2r + 1)``, or ``None`` for the run of sigma 0.
+
+    Every kernel comes from one :func:`gaussian_kernels` call.
+    """
+    radii = np.ceil(3.0 * sigmas).astype(np.int64)
+    order = np.argsort(-radii, kind="stable")
+    radii = radii[order]
+    blurred = order[: np.count_nonzero(radii)]
+    taps = gaussian_kernels(sigmas[blurred]) if len(blurred) else None
+    cuts = np.flatnonzero(np.diff(radii, prepend=-1, append=-1))
+    runs = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        r = radii[lo]
+        for start in range(lo, hi, size):
+            stop = min(start + size, hi)
+            kernels = None
+            if r:
+                widest = taps.shape[1] // 2
+                kernels = taps[start:stop, widest - r : widest + r + 1]
+            runs.append((order[start:stop], kernels))
+    return runs
+
+
+def _blur_transposed(images: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Each image of an ``(m, h, w)`` stack blurred by its own kernel, all of
+    one radius, and clipped, returned transposed as a contiguous
+    ``(m, w, h)`` stack.
+
+    Each pass gathers a copy reflect-padded by the radius along axis 1 and
+    sums the taps in order from zeros, as ``_conv1d_reflect`` of
+    ``tests/oracles.py`` does. The second pass gathers from the transposed
+    first, so both passes sum whole contiguous images.
+    """
+    r = taps.shape[1] // 2
+    stack = images
+    for _ in range(2):
+        size = stack.shape[1]
+        padded = stack[:, _reflect_index(np.arange(-r, size + r), size)]
+        acc = np.zeros_like(padded[:, :size])
+        tmp = np.empty_like(acc)
+        for j in range(2 * r + 1):
+            np.multiply(taps[:, j, None, None], padded[:, j : j + size], out=tmp)
+            acc += tmp
+        stack = acc.transpose(0, 2, 1)
+    return np.clip(acc, 0.0, 1.0, out=acc)
+
+
 def blur_stack(images: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """Separable Gaussian blur with reflect padding of each image by its own
     sigma; sigma=0 copies it. Each entry equals ``gaussian_blur`` of
     ``tests/oracles.py``.
-
-    The blurred entries share one reflected gather per axis, padded to the
-    largest radius. They are ordered by radius, widest first, so the entries
-    that a tap at offset ``k`` from the centre reaches, those of radius at
-    least ``k``, are a prefix of the stack; each tap multiplies and adds only
-    that prefix. So every entry sums its own kernel's taps in order from
-    zeros, as in the oracle's ``_conv1d_reflect``.
     """
     out = images.copy()
-    blurred = np.flatnonzero(sigmas > 0.0)
-    if not len(blurred):
-        return out
-    radii = np.ceil(3.0 * sigmas[blurred]).astype(np.int64)
-    widest_first = np.argsort(-radii, kind="stable")
-    blurred, radii = blurred[widest_first], radii[widest_first]
-    taps = gaussian_kernels(sigmas[blurred])
-    radius = taps.shape[1] // 2
-    reach = np.count_nonzero(radii[:, None] >= np.arange(radius + 1), axis=0)
-    _, h, w = images.shape
-    acc = images[blurred]
-    tmp = np.empty_like(acc)
-    for axis, size in ((1, h), (2, w)):
-        padded = np.take(acc, _reflect_index(np.arange(-radius, size + radius), size), axis=axis)
-        acc = np.zeros_like(tmp)
-        for j in range(2 * radius + 1):
-            m = reach[abs(j - radius)]
-            window = padded[:m, j : j + h, :] if axis == 1 else padded[:m, :, j : j + w]
-            np.multiply(taps[:m, j, None, None], window, out=tmp[:m])
-            acc[:m] += tmp[:m]
-    out[blurred] = np.clip(acc, 0.0, 1.0)
+    for rows, taps in _radius_runs(sigmas, len(sigmas)):
+        if taps is not None:
+            out[rows] = _blur_transposed(images[rows], taps).transpose(0, 2, 1)
     return out
 
 
-def _floor_and_fraction(src: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reflected indices of ``floor(src)`` and ``floor(src) + 1``, and the fraction.
+def _pad_offsets(src: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``floor(src)`` as offsets into a reflect-padded axis of length ``n``,
+    and the frame indices that padded axis reads.
 
     The fraction ``src - floor(src)`` is written into ``src``. Subtracting
     the float floor gives the same bits as subtracting its int64 copy, as
-    ``affine`` of ``tests/oracles.py`` does.
+    ``affine`` of ``tests/oracles.py`` does. Reflection has period
+    ``2n - 2`` (1 when ``n`` is 1), so floors that reach beyond one
+    reflection, where ``floor`` or ``floor + 1`` leaves ``[1 - n, 2n - 2]``,
+    are first folded into one period; either way the padded axis covers
+    ``[min, max + 1]`` of the floors, at most ``n - 1`` beyond each edge
+    (1 when ``n`` is 1).
     """
     floor = np.floor(src)
     idx = floor.astype(np.int64)
-    i0, i1 = _reflect_index(idx, n), _reflect_index(idx + 1, n)
     src -= floor
-    return i0, i1, src
+    lo, hi = int(idx.min()), int(idx.max()) + 1
+    if lo < 1 - n or hi > 2 * n - 2:
+        np.mod(idx, max(2 * n - 2, 1), out=idx)
+        lo, hi = int(idx.min()), int(idx.max()) + 1
+    idx -= lo
+    return idx, _reflect_index(np.arange(lo, hi + 1), n)
 
 
-def _affine_stack(
-    images: np.ndarray, rotations: np.ndarray, dxs: np.ndarray, dys: np.ndarray
+def _warp_transposed(
+    images_t: np.ndarray, rotations: np.ndarray, dxs: np.ndarray, dys: np.ndarray
 ) -> np.ndarray:
     """Rotation about the centre plus translation of each image by its own
-    angle and shift, bilinear and inverse-mapped with reflected reads, in one
-    gather. Each entry equals ``affine`` of ``tests/oracles.py``.
+    angle and shift, bilinear and inverse-mapped with reflected reads. The
+    input is transposed, ``(m, w, h)``; the output is ``(m, h, w)``, and each
+    entry equals ``affine`` of ``tests/oracles.py``.
 
-    Products are taken in place where that keeps the oracle's order of
-    operations, so a chunk holds few full-size temporaries at once.
+    The stack is reflect-padded just enough to hold every read, so one flat
+    offset per pixel finds its four corners at fixed distances. Products are
+    taken in place where that keeps the oracle's order of operations.
     """
-    n, h, w = images.shape
+    m, w, h = images_t.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     thetas = [math.radians(r) for r in rotations]
     cos_t = np.array([math.cos(t) for t in thetas])[:, None, None]
@@ -164,25 +208,31 @@ def _affine_stack(
     # u varies along a row and v down a column, so only the sums are full-size.
     u = (np.arange(w, dtype=np.float64) - dxs[:, None, None]) - cx
     v = (np.arange(h, dtype=np.float64)[:, None] - dys[:, None, None]) - cy
-    src_x = cos_t * u + sin_t * v
-    src_x += cx
-    src_y = -sin_t * u + cos_t * v
-    src_y += cy
+    fx = cos_t * u + sin_t * v
+    fx += cx
+    fy = -sin_t * u + cos_t * v
+    fy += cy
     del u, v
-    x0r, x1r, fx = _floor_and_fraction(src_x, w)
-    row0, row1, fy = _floor_and_fraction(src_y, h)
-    # Flat offsets into the whole stack: image, then row, then column.
-    base = (np.arange(n) * (h * w))[:, None, None]
-    for rows in (row0, row1):
-        rows *= w
-        rows += base
-    flat = images.reshape(-1)
+    offsets, x_reads = _pad_offsets(fx, w)
+    y_offsets, y_reads = _pad_offsets(fy, h)
+    padded = images_t[:, x_reads[:, None], y_reads]
+    # One flat offset per pixel: image, then x (a padded row), then y.
+    stride = len(y_reads)
+    offsets *= stride
+    offsets += y_offsets
+    del y_offsets
+    offsets += (np.arange(m) * padded[0].size)[:, None, None]
+    flat = padded.reshape(-1)
     gx, gy = 1 - fx, 1 - fy
-    out = flat[row0 + x0r]
+    out = np.take(flat, offsets)
     out *= gy
     out *= gx
-    for row, col, wy, wx in ((row0, x1r, gy, fx), (row1, x0r, fy, gx), (row1, x1r, fy, fx)):
-        term = flat[row + col]
+    # The other corners in the oracle's order: (y0, x1) lies one padded row
+    # on, (y1, x0) one element on, (y1, x1) both. Mode "wrap" lets take write
+    # into term unbuffered; every offset is in range, so none wraps.
+    term = np.empty_like(out)
+    for shift, wy, wx in ((stride, gy, fx), (1, fy, gx), (stride + 1, fy, fx)):
+        np.take(flat[shift:], offsets, out=term, mode="wrap")
         term *= wy
         term *= wx
         out += term
@@ -217,10 +267,10 @@ def augment_pixels(images: np.ndarray, spec: AugmentationSpec, seeds: Sequence[i
     )
     sigmas, deltas, rotations, dxs, dys = draws.T
     out = np.empty_like(images)
-    for start in range(0, len(images), AUGMENT_CHUNK):
-        rows = slice(start, start + AUGMENT_CHUNK)
-        chunk = blur_stack(images[rows], sigmas[rows])
+    for rows, taps in _radius_runs(sigmas, AUGMENT_CHUNK):
+        chunk = images[rows]
+        chunk = chunk.transpose(0, 2, 1) if taps is None else _blur_transposed(chunk, taps)
         chunk += deltas[rows, None, None]
         np.clip(chunk, 0.0, 1.0, out=chunk)
-        out[rows] = _affine_stack(chunk, rotations[rows], dxs[rows], dys[rows])
+        out[rows] = _warp_transposed(chunk, rotations[rows], dxs[rows], dys[rows])
     return out

@@ -65,6 +65,12 @@ class DatasetConfig:
             raise ConfigError(f"n_test must be positive and even, got {self.n_test}")
         if self.image_size < 4:
             raise ConfigError(f"image_size must be >= 4, got {self.image_size}")
+        # A wider blur flattens the image; its kernels would outgrow memory.
+        if self.blur_range[1] > self.image_size:
+            raise ConfigError(
+                f"blur_range: hi must be at most image_size ({self.image_size}), "
+                f"got {self.blur_range[1]}"
+            )
         if not 0 <= self.seed < streams.KEY_LIMIT:
             raise ConfigError(f"seed must be in 0..2**64 - 1, got {self.seed}")
 

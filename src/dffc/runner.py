@@ -111,6 +111,12 @@ class RunConfig:
         if not 0 <= self.seed < streams.KEY_LIMIT:
             raise ConfigError(f"seed must be in 0..2**64 - 1, got {self.seed}")
         object.__setattr__(self, "milestones", tuple(int(m) for m in self.milestones))
+        # As for dataset.blur_range: a wider blur flattens the image.
+        if self.augment.blur_sigma_range[1] > self.dataset.image_size:
+            raise ConfigError(
+                f"augment.blur_sigma_range: hi must be at most dataset.image_size "
+                f"({self.dataset.image_size}), got {self.augment.blur_sigma_range[1]}"
+            )
         self.lr_schedule()
         hardness.check_hardness(self.gamma, self.alpha_f)
         # Each mode checks only the pacing or babystep section it reads.

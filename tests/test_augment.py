@@ -3,6 +3,7 @@ seeded determinism, and ``augment_pixels`` checked for exact equality
 against the single-image operations of ``oracles.py``."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,3 +327,63 @@ class TestAugmentStack:
         images, seeds = stack_and_seeds(3, 8, seed=16)
         with pytest.raises(ValueError, match="3 seeds"):
             augment_pixels(images[:2], AugmentationSpec(), seeds)
+
+
+def edge_shifts(n: int) -> list[float]:
+    """Unrotated shifts that land the floor indices of an axis of ``n`` pixels
+    exactly on the ends of one reflection, ``-(n - 1)`` and ``2n - 2``, and
+    just inside or beyond them."""
+    return [n - 1.0, n - 0.5, n, 1.0 - n, 2.0 - n, 1.5 - n]
+
+
+class TestThinStacks:
+    """Stacks one or two pixels across, read far outside the frame."""
+
+    @pytest.mark.parametrize("shape", [(4, 1, 16), (4, 16, 1), (4, 2, 2)])
+    @pytest.mark.parametrize("rotations", [(0.0, 0.0), (30.0, 30.0), (-10.0, 10.0)])
+    def test_far_shifts_match_single_image_oracle(self, shape, rotations):
+        # Rotated by different angles, one far shift sends each image's reads
+        # to a different place, so a stack's reads span many periods.
+        images, seeds = stack_and_seeds(shape[0], 16, seed=21)
+        images = images[:, : shape[1], : shape[2]].copy()
+        for shift in (1e6, -1e6, 2.0**62, -(2.0**62)):
+            spec = AugmentationSpec(
+                rotation_range_degrees=rotations, translation_range_pixels=(shift, shift)
+            )
+            expected = np.stack([oracle(img, spec, s) for img, s in zip(images, seeds)])
+            out = augment_pixels(images, spec, seeds)
+            assert out.tobytes() == expected.tobytes(), shift
+
+    @pytest.mark.parametrize("shape", [(4, 1, 16), (4, 16, 1), (4, 2, 2), (4, 5, 7)])
+    def test_floors_on_the_ends_of_one_reflection(self, shape):
+        _, h, w = shape
+        images, seeds = stack_and_seeds(shape[0], 16, seed=22)
+        images = images[:, :h, :w].copy()
+        floors = set()
+        for shift in edge_shifts(h) + edge_shifts(w):
+            spec = AugmentationSpec(
+                rotation_range_degrees=(0.0, 0.0), translation_range_pixels=(shift, shift)
+            )
+            # Unrotated, pixel x of the output reads x - shift of the input.
+            for n in (h, w):
+                floors.update(np.floor(np.arange(n) - shift).astype(int).tolist())
+            expected = np.stack([oracle(img, spec, s) for img, s in zip(images, seeds)])
+            out = augment_pixels(images, spec, seeds)
+            assert out.tobytes() == expected.tobytes(), shift
+        for n in (h, w):
+            assert {1 - n, 2 * n - 2} <= floors
+
+    def test_far_shift_pads_only_one_period(self):
+        # Unfolded, a shift of 1e6 would pad the stack by 1e6 columns (64 MB)
+        # and its single row by 1e6 rows.
+        images, seeds = stack_and_seeds(4, 16, seed=23)
+        images = images[:, :1, :].copy()
+        spec = AugmentationSpec(translation_range_pixels=(1e6, 1e6))
+        augment_pixels(images, spec, seeds)
+        tracemalloc.start()
+        try:
+            augment_pixels(images, spec, seeds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
