@@ -15,7 +15,12 @@ at all. The tamper mask is not stored; it is where a fake's clean image
 differs from its real's. Pair p draws its 24 parameters from its own
 stream, numpy's ``default_rng((seed, split, p))`` (split 0 for train, 1 for
 test), computed for every pair of a split at once by :mod:`dffc.streams`;
-the images are then built a stack of pairs at a time.
+the images are then built a stack of pairs at a time. Each cosine of a
+base image or an artifact is taken once per distinct argument (per wave
+number, row or column, not per pixel) and gathered or broadcast onto the
+grid. The pixels keep the bits of the full-grid formulas: the wave
+numbers are exact integers in float64, and every product is taken, on
+the same operands, before the gather.
 
 Images are float64 in [0, 1]. Fake is the positive class.
 """
@@ -35,9 +40,6 @@ LABEL_FAKE = "fake"
 
 #: Mimics 8-bit quantization on unit-range pixels.
 DEFAULT_TAR_THRESHOLD = 1.0 / 255.0
-
-_LAPLACIAN_KERNEL = np.array([[0, 1, 0], [1, -4, 1], [0, 1, 0]], dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class DatasetConfig:
@@ -76,9 +78,9 @@ class DatasetConfig:
 
 
 #: Pairs generated per step. 64 to 256 pairs run equally fast; the step's
-#: temporaries grow with it. Generating the 32 px default dataset (48 MB
-#: of arrays) raises the peak RSS by 60 MB at 128 pairs, and by 114 MB
-#: with each split in one step.
+#: temporaries (mostly the blur's) grow with it. Generating the 32 px
+#: default dataset (48 MB of arrays) raises the peak RSS by 57 MB at 128
+#: pairs, 72 MB at 256, and 109 MB with each split in one step.
 GENERATE_CHUNK = 128
 
 #: Whole-cycle low-frequency Fourier modes (horizontal, vertical) of the
@@ -119,6 +121,13 @@ def _base_images(amps: np.ndarray, phases: np.ndarray, size: int) -> np.ndarray:
     ``_MODES``, with amplitudes ``amps[i]`` and phases ``phases[i]`` (one
     column per mode), so pristine images carry no energy in the
     mid-frequency band the forgery artifact occupies.
+
+    Mode (h, v) at pixel (y, x) depends only on the integer
+    ``k = h*x + v*y``, which takes about ``3*size`` distinct values, so each
+    image's term is taken once per distinct ``k`` and gathered onto the
+    grid. That is the full-grid sum to the bit: ``k`` is exact in float64,
+    so equal ``k`` gives equal wave bits, and each term's amplitude product
+    is taken before the gather, on the same operands.
     """
     ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
     img = np.full((len(amps), size, size), 0.5)
@@ -127,8 +136,10 @@ def _base_images(amps: np.ndarray, phases: np.ndarray, size: int) -> np.ndarray:
     # no energy at the frequency the artifact occupies.
     budget = 0.3 / len(_MODES)
     for (h, v), amp, phase in zip(_MODES, amps.T, phases.T):
-        wave = 2.0 * np.pi * (h * xs + v * ys) / size
-        img += (amp * budget)[:, None, None] * np.cos(wave + phase[:, None, None])
+        ks, index = np.unique(h * xs + v * ys, return_inverse=True)
+        wave = 2.0 * np.pi * ks / size
+        terms = (amp * budget)[:, None] * np.cos(wave + phase[:, None])
+        img += terms[:, index.reshape(size, size)]
     # Fixed-amplitude checkerboard dither at the Nyquist frequency.  Its
     # Laplacian response dwarfs the smooth content's, so measured
     # sharpness tracks the post-processing blur level instead of the
@@ -145,11 +156,18 @@ def _bumps(draws: np.ndarray, size: int) -> np.ndarray:
     vertical banding. Natural content is smooth in that band, so the
     modulation is what makes fakes detectable at all, and post-processing
     blur attenuates it, which is what grades sample difficulty.
+
+    Each cosine is taken once per distinct argument: the radius terms and
+    the banding on one row (x) or one column (y) per bump, the envelope's
+    cosine only inside the ellipse, where the full-grid clip to [0, 1] is
+    the identity. Every pixel gets the full-grid value to the bit.
     """
     cx, cy, rx, ry, phase = (col[:, None, None] for col in draws.T)
-    ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
-    r = np.sqrt(((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2)
-    envelope = np.where(r < 1.0, np.cos(0.5 * np.pi * np.clip(r, 0.0, 1.0)) ** 2, 0.0)
+    xs = np.arange(size, dtype=np.float64)
+    r = np.sqrt(((xs - cx) / rx) ** 2 + ((xs[:, None] - cy) / ry) ** 2)
+    inside = r < 1.0
+    envelope = np.zeros_like(r)
+    envelope[inside] = np.cos(0.5 * np.pi * r[inside]) ** 2
     # Vertical banding, period 8 px, with a per-sample random phase.
     # Detecting it requires a translation-invariant (quadrature-energy)
     # response, so the easy-pool translation augmentation cannot flip an
@@ -207,12 +225,14 @@ def laplacian_variance(images: np.ndarray) -> np.ndarray:
     images = np.asarray(images, dtype=np.float64)
     n, h, w = images.shape
     padded = np.pad(images, ((0, 0), (1, 1), (1, 1)), mode="reflect")
+    # The taps of [[0, 1, 0], [1, -4, 1], [0, 1, 0]] in row-major order; a
+    # unit tap adds its slice unmultiplied (1.0 * x is x to the bit).
     resp = np.zeros_like(images)
-    for dy in range(3):
-        for dx in range(3):
-            tap = _LAPLACIAN_KERNEL[dy, dx]
-            if tap:
-                resp += tap * padded[:, dy : dy + h, dx : dx + w]
+    resp += padded[:, 0:h, 1 : w + 1]
+    resp += padded[:, 1 : h + 1, 0:w]
+    resp += -4.0 * padded[:, 1 : h + 1, 1 : w + 1]
+    resp += padded[:, 1 : h + 1, 2 : w + 2]
+    resp += padded[:, 2 : h + 2, 1 : w + 1]
     return resp.reshape(n, -1).var(axis=1)
 
 

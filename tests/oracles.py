@@ -4,7 +4,9 @@ The single-image augmentations (:func:`gaussian_blur`,
 :func:`brightness_adjust`, :func:`affine`) are the bit-exact oracles of
 ``dffc.augment``'s stack operations, :func:`tampering_ratio` and
 :func:`ssim` the bit-exact oracles of ``dffc.forgeries``' row-wise
-``tampering_ratios`` and ``ssims``, :func:`load_checkpoint` decodes the
+``tampering_ratios`` and ``ssims``, :func:`base_images` and :func:`bumps`
+the bit-exact full-grid oracles of ``dffc.forgeries``' ``_base_images`` and
+``_bumps``, :func:`load_checkpoint` decodes the
 ``checkpoint.json`` and ``checkpoint.bin`` that ``model.save_checkpoint``
 writes, :func:`assert_pools_equal` compares two epoch pools and
 :func:`assert_pool_streams_equal` two runs' epoch records.
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from dffc.augment import _reflect_index
-from dffc.forgeries import DEFAULT_TAR_THRESHOLD
+from dffc.forgeries import _MODES, DEFAULT_TAR_THRESHOLD
 from dffc.model import ModelParams
 from dffc.pacing import EpochPool
 from dffc.runner import MetricsLog
@@ -120,6 +122,28 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
     den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
     return float(num / den)
+
+
+def base_images(amps: np.ndarray, phases: np.ndarray, size: int) -> np.ndarray:
+    """The base images with every mode's cosine taken at every pixel."""
+    ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
+    img = np.full((len(amps), size, size), 0.5)
+    budget = 0.3 / len(_MODES)
+    for (h, v), amp, phase in zip(_MODES, amps.T, phases.T):
+        wave = 2.0 * np.pi * (h * xs + v * ys) / size
+        img += (amp * budget)[:, None, None] * np.cos(wave + phase[:, None, None])
+    img += 0.02 * np.where((xs + ys) % 2 == 0, 1.0, -1.0)
+    return img
+
+
+def bumps(draws: np.ndarray, size: int) -> np.ndarray:
+    """The artifact templates with every cosine taken at every pixel."""
+    cx, cy, rx, ry, phase = (col[:, None, None] for col in draws.T)
+    ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
+    r = np.sqrt(((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2)
+    envelope = np.where(r < 1.0, np.cos(0.5 * np.pi * np.clip(r, 0.0, 1.0)) ** 2, 0.0)
+    modulation = np.cos(0.25 * np.pi * xs + phase)
+    return envelope * modulation
 
 
 def load_checkpoint(header_path: Path, blob_path: Path) -> tuple[ModelParams, dict]:

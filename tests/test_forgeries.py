@@ -11,6 +11,10 @@ Oracle notes:
   [DERIVED] generation chunking -- each pair draws from its own
       generator, so the split is the same whatever the chunk size, and a
       smaller split is a prefix of a larger one.
+  [DERIVED] base images and bumps -- oracles.base_images and oracles.bumps
+      take every cosine at every pixel; the package takes each once per
+      distinct argument and must give the same bits, at every size and
+      inside whole splits at any chunk size.
   [TRIVIAL] determinism, pairing, ranges, validation.
 """
 
@@ -20,7 +24,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import gaussian_blur, ssim, tampering_ratio
+from oracles import base_images, bumps, gaussian_blur, ssim, tampering_ratio
 from scipy.stats import spearmanr
 
 from dffc import forgeries
@@ -144,6 +148,42 @@ class TestGeneration:
         larger, _ = generate_dataset(DatasetConfig(n_train=400, n_test=40, seed=7))
         prefix = Split(*(getattr(larger, f.name)[:80] for f in dataclasses.fields(Split)))
         assert_splits_identical(train, prefix)
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestTemplates:
+    @pytest.mark.parametrize("size", range(4, 34))
+    def test_match_the_full_grid_references_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        amps = rng.uniform(0.2, 1.0, (9, len(forgeries._MODES)))
+        phases = rng.uniform(0.0, 2.0 * np.pi, amps.shape)
+        assert_same_bits(forgeries._base_images(amps, phases, size), base_images(amps, phases, size))
+        # Bumps in the generator's bounds (cx, cy, rx, ry, phase), wider ones
+        # reaching past the frame, one whose ellipse holds no pixel and one
+        # that passes exactly through pixels (r == 1 at (3, 0) and (0, 1)).
+        in_bounds = [(0.25, 0.75), (0.25, 0.75), (0.33, 0.45), (0.33, 0.45)]
+        wide = [(-1.0, 2.0), (-1.0, 2.0), (0.01, 2.0), (0.01, 2.0)]
+        draws = [
+            [*(rng.uniform(lo, hi) * size for lo, hi in ranges), rng.uniform(0.0, 2.0 * np.pi)]
+            for ranges in [in_bounds] * 6 + [wide] * 6
+        ]
+        draws += [[0.5, 0.5, 0.1, 0.1, 1.0], [0.0, 0.0, 3.0, 1.0, 0.5]]
+        assert_same_bits(forgeries._bumps(np.array(draws), size), bumps(np.array(draws), size))
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("size", [5, 17, 32])
+    def test_split_matches_the_one_built_from_the_references(self, size, chunk, monkeypatch):
+        config = DatasetConfig(n_train=14, n_test=10, image_size=size, seed=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(forgeries, "_base_images", base_images)
+            patch.setattr(forgeries, "_bumps", bumps)
+            expected = generate_dataset(config)
+        monkeypatch.setattr(forgeries, "GENERATE_CHUNK", chunk)
+        for split, split_expected in zip(generate_dataset(config), expected):
+            assert_splits_identical(split, split_expected)
 
 
 class TestTamperingRatio:
