@@ -41,6 +41,7 @@ LABEL_FAKE = "fake"
 #: Mimics 8-bit quantization on unit-range pixels.
 DEFAULT_TAR_THRESHOLD = 1.0 / 255.0
 
+
 @dataclass(frozen=True)
 class DatasetConfig:
     n_train: int = 2000
@@ -123,9 +124,9 @@ def _base_images(amps: np.ndarray, phases: np.ndarray, size: int) -> np.ndarray:
     mid-frequency band the forgery artifact occupies.
 
     Mode (h, v) at pixel (y, x) depends only on the integer
-    ``k = h*x + v*y``, which takes about ``3*size`` distinct values, so each
-    image's term is taken once per distinct ``k`` and gathered onto the
-    grid. That is the full-grid sum to the bit: ``k`` is exact in float64,
+    ``k = h*x + v*y``, which takes at most ``3*size`` distinct values, so
+    each image's term is taken once per distinct ``k`` and gathered onto
+    the grid. That is the full-grid sum to the bit: ``k`` is exact in float64,
     so equal ``k`` gives equal wave bits, and each term's amplitude product
     is taken before the gather, on the same operands.
     """
@@ -157,10 +158,10 @@ def _bumps(draws: np.ndarray, size: int) -> np.ndarray:
     modulation is what makes fakes detectable at all, and post-processing
     blur attenuates it, which is what grades sample difficulty.
 
-    Each cosine is taken once per distinct argument: the radius terms and
-    the banding on one row (x) or one column (y) per bump, the envelope's
-    cosine only inside the ellipse, where the full-grid clip to [0, 1] is
-    the identity. Every pixel gets the full-grid value to the bit.
+    Each cosine is taken once per distinct argument: the banding and the
+    x and y radius terms on one row or column per bump, the envelope only
+    inside the ellipse, where the full-grid clip to [0, 1] is the
+    identity. Every pixel keeps the full-grid value to the bit.
     """
     cx, cy, rx, ry, phase = (col[:, None, None] for col in draws.T)
     xs = np.arange(size, dtype=np.float64)

@@ -47,10 +47,13 @@ def small_dataset():
     return generate_dataset(DatasetConfig(n_train=80, n_test=40, seed=7))
 
 
+def assert_same_bits(a: np.ndarray, b: np.ndarray, name: str = "") -> None:
+    assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 def assert_splits_identical(a: Split, b: Split) -> None:
     for f in dataclasses.fields(Split):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        assert x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
+        assert_same_bits(getattr(a, f.name), getattr(b, f.name), f.name)
 
 
 class TestDatasetConfig:
@@ -150,17 +153,14 @@ class TestGeneration:
         assert_splits_identical(train, prefix)
 
 
-def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
-    assert a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 class TestTemplates:
     @pytest.mark.parametrize("size", range(4, 34))
     def test_match_the_full_grid_references_bit_for_bit(self, size):
         rng = np.random.default_rng(size)
         amps = rng.uniform(0.2, 1.0, (9, len(forgeries._MODES)))
         phases = rng.uniform(0.0, 2.0 * np.pi, amps.shape)
-        assert_same_bits(forgeries._base_images(amps, phases, size), base_images(amps, phases, size))
+        expected = base_images(amps, phases, size)
+        assert_same_bits(forgeries._base_images(amps, phases, size), expected)
         # Bumps in the generator's bounds (cx, cy, rx, ry, phase), wider ones
         # reaching past the frame, one whose ellipse holds no pixel and one
         # that passes exactly through pixels (r == 1 at (3, 0) and (0, 1)).
@@ -170,8 +170,8 @@ class TestTemplates:
             [*(rng.uniform(lo, hi) * size for lo, hi in ranges), rng.uniform(0.0, 2.0 * np.pi)]
             for ranges in [in_bounds] * 6 + [wide] * 6
         ]
-        draws += [[0.5, 0.5, 0.1, 0.1, 1.0], [0.0, 0.0, 3.0, 1.0, 0.5]]
-        assert_same_bits(forgeries._bumps(np.array(draws), size), bumps(np.array(draws), size))
+        draws = np.array(draws + [[0.5, 0.5, 0.1, 0.1, 1.0], [0.0, 0.0, 3.0, 1.0, 0.5]])
+        assert_same_bits(forgeries._bumps(draws, size), bumps(draws, size))
 
     @pytest.mark.parametrize("chunk", [1, 3])
     @pytest.mark.parametrize("size", [5, 17, 32])
