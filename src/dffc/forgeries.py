@@ -7,15 +7,17 @@ amplitude, size, location and phase; both copies are then independently
 post-processed with Gaussian blur and a brightness shift.
 
 A split is a :class:`Split` of aligned arrays, one row per sample: the
-images, the clean (pre-post-processing) images, and the ground-truth
-amplitude, blur sigma and brightness delta. The pairing is the row
-layout, real in row ``2p`` and fake in row ``2p + 1``, and the clean
-images are what make the tamper-ratio and similarity analyses possible
-at all. The tamper mask is not stored; it is where a fake's clean image
-differs from its real's. Pair p draws its 24 parameters from its own
+images and the ground-truth amplitude and blur sigma. The pairing is the
+row layout, real in row ``2p`` and fake in row ``2p + 1``. The clean
+(pre-post-processing) images, which the tamper-ratio and similarity
+analyses compare, are not stored: :func:`clean_pairs` rebuilds those of
+any pairs on demand, together with their ground truth, by the code path
+that generation post-processes. The tamper mask is where a fake's clean
+image differs from its real's. Pair p draws its 24 parameters from its own
 stream, numpy's ``default_rng((seed, split, p))`` (split 0 for train, 1 for
 test), computed for every pair of a split at once by :mod:`dffc.streams`;
-the images are then built a stack of pairs at a time. Each cosine of a
+the images are then built a :data:`GENERATE_CHUNK` of pairs at a time,
+and only the post-processed ones are kept. Each cosine of a
 base image or an artifact is taken once per distinct argument (per wave
 number, row or column, not per pixel) and gathered or broadcast onto the
 grid. The pixels keep the bits of the full-grid formulas: the wave
@@ -40,6 +42,9 @@ LABEL_FAKE = "fake"
 
 #: Mimics 8-bit quantization on unit-range pixels.
 DEFAULT_TAR_THRESHOLD = 1.0 / 255.0
+
+#: The split codes of the pair streams ``(seed, split, p)``.
+TRAIN_SPLIT, TEST_SPLIT = 0, 1
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,16 @@ class DatasetConfig:
         if not 0 <= self.seed < streams.KEY_LIMIT:
             raise ConfigError(f"seed must be in 0..2**64 - 1, got {self.seed}")
 
+    def split_size(self, split_code: int) -> int:
+        """The sample count of the split with this code."""
+        if split_code == TRAIN_SPLIT:
+            return self.n_train
+        if split_code == TEST_SPLIT:
+            return self.n_test
+        raise ValueError(
+            f"split code must be {TRAIN_SPLIT} (train) or {TEST_SPLIT} (test), got {split_code}"
+        )
+
 
 #: Pairs generated per step. 64 to 256 pairs run equally fast; the step's
 #: temporaries (mostly the blur's) grow with it. Generating the 32 px
@@ -94,17 +109,15 @@ class Split:
     """One split as aligned arrays in which row i is sample i.
 
     Rows ``2p`` and ``2p + 1`` are the real and the fake of pair p, so the
-    fakes are the odd rows and fake i's real is row ``i - 1``.
-    ``clean_images`` holds the pixels before post-processing: the pristine
-    base for a real, base plus artifact for a fake. ``amplitudes`` is 0.0
-    for the reals.
+    fakes are the odd rows and fake i's real is row ``i - 1``. ``images``
+    holds the post-processed pixels, the only ones a run trains and
+    evaluates on; :func:`clean_pairs` rebuilds the clean ones of any pairs.
+    ``amplitudes`` is 0.0 for the reals.
     """
 
     images: np.ndarray
-    clean_images: np.ndarray
     amplitudes: np.ndarray
     blur_sigmas: np.ndarray
-    brightness_deltas: np.ndarray
 
     def __len__(self) -> int:
         return len(self.images)
@@ -178,46 +191,80 @@ def _bumps(draws: np.ndarray, size: int) -> np.ndarray:
     return envelope * modulation
 
 
-def _generate_split(config: DatasetConfig, n: int, split_code: int) -> Split:
+def clean_pairs(
+    config: DatasetConfig, split_code: int, pair_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The clean images and the ground truth of the given pairs of a split.
+
+    Returns ``(clean, amplitudes, sigmas, deltas)`` with two rows per id, in
+    the order of ``pair_ids``: row ``2k`` is pair ``pair_ids[k]``'s real and
+    row ``2k + 1`` its fake. ``clean`` holds the pixels before
+    post-processing, the pristine base for a real and base plus artifact
+    for a fake; the other arrays hold each row's artifact amplitude (0.0
+    for a real), blur sigma and brightness delta. Pair p's rows depend only
+    on its stream ``(config.seed, split_code, p)``, so they are the same
+    whatever the other ids are.
+    """
+    return _build_pairs(_pair_draws(config, split_code, pair_ids), config.image_size)
+
+
+def _pair_draws(config: DatasetConfig, split_code: int, pair_ids: np.ndarray) -> np.ndarray:
+    """Each pair's uniforms, one row per id, in the column layout of :func:`_build_pairs`.
+
+    Generation draws each split in one call: a call costs about 1.6 ms at
+    128 ids and 2.2 ms at 1000 (2-CPU Xeon), and drawing a chunk at a time
+    made the 16 px default ``generate_dataset`` a third slower.
+    """
     size = config.image_size
-    n_modes = len(_MODES)
-    # Each pair's uniforms, in draw order: (amplitude, phase) per base
-    # mode, the bump's cx, cy, rx, ry and banding phase, the artifact
-    # amplitude, then (blur sigma, brightness delta) for the real and for
-    # the fake.
     centre, radius = (0.25 * size, 0.75 * size), (0.33 * size, 0.45 * size)
     phase = (0.0, 2.0 * np.pi)
-    bounds = [(0.2, 1.0), phase] * n_modes + [centre, centre, radius, radius, phase]
+    bounds = [(0.2, 1.0), phase] * len(_MODES) + [centre, centre, radius, radius, phase]
     bounds += [config.amplitude_range] + [config.blur_range, config.brightness_range] * 2
-    # Pair p's stream is default_rng((seed, split, p)), so generation is
-    # order-independent and every pair is drawn in the same array step.
-    draws = streams.uniforms((config.seed, split_code, np.arange(n // 2)), bounds)
-    modes, bump, pair_amplitudes = np.split(draws[:, :-4], [2 * n_modes, -1], axis=1)
-    # (sigma, delta) rows in sample order: real, fake, real, fake, ...
-    sigmas, deltas = draws[:, -4:].reshape(n, 2).T.copy()
-    amplitudes = np.zeros(n)
-    amplitudes[1::2] = pair_amplitudes[:, 0]
+    return streams.uniforms((config.seed, split_code, np.asarray(pair_ids)), bounds)
 
-    clean = np.empty((n, size, size))
+
+def _build_pairs(
+    draws: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`clean_pairs` from the pairs' uniforms.
+
+    A row of ``draws`` holds, in draw order: (amplitude, phase) per base
+    mode, the bump's cx, cy, rx, ry and banding phase, the artifact
+    amplitude, then (blur sigma, brightness delta) for the real and for
+    the fake.
+    """
+    modes, bump, pair_amplitudes = np.split(draws[:, :-4], [2 * len(_MODES), -1], axis=1)
+    # (sigma, delta) rows in row order: real, fake, real, fake, ...
+    sigmas, deltas = draws[:, -4:].reshape(-1, 2).T.copy()
+    amplitudes = np.zeros(len(sigmas))
+    amplitudes[1::2] = pair_amplitudes[:, 0]
+    base = _base_images(modes[:, 0::2], modes[:, 1::2], size)
+    clean = np.empty((len(sigmas), size, size))
+    clean[0::2] = base
+    clean[1::2] = np.clip(base + pair_amplitudes[:, :, None] * _bumps(bump, size), 0.0, 1.0)
+    return clean, amplitudes, sigmas, deltas
+
+
+def _generate_split(config: DatasetConfig, split_code: int) -> Split:
+    n = config.split_size(split_code)
+    size = config.image_size
+    draws = _pair_draws(config, split_code, np.arange(n // 2))
     images = np.empty((n, size, size))
+    amplitudes = np.empty(n)
+    sigmas = np.empty(n)
     for start in range(0, n // 2, GENERATE_CHUNK):
         pairs = slice(start, start + GENERATE_CHUNK)
         rows = slice(2 * start, 2 * (start + GENERATE_CHUNK))
-        base = _base_images(modes[pairs, 0::2], modes[pairs, 1::2], size)
-        fake = base + pair_amplitudes[pairs, :, None] * _bumps(bump[pairs], size)
-        clean[rows][0::2] = base
-        clean[rows][1::2] = np.clip(fake, 0.0, 1.0)
+        clean, amplitudes[rows], sigmas[rows], deltas = _build_pairs(draws[pairs], size)
         # Post-processing: blur (none at sigma 0), then a brightness shift.
-        blurred = blur_stack(clean[rows], sigmas[rows])
-        images[rows] = np.clip(blurred + deltas[rows, None, None], 0.0, 1.0)
-    return Split(images, clean, amplitudes, sigmas, deltas)
+        blurred = blur_stack(clean, sigmas[rows])
+        images[rows] = np.clip(blurred + deltas[:, None, None], 0.0, 1.0)
+    return Split(images, amplitudes, sigmas)
 
 
 def generate_dataset(config: DatasetConfig) -> tuple[Split, Split]:
     """Deterministic (train, test) splits with exactly balanced classes."""
-    train = _generate_split(config, config.n_train, split_code=0)
-    test = _generate_split(config, config.n_test, split_code=1)
-    return train, test
+    return _generate_split(config, TRAIN_SPLIT), _generate_split(config, TEST_SPLIT)
 
 
 def laplacian_variance(images: np.ndarray) -> np.ndarray:
@@ -285,29 +332,39 @@ EXTREMES_FRACTION = 0.1
 EXTREMES_KEYS = {"ids": tuple[int, ...], "mean_tar": float, "mean_ssim": float}
 
 
-def dfh_extremes_report(split: Split, dfh_scores: np.ndarray) -> dict:
+def dfh_extremes_report(
+    dataset_config: DatasetConfig, split_code: int, dfh_scores: np.ndarray
+) -> dict:
     """Tamper-ratio / similarity statistics for the hardest- and easiest-
-    scored :data:`EXTREMES_FRACTION` of fakes, measured against their
-    pristine paired reals: the ``extremes.json`` document."""
-    if len(split) < 2:
-        raise ValueError("no fake samples in dataset")
-    fake_ids = np.arange(1, len(split), 2)
-    scores = np.asarray(dfh_scores, dtype=np.float64)[fake_ids]
-    order = np.argsort(scores, kind="stable")
-    m = max(1, int(len(fake_ids) * EXTREMES_FRACTION))
-    clean = split.clean_images.reshape(len(split), -1)
+    scored :data:`EXTREMES_FRACTION` of the fakes of one split, measured
+    against their pristine paired reals: the ``extremes.json`` document.
 
-    def _stats(idx: np.ndarray) -> dict:
-        ids = fake_ids[idx]
-        fakes, reals = clean[ids], clean[ids - 1]
+    ``dfh_scores`` holds one score per sample of the split; only the
+    selected pairs' clean images are rebuilt, by :func:`clean_pairs`.
+    """
+    n = dataset_config.split_size(split_code)
+    scores = np.asarray(dfh_scores, dtype=np.float64)
+    if len(scores) != n:
+        raise ValueError(
+            f"dfh_scores: split {split_code} has {n} samples, got {len(scores)} scores"
+        )
+    order = np.argsort(scores[1::2], kind="stable")
+    m = max(1, int(n // 2 * EXTREMES_FRACTION))
+    # Fake i is pair i // 2's, so these are pair ids: the top group, then the bottom.
+    pair_ids = np.concatenate([order[::-1][:m], order[:m]])
+    clean = clean_pairs(dataset_config, split_code, pair_ids)[0].reshape(2 * len(pair_ids), -1)
+    fakes, reals = clean[1::2], clean[0::2]
+    tars, similarities = tampering_ratios(fakes, reals), ssims(fakes, reals)
+
+    def _stats(group: slice) -> dict:
         return {
-            "ids": ids.tolist(),
-            "mean_tar": float(np.mean(tampering_ratios(fakes, reals))),
-            "mean_ssim": float(np.mean(ssims(fakes, reals))),
+            "ids": (2 * pair_ids[group] + 1).tolist(),
+            "mean_tar": float(np.mean(tars[group])),
+            "mean_ssim": float(np.mean(similarities[group])),
         }
 
     return {
         "fraction": EXTREMES_FRACTION,
-        "top": _stats(order[::-1][:m]),
-        "bottom": _stats(order[:m]),
+        "top": _stats(slice(0, m)),
+        "bottom": _stats(slice(m, 2 * m)),
     }

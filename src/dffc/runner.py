@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -212,6 +213,25 @@ def evaluate(
     }
 
 
+def fit_input_transform(train_images: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The model's input transform, fit on the training images.
+
+    The returned function maps an ``(m, h, w)`` stack to ``(m, h*w)`` rows,
+    each pixel standardized by the training images' per-pixel mean and
+    standard deviation and scaled by ``INPUT_GAIN``. Raw [0, 1] pixels
+    leave the net in a barely-trainable regime under the small uniform
+    init.
+    """
+    raw = train_images.reshape(len(train_images), -1)
+    mean = raw.mean(axis=0)
+    std = (raw.std(axis=0) + 1e-8) / INPUT_GAIN
+
+    def transform(images: np.ndarray) -> np.ndarray:
+        return (images.reshape(len(images), -1) - mean) / std
+
+    return transform
+
+
 def _build_pool(
     config: RunConfig,
     schedule: pacing.PacingSchedule | None,
@@ -257,6 +277,13 @@ def run_training(
     config: RunConfig,
     dataset: tuple[Split, Split] | None = None,
 ) -> MetricsLog:
+    """Train one model under ``config``; every artifact is read from the result.
+
+    ``dataset`` saves generating the splits again, as :func:`compare_modes`
+    does. A passed ``dataset`` must be ``generate_dataset(config.dataset)``:
+    the extremes report rebuilds the clean images of its test pairs from
+    ``config.dataset``.
+    """
     train, test = dataset if dataset is not None else forgeries.generate_dataset(config.dataset)
     n = len(train)
     d = train.images[0].size
@@ -275,16 +302,10 @@ def run_training(
     schedule = (
         config.pacing_schedule(n) if config.mode in ("dih", "dffc") else None
     )
-    # Per-pixel standardization from training statistics; raw [0, 1]
-    # pixels leave the net in a barely-trainable regime under the small
-    # uniform init.  The extra gain speeds up margin growth, which the
-    # short 20-epoch budget with a decaying learning rate needs.
-    raw_train = train.images.reshape(n, d)
-    pixel_mean = raw_train.mean(axis=0)
-    pixel_std = (raw_train.std(axis=0) + 1e-8) / INPUT_GAIN
-    X_train = (raw_train - pixel_mean) / pixel_std
+    to_input = fit_input_transform(train.images)
+    X_train = to_input(train.images)
     y_train = train.targets
-    X_test = (test.images.reshape(len(test), d) - pixel_mean) / pixel_std
+    X_test = to_input(test.images)
     y_test = test.targets
 
     epochs: list[dict] = []
@@ -314,7 +335,7 @@ def run_training(
             pixels = augment_pixels(
                 train.images[ids[augmented]], config.augment, trained.seeds[augmented]
             )
-            X_epoch[augmented] = (pixels.reshape(len(augmented), d) - pixel_mean) / pixel_std
+            X_epoch[augmented] = to_input(pixels)
 
         # Mini-batch SGD; losses are recorded before each batch's update.
         epoch_losses = np.empty(len(ids))
@@ -369,7 +390,9 @@ def run_training(
             if len(epochs) >= TRACE_START_EPOCH
             else {}
         ),
-        extremes=forgeries.dfh_extremes_report(test, hardness.dfh_all(test_state)),
+        extremes=forgeries.dfh_extremes_report(
+            config.dataset, forgeries.TEST_SPLIT, hardness.dfh_all(test_state)
+        ),
         final_params=params,
         train_hardness=state,
     )

@@ -9,8 +9,9 @@ Oracle notes:
   [DERIVED] laplacian_variance oracle -- direct convolution with the 3x3
       kernel using numpy padding, written independently of the source.
   [DERIVED] generation chunking -- each pair draws from its own
-      generator, so the split is the same whatever the chunk size, and a
-      smaller split is a prefix of a larger one.
+      generator, so the split is the same whatever the chunk size, a
+      smaller split is a prefix of a larger one, and the clean pairs of
+      any ids, in any order, are the matching rows of the whole split's.
   [DERIVED] base images and bumps -- oracles.base_images and oracles.bumps
       take every cosine at every pixel; the package takes each once per
       distinct argument and must give the same bits, at every size and
@@ -28,11 +29,15 @@ from oracles import base_images, bumps, gaussian_blur, ssim, tampering_ratio
 from scipy.stats import spearmanr
 
 from dffc import forgeries
+from dffc.augment import blur_stack
 from dffc.errors import ConfigError
 from dffc.forgeries import (
     DEFAULT_TAR_THRESHOLD,
+    TEST_SPLIT,
+    TRAIN_SPLIT,
     DatasetConfig,
     Split,
+    clean_pairs,
     dfh_extremes_report,
     generate_dataset,
     laplacian_variance,
@@ -42,9 +47,17 @@ from dffc.forgeries import (
 )
 
 
+SMALL = DatasetConfig(n_train=80, n_test=40, seed=7)
+
+
 @pytest.fixture(scope="module")
 def small_dataset():
-    return generate_dataset(DatasetConfig(n_train=80, n_test=40, seed=7))
+    return generate_dataset(SMALL)
+
+
+def rebuild(config: DatasetConfig, split_code: int = TRAIN_SPLIT) -> tuple[np.ndarray, ...]:
+    """``clean_pairs`` of every pair of a split, in pair order."""
+    return clean_pairs(config, split_code, np.arange(config.split_size(split_code) // 2))
 
 
 def assert_same_bits(a: np.ndarray, b: np.ndarray, name: str = "") -> None:
@@ -87,7 +100,7 @@ class TestDatasetConfig:
 
 class TestGeneration:
     def test_deterministic_across_calls(self, small_dataset):
-        again = generate_dataset(DatasetConfig(n_train=80, n_test=40, seed=7))
+        again = generate_dataset(SMALL)
         for split, split_again in zip(small_dataset, again):
             assert_splits_identical(split, split_again)
 
@@ -106,43 +119,60 @@ class TestGeneration:
             assert split.targets.tolist() == [0.0, 1.0] * (n // 2)
 
     def test_pairing_structure(self, small_dataset):
-        cfg = DatasetConfig(n_train=80, n_test=40, seed=7)
         train, _ = small_dataset
-        reals, fakes = train.clean_images[0::2], train.clean_images[1::2]
+        clean = rebuild(SMALL)[0]
+        reals, fakes = clean[0::2], clean[1::2]
         assert (train.amplitudes[0::2] == 0.0).all()
         # A fake is its real's base plus an artifact of at most its
         # amplitude, so row i - 1 holds the real that fake i was made from.
         amps = train.amplitudes[1::2]
         assert (np.abs(fakes - reals).max(axis=(1, 2)) <= amps).all()
-        assert np.abs(fakes - np.roll(reals, 1, axis=0)).max() > cfg.amplitude_range[1]
+        assert np.abs(fakes - np.roll(reals, 1, axis=0)).max() > SMALL.amplitude_range[1]
 
     def test_pixel_and_parameter_ranges(self, small_dataset):
-        cfg = DatasetConfig(n_train=80, n_test=40, seed=7)
-        for split in small_dataset:
-            assert split.images.shape[1:] == (cfg.image_size, cfg.image_size)
+        for split, code in zip(small_dataset, (TRAIN_SPLIT, TEST_SPLIT)):
+            assert split.images.shape[1:] == (SMALL.image_size, SMALL.image_size)
             assert split.images.min() >= 0.0 and split.images.max() <= 1.0
-            lo, hi = cfg.blur_range
+            lo, hi = SMALL.blur_range
             assert ((lo <= split.blur_sigmas) & (split.blur_sigmas <= hi)).all()
-            lo, hi = cfg.brightness_range
-            deltas = split.brightness_deltas
+            lo, hi = SMALL.brightness_range
+            deltas = rebuild(SMALL, code)[3]
             assert ((lo <= deltas) & (deltas <= hi)).all()
-            lo, hi = cfg.amplitude_range
+            lo, hi = SMALL.amplitude_range
             amps = split.amplitudes[1::2]
             assert ((lo <= amps) & (amps <= hi)).all()
 
-    def test_every_fake_differs_from_its_real(self, small_dataset):
-        train, _ = small_dataset
-        reals, fakes = train.clean_images[0::2], train.clean_images[1::2]
+    def test_every_fake_differs_from_its_real(self):
+        clean = rebuild(SMALL)[0]
+        reals, fakes = clean[0::2], clean[1::2]
         assert (fakes != reals).any(axis=(1, 2)).all()
 
     def test_clean_images_present(self, small_dataset):
-        train, _ = small_dataset
-        assert train.clean_images.shape == train.images.shape
-        assert train.clean_images.min() >= 0.0 and train.clean_images.max() <= 1.0
+        # The rebuilt clean images, post-processed, are the split's images.
+        for split, code in zip(small_dataset, (TRAIN_SPLIT, TEST_SPLIT)):
+            clean, _, sigmas, deltas = rebuild(SMALL, code)
+            assert clean.shape == split.images.shape
+            assert clean.min() >= 0.0 and clean.max() <= 1.0
+            post = np.clip(blur_stack(clean, sigmas) + deltas[:, None, None], 0.0, 1.0)
+            assert_same_bits(post, split.images)
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_clean_pairs_of_shuffled_ids_match_the_full_rebuild(self, chunk, monkeypatch):
+        monkeypatch.setattr(forgeries, "GENERATE_CHUNK", chunk)
+        splits = zip(generate_dataset(SMALL), (TRAIN_SPLIT, TEST_SPLIT))
+        for split, code in splits:
+            full = rebuild(SMALL, code)
+            assert_same_bits(full[1], split.amplitudes, "amplitudes")
+            assert_same_bits(full[2], split.blur_sigmas, "blur_sigmas")
+            n_pairs = len(split) // 2
+            ids = np.random.default_rng(chunk).permutation(n_pairs)[: n_pairs // 2 + 1]
+            rows = np.stack([2 * ids, 2 * ids + 1], axis=1).ravel()
+            for part, whole in zip(clean_pairs(SMALL, code, ids), full):
+                assert_same_bits(part, whole[rows])
 
     def test_chunk_size_does_not_change_the_split(self, small_dataset, monkeypatch):
         monkeypatch.setattr(forgeries, "GENERATE_CHUNK", 3)
-        chunked = generate_dataset(DatasetConfig(n_train=80, n_test=40, seed=7))
+        chunked = generate_dataset(SMALL)
         for split, split_chunked in zip(small_dataset, chunked):
             assert_splits_identical(split, split_chunked)
 
@@ -244,7 +274,7 @@ class TestRowwiseMetrics:
         # The default 1000 pairs: squaring a mean by multiplication instead
         # of pow() moves its last bit about once in a thousand values.
         config = DatasetConfig(n_test=10, image_size=size, seed=seed)
-        clean = generate_dataset(config)[0].clean_images
+        clean = rebuild(config)[0]
         fakes, reals = clean[1::2], clean[::2]
         rows = [stack.reshape(len(stack), -1) for stack in (fakes, reals)]
         pairs = list(zip(fakes, reals))
@@ -341,7 +371,7 @@ class TestExtremesReport:
     def test_constructed_ranking(self, small_dataset):
         train, _ = small_dataset
         # Score fakes by their own amplitude: strongest artifact -> top.
-        report = dfh_extremes_report(train, train.amplitudes)
+        report = dfh_extremes_report(SMALL, TRAIN_SPLIT, train.amplitudes)
         n_fakes = len(train) // 2
         m = max(1, int(n_fakes * 0.1))
         assert len(report["top"]["ids"]) == m
@@ -355,18 +385,30 @@ class TestExtremesReport:
         # Rank fakes by the very quantity each stat reports; the grouped
         # means must then separate in the matching direction.
         train, _ = small_dataset
-        clean = train.clean_images
+        clean = rebuild(SMALL)[0]
         tar_scores = np.zeros(len(train))
         ssim_scores = np.zeros(len(train))
         for i in range(1, len(train), 2):
             tar_scores[i] = tampering_ratio(clean[i], clean[i - 1])
             ssim_scores[i] = -ssim(clean[i], clean[i - 1])
-        by_tar = dfh_extremes_report(train, tar_scores)
+        by_tar = dfh_extremes_report(SMALL, TRAIN_SPLIT, tar_scores)
         assert by_tar["top"]["mean_tar"] > by_tar["bottom"]["mean_tar"]
-        by_ssim = dfh_extremes_report(train, ssim_scores)
+        by_ssim = dfh_extremes_report(SMALL, TRAIN_SPLIT, ssim_scores)
         assert by_ssim["top"]["mean_ssim"] < by_ssim["bottom"]["mean_ssim"]
 
     def test_requires_fakes(self):
-        empty = Split(np.zeros((0, 4, 4)), np.zeros((0, 4, 4)), *np.zeros((3, 0)))
-        with pytest.raises(ValueError):
-            dfh_extremes_report(empty, np.zeros(0))
+        with pytest.raises(ValueError, match="split 1 has 40 samples, got 0 scores"):
+            dfh_extremes_report(SMALL, TEST_SPLIT, np.zeros(0))
+
+    @pytest.mark.parametrize(
+        "split_code, n_scores, n_samples",
+        [(TRAIN_SPLIT, 79, 80), (TRAIN_SPLIT, 81, 80), (TRAIN_SPLIT, 40, 80), (TEST_SPLIT, 80, 40)],
+    )
+    def test_wrong_score_count_names_both_counts(self, split_code, n_scores, n_samples):
+        match = f"split {split_code} has {n_samples} samples, got {n_scores} scores"
+        with pytest.raises(ValueError, match=match):
+            dfh_extremes_report(SMALL, split_code, np.zeros(n_scores))
+
+    def test_unknown_split_code_is_named(self):
+        with pytest.raises(ValueError, match="got 2"):
+            dfh_extremes_report(SMALL, 2, np.zeros(40))

@@ -9,7 +9,9 @@ final DIH value, update count and prior. The dffc configs augment 300 or
 more copies per epoch in one ``augment_pixels`` call, which spans several
 chunks of ``augment.AUGMENT_CHUNK``; the vanilla and babystep configs
 train on ``pacing.full_pool`` and ``pacing.pool_from_ids``.
-``GOLDEN_DATASET`` pins the generated splits themselves,
+``GOLDEN_DATASET`` pins the generated splits themselves, together with
+the clean images and brightness deltas that ``forgeries.clean_pairs``
+rebuilds for every pair,
 ``GOLDEN_EXTREMES`` the TAR/SSIM extremes report and the DFH traces, and
 ``GOLDEN_COMPARISON`` the ``comparison.csv`` of a two-mode, two-seed grid.
 
@@ -30,7 +32,7 @@ import numpy as np
 import pytest
 
 from dffc import cli, runner
-from dffc.forgeries import DatasetConfig, generate_dataset
+from dffc.forgeries import TEST_SPLIT, TRAIN_SPLIT, DatasetConfig, clean_pairs, generate_dataset
 
 SMALL = [
     "dataset.n_train=400", "dataset.n_test=100", "total_epochs=5",
@@ -126,8 +128,9 @@ def test_pool_log_and_hardness_match_golden_digest(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(GOLDEN_DATASET))
 def test_dataset_matches_golden_digest(name):
     kwargs, *digests = GOLDEN_DATASET[name]
-    splits = generate_dataset(DatasetConfig(**kwargs))
-    assert [split_digest(split) for split in splits] == digests
+    config = DatasetConfig(**kwargs)
+    splits = zip(generate_dataset(config), (TRAIN_SPLIT, TEST_SPLIT))
+    assert [split_digest(config, code, split) for split, code in splits] == digests
 
 
 def test_extremes_and_traces_match_golden_digest(tmp_path):
@@ -143,11 +146,10 @@ def test_comparison_matches_golden_digest(tmp_path):
     assert digest == GOLDEN_COMPARISON, mismatch_note()
 
 
-def split_digest(split) -> str:
-    arrays = (
-        split.images, split.clean_images,
-        split.blur_sigmas, split.brightness_deltas, split.amplitudes,
-    )
+def split_digest(config: DatasetConfig, split_code: int, split) -> str:
+    """The split's arrays and its rebuilt clean images and brightness deltas."""
+    clean, _, _, deltas = clean_pairs(config, split_code, np.arange(len(split) // 2))
+    arrays = (split.images, clean, split.blur_sigmas, deltas, split.amplitudes)
     return hashlib.sha256(b"\0".join(a.tobytes() for a in arrays)).hexdigest()
 
 

@@ -163,15 +163,13 @@ class TestRunWiring:
     def test_first_batch_losses_use_initial_params(self, small_result):
         config, result = small_result
         train, _ = generate_dataset(config.dataset)
-        raw = train.images.reshape(len(train), -1)
-        mean = raw.mean(axis=0)
-        std = (raw.std(axis=0) + 1e-8) / runner.INPUT_GAIN
-        params = init_params(raw.shape[1], config.hidden_units, config.seed)
+        to_input = runner.fit_input_transform(train.images)
+        params = init_params(train.images[0].size, config.hidden_units, config.seed)
 
         pool = result.epochs[0]["pool"]
         assert (pool.seeds[: config.batch_size] == -1).all()
         first = pool.entries[: config.batch_size]
-        X = (raw[first] - mean) / std
+        X = to_input(train.images[first])
         y = (first % 2).astype(np.float64)  # fakes are the odd rows
         expected = bce_loss(forward_batch(params, X), y)
         np.testing.assert_array_equal(result.epochs[0]["losses"][: len(first)], expected)
