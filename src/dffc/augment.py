@@ -11,22 +11,22 @@ A seed must lie in 0..2**64 - 1.
 
 :func:`augment_pixels` works on a stack of images with one seed each, so
 the runner augments all the easy-pool copies of an epoch in one call. It
-draws every entry's parameters and builds every blur kernel in one step,
-orders the entries by blur radius, widest first, and then blurs, shifts and
-warps them in runs of one radius and at most ``AUGMENT_CHUNK`` entries. The
-blur leaves a run transposed, and the warp reads it as it is, with its row
-and column offsets swapped, from a copy reflect-padded just enough to hold
-every read, so one flat offset per pixel finds all four of its corners.
-Every entry of a stack comes out bit-identical to the single-image
-operations ``gaussian_blur``, ``brightness_adjust`` and ``affine`` of
-``tests/oracles.py``, the reference it is tested against, whichever entries
-share its stack or its run.
+draws every entry's parameters in one step. Its blur, shift and clip are
+one pipeline, which also post-processes the synthetic dataset
+(:func:`blur_shift`): the entries go widest blur radius first, in runs of
+one radius and at most ``AUGMENT_CHUNK`` entries, with the kernels of each
+radius built in one step. The blur leaves a run transposed. The warp reads
+it as it is, with its row and column offsets swapped, from a copy
+reflect-padded just enough to hold every read, so one flat offset per pixel
+finds all four of its corners. Every entry comes out bit-identical to the
+single-image ``gaussian_blur``, ``brightness_adjust`` and ``affine`` of
+``tests/oracles.py``, whichever entries share its stack or its run.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -34,13 +34,13 @@ import numpy as np
 from dffc import streams
 from dffc.errors import ConfigError, check_range
 
-#: Most entries blurred, shifted and warped per step of :func:`augment_pixels`.
-#: The output is one array, so the temporaries grow with the run, not with
-#: the stack: beyond its output, a call on 1 000 16 px images peaks at 1.7 MB
-#: of traced memory in runs of 64, 3.2 MB at 128 and 5.9 MB at 256. On a
-#: 2-CPU Xeon (2 MB of L2 per core) it took 16-25 ms in runs of 64 or 128,
-#: within 3% of each other when timed alternately, and about 35% longer in
-#: runs of 256 or 512.
+#: Most entries per run of the blur-and-shift pipeline. The output is one
+#: array, so the temporaries grow with the run, not with the stack: beyond
+#: its output, an :func:`augment_pixels` call on 1 000 16 px images peaks at
+#: 1.7 MB of traced memory in runs of 64, 3.2 MB at 128 and 5.9 MB at 256.
+#: On a 2-CPU Xeon (2 MB of L2 per core) it took 16-25 ms in runs of 64 or
+#: 128, within 3% of each other when timed alternately, and about 35% longer
+#: in runs of 256 or 512.
 AUGMENT_CHUNK = 128
 
 
@@ -63,29 +63,6 @@ class AugmentationSpec:
             )
 
 
-def gaussian_kernels(sigmas: np.ndarray) -> np.ndarray:
-    """Row i is the discrete Gaussian of ``sigmas[i]`` with radius
-    ``ceil(3 * sigma)``, normalized to sum 1 (``gaussian_kernel_1d`` of
-    ``tests/oracles.py``), centred in zero taps to the largest radius; every
-    sigma must be positive.
-
-    The kernels of one radius are built in one step, with the same operations
-    as the single kernel: ``np.float_power(sigma, 2.0)`` is the libm ``pow``
-    behind Python's ``sigma**2`` (numpy's array ``**2`` is ``x*x``, which
-    rounds differently for some sigmas), and each row is summed on its own.
-    """
-    radii = np.ceil(3.0 * sigmas).astype(np.int64)
-    radius = int(radii.max())
-    taps = np.zeros((len(sigmas), 2 * radius + 1))
-    two_var = 2.0 * np.float_power(sigmas, 2.0)
-    for r in np.unique(radii):
-        rows = np.flatnonzero(radii == r)
-        xs = np.arange(-r, r + 1, dtype=np.float64)
-        k = np.exp(-(xs**2) / two_var[rows, None])
-        taps[rows, radius - r : radius + r + 1] = k / k.sum(axis=1, keepdims=True)
-    return taps
-
-
 def _reflect_index(idx: np.ndarray, n: int) -> np.ndarray:
     # Mirror without repeating the edge sample (period 2n-2), matching
     # numpy's "reflect" padding. Indices inside the frame map to themselves,
@@ -102,29 +79,36 @@ def _reflect_index(idx: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _radius_runs(sigmas: np.ndarray, size: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
+def _radius_runs(sigmas: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """The entries of ``sigmas``, widest blur radius first, in runs of one
-    radius and at most ``size`` entries: each run's indices into ``sigmas``
-    and its kernels, ``(m, 2r + 1)``, or ``None`` for the run of sigma 0.
+    radius and at most ``AUGMENT_CHUNK`` entries: each run's indices into
+    ``sigmas`` and its kernels, ``(m, 2r + 1)``, or ``None`` for radius 0.
 
-    Every kernel comes from one :func:`gaussian_kernels` call.
+    Entry i's kernel is ``gaussian_kernel_1d(sigmas[i])`` of
+    ``tests/oracles.py``, of radius ``ceil(3 * sigma)``, and the kernels of
+    one radius are built in one step by the same operations:
+    ``np.float_power(sigma, 2.0)`` is the libm ``pow`` behind Python's
+    ``sigma**2`` (numpy's array ``**2`` is ``x*x``, which rounds differently
+    for some sigmas), and each row is summed on its own. Where ``2 *
+    sigma**2`` underflows to 0 the centre tap would be 0/0, so such a sigma
+    takes radius 0; every sigma below about 0.025 has the kernel [0, 1, 0].
     """
-    radii = np.ceil(3.0 * sigmas).astype(np.int64)
+    two_var = 2.0 * np.float_power(sigmas, 2.0)
+    radii = np.where(two_var > 0.0, np.ceil(3.0 * sigmas), 0.0).astype(np.int64)
     order = np.argsort(-radii, kind="stable")
     radii = radii[order]
-    blurred = order[: np.count_nonzero(radii)]
-    taps = gaussian_kernels(sigmas[blurred]) if len(blurred) else None
     cuts = np.flatnonzero(np.diff(radii, prepend=-1, append=-1))
     runs = []
     for lo, hi in zip(cuts, cuts[1:]):
-        r = radii[lo]
-        for start in range(lo, hi, size):
-            stop = min(start + size, hi)
-            kernels = None
-            if r:
-                widest = taps.shape[1] // 2
-                kernels = taps[start:stop, widest - r : widest + r + 1]
-            runs.append((order[start:stop], kernels))
+        group, r = order[lo:hi], radii[lo]
+        taps = None
+        if r:
+            xs = np.arange(-r, r + 1, dtype=np.float64)
+            k = np.exp(-(xs**2) / two_var[group, None])
+            taps = k / k.sum(axis=1, keepdims=True)
+        for start in range(0, len(group), AUGMENT_CHUNK):
+            run = slice(start, start + AUGMENT_CHUNK)
+            runs.append((group[run], None if taps is None else taps[run]))
     return runs
 
 
@@ -152,15 +136,28 @@ def _blur_transposed(images: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return np.clip(acc, 0.0, 1.0, out=acc)
 
 
-def blur_stack(images: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """Separable Gaussian blur with reflect padding of each image by its own
-    sigma; sigma=0 copies it. Each entry equals ``gaussian_blur`` of
+def _blur_shift_runs(
+    images: np.ndarray, sigmas: np.ndarray, deltas: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield each run of :func:`_radius_runs` as its indices and its images
+    blurred (none at radius 0), shifted by their deltas and clipped, left
+    transposed, ``(m, w, h)``."""
+    for rows, taps in _radius_runs(sigmas):
+        run = images[rows]
+        run = run.transpose(0, 2, 1) if taps is None else _blur_transposed(run, taps)
+        run += deltas[rows, None, None]
+        yield rows, np.clip(run, 0.0, 1.0, out=run)
+
+
+def blur_shift(images: np.ndarray, sigmas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Blur each image of an ``(n, h, w)`` stack by its sigma (none at 0),
+    shift it by its delta and clip it to [0, 1]. Each entry equals
+    ``brightness_adjust(gaussian_blur(image, sigma), delta)`` of
     ``tests/oracles.py``.
     """
-    out = images.copy()
-    for rows, taps in _radius_runs(sigmas, len(sigmas)):
-        if taps is not None:
-            out[rows] = _blur_transposed(images[rows], taps).transpose(0, 2, 1)
+    out = np.empty_like(images)
+    for rows, run in _blur_shift_runs(images, sigmas, deltas):
+        out[rows] = run.transpose(0, 2, 1)
     return out
 
 
@@ -267,10 +264,6 @@ def augment_pixels(images: np.ndarray, spec: AugmentationSpec, seeds: Sequence[i
     )
     sigmas, deltas, rotations, dxs, dys = draws.T
     out = np.empty_like(images)
-    for rows, taps in _radius_runs(sigmas, AUGMENT_CHUNK):
-        chunk = images[rows]
-        chunk = chunk.transpose(0, 2, 1) if taps is None else _blur_transposed(chunk, taps)
-        chunk += deltas[rows, None, None]
-        np.clip(chunk, 0.0, 1.0, out=chunk)
-        out[rows] = _warp_transposed(chunk, rotations[rows], dxs[rows], dys[rows])
+    for rows, run in _blur_shift_runs(images, sigmas, deltas):
+        out[rows] = _warp_transposed(run, rotations[rows], dxs[rows], dys[rows])
     return out

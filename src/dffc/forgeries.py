@@ -4,7 +4,8 @@ Each training pair starts from a procedurally generated grayscale "real"
 image (smooth low-frequency content plus a fixed fine checkerboard
 dither). The fake copy adds a banded elliptical artifact of random
 amplitude, size, location and phase; both copies are then independently
-post-processed with Gaussian blur and a brightness shift.
+post-processed with Gaussian blur and a brightness shift, augmentation's
+first two steps, by the same code (:func:`dffc.augment.blur_shift`).
 
 A split is a :class:`Split` of aligned arrays, one row per sample: the
 images and the ground-truth amplitude and blur sigma. The pairing is the
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dffc import streams
-from dffc.augment import blur_stack
+from dffc.augment import blur_shift
 from dffc.errors import ConfigError, check_range
 
 LABEL_REAL = "real"
@@ -94,9 +95,9 @@ class DatasetConfig:
 
 
 #: Pairs generated per step. 64 to 256 pairs run equally fast; the step's
-#: temporaries (mostly the blur's) grow with it. Generating the 32 px
-#: default dataset (48 MB of arrays) raises the peak RSS by 57 MB at 128
-#: pairs, 72 MB at 256, and 109 MB with each split in one step.
+#: clean pairs and their post-processed copy grow with it. Generating the
+#: 32 px default dataset (25 MB of images) raises the peak RSS by 35 MB at
+#: 128 pairs, 43 MB at 256, and 57 MB with each split in one step.
 GENERATE_CHUNK = 128
 
 #: Whole-cycle low-frequency Fourier modes (horizontal, vertical) of the
@@ -256,9 +257,7 @@ def _generate_split(config: DatasetConfig, split_code: int) -> Split:
         pairs = slice(start, start + GENERATE_CHUNK)
         rows = slice(2 * start, 2 * (start + GENERATE_CHUNK))
         clean, amplitudes[rows], sigmas[rows], deltas = _build_pairs(draws[pairs], size)
-        # Post-processing: blur (none at sigma 0), then a brightness shift.
-        blurred = blur_stack(clean, sigmas[rows])
-        images[rows] = np.clip(blurred + deltas[:, None, None], 0.0, 1.0)
+        images[rows] = blur_shift(clean, sigmas[rows], deltas)
     return Split(images, amplitudes, sigmas)
 
 

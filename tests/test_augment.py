@@ -12,10 +12,10 @@ from oracles import affine, brightness_adjust, gaussian_blur, gaussian_kernel_1d
 from dffc import augment
 from dffc.augment import (
     AugmentationSpec,
+    _radius_runs,
     _reflect_index,
     augment_pixels,
-    blur_stack,
-    gaussian_kernels,
+    blur_shift,
 )
 from dffc.errors import ConfigError
 
@@ -43,6 +43,10 @@ class TestKernel:
     def test_batched_kernels_equal_single_kernels_exactly(self):
         rng = np.random.default_rng(0)
         boundaries = np.array([k / 3.0 for k in range(1, 19)])
+        # The smallest sigma whose 2 * sigma**2 does not underflow to 0.
+        tiny = 1.5717277847026288e-162
+        assert 2.0 * tiny**2 > 0.0 == 2.0 * np.nextafter(tiny, 0.0) ** 2
+        underflow = np.array([0.0, 5e-324, 1e-200, np.nextafter(tiny, 0.0)])
         sigmas = np.concatenate(
             [
                 rng.uniform(0.0, 3.0, 20000),
@@ -50,16 +54,29 @@ class TestKernel:
                 boundaries,
                 np.nextafter(boundaries, 0.0),
                 np.nextafter(boundaries, np.inf),
+                [tiny],
+                underflow,
             ]
         )
-        sigmas = sigmas[sigmas > 0.0]
-        taps = gaussian_kernels(sigmas)
-        radius = taps.shape[1] // 2
-        for sigma, row in zip(sigmas, taps):
-            k = gaussian_kernel_1d(float(sigma))
-            r = len(k) // 2
-            assert np.array_equal(row[radius - r : radius + r + 1], k), sigma
-            assert not row[: radius - r].any() and not row[radius + r + 1 :].any()
+        seen = np.zeros(len(sigmas), dtype=int)
+        radii = []
+        # Near tiny, x**2 / (2 * sigma**2) overflows to inf, here and in the
+        # single kernel alike, and exp gives the side taps 0.
+        with np.errstate(over="ignore"):
+            for rows, taps in _radius_runs(sigmas):
+                assert 0 < len(rows) <= augment.AUGMENT_CHUNK
+                seen[rows] += 1
+                if taps is None:
+                    # Radius 0 blurs nothing: sigma 0 and the sigmas whose single
+                    # kernel would be 0/0 at its centre.
+                    assert (2.0 * sigmas[rows] ** 2 == 0.0).all()
+                    radii.append(0)
+                    continue
+                radii.append(taps.shape[1] // 2)
+                for sigma, row in zip(sigmas[rows], taps):
+                    assert np.array_equal(row, gaussian_kernel_1d(float(sigma))), sigma
+        assert (seen == 1).all()
+        assert radii == sorted(radii, reverse=True) and radii[-1] == 0
 
 
 class TestReflectIndex:
@@ -116,10 +133,14 @@ class TestBlur:
         images = rng.uniform(0, 1, (12, size, size))
         sigmas = rng.uniform(0.0, 3.0, 12)
         sigmas[::3] = 0.0
-        expected = np.stack([gaussian_blur(img, s) for img, s in zip(images, sigmas)])
-        out = blur_stack(images, sigmas)
-        assert out.tobytes() == expected.tobytes()
-        assert blur_stack(images, np.zeros(12)).tobytes() == images.tobytes()
+        deltas = rng.uniform(-0.5, 0.5, 12)
+        blurred = [gaussian_blur(img, s) for img, s in zip(images, sigmas)]
+        expected = np.stack([brightness_adjust(b, d) for b, d in zip(blurred, deltas)])
+        assert blur_shift(images, sigmas, deltas).tobytes() == expected.tobytes()
+        # With no shift, the blur alone; with neither, the images.
+        zeros = np.zeros(12)
+        assert blur_shift(images, sigmas, zeros).tobytes() == np.stack(blurred).tobytes()
+        assert blur_shift(images, zeros, zeros).tobytes() == images.tobytes()
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
     def test_every_radius_in_one_stack(self, order):
@@ -131,8 +152,25 @@ class TestBlur:
         elif order == "shuffled":
             sigmas = np.random.default_rng(17).permutation(sigmas)
         images = np.random.default_rng(18).uniform(0, 1, (len(sigmas), 13, 9))
-        expected = np.stack([gaussian_blur(img, s) for img, s in zip(images, sigmas)])
-        assert blur_stack(images, sigmas).tobytes() == expected.tobytes()
+        deltas = np.random.default_rng(19).uniform(-0.2, 0.2, len(sigmas))
+        blurred = [gaussian_blur(img, s) for img, s in zip(images, sigmas)]
+        expected = np.stack([brightness_adjust(b, d) for b, d in zip(blurred, deltas)])
+        assert blur_shift(images, sigmas, deltas).tobytes() == expected.tobytes()
+
+    def test_underflowing_sigma_blurs_as_zero_does(self):
+        # 2 * sigma**2 underflows to 0 below about 1.5e-162.
+        images = np.random.default_rng(20).uniform(0, 1, (6, 8, 8))
+        deltas = np.linspace(-0.3, 0.3, 6)
+        tiny = np.array([0.0, 5e-324, 1e-300, 1e-200, 1e-170, 1.5e-162])
+        expected = blur_shift(images, np.zeros(6), deltas)
+        assert blur_shift(images, tiny, deltas).tobytes() == expected.tobytes()
+        seeds = list(range(300))
+        images = np.random.default_rng(21).uniform(0, 1, (300, 16, 16))
+        spec = AugmentationSpec(blur_sigma_range=(0.0, 1e-200))
+        out = augment_pixels(images, spec, seeds)
+        assert np.isfinite(out).all()
+        zero = AugmentationSpec(blur_sigma_range=(0.0, 0.0))
+        assert out.tobytes() == augment_pixels(images, zero, seeds).tobytes()
 
 
 class TestBrightness:

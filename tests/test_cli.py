@@ -388,6 +388,18 @@ class TestTrain:
         assert "non-finite training loss" in capsys.readouterr().err
         assert not (tmp_path / "nested").exists()
 
+    @pytest.mark.parametrize("key", ["dataset.blur_range", "augment.blur_sigma_range"])
+    def test_underflowing_blur_sigma_trains_as_zero_does(self, key, tmp_path):
+        # 2 * sigma**2 underflows to 0 below about 1.5e-162: such a sigma
+        # blurs as sigma 0 does, where its kernel would be 0/0 at its centre.
+        metrics = []
+        for hi in ("1e-200", "0"):
+            out = tmp_path / hi
+            flags = ["--override", f"{key}=[0,{hi}]"]
+            assert cli.main(["train", *SMALL_OVERRIDES, *flags, "--out", str(out)]) == 0
+            metrics.append((out / "metrics.csv").read_bytes())
+        assert metrics[0] == metrics[1]
+
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         code = cli.main(
             ["train", "--override", "mode=bogus", "--out", str(tmp_path / "x")]

@@ -16,6 +16,9 @@ Oracle notes:
       take every cosine at every pixel; the package takes each once per
       distinct argument and must give the same bits, at every size and
       inside whole splits at any chunk size.
+  [DERIVED] post-processing -- each image is
+      brightness_adjust(gaussian_blur(clean, sigma), delta) of oracles.py;
+      a sigma whose 2 * sigma**2 underflows to 0 blurs as sigma 0 does.
   [TRIVIAL] determinism, pairing, ranges, validation.
 """
 
@@ -25,11 +28,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import base_images, bumps, gaussian_blur, ssim, tampering_ratio
+from oracles import base_images, brightness_adjust, bumps, gaussian_blur, ssim, tampering_ratio
 from scipy.stats import spearmanr
 
 from dffc import forgeries
-from dffc.augment import blur_stack
 from dffc.errors import ConfigError
 from dffc.forgeries import (
     DEFAULT_TAR_THRESHOLD,
@@ -148,13 +150,27 @@ class TestGeneration:
         assert (fakes != reals).any(axis=(1, 2)).all()
 
     def test_clean_images_present(self, small_dataset):
-        # The rebuilt clean images, post-processed, are the split's images.
+        # The rebuilt clean images, post-processed by the single-image
+        # oracles, are the split's images.
         for split, code in zip(small_dataset, (TRAIN_SPLIT, TEST_SPLIT)):
             clean, _, sigmas, deltas = rebuild(SMALL, code)
             assert clean.shape == split.images.shape
             assert clean.min() >= 0.0 and clean.max() <= 1.0
-            post = np.clip(blur_stack(clean, sigmas) + deltas[:, None, None], 0.0, 1.0)
-            assert_same_bits(post, split.images)
+            for i, (img, sigma, delta) in enumerate(zip(clean, sigmas, deltas)):
+                post = brightness_adjust(gaussian_blur(img, float(sigma)), delta)
+                assert_same_bits(post, split.images[i], str(i))
+
+    @pytest.mark.parametrize("size", [5, 16])
+    def test_underflowing_blur_sigma_blurs_as_zero_does(self, size):
+        # 2 * sigma**2 underflows to 0 below about 1.5e-162; such a sigma
+        # would make the kernel 0/0 at its centre.
+        sizes = {"n_train": 80, "n_test": 40, "image_size": size}
+        tiny = generate_dataset(DatasetConfig(**sizes, blur_range=(0.0, 1e-200)))
+        zero = generate_dataset(DatasetConfig(**sizes, blur_range=(0.0, 0.0)))
+        for split_tiny, split_zero in zip(tiny, zero):
+            assert split_tiny.blur_sigmas.any()
+            assert_same_bits(split_tiny.images, split_zero.images)
+            assert_same_bits(split_tiny.amplitudes, split_zero.amplitudes)
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_clean_pairs_of_shuffled_ids_match_the_full_rebuild(self, chunk, monkeypatch):
