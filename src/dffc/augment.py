@@ -104,7 +104,10 @@ def _radius_runs(sigmas: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None
         taps = None
         if r:
             xs = np.arange(-r, r + 1, dtype=np.float64)
-            k = np.exp(-(xs**2) / two_var[group, None])
+            # Near the smallest sigma with a kernel, x**2 / (2 * sigma**2)
+            # overflows to inf, whose exp is the side tap 0 of the single kernel.
+            with np.errstate(over="ignore"):
+                k = np.exp(-(xs**2) / two_var[group, None])
             taps = k / k.sum(axis=1, keepdims=True)
         for start in range(0, len(group), AUGMENT_CHUNK):
             run = slice(start, start + AUGMENT_CHUNK)

@@ -12,11 +12,14 @@ field a list of the right length. ``--override key=value`` uses dotted
 paths; the file and each override in turn set the leaves they name,
 and a section that holds a non-object is an error. Mode ``dih`` sets
 ``hardness.alpha_f`` to 0 unless a non-zero value is given, which
-``RunConfig`` rejects. A bad value raises ``ConfigError`` naming its
-dotted key before the run starts, and a config file or run artifact
-that cannot be read as UTF-8 text raises one naming the file. The out
-dir is made only when the artifacts are written, so a run that fails
-leaves none behind.
+``RunConfig`` rejects. Each row of ``compare`` is the ``train`` run of
+the same config and overrides followed by the cell's ``mode``,
+``augment_all`` and ``seed``, and ``hardness.alpha_f=0`` for a dih
+cell; every cell trains on one generated dataset. A bad value raises
+``ConfigError`` naming its dotted key before the run starts, and a
+config file or run artifact that cannot be read as UTF-8 text raises
+one naming the file. The out dir is made only when the artifacts are
+written, so a run that fails leaves none behind.
 ``resolved_config.json`` written into each run directory reproduces the
 run bit-identically.
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import logging
 import os
@@ -56,9 +60,13 @@ class CompareGrid:
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self) -> None:
+        # A repeated value would be one run counted as several.
         for f in dataclasses.fields(self):
-            if not getattr(self, f.name):
+            values = getattr(self, f.name)
+            if not values:
                 raise ConfigError(f"{f.name} must hold at least one value")
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{f.name} must not repeat a value, got {json.dumps(values)}")
         for mode in self.modes:
             if mode not in runner.MODES:
                 raise ConfigError(f"modes must each be one of {runner.MODES}, got {mode!r}")
@@ -160,13 +168,6 @@ def _parse_overrides(pairs: list[str]) -> list[tuple[str, object]]:
     return parsed
 
 
-def _apply_dih_rule(flat: dict, explicit_alpha_f: object = None) -> None:
-    """Mode ``dih``'s default: ``hardness.alpha_f`` becomes 0 unless the user
-    gave a non-zero value, which ``RunConfig`` then rejects."""
-    if flat["mode"] == "dih" and explicit_alpha_f in (None, 0):
-        flat["hardness.alpha_f"] = 0
-
-
 def _read_text(path: Path, what: str) -> str:
     """The UTF-8 text of the ``what`` at ``path``, or a ``ConfigError`` naming it."""
     try:
@@ -200,7 +201,10 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
     flat = {path: user.get(path, default) for path, (_, default) in _LEAVES.items()}
     for path, (hint, _) in _LEAVES.items():
         typed(flat[path], hint, path)
-    _apply_dih_rule(flat, user.get("hardness.alpha_f"))
+    # Mode dih's default: alpha_f becomes 0 unless the user gave a non-zero
+    # value, which RunConfig then rejects.
+    if flat["mode"] == "dih" and user.get("hardness.alpha_f") in (None, 0):
+        flat["hardness.alpha_f"] = 0
     return _nest((path, list(v) if isinstance(v, tuple) else v) for path, v in flat.items())
 
 
@@ -233,15 +237,27 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     n_fake = int(train.targets.sum())
     print(f"generated {len(train)} train / {len(test)} test samples")
     print(f"class balance: {n_fake} fake / {len(train) - n_fake} real")
-    counts, edges = np.histogram(train.amplitudes[train.targets == 1.0], bins=8)
-    print("fake amplitude histogram:")
-    for c, lo, hi in zip(counts, edges, edges[1:]):
-        print(f"  [{lo:.3f}, {hi:.3f}): {c}")
-    counts, edges = np.histogram(train.blur_sigmas, bins=8)
-    print("blur sigma histogram:")
-    for c, lo, hi in zip(counts, edges, edges[1:]):
-        print(f"  [{lo:.3f}, {hi:.3f}): {c}")
+    for name, values in (
+        ("fake amplitude", train.amplitudes[train.targets == 1.0]),
+        ("blur sigma", train.blur_sigmas),
+    ):
+        counts, edges = np.histogram(values, bins=8)
+        labels = _edge_labels(edges)
+        print(f"{name} histogram:")
+        for c, lo, hi in zip(counts, labels, labels[1:]):
+            print(f"  [{lo}, {hi}): {c}")
     return 0
+
+
+def _edge_labels(edges: np.ndarray) -> list[str]:
+    """Histogram ``edges`` as text: with three decimals where that tells them
+    apart, else with the fewest significant digits that do (17 tell any two
+    floats apart)."""
+    for spec in (".3f", *(f".{digits}g" for digits in range(1, 17))):
+        labels = [format(edge, spec) for edge in edges]
+        if len(set(labels)) == len(labels):
+            return labels
+    return [format(edge, ".17g") for edge in edges]
 
 
 #: A run whose final test AUC is at most this has not learned to tell the
@@ -302,18 +318,32 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    flat = _flatten(resolve_config(args.config, args.override), "")
-    grid = _build(CompareGrid, flat, "compare.")
+    resolved = resolve_config(args.config, args.override)
+    grid = _build(CompareGrid, _flatten(resolved, ""), "compare.")
+    # Each cell is the train run of the user's config and overrides, then the
+    # cell's own values; a dih cell's alpha_f is 0 whatever the others use.
     configs = []
-    for mode in grid.modes:
-        for aug in grid.augment_all:
-            for seed in grid.seeds:
-                variant = flat | {"mode": mode, "augment_all": aug, "seed": seed}
-                _apply_dih_rule(variant)
-                configs.append(_build(runner.RunConfig, variant))
+    for mode, aug, seed in itertools.product(grid.modes, grid.augment_all, grid.seeds):
+        cell = [f"mode={json.dumps(mode)}", f"augment_all={json.dumps(aug)}", f"seed={seed}"]
+        cell += ["hardness.alpha_f=0"] if mode == "dih" else []
+        configs.append(build_run_config(resolve_config(args.config, [*args.override, *cell])))
     out = Path(args.out)
     _check_out_dir(out, args.force, "comparison.csv")
-    rows = runner.compare_modes(configs)
+    # No cell sets a dataset key, so every run trains on one dataset.
+    dataset = forgeries.generate_dataset(configs[0].dataset)
+    rows = []
+    for config in configs:
+        final = runner.run_training(config, dataset).epochs[-1]
+        rows.append(
+            {
+                "mode": config.mode,
+                "augment_all": config.augment_all,
+                "seed": config.seed,
+                "final_acc": final["test_acc"],
+                "final_auc": final["test_auc"],
+                "acc_hard": final["acc_hard"],
+            }
+        )
     out.mkdir(parents=True, exist_ok=True)
     (out / "comparison.csv").write_text(runner.csv_text(runner.COMPARISON_COLUMNS, rows))
     for entry in runner.summarize_comparison(rows):

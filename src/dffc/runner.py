@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import logging
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -279,10 +279,10 @@ def run_training(
 ) -> MetricsLog:
     """Train one model under ``config``; every artifact is read from the result.
 
-    ``dataset`` saves generating the splits again, as :func:`compare_modes`
-    does. A passed ``dataset`` must be ``generate_dataset(config.dataset)``:
-    the extremes report rebuilds the clean images of its test pairs from
-    ``config.dataset``.
+    ``dataset`` saves generating the splits again, as ``dffc compare`` does
+    for the runs of its grid. A passed ``dataset`` must be
+    ``generate_dataset(config.dataset)``: the extremes report rebuilds the
+    clean images of its test pairs from ``config.dataset``.
     """
     train, test = dataset if dataset is not None else forgeries.generate_dataset(config.dataset)
     n = len(train)
@@ -396,39 +396,6 @@ def run_training(
         final_params=params,
         train_hardness=state,
     )
-
-
-def compare_modes(configs: list[RunConfig]) -> list[dict]:
-    """Run each config and report its final-epoch headline metrics.
-
-    All configs must share one dataset config, so rows are comparable; the
-    dataset is generated once and every run trains on it.
-    """
-    if not configs:
-        raise ConfigError("compare_modes needs at least one config")
-    first = configs[0].dataset
-    for other in (config.dataset for config in configs[1:]):
-        for name in (f.name for f in fields(DatasetConfig)):
-            a, b = getattr(first, name), getattr(other, name)
-            if a != b:
-                raise ConfigError(
-                    f"configs must share one dataset: dataset.{name} is {a} and {b}"
-                )
-    dataset = forgeries.generate_dataset(first)
-    rows = []
-    for config in configs:
-        final = run_training(config, dataset).epochs[-1]
-        rows.append(
-            {
-                "mode": config.mode,
-                "augment_all": config.augment_all,
-                "seed": config.seed,
-                "final_acc": final["test_acc"],
-                "final_auc": final["test_auc"],
-                "acc_hard": final["acc_hard"],
-            }
-        )
-    return rows
 
 
 def summarize_comparison(rows: list[dict]) -> list[dict]:

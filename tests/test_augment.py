@@ -60,21 +60,22 @@ class TestKernel:
         )
         seen = np.zeros(len(sigmas), dtype=int)
         radii = []
-        # Near tiny, x**2 / (2 * sigma**2) overflows to inf, here and in the
-        # single kernel alike, and exp gives the side taps 0.
-        with np.errstate(over="ignore"):
-            for rows, taps in _radius_runs(sigmas):
-                assert 0 < len(rows) <= augment.AUGMENT_CHUNK
-                seen[rows] += 1
-                if taps is None:
-                    # Radius 0 blurs nothing: sigma 0 and the sigmas whose single
-                    # kernel would be 0/0 at its centre.
-                    assert (2.0 * sigmas[rows] ** 2 == 0.0).all()
-                    radii.append(0)
-                    continue
-                radii.append(taps.shape[1] // 2)
-                for sigma, row in zip(sigmas[rows], taps):
-                    assert np.array_equal(row, gaussian_kernel_1d(float(sigma))), sigma
+        for rows, taps in _radius_runs(sigmas):
+            assert 0 < len(rows) <= augment.AUGMENT_CHUNK
+            seen[rows] += 1
+            if taps is None:
+                # Radius 0 blurs nothing: sigma 0 and the sigmas whose single
+                # kernel would be 0/0 at its centre.
+                assert (2.0 * sigmas[rows] ** 2 == 0.0).all()
+                radii.append(0)
+                continue
+            radii.append(taps.shape[1] // 2)
+            for sigma, row in zip(sigmas[rows], taps):
+                # Near tiny, x**2 / (2 * sigma**2) overflows to inf in the
+                # single kernel, as in _radius_runs, and exp gives the side taps 0.
+                with np.errstate(over="ignore"):
+                    expected = gaussian_kernel_1d(float(sigma))
+                assert np.array_equal(row, expected), sigma
         assert (seen == 1).all()
         assert radii == sorted(radii, reverse=True) and radii[-1] == 0
 

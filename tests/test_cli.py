@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from test_golden import SMALL
 
-from dffc import cli, runner
+from dffc import cli, forgeries, runner
 from dffc.errors import ConfigError
 
 SMALL_OVERRIDES = [
@@ -213,6 +213,10 @@ class TestSchema:
             ("compare", ["compare.seeds=[]"], "compare.seeds"),
             ("compare", ["compare.modes=[]"], "compare.modes"),
             ("compare", ["compare.augment_all=[]"], "compare.augment_all"),
+            # A repeated value would be one run counted as several.
+            ("compare", ['compare.modes=["vanilla","vanilla"]'], "compare.modes"),
+            ("compare", ["compare.augment_all=[false,false]"], "compare.augment_all"),
+            ("compare", ["compare.seeds=[0,0]"], "compare.seeds"),
             ("train", ["augment.brightness_range=[-1e308,1e308]"], "brightness_range"),
             ("train", ["dataset.brightness_range=[-1e308,1e308]"], "brightness_range"),
             # A rule's error names the dotted key of the field it blames.
@@ -301,6 +305,31 @@ class TestRuntime:
         assert done.stdout.strip() == "[]", done.stdout
 
 
+#: ``dffc gen-data``'s printout of the default dataset.
+DEFAULT_GEN_DATA_PRINTOUT = """\
+generated 2000 train / 1000 test samples
+class balance: 1000 fake / 1000 real
+fake amplitude histogram:
+  [0.120, 0.130): 112
+  [0.130, 0.140): 128
+  [0.140, 0.150): 125
+  [0.150, 0.160): 138
+  [0.160, 0.170): 139
+  [0.170, 0.180): 118
+  [0.180, 0.190): 131
+  [0.190, 0.200): 109
+blur sigma histogram:
+  [0.000, 0.063): 257
+  [0.063, 0.125): 231
+  [0.125, 0.188): 243
+  [0.188, 0.250): 255
+  [0.250, 0.312): 262
+  [0.312, 0.375): 243
+  [0.375, 0.437): 265
+  [0.437, 0.500): 244
+"""
+
+
 class TestGenData:
     def test_printout_is_deterministic(self, capsys):
         args = ["gen-data", *SMALL_OVERRIDES]
@@ -329,6 +358,18 @@ class TestGenData:
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and named in errors[0], err
         assert "Traceback" not in err
+
+    def test_default_printout_is_pinned(self, capsys):
+        assert cli.main(["gen-data"]) == 0
+        assert capsys.readouterr().out == DEFAULT_GEN_DATA_PRINTOUT
+
+    def test_bins_of_a_narrow_range_print_apart(self, capsys):
+        flags = ["--override", "dataset.blur_range=[0,1e-200]"]
+        assert cli.main(["gen-data", *SMALL_OVERRIDES, *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        bins = lines[lines.index("blur sigma histogram:") + 1 :]
+        edges = [line.partition(":")[0] for line in bins]
+        assert len(edges) == 8 and len(set(edges)) == 8, bins
 
     def test_has_no_out_option(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -399,6 +440,26 @@ class TestTrain:
             assert cli.main(["train", *SMALL_OVERRIDES, *flags, "--out", str(out)]) == 0
             metrics.append((out / "metrics.csv").read_bytes())
         assert metrics[0] == metrics[1]
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("gen-data", "dataset.blur_range"),
+            ("train", "dataset.blur_range"),
+            ("train", "augment.blur_sigma_range"),
+        ],
+    )
+    def test_smallest_blur_sigmas_run_without_a_warning(self, command, key, tmp_path, capsys):
+        # Near sigma 1.6e-162 a kernel's x**2 / (2 * sigma**2) overflows to
+        # inf. The SMALL_OVERRIDES run is too small to learn, which warns.
+        overrides = [
+            "dataset.n_train=400", "dataset.n_test=100", "total_epochs=5",
+            "pacing.milestones=[2,3,4]", "pacing.easy_pool_size=100", f"{key}=[1e-160,1e-160]",
+        ]
+        flags = [arg for override in overrides for arg in ("--override", override)]
+        out = ["--out", str(tmp_path / "r")] if command == "train" else []
+        assert cli.main([command, *flags, *out]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         code = cli.main(
@@ -689,6 +750,59 @@ class TestCompare:
         assert lines[1].startswith("vanilla,") and lines[2].startswith("dffc,")
         printed = capsys.readouterr().out
         assert "vanilla" in printed and "dffc" in printed
+
+    def test_dataset_generated_once(self, tmp_path, monkeypatch):
+        generated = []
+        generate = forgeries.generate_dataset
+        monkeypatch.setattr(
+            forgeries, "generate_dataset", lambda cfg: generated.append(cfg) or generate(cfg)
+        )
+        grid = [
+            "--override", 'compare.modes=["vanilla","dffc"]', "--override", "compare.seeds=[0,1]"
+        ]
+        assert cli.main(["compare", *SMALL_OVERRIDES, *grid, "--out", str(tmp_path / "c")]) == 0
+        assert len(generated) == 1
+
+    def test_each_row_is_the_train_run_of_its_cell(self, tmp_path):
+        # A configured alpha_f holds for every cell but the dih ones, which run at 0.
+        flags = [*SMALL_OVERRIDES, "--override", "hardness.alpha_f=0.3"]
+        grid = [
+            "--override", 'compare.modes=["vanilla","dffc","dih"]',
+            "--override", "compare.augment_all=[false,true]",
+            "--override", "compare.seeds=[0,1]",
+        ]
+        assert cli.main(["compare", *flags, *grid, "--out", str(tmp_path / "c")]) == 0
+        header, *rows = (tmp_path / "c" / "comparison.csv").read_text().splitlines()
+        assert len(rows) == 12
+        for i, line in enumerate(rows):
+            row = dict(zip(header.split(","), line.split(",")))
+            cell = [
+                f"mode={row['mode']}", f"augment_all={row['augment_all'].lower()}",
+                f"seed={row['seed']}", *(["hardness.alpha_f=0"] if row["mode"] == "dih" else []),
+            ]
+            out = tmp_path / str(i)
+            overrides = [arg for override in cell for arg in ("--override", override)]
+            assert cli.main(["train", *flags, *overrides, "--out", str(out)]) == 0
+            metrics_header, *epochs = (out / "metrics.csv").read_text().splitlines()
+            final = dict(zip(metrics_header.split(","), epochs[-1].split(",")))
+            assert (row["final_acc"], row["final_auc"], row["acc_hard"]) == (
+                final["test_acc"], final["test_auc"], final["acc_hard"]
+            ), row
+
+    def test_top_level_dih_mode_leaves_the_grid_alone(self, tmp_path):
+        # The top-level mode is each cell's to set, so a dih default taken
+        # from it must not reach the dffc cells.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "dih"}))
+        grid = [*SMALL_OVERRIDES, "--override", 'compare.modes=["dffc","dih"]']
+        texts = []
+        for extra in ([], ["--override", "mode=dih"], ["--config", str(cfg)]):
+            out = tmp_path / str(len(texts))
+            assert cli.main(["compare", *grid, *extra, "--out", str(out)]) == 0
+            texts.append((out / "comparison.csv").read_text())
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+        _, dffc, dih = texts[0].splitlines()
+        assert dffc.partition(",")[2] != dih.partition(",")[2]
 
     def test_dih_in_grid_sets_alpha_f_zero(self, tmp_path):
         # An explicit alpha_f is the dffc runs' setting, not a contradiction.

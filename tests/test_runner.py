@@ -18,7 +18,6 @@ Oracle notes:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
@@ -26,7 +25,7 @@ import pytest
 from oracles import assert_pool_streams_equal
 from scipy.stats import rankdata
 
-from dffc import augment, forgeries, hardness, pacing, runner
+from dffc import augment, pacing, runner
 from dffc.errors import ConfigError
 from dffc.forgeries import DatasetConfig, generate_dataset, quality_priors
 from dffc.model import bce_loss, forward_batch, init_params
@@ -42,10 +41,6 @@ def pool_log_text(result: runner.MetricsLog) -> str:
 
 def pools(result: runner.MetricsLog) -> list[pacing.EpochPool]:
     return [record["pool"] for record in result.epochs]
-
-
-def comparison_text(rows: list[dict]) -> str:
-    return runner.csv_text(runner.COMPARISON_COLUMNS, rows)
 
 
 class TestRocAuc:
@@ -328,77 +323,18 @@ class TestReductions:
 
 
 class TestCompare:
-    def test_rows_and_csv(self):
-        dataset = DatasetConfig(n_train=40, n_test=20, seed=6)
-        configs = [
-            runner.RunConfig(
-                mode=mode, dataset=dataset, total_epochs=3,
-                milestones=(2, 3), easy_pool_size=5,
-                batch_size=16, hidden_units=8, seed=6,
-                alpha_f=0.0 if mode == "dih" else 0.5,
-            )
-            for mode in ("vanilla", "dffc", "dih")
+    def test_summary_per_mode_and_augment_all_over_seeds(self):
+        # [DERIVED] accuracies 0.5 and 0.7 have mean 0.6 and (population) std 0.1.
+        rows = [
+            {"mode": mode, "augment_all": False, "seed": seed,
+             "final_acc": acc, "final_auc": 1.0, "acc_hard": 0.5}
+            for mode, seed, acc in (("dffc", 0, 0.5), ("dih", 0, 0.6), ("dffc", 1, 0.7))
         ]
-        rows = runner.compare_modes(configs)
-        assert [r["mode"] for r in rows] == ["vanilla", "dffc", "dih"]
-        text = comparison_text(rows)
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("mode,")
-        assert len(lines) == 4
         summary = runner.summarize_comparison(rows)
-        assert {s["mode"] for s in summary} == {"vanilla", "dffc", "dih"}
-        assert all(s["n_seeds"] == 1 for s in summary)
-
-    def test_mismatched_dataset_configs_rejected(self):
-        configs = [
-            runner.RunConfig(dataset=DatasetConfig(n_train=40, n_test=20, seed=1)),
-            runner.RunConfig(dataset=DatasetConfig(n_train=80, n_test=20, image_size=8, seed=1)),
-        ]
-        with pytest.raises(ConfigError, match="dataset.n_train is 40 and 80"):
-            runner.compare_modes(configs)
-
-    def test_dataset_generated_once_with_unchanged_rows(self, monkeypatch):
-        dataset = DatasetConfig(n_train=40, n_test=20, seed=6)
-        configs = [
-            runner.RunConfig(
-                mode=mode, dataset=dataset, total_epochs=3, milestones=(2, 3),
-                easy_pool_size=5, batch_size=16, hidden_units=8, seed=seed,
-                augment_all=aug, alpha_f=0.0 if mode == "dih" else 0.5,
-            )
-            for mode, aug, seed in (
-                ("vanilla", False, 6), ("dffc", False, 6), ("dffc", True, 7), ("dih", False, 6)
-            )
-        ]
-        expected = []
-        for config in configs:
-            final = runner.run_training(config).epochs[-1]
-            expected.append(
-                {
-                    "mode": config.mode, "augment_all": config.augment_all,
-                    "seed": config.seed, "final_acc": final["test_acc"],
-                    "final_auc": final["test_auc"], "acc_hard": final["acc_hard"],
-                }
-            )
-        generated = []
-        generate = forgeries.generate_dataset
-        monkeypatch.setattr(
-            forgeries, "generate_dataset", lambda cfg: generated.append(cfg) or generate(cfg)
-        )
-        rows = runner.compare_modes(configs)
-        assert generated == [dataset]
-        assert comparison_text(rows) == comparison_text(expected)
-
-    def test_mismatched_dataset_seeds_rejected(self):
-        configs = [
-            runner.RunConfig(dataset=DatasetConfig(n_train=40, n_test=20, seed=1)),
-            runner.RunConfig(dataset=DatasetConfig(n_train=40, n_test=20, seed=2)),
-        ]
-        with pytest.raises(ConfigError):
-            runner.compare_modes(configs)
-
-    def test_empty_config_list_rejected(self):
-        with pytest.raises(ConfigError):
-            runner.compare_modes([])
+        assert [(s["mode"], s["n_seeds"]) for s in summary] == [("dffc", 2), ("dih", 1)]
+        assert summary[0]["final_acc_mean"] == pytest.approx(0.6)
+        assert summary[0]["final_acc_std"] == pytest.approx(0.1)
+        assert summary[1]["final_acc_std"] == 0.0 == summary[0]["final_auc_std"]
 
 
 class TestEvaluate:
