@@ -9,24 +9,28 @@ reproducible. The streams are numpy's: entry i's five draws are
 PCG64), computed for the whole stack at once by :mod:`dffc.streams`.
 A seed must lie in 0..2**64 - 1.
 
-:func:`augment_pixels` works on a stack of images with one seed each, so
-the runner augments all the easy-pool copies of an epoch in one call. It
-draws every entry's parameters in one step. Its blur, shift and clip are
-one pipeline, which also post-processes the synthetic dataset
-(:func:`blur_shift`): the entries go widest blur radius first, in runs of
-one radius and at most ``AUGMENT_CHUNK`` entries, with the kernels of each
-radius built in one step. The blur leaves a run transposed. The warp reads
-it as it is, with its row and column offsets swapped, from a copy
-reflect-padded just enough to hold every read, so one flat offset per pixel
-finds all four of its corners. Every entry comes out bit-identical to the
-single-image ``gaussian_blur``, ``brightness_adjust`` and ``affine`` of
-``tests/oracles.py``, whichever entries share its stack or its run.
+:func:`augment_pixels` augments every easy-pool copy of an epoch in one
+call, each entry one sample id of the source stack with its own seed, and
+writes each entry's augmented image, passed through the caller's input
+transform, into its row of a matrix the caller holds. It draws every
+entry's parameters in one step. Its blur, shift and clip are one pipeline,
+which also post-processes the synthetic dataset (:func:`blur_shift`): the
+entries go widest blur radius first, in runs of one radius and at most
+``AUGMENT_CHUNK`` entries, with the kernels of each radius built in one
+step. Each run gathers its own source images by sample id, so nothing the
+size of the whole call is gathered, stacked or transformed. The blur leaves
+a run transposed. The warp reads it as it is, with its row and column
+offsets swapped, from a copy reflect-padded just enough to hold every read,
+so one flat offset per pixel finds all four of its corners. Every entry
+comes out bit-identical to the single-image ``gaussian_blur``,
+``brightness_adjust`` and ``affine`` of ``tests/oracles.py``, whichever
+entries share its call or its run.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -34,10 +38,11 @@ import numpy as np
 from dffc import streams
 from dffc.errors import ConfigError, check_range
 
-#: Most entries per run of the blur-and-shift pipeline. The output is one
-#: array, so the temporaries grow with the run, not with the stack: beyond
-#: its output, an :func:`augment_pixels` call on 1 000 16 px images peaks at
-#: 1.7 MB of traced memory in runs of 64, 3.2 MB at 128 and 5.9 MB at 256.
+#: Most entries per run of the blur-and-shift pipeline. Each run is gathered,
+#: augmented and written into its rows on its own, so the temporaries grow
+#: with the run, not with the call: beyond its output matrix, an
+#: :func:`augment_pixels` call on 1 000 16 px images peaks at
+#: 1.7 MB of traced memory in runs of 64, 3.4 MB at 128 and 6.2 MB at 256.
 #: On a 2-CPU Xeon (2 MB of L2 per core) it took 16-25 ms in runs of 64 or
 #: 128, within 3% of each other when timed alternately, and about 35% longer
 #: in runs of 256 or 512.
@@ -140,13 +145,15 @@ def _blur_transposed(images: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 
 def _blur_shift_runs(
-    images: np.ndarray, sigmas: np.ndarray, deltas: np.ndarray
+    images: np.ndarray, ids: np.ndarray, sigmas: np.ndarray, deltas: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield each run of :func:`_radius_runs` as its indices and its images
-    blurred (none at radius 0), shifted by their deltas and clipped, left
-    transposed, ``(m, w, h)``."""
+    """Yield each run of :func:`_radius_runs` as its indices into ``ids``
+    and the images of those ids blurred (none at radius 0), shifted by their
+    deltas and clipped, left transposed, ``(m, w, h)``. Entry i is image
+    ``ids[i]`` with ``sigmas[i]`` and ``deltas[i]``; each run gathers only
+    its own images."""
     for rows, taps in _radius_runs(sigmas):
-        run = images[rows]
+        run = images[ids[rows]]
         run = run.transpose(0, 2, 1) if taps is None else _blur_transposed(run, taps)
         run += deltas[rows, None, None]
         yield rows, np.clip(run, 0.0, 1.0, out=run)
@@ -159,7 +166,7 @@ def blur_shift(images: np.ndarray, sigmas: np.ndarray, deltas: np.ndarray) -> np
     ``tests/oracles.py``.
     """
     out = np.empty_like(images)
-    for rows, run in _blur_shift_runs(images, sigmas, deltas):
+    for rows, run in _blur_shift_runs(images, np.arange(len(images)), sigmas, deltas):
         out[rows] = run.transpose(0, 2, 1)
     return out
 
@@ -239,21 +246,32 @@ def _warp_transposed(
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def augment_pixels(images: np.ndarray, spec: AugmentationSpec, seeds: Sequence[int]) -> np.ndarray:
-    """Apply blur -> brightness -> affine with parameters drawn per seed.
+def augment_pixels(
+    images: np.ndarray,
+    ids: np.ndarray,
+    spec: AugmentationSpec,
+    seeds: Sequence[int],
+    transform: Callable[[np.ndarray], np.ndarray],
+    out: np.ndarray,
+) -> None:
+    """Apply blur -> brightness -> affine with parameters drawn per seed, and
+    write each result, through ``transform``, into its row of ``out``.
 
-    ``images`` is a stack ``(n, h, w)`` with a sequence of ``n`` seeds. Entry
-    ``i`` draws its five parameters from ``default_rng(seeds[i])``, computed
-    for every entry at once by :func:`streams.uniforms`, and comes out
-    bit-identical to ``affine(brightness_adjust(gaussian_blur(image, sigma),
-    delta), theta, dx, dy)`` of ``tests/oracles.py`` whichever entries share
-    its stack.
+    Entry ``i`` augments ``images[ids[i]]`` of the ``(n, h, w)`` stack with
+    the five parameters drawn from ``default_rng(seeds[i])``, computed for
+    every entry at once by :func:`streams.uniforms`; an id may repeat.
+    ``transform`` maps an ``(m, h, w)`` stack of augmented images to the
+    ``(m, k)`` rows that ``out[i]`` receives, one run at a time. The image
+    before the transform is bit-identical to ``affine(brightness_adjust(
+    gaussian_blur(images[ids[i]], sigma), delta), theta, dx, dy)`` of
+    ``tests/oracles.py``, whichever entries share the call.
     """
     images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 3 or len(images) != len(seeds):
+    ids = np.asarray(ids)
+    if images.ndim != 3 or not len(ids) == len(seeds) == len(out):
         raise ValueError(
-            f"expected an (n, h, w) stack with n seeds, got shape {images.shape} "
-            f"and {len(seeds)} seeds"
+            f"expected an (n, h, w) stack and as many seeds and out rows as ids, got "
+            f"shape {images.shape}, {len(ids)} ids, {len(seeds)} seeds and {len(out)} out rows"
         )
     draws = streams.uniforms(
         (seeds,),
@@ -266,7 +284,5 @@ def augment_pixels(images: np.ndarray, spec: AugmentationSpec, seeds: Sequence[i
         ),
     )
     sigmas, deltas, rotations, dxs, dys = draws.T
-    out = np.empty_like(images)
-    for rows, run in _blur_shift_runs(images, sigmas, deltas):
-        out[rows] = _warp_transposed(run, rotations[rows], dxs[rows], dys[rows])
-    return out
+    for rows, run in _blur_shift_runs(images, ids, sigmas, deltas):
+        out[rows] = transform(_warp_transposed(run, rotations[rows], dxs[rows], dys[rows]))

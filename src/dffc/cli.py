@@ -234,14 +234,22 @@ def write_pgm(image: np.ndarray, path: Path) -> None:
 def cmd_gen_data(args: argparse.Namespace) -> int:
     resolved = resolve_config(args.config, args.override)
     train, test = forgeries.generate_dataset(build_run_config(resolved).dataset)
+    histograms = []
+    for name, key, values in (
+        ("fake amplitude", "dataset.amplitude_range", train.amplitudes[train.targets == 1.0]),
+        ("blur sigma", "dataset.blur_range", train.blur_sigmas),
+    ):
+        try:
+            histograms.append((name, *np.histogram(values, bins=8)))
+        except ValueError as exc:
+            raise ConfigError(
+                f"{key}: its draws span [{float(values.min())!r}, {float(values.max())!r}], "
+                f"too narrow for the histogram ({exc})"
+            ) from None
     n_fake = int(train.targets.sum())
     print(f"generated {len(train)} train / {len(test)} test samples")
     print(f"class balance: {n_fake} fake / {len(train) - n_fake} real")
-    for name, values in (
-        ("fake amplitude", train.amplitudes[train.targets == 1.0]),
-        ("blur sigma", train.blur_sigmas),
-    ):
-        counts, edges = np.histogram(values, bins=8)
+    for name, counts, edges in histograms:
         labels = _edge_labels(edges)
         print(f"{name} histogram:")
         for c, lo, hi in zip(counts, labels, labels[1:]):

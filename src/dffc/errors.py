@@ -22,6 +22,17 @@ def check_range(name: str, bounds: tuple, non_negative: bool = False) -> tuple[f
     return lo, hi
 
 
+def check_float64_count(name: str, what: str, count: int) -> None:
+    """A :class:`ConfigError` naming ``name`` unless ``count`` float64 values
+    fit in one numpy array, whose byte count must fit in ``np.intp``."""
+    limit = sys.maxsize // 8
+    if count > limit:
+        raise ConfigError(
+            f"{name}: {what} would hold {count} float64 values, more than the "
+            f"{limit} one numpy array can"
+        )
+
+
 _EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from dffc import streams
 from dffc.augment import blur_shift
-from dffc.errors import ConfigError, check_range
+from dffc.errors import ConfigError, check_float64_count, check_range
 
 LABEL_REAL = "real"
 LABEL_FAKE = "fake"
@@ -74,6 +74,10 @@ class DatasetConfig:
             raise ConfigError(f"n_test must be positive and even, got {self.n_test}")
         if self.image_size < 4:
             raise ConfigError(f"image_size must be >= 4, got {self.image_size}")
+        pixels = self.image_size**2
+        check_float64_count("image_size", "an image", pixels)
+        check_float64_count("n_train", "the training images", self.n_train * pixels)
+        check_float64_count("n_test", "the test images", self.n_test * pixels)
         # A wider blur flattens the image; its kernels would outgrow memory.
         if self.blur_range[1] > self.image_size:
             raise ConfigError(
@@ -98,6 +102,7 @@ class DatasetConfig:
 #: clean pairs and their post-processed copy grow with it. Generating the
 #: 32 px default dataset (25 MB of images) raises the peak RSS by 35 MB at
 #: 128 pairs, 43 MB at 256, and 57 MB with each split in one step.
+#: :func:`laplacian_variance` takes this many images per step.
 GENERATE_CHUNK = 128
 
 #: Whole-cycle low-frequency Fourier modes (horizontal, vertical) of the
@@ -268,19 +273,25 @@ def generate_dataset(config: DatasetConfig) -> tuple[Split, Split]:
 
 def laplacian_variance(images: np.ndarray) -> np.ndarray:
     """Variance of the 3x3 Laplacian response (reflect padding) of each image
-    of an ``(n, h, w)`` stack; a sharpness score."""
+    of an ``(n, h, w)`` stack; a sharpness score. The stack goes through
+    ``GENERATE_CHUNK`` images at a time, so the temporaries do not grow with
+    it; each image's score is computed on its own either way."""
     images = np.asarray(images, dtype=np.float64)
     n, h, w = images.shape
-    padded = np.pad(images, ((0, 0), (1, 1), (1, 1)), mode="reflect")
-    # The taps of [[0, 1, 0], [1, -4, 1], [0, 1, 0]] in row-major order; a
-    # unit tap adds its slice unmultiplied (1.0 * x is x to the bit).
-    resp = np.zeros_like(images)
-    resp += padded[:, 0:h, 1 : w + 1]
-    resp += padded[:, 1 : h + 1, 0:w]
-    resp += -4.0 * padded[:, 1 : h + 1, 1 : w + 1]
-    resp += padded[:, 1 : h + 1, 2 : w + 2]
-    resp += padded[:, 2 : h + 2, 1 : w + 1]
-    return resp.reshape(n, -1).var(axis=1)
+    out = np.empty(n)
+    for start in range(0, n, GENERATE_CHUNK):
+        chunk = images[start : start + GENERATE_CHUNK]
+        padded = np.pad(chunk, ((0, 0), (1, 1), (1, 1)), mode="reflect")
+        # The taps of [[0, 1, 0], [1, -4, 1], [0, 1, 0]] in row-major order; a
+        # unit tap adds its slice unmultiplied (1.0 * x is x to the bit).
+        resp = np.zeros_like(chunk)
+        resp += padded[:, 0:h, 1 : w + 1]
+        resp += padded[:, 1 : h + 1, 0:w]
+        resp += -4.0 * padded[:, 1 : h + 1, 1 : w + 1]
+        resp += padded[:, 1 : h + 1, 2 : w + 2]
+        resp += padded[:, 2 : h + 2, 1 : w + 1]
+        out[start : start + GENERATE_CHUNK] = resp.reshape(len(chunk), -1).var(axis=1)
+    return out
 
 
 def quality_priors(images: np.ndarray, normalizer: float | None = None) -> tuple[np.ndarray, float]:

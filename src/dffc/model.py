@@ -85,6 +85,10 @@ def bce_loss(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
 
+#: The largest loss of a clamped probability: a real scored ``1 - PROB_EPS``.
+MAX_BCE = float(bce_loss(np.array([PROB_EPS, 1.0 - PROB_EPS]), np.array([1.0, 0.0])).max())
+
+
 def gradients(params: ModelParams, X: np.ndarray, y: np.ndarray) -> tuple[ModelParams, np.ndarray]:
     """Mean-over-batch gradient of the clamped BCE loss, and the clamped
     probabilities of the same forward pass (equal to :func:`forward_batch`).

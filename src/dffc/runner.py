@@ -11,9 +11,11 @@ Modes:
 
 A run is single-threaded and bit-reproducible from its config. Each epoch
 trains on one :class:`pacing.EpochPool` (sample ids and augmentation
-seeds as arrays), gathered into one pixel matrix whose augmented rows
-come from one call of ``augment_pixels`` per epoch, and updates DIH with
-one whole-array step for the trained hard pool and one for the test set.
+seeds as arrays) and updates DIH with one whole-array step for the trained
+hard pool and one for the test set. No epoch-sized pixel matrix is built:
+each mini-batch gathers its rows from the standardized training matrix,
+then takes its augmented entries from one matrix of the epoch's augmented
+rows, which one call of ``augment_pixels`` per epoch fills run by run.
 The returned :class:`MetricsLog` keeps one record per epoch, and every
 artifact and printout of a run is read from these records: each CSV
 artifact has one column tuple, from which :func:`csv_text` writes its
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -32,9 +35,10 @@ import numpy as np
 
 from dffc import forgeries, hardness, pacing, streams
 from dffc.augment import AugmentationSpec, augment_pixels
-from dffc.errors import ConfigError
+from dffc.errors import ConfigError, check_float64_count
 from dffc.forgeries import DatasetConfig, Split
 from dffc.model import (
+    MAX_BCE,
     LrSchedule,
     ModelParams,
     bce_loss,
@@ -109,6 +113,9 @@ class RunConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.hidden_units < 1:
             raise ConfigError("hidden_units must be >= 1")
+        check_float64_count(
+            "hidden_units", "the first layer's weights", self.hidden_units * self.dataset.image_size**2
+        )
         if not 0 <= self.seed < streams.KEY_LIMIT:
             raise ConfigError(f"seed must be in 0..2**64 - 1, got {self.seed}")
         object.__setattr__(self, "milestones", tuple(int(m) for m in self.milestones))
@@ -119,6 +126,15 @@ class RunConfig:
                 f"({self.dataset.image_size}), got {self.augment.blur_sigma_range[1]}"
             )
         self.lr_schedule()
+        # The largest instantaneous hardness, MAX_BCE * eta_max / eta_t at
+        # eta_t = eta_min, in the order hardness.instantaneous_hardness takes it.
+        scaled = MAX_BCE * self.eta_max
+        for name, value in (("eta_max", scaled), ("eta_min", scaled / self.eta_min)):
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"{name}: the largest loss ({MAX_BCE}) times eta_max / eta_min "
+                    f"({self.eta_max} / {self.eta_min}) overflows the instantaneous hardness"
+                )
         hardness.check_hardness(self.gamma, self.alpha_f)
         # Each mode checks only the pacing or babystep section it reads.
         if self.mode in ("dih", "dffc"):
@@ -227,7 +243,9 @@ def fit_input_transform(train_images: np.ndarray) -> Callable[[np.ndarray], np.n
     std = (raw.std(axis=0) + 1e-8) / INPUT_GAIN
 
     def transform(images: np.ndarray) -> np.ndarray:
-        return (images.reshape(len(images), -1) - mean) / std
+        rows = images.reshape(len(images), -1) - mean
+        rows /= std
+        return rows
 
     return transform
 
@@ -325,26 +343,37 @@ def run_training(
             )
             trained = pacing.EpochPool(entries=pool.entries, seeds=seeds)
 
-        # Assemble the epoch's pixel matrix, then overwrite the augmented
-        # rows with their standardized augmented copies, made in one call.
+        # The augmented entries' standardized rows, made in one call; each
+        # batch gathers its rows from X_train, then overwrites its augmented ones.
         ids = trained.entries
-        X_epoch = X_train[ids]
-        y_epoch = y_train[ids]
         augmented = np.flatnonzero(trained.seeds >= 0)
+        X_augmented = np.empty((len(augmented), d))
         if len(augmented):
-            pixels = augment_pixels(
-                train.images[ids[augmented]], config.augment, trained.seeds[augmented]
+            augment_pixels(
+                train.images, ids[augmented], config.augment, trained.seeds[augmented],
+                to_input, X_augmented,
             )
-            X_epoch[augmented] = to_input(pixels)
 
         # Mini-batch SGD; losses are recorded before each batch's update.
+        # Nothing overflows in a run that converges, so an overflow is a
+        # learning rate too large for it.
         epoch_losses = np.empty(len(ids))
-        for start in range(0, len(ids), config.batch_size):
-            stop = start + config.batch_size
-            Xb, yb = X_epoch[start:stop], y_epoch[start:stop]
-            grads, probs = gradients(params, Xb, yb)
-            epoch_losses[start:stop] = bce_loss(probs, yb)
-            params = sgd_step(params, grads, eta)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for start in range(0, len(ids), config.batch_size):
+                    stop = start + config.batch_size
+                    batch = ids[start:stop]
+                    Xb, yb = X_train[batch], y_train[batch]
+                    lo, hi = np.searchsorted(augmented, (start, stop))
+                    Xb[augmented[lo:hi] - start] = X_augmented[lo:hi]
+                    grads, probs = gradients(params, Xb, yb)
+                    epoch_losses[start:stop] = bce_loss(probs, yb)
+                    params = sgd_step(params, grads, eta)
+        except FloatingPointError as exc:
+            raise ValueError(
+                f"epoch {t}: SGD diverged in the batch from entry {start} ({exc}); "
+                f"lr.eta_max = {config.eta_max} is too large for this run"
+            ) from None
         bad = np.flatnonzero(~np.isfinite(epoch_losses))
         if len(bad):
             raise ValueError(

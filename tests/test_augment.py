@@ -1,6 +1,8 @@
 """Augmentation tests: kernel shape, identity cases, hand-checked warps,
 seeded determinism, and ``augment_pixels`` checked for exact equality
-against the single-image operations of ``oracles.py``."""
+against the single-image operations of ``oracles.py``. Most tests read
+``augment_pixels`` through :func:`augment_stack`, which augments each image
+of a stack by its own seed and returns the rows as a stack again."""
 
 import math
 import tracemalloc
@@ -18,6 +20,18 @@ from dffc.augment import (
     blur_shift,
 )
 from dffc.errors import ConfigError
+
+
+def flat(run: np.ndarray) -> np.ndarray:
+    """The input transform that keeps the pixels: each image as one row."""
+    return run.reshape(len(run), -1)
+
+
+def augment_stack(images: np.ndarray, spec: AugmentationSpec, seeds) -> np.ndarray:
+    """Each image of an ``(n, h, w)`` stack augmented by its own seed, as a stack."""
+    out = np.empty((len(images), images[0].size))
+    augment_pixels(images, np.arange(len(images)), spec, seeds, flat, out)
+    return out.reshape(images.shape)
 
 
 class TestKernel:
@@ -168,10 +182,10 @@ class TestBlur:
         seeds = list(range(300))
         images = np.random.default_rng(21).uniform(0, 1, (300, 16, 16))
         spec = AugmentationSpec(blur_sigma_range=(0.0, 1e-200))
-        out = augment_pixels(images, spec, seeds)
+        out = augment_stack(images, spec, seeds)
         assert np.isfinite(out).all()
         zero = AugmentationSpec(blur_sigma_range=(0.0, 0.0))
-        assert out.tobytes() == augment_pixels(images, zero, seeds).tobytes()
+        assert out.tobytes() == augment_stack(images, zero, seeds).tobytes()
 
 
 class TestBrightness:
@@ -248,7 +262,7 @@ class TestSpec:
                     rotation_range_degrees=(rotation, rotation),
                     translation_range_pixels=(shift, shift),
                 )
-                assert np.isfinite(augment_pixels(images, spec, [1, 2, 3])).all()
+                assert np.isfinite(augment_stack(images, spec, [1, 2, 3])).all()
 
 
 class TestAugmentPixels:
@@ -256,14 +270,14 @@ class TestAugmentPixels:
         img = np.random.default_rng(5).uniform(0, 1, (1, 16, 16))
         spec = AugmentationSpec()
         np.testing.assert_array_equal(
-            augment_pixels(img, spec, [123]), augment_pixels(img, spec, [123])
+            augment_stack(img, spec, [123]), augment_stack(img, spec, [123])
         )
 
     def test_different_seed_different_output(self):
         img = np.random.default_rng(6).uniform(0, 1, (1, 16, 16))
         spec = AugmentationSpec()
         assert not np.array_equal(
-            augment_pixels(img, spec, [1]), augment_pixels(img, spec, [2])
+            augment_stack(img, spec, [1]), augment_stack(img, spec, [2])
         )
 
     def test_degenerate_spec_is_identity(self):
@@ -274,11 +288,11 @@ class TestAugmentPixels:
             rotation_range_degrees=(0.0, 0.0),
             translation_range_pixels=(0.0, 0.0),
         )
-        np.testing.assert_allclose(augment_pixels(img, spec, [99]), img, atol=1e-12)
+        np.testing.assert_allclose(augment_stack(img, spec, [99]), img, atol=1e-12)
 
     def test_output_stays_in_unit_range(self):
         img = np.random.default_rng(8).uniform(0, 1, (1, 16, 16))
-        out = augment_pixels(img, AugmentationSpec(), [77])
+        out = augment_stack(img, AugmentationSpec(), [77])
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
@@ -321,7 +335,7 @@ class TestAugmentStack:
     )
     def test_matches_single_image_oracle(self, size, spec):
         images, seeds = stack_and_seeds(40, size, seed=size)
-        out = augment_pixels(images, spec, seeds)
+        out = augment_stack(images, spec, seeds)
         expected = np.stack([oracle(img, spec, s) for img, s in zip(images, seeds)])
         assert out.shape == images.shape
         np.testing.assert_array_equal(out, expected)
@@ -335,17 +349,17 @@ class TestAugmentStack:
             radii.add(len(gaussian_kernel_1d(sigma)) // 2)
         assert len(radii) >= 4
         expected = np.stack([oracle(img, spec, s) for img, s in zip(images, seeds)])
-        np.testing.assert_array_equal(augment_pixels(images, spec, seeds), expected)
+        np.testing.assert_array_equal(augment_stack(images, spec, seeds), expected)
 
     def test_output_does_not_depend_on_chunk_mates(self):
         images, seeds = stack_and_seeds(30, 16, seed=13)
         spec = AugmentationSpec(blur_sigma_range=(0.0, 3.0))
-        whole = augment_pixels(images, spec, seeds)
+        whole = augment_stack(images, spec, seeds)
         order = np.random.default_rng(14).permutation(30)
-        shuffled = augment_pixels(images[order], spec, [seeds[i] for i in order])
+        shuffled = augment_stack(images[order], spec, [seeds[i] for i in order])
         np.testing.assert_array_equal(shuffled, whole[order])
         for lo, hi in ((0, 1), (1, 7), (7, 30)):
-            part = augment_pixels(images[lo:hi], spec, seeds[lo:hi])
+            part = augment_stack(images[lo:hi], spec, seeds[lo:hi])
             np.testing.assert_array_equal(part, whole[lo:hi])
 
     def test_stack_spanning_many_chunks(self, monkeypatch):
@@ -354,18 +368,76 @@ class TestAugmentStack:
         images, seeds = stack_and_seeds(300, 16, seed=19)
         spec = AugmentationSpec()
         expected = np.stack([oracle(img, spec, s) for img, s in zip(images, seeds)])
-        assert augment_pixels(images, spec, seeds).tobytes() == expected.tobytes()
+        assert augment_stack(images, spec, seeds).tobytes() == expected.tobytes()
 
     def test_input_left_untouched(self):
         images, seeds = stack_and_seeds(8, 16, seed=15)
         before = images.copy()
-        augment_pixels(images, AugmentationSpec(), seeds)
+        augment_stack(images, AugmentationSpec(), seeds)
         np.testing.assert_array_equal(images, before)
 
-    def test_seed_count_must_match_stack(self):
+    def test_ids_pick_the_source_images(self):
+        # Entries read their images by id from a larger stack: out of order,
+        # some ids repeated with different seeds, most never read.
+        images, _ = stack_and_seeds(50, 16, seed=24)
+        ids = np.array([7, 3, 3, 49, 0, 7, 7, 21, 3, 12] * 4)
+        _, seeds = stack_and_seeds(len(ids), 1, seed=25)
+        spec = AugmentationSpec(blur_sigma_range=(0.0, 3.0))
+        out = np.empty((len(ids), 256))
+        augment_pixels(images, ids, spec, seeds, flat, out)
+        expected = np.stack([oracle(images[i], spec, s).ravel() for i, s in zip(ids, seeds)])
+        assert out.tobytes() == expected.tobytes()
+
+    def test_each_run_passes_through_the_transform_into_its_rows(self, monkeypatch):
+        # 100 entries in runs of at most 9: the transform sees each run once,
+        # and each row is the transform of that entry's oracle image.
+        monkeypatch.setattr(augment, "AUGMENT_CHUNK", 9)
+        images, seeds = stack_and_seeds(100, 16, seed=26)
+        mean, scale = images.mean(axis=0).ravel(), 1.0 / (images.std(axis=0).ravel() + 0.5)
+        run_sizes = []
+
+        def standardize(run):
+            run_sizes.append(len(run))
+            rows = run.reshape(len(run), -1) - mean
+            rows *= scale
+            return rows
+
+        spec = AugmentationSpec()
+        out = np.full((100, 256), np.nan)
+        augment_pixels(images, np.arange(100), spec, seeds, standardize, out)
+        expected = (np.stack([oracle(img, spec, s) for img, s in zip(images, seeds)]).reshape(
+            100, -1) - mean) * scale
+        assert out.tobytes() == expected.tobytes()
+        assert sum(run_sizes) == 100 and max(run_sizes) <= 9
+
+    @pytest.mark.parametrize(
+        "n_ids, n_seeds, n_rows", [(2, 3, 3), (3, 2, 3), (3, 3, 2)]
+    )
+    def test_ids_seeds_and_out_rows_must_agree(self, n_ids, n_seeds, n_rows):
         images, seeds = stack_and_seeds(3, 8, seed=16)
-        with pytest.raises(ValueError, match="3 seeds"):
-            augment_pixels(images[:2], AugmentationSpec(), seeds)
+        with pytest.raises(ValueError, match=f"{n_ids} ids, {n_seeds} seeds and {n_rows} out"):
+            augment_pixels(
+                images, np.arange(n_ids), AugmentationSpec(), seeds[:n_seeds], flat,
+                np.empty((n_rows, 64)),
+            )
+
+    def test_traced_memory_does_not_grow_with_the_call(self):
+        # Beyond the preallocated matrix, only each entry's draws (a few dozen
+        # bytes) grow with the call; every image goes through a run of at
+        # most AUGMENT_CHUNK images on its own. An output stack, or a gather
+        # of every entry's image, would add 6 MB from 1 000 to 4 000 images.
+        run_bytes = augment.AUGMENT_CHUNK * 16 * 16 * 8
+        peaks = {}
+        for n in (1000, 4000):
+            images, seeds = stack_and_seeds(n, 16, seed=27)
+            out = np.empty((n, 256))
+            tracemalloc.start()
+            try:
+                augment_pixels(images, np.arange(n), AugmentationSpec(), seeds, flat, out)
+                _, peaks[n] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peaks[4000] - peaks[1000] < 2 * run_bytes, peaks
 
 
 def edge_shifts(n: int) -> list[float]:
@@ -390,7 +462,7 @@ class TestThinStacks:
                 rotation_range_degrees=rotations, translation_range_pixels=(shift, shift)
             )
             expected = np.stack([oracle(img, spec, s) for img, s in zip(images, seeds)])
-            out = augment_pixels(images, spec, seeds)
+            out = augment_stack(images, spec, seeds)
             assert out.tobytes() == expected.tobytes(), shift
 
     @pytest.mark.parametrize("shape", [(4, 1, 16), (4, 16, 1), (4, 2, 2), (4, 5, 7)])
@@ -407,7 +479,7 @@ class TestThinStacks:
             for n in (h, w):
                 floors.update(np.floor(np.arange(n) - shift).astype(int).tolist())
             expected = np.stack([oracle(img, spec, s) for img, s in zip(images, seeds)])
-            out = augment_pixels(images, spec, seeds)
+            out = augment_stack(images, spec, seeds)
             assert out.tobytes() == expected.tobytes(), shift
         for n in (h, w):
             assert {1 - n, 2 * n - 2} <= floors
@@ -418,10 +490,10 @@ class TestThinStacks:
         images, seeds = stack_and_seeds(4, 16, seed=23)
         images = images[:, :1, :].copy()
         spec = AugmentationSpec(translation_range_pixels=(1e6, 1e6))
-        augment_pixels(images, spec, seeds)
+        augment_stack(images, spec, seeds)
         tracemalloc.start()
         try:
-            augment_pixels(images, spec, seeds)
+            augment_stack(images, spec, seeds)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -242,6 +242,16 @@ class TestSchema:
             # A blur sigma above the image size would build kernels of gigabytes.
             ("train", ["augment.blur_sigma_range=[1e7,1e7]"], "augment.blur_sigma_range"),
             ("train", ["dataset.blur_range=[1e7,1e7]"], "dataset.blur_range"),
+            # Arrays whose byte count is beyond np.intp cannot exist.
+            ("train", [f"hidden_units={2**63}"], "hidden_units"),
+            ("train", [f"hidden_units={2**63 - 1}"], "hidden_units"),
+            ("train", [f"dataset.image_size={2**63}"], "dataset.image_size"),
+            ("train", [f"dataset.n_train={2**63}"], "dataset.n_train"),
+            ("train", [f"dataset.n_test={2**63}"], "dataset.n_test"),
+            ("gen-data", [f"dataset.n_test={2**63}"], "dataset.n_test"),
+            # The largest loss times eta_max / eta_min overflows the hardness.
+            ("train", ["lr.eta_min=5e-324"], "lr.eta_min"),
+            ("train", ["lr.eta_max=1e308", "lr.eta_min=1e308"], "lr.eta_max"),
         ],
     )
     def test_schedule_of_the_mode_checked_before_out_dir(
@@ -249,7 +259,8 @@ class TestSchema:
     ):
         out = tmp_path / "x"
         flags = [arg for override in overrides for arg in ("--override", override)]
-        assert cli.main([command, *flags, "--out", str(out)]) == 2
+        out_flags = [] if command == "gen-data" else ["--out", str(out)]
+        assert cli.main([command, *flags, *out_flags]) == 2
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and field in errors[0], err
@@ -371,6 +382,18 @@ class TestGenData:
         edges = [line.partition(":")[0] for line in bins]
         assert len(edges) == 8 and len(set(edges)) == 8, bins
 
+    @pytest.mark.parametrize(
+        "key, bounds", [("dataset.blur_range", "[1,1.0000000000000002]"),
+                        ("dataset.amplitude_range", "[0.1,0.10000000000000002]")],
+    )
+    def test_range_narrower_than_its_bins_names_the_key(self, key, bounds, capsys):
+        # Draws one float apart leave no room for 8 distinct histogram bins.
+        assert cli.main(["gen-data", *SMALL_OVERRIDES, "--override", f"{key}={bounds}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith(f"error: {key}:"), errors
+
     def test_has_no_out_option(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["gen-data", "--out", str(tmp_path / "d")])
@@ -460,6 +483,29 @@ class TestTrain:
         out = ["--out", str(tmp_path / "r")] if command == "train" else []
         assert cli.main([command, *flags, *out]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "override, code, key", [("lr.eta_min=5e-324", 2, "lr.eta_min"),
+                                ("lr.eta_max=1e300", 1, "lr.eta_max")],
+    )
+    def test_overflowing_learning_rate_names_its_key_without_a_warning(
+        self, override, code, key, tmp_path
+    ):
+        # A fresh interpreter with numpy's default warnings, so a raw
+        # RuntimeWarning would reach stderr instead of raising in this process.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        flags = [arg for o in [*SMALL, override] for arg in ("--override", o)]
+        out = tmp_path / "r"
+        done = subprocess.run(
+            [sys.executable, "-m", "dffc.cli", "train", *flags, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"},
+            capture_output=True, text=True,
+        )
+        assert done.returncode == code, done.stderr
+        errors = done.stderr.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error:") and key in errors[0], errors
+        assert "RuntimeWarning" not in done.stderr and "Traceback" not in done.stderr
+        assert not out.exists()
 
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         code = cli.main(

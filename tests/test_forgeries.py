@@ -298,6 +298,20 @@ class TestRowwiseMetrics:
         assert ssims(*rows).tolist() == [ssim(f, r) for f, r in pairs]
 
 
+def _tap_loop_variance(image: np.ndarray) -> float:
+    """The single-image tap loop of the Laplacian, each tap multiplied in."""
+    kernel = np.array([[0, 1, 0], [1, -4, 1], [0, 1, 0]], dtype=np.float64)
+    h, w = image.shape
+    padded = np.pad(image, 1, mode="reflect")
+    resp = np.zeros_like(image)
+    for dy in range(3):
+        for dx in range(3):
+            tap = kernel[dy, dx]
+            if tap:
+                resp += tap * padded[dy : dy + h, dx : dx + w]
+    return float(resp.var())
+
+
 def _laplacian_variance_oracle(image: np.ndarray) -> float:
     padded = np.pad(image, 1, mode="reflect")
     resp = (
@@ -326,23 +340,17 @@ class TestQualityPrior:
         "shape", [(4, 4), (5, 5), (16, 16), (32, 32), (3, 3), (7, 9), (33, 17)]
     )
     def test_stack_equals_per_image_taps_exactly(self, shape):
-        # Reference: the single-image tap loop, image by image.
-        kernel = np.array([[0, 1, 0], [1, -4, 1], [0, 1, 0]], dtype=np.float64)
-
-        def one(image):
-            padded = np.pad(image, 1, mode="reflect")
-            resp = np.zeros_like(image)
-            for dy in range(3):
-                for dx in range(3):
-                    tap = kernel[dy, dx]
-                    if tap:
-                        resp += tap * padded[dy : dy + shape[0], dx : dx + shape[1]]
-            return float(resp.var())
-
         stack = np.random.default_rng(sum(shape)).uniform(size=(6, *shape))
-        expected = [one(image) for image in stack]
+        expected = [_tap_loop_variance(image) for image in stack]
         assert laplacian_variance(stack).tolist() == expected
         assert [laplacian_variance(image[None])[0] for image in stack] == expected
+
+    def test_stack_larger_than_its_chunk_equals_per_image_taps_exactly(self):
+        # Two whole chunks and a part one.
+        n = 2 * forgeries.GENERATE_CHUNK + 44
+        stack = np.random.default_rng(40).uniform(size=(n, 16, 16))
+        expected = [_tap_loop_variance(image) for image in stack]
+        assert laplacian_variance(stack).tolist() == expected
 
     def test_blur_increases_prior(self):
         train, _ = generate_dataset(DatasetConfig(n_train=4, n_test=2, seed=0))

@@ -19,16 +19,18 @@ Oracle notes:
 from __future__ import annotations
 
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
 from oracles import assert_pool_streams_equal
 from scipy.stats import rankdata
 
-from dffc import augment, pacing, runner
+from dffc import augment, hardness, pacing, runner
 from dffc.errors import ConfigError
 from dffc.forgeries import DatasetConfig, generate_dataset, quality_priors
-from dffc.model import bce_loss, forward_batch, init_params
+from dffc.model import MAX_BCE, PROB_EPS, bce_loss, forward_batch, init_params
 
 
 def metrics_text(result: runner.MetricsLog) -> str:
@@ -137,6 +139,24 @@ class TestRunConfig:
     def test_invalid_values(self, kwargs):
         with pytest.raises(ConfigError):
             runner.RunConfig(**kwargs)
+
+    def test_smallest_eta_min_keeps_the_largest_hardness_finite(self):
+        # The largest clamped loss scaled by eta_max / eta_min, as
+        # instantaneous_hardness takes it, is finite just down to eta_min.
+        eta_max = 0.1
+        eta_min = MAX_BCE * eta_max / sys.float_info.max
+        while not math.isfinite(MAX_BCE * eta_max / eta_min):
+            eta_min = math.nextafter(eta_min, math.inf)
+        config = runner.RunConfig(eta_max=eta_max, eta_min=eta_min)
+        top = hardness.instantaneous_hardness(np.array([MAX_BCE]), config.eta_min, eta_max)
+        assert np.isfinite(top).all()
+        with pytest.raises(ConfigError, match="^eta_min: "):
+            runner.RunConfig(eta_max=eta_max, eta_min=math.nextafter(eta_min, 0.0))
+
+    def test_largest_loss_is_the_clamped_bce_bound(self):
+        probs = np.array([PROB_EPS, 0.5, 1.0 - PROB_EPS])
+        losses = [bce_loss(probs, np.full(3, y)) for y in (0.0, 1.0)]
+        assert max(loss.max() for loss in losses) == MAX_BCE
 
 
 @pytest.fixture(scope="module")
