@@ -113,9 +113,8 @@ class RunConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.hidden_units < 1:
             raise ConfigError("hidden_units must be >= 1")
-        check_float64_count(
-            "hidden_units", "the first layer's weights", self.hidden_units * self.dataset.image_size**2
-        )
+        weights = self.hidden_units * self.dataset.image_size**2
+        check_float64_count("hidden_units", "the first layer's weights", weights)
         if not 0 <= self.seed < streams.KEY_LIMIT:
             raise ConfigError(f"seed must be in 0..2**64 - 1, got {self.seed}")
         object.__setattr__(self, "milestones", tuple(int(m) for m in self.milestones))

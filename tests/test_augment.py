@@ -405,8 +405,8 @@ class TestAugmentStack:
         spec = AugmentationSpec()
         out = np.full((100, 256), np.nan)
         augment_pixels(images, np.arange(100), spec, seeds, standardize, out)
-        expected = (np.stack([oracle(img, spec, s) for img, s in zip(images, seeds)]).reshape(
-            100, -1) - mean) * scale
+        oracles = np.stack([oracle(img, spec, s).ravel() for img, s in zip(images, seeds)])
+        expected = (oracles - mean) * scale
         assert out.tobytes() == expected.tobytes()
         assert sum(run_sizes) == 100 and max(run_sizes) <= 9
 
