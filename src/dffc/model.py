@@ -1,7 +1,14 @@
 """From-scratch binary classifier: one-hidden-layer ReLU MLP, BCE loss,
 plain SGD, and a per-epoch cosine learning-rate schedule. Each SGD step
 runs one forward pass: :func:`gradients` also returns the clamped
-probabilities the step's losses are recorded from."""
+probabilities the step's losses are recorded from, and :func:`sgd_step`
+updates the parameter arrays in place.
+
+At the default sizes a step's arrays are small, so its cost is mostly the
+number of numpy calls: the sigmoid and the output clamp are whole-array
+ufunc calls with no boolean gathers, and the ReLU and clamp write into the
+arrays they read. Each is the same scalar formula per element as the masked
+sigmoid and ``np.clip`` it replaces, so every bit is kept."""
 
 from __future__ import annotations
 
@@ -57,18 +64,25 @@ def init_params(n_inputs: int, n_hidden: int, seed: int) -> ModelParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """``1 / (1 + exp(-z))`` where ``z >= 0``, else ``exp(z) / (1 + exp(z))``.
+
+    Both are taken of ``e = exp(-|z|) <= 1``, so neither overflows: the
+    numerator ``1`` or ``e`` over ``1 + e``. ``np.minimum(z, -z)`` is the
+    ``-|z|`` that keeps a NaN's sign bit.
+    """
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _forward(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hidden activations and clamped output probabilities."""
-    hidden = np.maximum(X @ params.W1.T + params.b1, 0.0)
-    return hidden, np.clip(_sigmoid(hidden @ params.w2 + params.b2), PROB_EPS, 1.0 - PROB_EPS)
+    hidden = X @ params.W1.T + params.b1
+    np.maximum(hidden, 0.0, out=hidden)
+    probs = _sigmoid(hidden @ params.w2 + params.b2)
+    # np.clip's bits, without its Python-level argument handling.
+    np.maximum(probs, PROB_EPS, out=probs)
+    np.minimum(probs, 1.0 - PROB_EPS, out=probs)
+    return hidden, probs
 
 
 def forward_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
@@ -104,20 +118,22 @@ def gradients(params: ModelParams, X: np.ndarray, y: np.ndarray) -> tuple[ModelP
     A1, probs = _forward(params, X)
     live = (probs > PROB_EPS) & (probs < 1.0 - PROB_EPS)
     dz2 = np.where(live, probs - y, 0.0) / X.shape[0]
-    dZ1 = np.outer(dz2, params.w2) * (A1 > 0.0)
+    dZ1 = dz2[:, None] * params.w2 * (A1 > 0.0)
     grads = ModelParams(W1=dZ1.T @ X, b1=dZ1.sum(axis=0), w2=A1.T @ dz2, b2=float(dz2.sum()))
     return grads, probs
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, eta: float) -> ModelParams:
+    """One SGD update in place: each array of ``params`` becomes
+    ``W - eta * g``, and ``params`` itself is returned. ``grads`` is only
+    read. A negative ``eta`` raises before anything is written."""
     if eta < 0.0:
         raise ValueError(f"eta must be non-negative, got {eta}")
-    return ModelParams(
-        W1=params.W1 - eta * grads.W1,
-        b1=params.b1 - eta * grads.b1,
-        w2=params.w2 - eta * grads.w2,
-        b2=params.b2 - eta * grads.b2,
-    )
+    params.W1 -= eta * grads.W1
+    params.b1 -= eta * grads.b1
+    params.w2 -= eta * grads.w2
+    params.b2 = params.b2 - eta * grads.b2
+    return params
 
 
 def cosine_lr(schedule: LrSchedule, t: int) -> float:

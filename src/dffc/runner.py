@@ -14,8 +14,11 @@ trains on one :class:`pacing.EpochPool` (sample ids and augmentation
 seeds as arrays) and updates DIH with one whole-array step for the trained
 hard pool and one for the test set. No epoch-sized pixel matrix is built:
 each mini-batch gathers its rows from the standardized training matrix,
-then takes its augmented entries from one matrix of the epoch's augmented
-rows, which one call of ``augment_pixels`` per epoch fills run by run.
+then takes its augmented entries, if it has any, from one matrix of the
+epoch's augmented rows, which one call of ``augment_pixels`` per epoch
+fills run by run. Each batch's update is made in place, and the epoch's
+training losses are taken in one ``bce_loss`` call from the probabilities
+its batches kept.
 The returned :class:`MetricsLog` keeps one record per epoch, and every
 artifact and printout of a run is read from these records: each CSV
 artifact has one column tuple, from which :func:`csv_text` writes its
@@ -353,26 +356,31 @@ def run_training(
                 to_input, X_augmented,
             )
 
-        # Mini-batch SGD; losses are recorded before each batch's update.
-        # Nothing overflows in a run that converges, so an overflow is a
-        # learning rate too large for it.
-        epoch_losses = np.empty(len(ids))
+        # Mini-batch SGD; each batch's probabilities are kept from before
+        # its update, and the epoch's losses are taken from them in one
+        # elementwise call. Batch k's augmented entries are
+        # augmented[edges[k]:edges[k + 1]]. Nothing overflows in a run that
+        # converges, so an overflow is a learning rate too large for it.
+        starts = range(0, len(ids), config.batch_size)
+        edges = np.searchsorted(augmented, [*starts, len(ids)]).tolist()
+        y_epoch = y_train[ids]
+        epoch_probs = np.empty(len(ids))
         try:
             with np.errstate(over="raise", invalid="raise"):
-                for start in range(0, len(ids), config.batch_size):
+                for k, start in enumerate(starts):
                     stop = start + config.batch_size
-                    batch = ids[start:stop]
-                    Xb, yb = X_train[batch], y_train[batch]
-                    lo, hi = np.searchsorted(augmented, (start, stop))
-                    Xb[augmented[lo:hi] - start] = X_augmented[lo:hi]
-                    grads, probs = gradients(params, Xb, yb)
-                    epoch_losses[start:stop] = bce_loss(probs, yb)
+                    Xb = X_train[ids[start:stop]]
+                    lo, hi = edges[k], edges[k + 1]
+                    if lo < hi:
+                        Xb[augmented[lo:hi] - start] = X_augmented[lo:hi]
+                    grads, epoch_probs[start:stop] = gradients(params, Xb, y_epoch[start:stop])
                     params = sgd_step(params, grads, eta)
         except FloatingPointError as exc:
             raise ValueError(
                 f"epoch {t}: SGD diverged in the batch from entry {start} ({exc}); "
                 f"lr.eta_max = {config.eta_max} is too large for this run"
             ) from None
+        epoch_losses = bce_loss(epoch_probs, y_epoch)
         bad = np.flatnonzero(~np.isfinite(epoch_losses))
         if len(bad):
             raise ValueError(

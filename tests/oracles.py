@@ -6,7 +6,9 @@ The single-image augmentations (:func:`gaussian_blur`,
 :func:`ssim` the bit-exact oracles of ``dffc.forgeries``' row-wise
 ``tampering_ratios`` and ``ssims``, :func:`base_images` and :func:`bumps`
 the bit-exact full-grid oracles of ``dffc.forgeries``' ``_base_images`` and
-``_bumps``, :func:`load_checkpoint` decodes the
+``_bumps``, :func:`masked_sigmoid` and :func:`gradients_reference` the
+bit-exact oracles of ``dffc.model``'s ``_sigmoid`` and ``gradients``,
+:func:`load_checkpoint` decodes the
 ``checkpoint.json`` and ``checkpoint.bin`` that ``model.save_checkpoint``
 writes, :func:`assert_pools_equal` compares two epoch pools and
 :func:`assert_pool_streams_equal` two runs' epoch records.
@@ -22,7 +24,7 @@ import numpy as np
 
 from dffc.augment import _reflect_index
 from dffc.forgeries import _MODES, DEFAULT_TAR_THRESHOLD
-from dffc.model import ModelParams
+from dffc.model import PROB_EPS, ModelParams
 from dffc.pacing import EpochPool
 from dffc.runner import MetricsLog
 
@@ -144,6 +146,30 @@ def bumps(draws: np.ndarray, size: int) -> np.ndarray:
     envelope = np.where(r < 1.0, np.cos(0.5 * np.pi * np.clip(r, 0.0, 1.0)) ** 2, 0.0)
     modulation = np.cos(0.25 * np.pi * xs + phase)
     return envelope * modulation
+
+
+def masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function, each sign's formula on its own masked gather."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def gradients_reference(
+    params: ModelParams, X: np.ndarray, y: np.ndarray
+) -> tuple[ModelParams, np.ndarray]:
+    """The clamped-BCE batch gradient and clamped probabilities, with the
+    masked sigmoid, ``np.clip`` and ``np.outer``."""
+    A1 = np.maximum(X @ params.W1.T + params.b1, 0.0)
+    probs = np.clip(masked_sigmoid(A1 @ params.w2 + params.b2), PROB_EPS, 1.0 - PROB_EPS)
+    live = (probs > PROB_EPS) & (probs < 1.0 - PROB_EPS)
+    dz2 = np.where(live, probs - y, 0.0) / X.shape[0]
+    dZ1 = np.outer(dz2, params.w2) * (A1 > 0.0)
+    grads = ModelParams(W1=dZ1.T @ X, b1=dZ1.sum(axis=0), w2=A1.T @ dz2, b2=float(dz2.sum()))
+    return grads, probs
 
 
 def load_checkpoint(header_path: Path, blob_path: Path) -> tuple[ModelParams, dict]:

@@ -7,6 +7,8 @@ Oracle notes:
       h=1e-5 against the analytic gradients.
   [DERIVED] cosine schedule endpoints/midpoint -- closed form
       eta(t) = eta_min + 0.5*(eta_max-eta_min)*(1+cos(pi*(t-1)/(T-1))).
+  [ORACLE] sigmoid and gradients -- the masked sigmoid, np.clip and
+      np.outer of tests/oracles.py, compared bit for bit.
   [TRIVIAL] init bounds, determinism, validation, checkpoint round-trip.
 """
 
@@ -16,10 +18,11 @@ import math
 
 import numpy as np
 import pytest
-from oracles import load_checkpoint
+from oracles import gradients_reference, load_checkpoint, masked_sigmoid
 
 from dffc.model import (
     PROB_EPS,
+    _sigmoid,
     LrSchedule,
     ModelParams,
     bce_loss,
@@ -89,6 +92,39 @@ class TestForward:
         np.testing.assert_allclose(probs, 0.5)
 
 
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestSigmoid:
+    SPECIAL = [
+        0.0, -0.0, 745.2, -745.2, 1e300, -1e300, np.inf, -np.inf,
+        5e-324, -5e-324, 2.2250738585072014e-308 / 3, -1e-310, np.nan, -np.nan,
+    ]
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            np.array(SPECIAL),
+            np.random.default_rng(0).normal(scale=30.0, size=4096),
+            np.linspace(-800.0, 800.0, 16001),
+        ],
+        ids=["special", "normal", "grid"],
+    )
+    def test_matches_the_masked_form_bit_for_bit(self, z):
+        # Both branches are evaluated for every element, and neither warns.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _sigmoid(z)
+        expected = masked_sigmoid(z)
+        np.testing.assert_array_equal(_bits(got), _bits(expected))
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_nan_keeps_its_sign(self):
+        got = _sigmoid(np.array([np.nan, -np.nan]))
+        assert np.isnan(got).all()
+        assert list(np.signbit(got)) == [False, True]
+
+
 class TestBce:
     def test_hand_values(self):
         probs = np.array([0.9, 0.1])
@@ -143,6 +179,29 @@ class TestGradients:
         clamped = (probs == PROB_EPS) | (probs == 1.0 - PROB_EPS)
         assert clamped.any() == (scale > 1.0)
 
+    @pytest.mark.parametrize("width", [16, 32])
+    @pytest.mark.parametrize("scale", [1.0, 8.0], ids=["live", "saturated"])
+    def test_match_the_reference_bit_for_bit(self, width, scale):
+        # A default-sized batch of width x width px inputs on the input
+        # transform's scale; weights 8x the init's clamp a fifth to three
+        # fifths of the rows' probabilities, which then give no gradient.
+        rng = np.random.default_rng(width)
+        params = init_params(width * width, 32, seed=width)
+        params = ModelParams(
+            W1=params.W1 * scale, b1=rng.normal(size=32) * 0.1, w2=params.w2 * scale, b2=0.3
+        )
+        X = rng.normal(scale=5.0, size=(64, width * width))
+        y = (np.arange(64) % 2).astype(np.float64)
+        grads, probs = gradients(params, X, y)
+        ref_grads, ref_probs = gradients_reference(params, X, y)
+        np.testing.assert_array_equal(_bits(probs), _bits(ref_probs))
+        for name in ("W1", "b1", "w2", "b2"):
+            np.testing.assert_array_equal(
+                _bits(getattr(grads, name)), _bits(getattr(ref_grads, name)), err_msg=name
+            )
+        clamped = (probs == PROB_EPS) | (probs == 1.0 - PROB_EPS)
+        assert clamped.any() == (scale > 1.0) and not clamped.all()
+
     def test_sgd_step_hand_case(self):
         params = ModelParams(
             W1=np.ones((2, 2)), b1=np.zeros(2), w2=np.ones(2), b2=1.0
@@ -156,10 +215,31 @@ class TestGradients:
         np.testing.assert_allclose(out.w2, -1.0)
         assert out.b2 == pytest.approx(0.0)
 
+    def test_sgd_step_writes_into_the_given_arrays(self):
+        rng = np.random.default_rng(2)
+        params = init_params(6, 4, seed=2)
+        params.b2 = 0.25
+        grads = ModelParams(
+            W1=rng.normal(size=(4, 6)), b1=rng.normal(size=4), w2=rng.normal(size=4), b2=-0.5
+        )
+        eta = 0.0731
+        arrays = (params.W1, params.b1, params.w2)
+        expected = [w - eta * g for w, g in zip(arrays, (grads.W1, grads.b1, grads.w2))]
+        grads_before = _flatten(grads).copy()
+        out = sgd_step(params, grads, eta)
+        assert out is params
+        assert all(a is b for a, b in zip((out.W1, out.b1, out.w2), arrays))
+        for got, want in zip(arrays, expected):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+        assert out.b2 == 0.25 - eta * -0.5
+        np.testing.assert_array_equal(_flatten(grads), grads_before)
+
     def test_sgd_step_negative_eta(self):
         params = init_params(2, 2, seed=0)
+        before = _flatten(params).copy()
         with pytest.raises(ValueError):
             sgd_step(params, params, eta=-0.1)
+        np.testing.assert_array_equal(_bits(_flatten(params)), _bits(before))
 
     def test_training_reduces_loss(self):
         rng = np.random.default_rng(5)

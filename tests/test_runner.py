@@ -378,12 +378,36 @@ class TestEpochAssembly:
         calls = []
 
         def nan_after_epoch_1(probs, y):
-            # Epoch 1 makes five calls: four batches of 16 (60 samples)
-            # and one for the test set.
+            # Epoch 1 makes two calls: one for its 60 training losses and
+            # one for the test set.
             calls.append(None)
             losses = real_bce(probs, y)
-            return losses if len(calls) <= 5 else np.full_like(losses, np.nan)
+            return losses if len(calls) <= 2 else np.full_like(losses, np.nan)
 
         monkeypatch.setattr(runner, "bce_loss", nan_after_epoch_1)
         with pytest.raises(ValueError, match="epoch 2: non-finite training loss nan"):
             runner.run_training(small_run_config)
+
+    def test_non_finite_loss_names_its_own_sample(self, small_run_config, monkeypatch):
+        # The second batch's probability at row 5 (entry 16 + 5) is NaN;
+        # the error names that entry's sample, not the first batch's.
+        real_gradients, real_build_pool = runner.gradients, runner._build_pool
+        pools, calls = [], []
+
+        def keep_pool(*args):
+            pools.append(real_build_pool(*args))
+            return pools[-1]
+
+        def nan_in_second_batch(params, X, y):
+            grads, probs = real_gradients(params, X, y)
+            calls.append(None)
+            if len(calls) == 2:
+                probs[5] = np.nan
+            return grads, probs
+
+        monkeypatch.setattr(runner, "_build_pool", keep_pool)
+        monkeypatch.setattr(runner, "gradients", nan_in_second_batch)
+        with pytest.raises(ValueError) as info:
+            runner.run_training(small_run_config)
+        sample = pools[0].entries[small_run_config.batch_size + 5]
+        assert str(info.value) == f"epoch 1: non-finite training loss nan (sample {sample})"
