@@ -276,18 +276,27 @@ COLLAPSE_AUC = 0.6
 def collapse_warning(epochs: list[dict]) -> str | None:
     """The ``warning:`` line for a run that did not learn, or None: its final
     ``test_auc`` is at most :data:`COLLAPSE_AUC`, or its final
-    ``train_loss_mean`` is above epoch 1's. ``epochs`` are the run's
-    records, or the rows of its ``metrics.csv`` as text."""
-    first, final = epochs[0], epochs[-1]
-    require_keys(first, ("train_loss_mean",))
-    require_keys(final, ("test_auc", "train_loss_mean"))
+    ``train_loss_mean`` is above that of the first epoch whose ``pool_size``
+    equals the final epoch's. Losses over pools of other sizes, such as a
+    babystep run's growing prefix, are not compared, and a final pool size
+    that no earlier epoch trained leaves the loss rule out. ``epochs`` are
+    the run's records, or the rows of its ``metrics.csv`` as text."""
+    for record in epochs:
+        require_keys(record, ("pool_size", "train_loss_mean"))
+    final = epochs[-1]
+    require_keys(final, ("test_auc",))
     auc, loss = float(final["test_auc"]), float(final["train_loss_mean"])
-    first_loss = float(first["train_loss_mean"])
+    size = int(final["pool_size"])
+    same = next(t for t, record in enumerate(epochs, start=1) if int(record["pool_size"]) == size)
     reasons = []
     if auc <= COLLAPSE_AUC:
         reasons.append(f"final test_auc {auc:.4f} is at most {COLLAPSE_AUC}")
-    if loss > first_loss:
-        reasons.append(f"final train_loss_mean {loss:.4f} is above epoch 1's {first_loss:.4f}")
+    if same < len(epochs):
+        same_loss = float(epochs[same - 1]["train_loss_mean"])
+        if loss > same_loss:
+            reasons.append(
+                f"final train_loss_mean {loss:.4f} is above epoch {same}'s {same_loss:.4f}"
+            )
     return f"warning: the run did not learn: {'; '.join(reasons)}" if reasons else None
 
 

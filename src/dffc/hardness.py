@@ -125,7 +125,11 @@ def instantaneous_hardness(losses: np.ndarray, eta_t: float, eta_max: float) -> 
 def update_dih(state: HardnessState, ids: np.ndarray, s_t: np.ndarray) -> HardnessState:
     """EMA update for an array of distinct samples with one instantaneous
     hardness each. The runner calls it only for the samples trained in the
-    hard pool, so the DIH of every other sample keeps its value."""
+    hard pool, so the DIH of every other sample keeps its value.
+
+    An id outside ``0..N-1`` raises an ``IndexError``; a repeated id then
+    raises a ``ValueError`` naming the smallest one, found by counting ids
+    per sample rather than by sorting them."""
     ids = np.asarray(ids)
     s_t = np.asarray(s_t, dtype=np.float64)
     if ids.shape != s_t.shape:
@@ -139,9 +143,9 @@ def update_dih(state: HardnessState, ids: np.ndarray, s_t: np.ndarray) -> Hardne
             f"instantaneous hardness must be finite and non-negative, got {s_t[bad[0]]} "
             f"for sample {ids[bad[0]]}"
         )
-    unique, counts = np.unique(ids, return_counts=True)
-    if len(unique) < len(ids):
-        raise ValueError(f"sample ids must be distinct; {unique[counts > 1][0]} repeats")
+    repeated = np.flatnonzero(np.bincount(ids, minlength=state.n_samples) > 1)
+    if len(repeated):
+        raise ValueError(f"sample ids must be distinct; {repeated[0]} repeats")
     g = state.gamma
     state.dih[ids] = g * s_t + (1.0 - g) * state.dih[ids]
     state.update_count[ids] += 1

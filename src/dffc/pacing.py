@@ -12,7 +12,9 @@ its augmentation seed, -1 for an original. The seed of an entry is
 numpy's ``SeedSequence((rng_seed, t, id, salt)).generate_state(1)[0]``
 (salt 0 for the easy pool, 1 for the originals under ``augment_all``),
 computed for a whole epoch as one array by :mod:`dffc.streams`;
-``rng_seed`` must be below 2**64 and ids below 2**32. Everything here is a
+``rng_seed`` must be below 2**64 and ids below 2**32. A pool's composition
+(its distinct hard and easy ids and their overlap) is counted over boolean
+masks of the samples, in linear time. Everything here is a
 pure function of its inputs; given the same seed the resulting pool is
 bit-identical. A bad schedule raises ``ConfigError``; ``RunConfig``
 coerces the milestones to ints before it builds one.
@@ -114,20 +116,17 @@ class EpochPool:
     entries: np.ndarray
     seeds: np.ndarray
 
-    @property
-    def hard_ids(self) -> np.ndarray:
-        """Sorted ids of the originals."""
-        return np.unique(self.entries[self.seeds < 0])
-
-    @property
-    def easy_ids(self) -> np.ndarray:
-        """Sorted ids of the augmented copies."""
-        return np.unique(self.entries[self.seeds >= 0])
-
-    @property
-    def overlap(self) -> int:
-        """Samples that appear both raw and augmented."""
-        return len(np.intersect1d(self.hard_ids, self.easy_ids, assume_unique=True))
+    def composition(self, n_samples: int) -> tuple[int, int, int]:
+        """``(hard_size, easy_size, overlap)``: the distinct ids among the
+        originals, among the augmented copies, and among both, for ids in
+        ``0..n_samples - 1``. Each id set is a boolean mask over the
+        samples, so repeated ids count once and nothing is sorted."""
+        originals = self.seeds < 0
+        hard = np.zeros(n_samples, dtype=bool)
+        hard[self.entries[originals]] = True
+        easy = np.zeros(n_samples, dtype=bool)
+        easy[self.entries[~originals]] = True
+        return tuple(int(np.count_nonzero(mask)) for mask in (hard, easy, hard & easy))
 
 
 def derive_augmentation_seed(rng_seed: int, t: int, ids: np.ndarray, salt: int = 0) -> np.ndarray:

@@ -18,7 +18,10 @@ then takes its augmented entries, if it has any, from one matrix of the
 epoch's augmented rows, which one call of ``augment_pixels`` per epoch
 fills run by run. Each batch's update is made in place, and the epoch's
 training losses are taken in one ``bce_loss`` call from the probabilities
-its batches kept.
+its batches kept. The epoch's pool size, hard and easy sizes and overlap
+come from :meth:`pacing.EpochPool.composition`, which counts boolean masks
+over the samples, so no epoch sorts its pool for its bookkeeping. The
+input matrices are freed before the extremes report rebuilds its pairs.
 The returned :class:`MetricsLog` keeps one record per epoch, and every
 artifact and printout of a run is read from these records: each CSV
 artifact has one column tuple, from which :func:`csv_text` writes its
@@ -333,7 +336,7 @@ def run_training(
         eta = cosine_lr(lr, t)
         selection_scores = hardness.dfh_all(state)
         pool = _build_pool(config, schedule, selection_scores, prior, t, n)
-        hard_ids, easy_ids = pool.hard_ids, pool.easy_ids
+        hard_size, easy_size, overlap = pool.composition(n)
         # The originals are the hard pool, and only they drive DIH updates,
         # even under --augment-all, which gives them a seed too.
         originals = pool.seeds < 0
@@ -402,12 +405,12 @@ def run_training(
         pool_scores = selection_scores[pool.entries]
         epochs.append(
             {
-                "epoch": t, "eta": eta, "pool_size": len(hard_ids),
+                "epoch": t, "eta": eta, "pool_size": hard_size,
                 "train_loss_mean": float(epoch_losses.mean()),
                 "test_acc": metrics["accuracy"], "test_auc": metrics["auc"],
                 "acc_easy": acc_easy, "acc_mid": acc_mid, "acc_hard": acc_hard,
                 "mean_dfh": float(dfh_now.mean()),
-                "hard_size": len(hard_ids), "easy_size": len(easy_ids), "overlap": pool.overlap,
+                "hard_size": hard_size, "easy_size": easy_size, "overlap": overlap,
                 "dfh_min": float(pool_scores.min()), "dfh_max": float(pool_scores.max()),
                 "pool": trained, "losses": epoch_losses, "dfh": dfh_now,
             }
@@ -418,6 +421,9 @@ def run_training(
             epochs[-1],
         )
 
+    # The extremes report rebuilds its clean pairs; the input matrices are
+    # not needed past the last epoch, so they do not add to its peak.
+    del X_train, X_test, X_augmented
     return MetricsLog(
         epochs=epochs,
         trace_groups=(

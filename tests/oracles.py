@@ -10,7 +10,9 @@ the bit-exact full-grid oracles of ``dffc.forgeries``' ``_base_images`` and
 bit-exact oracles of ``dffc.model``'s ``_sigmoid`` and ``gradients``,
 :func:`load_checkpoint` decodes the
 ``checkpoint.json`` and ``checkpoint.bin`` that ``model.save_checkpoint``
-writes, :func:`assert_pools_equal` compares two epoch pools and
+writes, :func:`hard_ids`, :func:`easy_ids` and :func:`overlap` are the
+sort-based references of ``EpochPool.composition``,
+:func:`assert_pools_equal` compares two epoch pools and
 :func:`assert_pool_streams_equal` two runs' epoch records.
 """
 
@@ -188,6 +190,21 @@ def load_checkpoint(header_path: Path, blob_path: Path) -> tuple[ModelParams, di
         b2=float(flat[n1 + 2 * h]),
     )
     return params, header
+
+
+def hard_ids(pool: EpochPool) -> np.ndarray:
+    """Sorted distinct ids of a pool's originals."""
+    return np.unique(pool.entries[pool.seeds < 0])
+
+
+def easy_ids(pool: EpochPool) -> np.ndarray:
+    """Sorted distinct ids of a pool's augmented copies."""
+    return np.unique(pool.entries[pool.seeds >= 0])
+
+
+def overlap(pool: EpochPool) -> int:
+    """Samples that appear in a pool both raw and augmented."""
+    return len(np.intersect1d(hard_ids(pool), easy_ids(pool), assume_unique=True))
 
 
 def assert_pools_equal(a: EpochPool, b: EpochPool, t: int = 1) -> None:

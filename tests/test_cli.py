@@ -554,8 +554,8 @@ class TestCollapseWarning:
     )
     def test_each_rule_on_hand_records(self, auc, final_loss, named):
         epochs = [
-            {"test_auc": 0.9, "train_loss_mean": 0.4},
-            {"test_auc": auc, "train_loss_mean": final_loss},
+            {"test_auc": 0.9, "train_loss_mean": 0.4, "pool_size": 10},
+            {"test_auc": auc, "train_loss_mean": final_loss, "pool_size": 10},
         ]
         warning = cli.collapse_warning(epochs)
         if not named:
@@ -563,6 +563,28 @@ class TestCollapseWarning:
         else:
             assert warning.startswith("warning:") and "\n" not in warning
             assert all(part in warning for part in named), warning
+
+    def test_loss_over_a_grown_pool_is_not_compared(self):
+        # A babystep run's later pools hold harder samples: a loss above
+        # epoch 1's over a larger pool is no sign of collapse.
+        epochs = [
+            {"test_auc": 0.7, "train_loss_mean": loss, "pool_size": size}
+            for loss, size in ((0.55, 100), (0.57, 150), (0.58, 225), (0.6, 400))
+        ]
+        assert cli.collapse_warning(epochs) is None
+
+    def test_loss_compared_with_the_first_epoch_of_the_final_size(self):
+        epochs = [
+            {"test_auc": 0.9, "train_loss_mean": loss, "pool_size": size}
+            for loss, size in ((0.3, 100), (0.5, 400), (0.45, 400), (0.52, 400))
+        ]
+        warning = cli.collapse_warning(epochs)
+        assert warning == (
+            "warning: the run did not learn: final train_loss_mean 0.5200 "
+            "is above epoch 2's 0.5000"
+        )
+        epochs[-1]["train_loss_mean"] = 0.49
+        assert cli.collapse_warning(epochs) is None
 
 
 class TestShortRun:

@@ -128,6 +128,19 @@ class TestArrayUpdates:
             update_dih(state, np.array([1, 3, 3]), np.ones(3))
         assert state.update_count.tolist() == [0] * 5
 
+    def test_smallest_repeated_id_named(self):
+        state = HardnessState.fresh(np.zeros(5), gamma=0.9, alpha_f=0.5)
+        with pytest.raises(ValueError, match="; 1 repeats"):
+            update_dih(state, np.array([4, 1, 4, 1]), np.ones(4))
+        assert state.update_count.tolist() == [0] * 5
+
+    def test_out_of_range_id_raised_before_repeats(self):
+        state = HardnessState.fresh(np.zeros(5), gamma=0.9, alpha_f=0.5)
+        with pytest.raises(IndexError, match="sample_id 9 out of range"):
+            update_dih(state, np.array([2, 2, 9, 9]), np.ones(4))
+        with pytest.raises(IndexError, match="sample_id -1 out of range"):
+            update_dih(state, np.array([3, -1, 3]), np.ones(3))
+
     def test_length_mismatch_rejected(self):
         state = HardnessState.fresh(np.zeros(5), gamma=0.9, alpha_f=0.5)
         with pytest.raises(ValueError, match="3 sample ids but 2 hardness values"):

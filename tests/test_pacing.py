@@ -3,8 +3,10 @@ oracle, and pool assembly."""
 
 import numpy as np
 import pytest
-from oracles import assert_pools_equal
+from oracles import assert_pools_equal, easy_ids, hard_ids, overlap
+from test_golden import SMALL
 
+from dffc import cli, runner
 from dffc.errors import ConfigError
 from dffc.pacing import (
     EpochPool,
@@ -146,8 +148,8 @@ class TestSelection:
 class TestPools:
     def test_full_pool_covers_everything_once(self):
         pool = full_pool(10, t=1, rng_seed=0)
-        np.testing.assert_array_equal(pool.hard_ids, np.arange(10))
-        assert len(pool.easy_ids) == 0
+        np.testing.assert_array_equal(hard_ids(pool), np.arange(10))
+        assert len(easy_ids(pool)) == 0
         np.testing.assert_array_equal(np.sort(pool.entries), np.arange(10))
         assert (pool.seeds == -1).all()
 
@@ -170,10 +172,10 @@ class TestPools:
         scores = np.random.default_rng(1).uniform(0, 1, 30)
         pool = build_epoch_pool(schedule, scores, 6, 7)
         k = pool_size_at_epoch(schedule, 6)
-        assert len(pool.hard_ids) == k
-        assert len(pool.easy_ids) == 5
-        np.testing.assert_array_equal(pool.hard_ids, select_hard_pool(scores, k))
-        np.testing.assert_array_equal(pool.easy_ids, select_easy_pool(scores, 5))
+        assert len(hard_ids(pool)) == k
+        assert len(easy_ids(pool)) == 5
+        np.testing.assert_array_equal(hard_ids(pool), select_hard_pool(scores, k))
+        np.testing.assert_array_equal(easy_ids(pool), select_easy_pool(scores, 5))
         augmented = pool.seeds >= 0
         for sample_id, seed in zip(pool.entries[augmented], pool.seeds[augmented]):
             assert seed == derive_augmentation_seed(7, 6, np.array([sample_id]))[0]
@@ -187,7 +189,7 @@ class TestPools:
 
     def test_pool_from_ids_sorted_membership(self):
         pool = pool_from_ids(np.array([5, 2, 9]), t=1, rng_seed=0)
-        np.testing.assert_array_equal(pool.hard_ids, [2, 5, 9])
+        np.testing.assert_array_equal(hard_ids(pool), [2, 5, 9])
         np.testing.assert_array_equal(np.sort(pool.entries), [2, 5, 9])
 
     def test_overlap_counts_shared_ids(self):
@@ -196,9 +198,10 @@ class TestPools:
             entries=np.array([1, 3, 2, 4, 3]),
             seeds=np.array([-1, -1, -1, 17, 23]),
         )
-        np.testing.assert_array_equal(pool.hard_ids, [1, 2, 3])
-        np.testing.assert_array_equal(pool.easy_ids, [3, 4])
-        assert pool.overlap == 1
+        np.testing.assert_array_equal(hard_ids(pool), [1, 2, 3])
+        np.testing.assert_array_equal(easy_ids(pool), [3, 4])
+        assert overlap(pool) == 1
+        assert pool.composition(5) == (3, 2, 1)
 
     def test_augmentation_seed_is_stable_and_distinct(self):
         seen = {
@@ -237,6 +240,66 @@ class TestPools:
     def test_augmentation_seed_rejects_out_of_range_keys(self, rng_seed, ids, value):
         with pytest.raises(ValueError, match=value):
             derive_augmentation_seed(rng_seed, 6, ids)
+
+
+def oracle_composition(pool):
+    return len(hard_ids(pool)), len(easy_ids(pool)), overlap(pool)
+
+
+class TestComposition:
+    """``EpochPool.composition`` counts what the sort-based oracle counts."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_built_pools_equal_oracle(self, seed):
+        # Four distinct scores make ties; an easy pool of 30 or more overlaps
+        # every hard pool (k + E > n).
+        n = 40
+        scores = np.random.default_rng(seed).integers(0, 4, n).astype(np.float64)
+        overlaps = set()
+        for easy in (0, 7, 30, 60):
+            schedule = default_schedule(n=n, easy=easy)
+            for t in (1, 2, 6, 12, 20):
+                pool = build_epoch_pool(schedule, scores, t, seed)
+                assert pool.composition(n) == oracle_composition(pool)
+                overlaps.add(overlap(pool))
+        assert max(overlaps) > 0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_pools_with_repeated_ids_equal_oracle(self, seed):
+        # Ids drawn with replacement repeat within each part and across the two.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        m = int(rng.integers(0, 3 * n))
+        entries = rng.integers(0, n, m)
+        seeds = np.where(rng.random(m) < rng.random(), -1, rng.integers(0, 2**32, m))
+        pool = EpochPool(entries=entries, seeds=seeds)
+        assert pool.composition(n) == oracle_composition(pool)
+
+    def test_pools_missing_a_part_equal_oracle(self):
+        pool = build_epoch_pool(default_schedule(n=30, easy=5), np.linspace(0, 1, 30), 6, 7)
+        # As under augment_all: the originals get seeds of salt 1 too.
+        seeds = pool.seeds.copy()
+        originals = seeds < 0
+        seeds[originals] = derive_augmentation_seed(7, 6, pool.entries[originals], salt=1)
+        augment_all = EpochPool(entries=pool.entries, seeds=seeds)
+        empty = EpochPool(entries=np.zeros(0, np.int64), seeds=np.zeros(0, np.int64))
+        cases = {
+            "full": (full_pool(30, 1, 7), (30, 0, 0)),
+            "repeated originals": (pool_from_ids(np.array([4, 2, 2, 9]), 1, 7), (3, 0, 0)),
+            "augment_all": (augment_all, (0, 30, 0)),
+            "empty": (empty, (0, 0, 0)),
+            "built": (pool, (27, 5, 2)),
+        }
+        for name, (case, expected) in cases.items():
+            assert case.composition(30) == oracle_composition(case) == expected, name
+
+    @pytest.mark.parametrize("mode", runner.MODES)
+    def test_run_records_equal_oracle(self, mode):
+        config = cli.build_run_config(cli.resolve_config(None, [*SMALL, f"mode={mode}"]))
+        for record in runner.run_training(config).epochs:
+            expected = oracle_composition(record["pool"])
+            assert (record["hard_size"], record["easy_size"], record["overlap"]) == expected
+            assert record["pool_size"] == expected[0]
 
 
 class TestBabystep:
