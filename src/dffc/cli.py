@@ -48,8 +48,6 @@ from dffc import forgeries, hardness, runner
 from dffc.errors import ConfigError, require_keys, typed
 from dffc.model import save_checkpoint
 
-log = logging.getLogger("dffc")
-
 
 @dataclass(frozen=True)
 class CompareGrid:

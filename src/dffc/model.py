@@ -1,14 +1,14 @@
 """From-scratch binary classifier: one-hidden-layer ReLU MLP, BCE loss,
-plain SGD, and a per-epoch cosine learning-rate schedule. Each SGD step
-runs one forward pass: :func:`gradients` also returns the clamped
-probabilities the step's losses are recorded from, and :func:`sgd_step`
-updates the parameter arrays in place.
+plain SGD, and a per-epoch cosine learning-rate schedule, whose bounds
+and length :func:`check_lr` checks once for a run. Each SGD step runs one
+forward pass: :func:`gradients` also returns the clamped probabilities the
+step's losses are recorded from, and :func:`sgd_step` updates the
+parameter arrays in place.
 
 At the default sizes a step's arrays are small, so its cost is mostly the
 number of numpy calls: the sigmoid and the output clamp are whole-array
 ufunc calls with no boolean gathers, and the ReLU and clamp write into the
-arrays they read. Each is the same scalar formula per element as the masked
-sigmoid and ``np.clip`` it replaces, so every bit is kept."""
+arrays they read."""
 
 from __future__ import annotations
 
@@ -32,23 +32,6 @@ class ModelParams:
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (hidden,)
     b2: float
-
-
-@dataclass(frozen=True)
-class LrSchedule:
-    """Cosine-schedule bounds and length: the one check of ``total_epochs``."""
-
-    eta_max: float
-    eta_min: float
-    total_epochs: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eta_min <= self.eta_max:
-            raise ConfigError(
-                f"eta_min: need 0 < eta_min <= eta_max, got {self.eta_min}, {self.eta_max}"
-            )
-        if self.total_epochs < 1:
-            raise ConfigError("total_epochs must be >= 1")
 
 
 def init_params(n_inputs: int, n_hidden: int, seed: int) -> ModelParams:
@@ -136,16 +119,33 @@ def sgd_step(params: ModelParams, grads: ModelParams, eta: float) -> ModelParams
     return params
 
 
-def cosine_lr(schedule: LrSchedule, t: int) -> float:
+def check_lr(eta_max: float, eta_min: float, total_epochs: int) -> None:
+    """Reject cosine-schedule bounds outside ``0 < eta_min <= eta_max``, a
+    run shorter than one epoch, and bounds whose largest instantaneous
+    hardness, ``MAX_BCE * eta_max / eta_min``, overflows."""
+    if not 0.0 < eta_min <= eta_max:
+        raise ConfigError(f"eta_min: need 0 < eta_min <= eta_max, got {eta_min}, {eta_max}")
+    if total_epochs < 1:
+        raise ConfigError("total_epochs must be >= 1")
+    # In the order hardness.instantaneous_hardness takes it, at eta_t = eta_min.
+    scaled = MAX_BCE * eta_max
+    for name, value in (("eta_max", scaled), ("eta_min", scaled / eta_min)):
+        if not math.isfinite(value):
+            raise ConfigError(
+                f"{name}: the largest loss ({MAX_BCE}) times eta_max / eta_min "
+                f"({eta_max} / {eta_min}) overflows the instantaneous hardness"
+            )
+
+
+def cosine_lr(eta_max: float, eta_min: float, total_epochs: int, t: int) -> float:
     """Learning rate at 1-based epoch ``t``: eta_max at t=1 decaying to
     eta_min at t=total_epochs along a half cosine."""
-    if not 1 <= t <= schedule.total_epochs:
-        raise ValueError(f"epoch {t} outside 1..{schedule.total_epochs}")
-    if schedule.total_epochs == 1:
-        return schedule.eta_max
-    span = schedule.eta_max - schedule.eta_min
-    phase = math.pi * (t - 1) / (schedule.total_epochs - 1)
-    return schedule.eta_min + 0.5 * span * (1.0 + math.cos(phase))
+    if not 1 <= t <= total_epochs:
+        raise ValueError(f"epoch {t} outside 1..{total_epochs}")
+    if total_epochs == 1:
+        return eta_max
+    phase = math.pi * (t - 1) / (total_epochs - 1)
+    return eta_min + 0.5 * (eta_max - eta_min) * (1.0 + math.cos(phase))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ computed for a whole epoch as one array by :mod:`dffc.streams`;
 (its distinct hard and easy ids and their overlap) is counted over boolean
 masks of the samples, in linear time. Everything here is a
 pure function of its inputs; given the same seed the resulting pool is
-bit-identical. A bad schedule raises ``ConfigError``; ``RunConfig``
-coerces the milestones to ints before it builds one.
+bit-identical. The schedule's values are plain arguments:
+:func:`check_pacing` and :func:`check_babystep` each reject a bad section
+with a ``ConfigError``, and ``RunConfig`` calls them once for a run, after
+it coerces the milestones to ints.
 """
 
 from __future__ import annotations
@@ -31,52 +33,40 @@ from dffc import streams
 from dffc.errors import ConfigError
 
 
-@dataclass(frozen=True)
-class PacingSchedule:
-    milestones: tuple[int, ...]
-    alpha_k: float
-    easy_pool_size: int
-    n_samples: int
-    total_epochs: int
-
-    def __post_init__(self) -> None:
-        ms = self.milestones
-        if not ms:
-            raise ConfigError("milestones must be non-empty")
-        if any(m <= 0 for m in ms):
-            raise ConfigError("milestones must be positive epoch indices")
-        if any(b <= a for a, b in zip(ms, ms[1:])):
-            raise ConfigError(f"milestones must be strictly increasing: {ms}")
-        if ms[-1] > self.total_epochs:
-            raise ConfigError(
-                f"milestones: last milestone {ms[-1]} exceeds total_epochs {self.total_epochs}"
-            )
-        if not 0.0 < self.alpha_k <= 1.0:
-            raise ConfigError(f"alpha_k must be in (0, 1], got {self.alpha_k}")
-        if self.easy_pool_size < 0:
-            raise ConfigError("easy_pool_size must be non-negative")
-        if self.n_samples <= 0:
-            raise ConfigError("n_samples must be positive")
-
-    @property
-    def warmup_epochs(self) -> int:
-        return self.milestones[0]
+def check_pacing(
+    milestones: tuple[int, ...], alpha_k: float, easy_pool_size: int, total_epochs: int
+) -> None:
+    """Reject milestones that are not positive, strictly increasing epochs
+    within the run, a shrink factor outside (0, 1], or a negative easy pool."""
+    if not milestones:
+        raise ConfigError("milestones must be non-empty")
+    if any(m <= 0 for m in milestones):
+        raise ConfigError("milestones must be positive epoch indices")
+    if any(b <= a for a, b in zip(milestones, milestones[1:])):
+        raise ConfigError(f"milestones must be strictly increasing: {milestones}")
+    if milestones[-1] > total_epochs:
+        raise ConfigError(
+            f"milestones: last milestone {milestones[-1]} exceeds total_epochs {total_epochs}"
+        )
+    if not 0.0 < alpha_k <= 1.0:
+        raise ConfigError(f"alpha_k must be in (0, 1], got {alpha_k}")
+    if easy_pool_size < 0:
+        raise ConfigError("easy_pool_size must be non-negative")
 
 
-def pool_size_at_epoch(schedule: PacingSchedule, t: int) -> int:
+def pool_size_at_epoch(n_samples: int, t: int, milestones: tuple[int, ...], alpha_k: float) -> int:
     """Hard-pool size k at epoch ``t`` (1-based).
 
-    Full dataset through warm-up, then one multiplicative shrink (floored,
-    bounded below by 1) at each later milestone.
+    Full dataset through warm-up (up to the first milestone), then one
+    multiplicative shrink (floored, bounded below by 1) at each later
+    milestone up to ``t``.
     """
-    if not 1 <= t <= schedule.total_epochs:
-        raise ValueError(f"epoch {t} outside 1..{schedule.total_epochs}")
-    k = schedule.n_samples
-    if t <= schedule.warmup_epochs:
-        return k
-    for milestone in schedule.milestones[1:]:
+    if t < 1:
+        raise ValueError(f"epoch must be >= 1, got {t}")
+    k = n_samples
+    for milestone in milestones[1:]:
         if milestone <= t:
-            k = max(1, math.floor(k * schedule.alpha_k))
+            k = max(1, math.floor(k * alpha_k))
     return k
 
 
@@ -161,9 +151,14 @@ def pool_from_ids(ids: np.ndarray, t: int, rng_seed: int) -> EpochPool:
 
 
 def build_epoch_pool(
-    schedule: PacingSchedule, dfh_scores: np.ndarray, t: int, rng_seed: int
+    dfh_scores: np.ndarray,
+    t: int,
+    rng_seed: int,
+    milestones: tuple[int, ...],
+    alpha_k: float,
+    easy_pool_size: int,
 ) -> EpochPool:
-    """The epoch-t training pool.
+    """The epoch-t training pool over ``len(dfh_scores)`` samples.
 
     Warm-up epochs train on the whole dataset. Afterwards the pool mixes
     the top-k hard samples (originals) with the bottom-E easy samples
@@ -172,14 +167,11 @@ def build_epoch_pool(
     can appear twice: once raw and once augmented.
     """
     dfh_scores = np.asarray(dfh_scores, dtype=np.float64)
-    if len(dfh_scores) != schedule.n_samples:
-        raise ValueError(
-            f"expected {schedule.n_samples} scores, got {len(dfh_scores)}"
-        )
-    if t <= schedule.warmup_epochs:
-        return full_pool(schedule.n_samples, t, rng_seed)
-    hard = select_hard_pool(dfh_scores, pool_size_at_epoch(schedule, t))
-    easy = select_easy_pool(dfh_scores, min(schedule.easy_pool_size, schedule.n_samples))
+    n = len(dfh_scores)
+    if t <= milestones[0]:
+        return full_pool(n, t, rng_seed)
+    hard = select_hard_pool(dfh_scores, pool_size_at_epoch(n, t, milestones, alpha_k))
+    easy = select_easy_pool(dfh_scores, min(easy_pool_size, n))
     seeds = np.full(len(hard) + len(easy), -1, dtype=np.int64)
     seeds[len(hard) :] = derive_augmentation_seed(rng_seed, t, easy)
     return _shuffled(np.concatenate([hard, easy]), seeds, rng_seed, t)
@@ -203,8 +195,8 @@ def babystep_pool(
     step_length: int,
 ) -> np.ndarray:
     """Easiest-m(t) prefix by static hardness, growing geometrically every
-    ``step_length`` epochs until it saturates at the full dataset."""
-    check_babystep(start_fraction, growth_factor, step_length)
+    ``step_length`` epochs until it saturates at the full dataset. The
+    parameters are those :func:`check_babystep` accepts."""
     if t < 1:
         raise ValueError(f"epoch must be >= 1, got {t}")
     static_hardness = np.asarray(static_hardness, dtype=np.float64)

@@ -9,8 +9,9 @@ Modes:
 * ``dffc``      - the full dynamic curriculum (loss EMA + quality prior,
                   augmented easy pool).
 
-A run is single-threaded and bit-reproducible from its config. Each epoch
-trains on one :class:`pacing.EpochPool` (sample ids and augmentation
+A run is single-threaded and bit-reproducible from its config. Its learning
+rate and pacing are read from the config's own fields as plain values.
+Each epoch trains on one :class:`pacing.EpochPool` (sample ids and augmentation
 seeds as arrays) and updates DIH with one whole-array step for the trained
 hard pool and one for the test set. No epoch-sized pixel matrix is built:
 each mini-batch gathers its rows from the standardized training matrix,
@@ -18,10 +19,12 @@ then takes its augmented entries, if it has any, from one matrix of the
 epoch's augmented rows, which one call of ``augment_pixels`` per epoch
 fills run by run. Each batch's update is made in place, and the epoch's
 training losses are taken in one ``bce_loss`` call from the probabilities
-its batches kept. The epoch's pool size, hard and easy sizes and overlap
-come from :meth:`pacing.EpochPool.composition`, which counts boolean masks
-over the samples, so no epoch sorts its pool for its bookkeeping. The
-input matrices are freed before the extremes report rebuilds its pairs.
+its batches kept. An overflow in an epoch's SGD or in its evaluation on
+the test set stops the run with a ``ValueError`` naming ``lr.eta_max``.
+The epoch's pool size, hard and easy sizes and overlap come from
+:meth:`pacing.EpochPool.composition`, which counts boolean masks over the
+samples. The input matrices are freed before the extremes report rebuilds
+its pairs.
 The returned :class:`MetricsLog` keeps one record per epoch, and every
 artifact and printout of a run is read from these records: each CSV
 artifact has one column tuple, from which :func:`csv_text` writes its
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -44,10 +46,9 @@ from dffc.augment import AugmentationSpec, augment_pixels
 from dffc.errors import ConfigError, check_float64_count
 from dffc.forgeries import DatasetConfig, Split
 from dffc.model import (
-    MAX_BCE,
-    LrSchedule,
     ModelParams,
     bce_loss,
+    check_lr,
     cosine_lr,
     forward_batch,
     gradients,
@@ -82,7 +83,10 @@ class RunConfig:
     own name, in field order; the dataset and augmentation fields are
     whole sections. The CLI derives its defaults, key check and type
     check from these fields. The last part of every path is unique: a
-    check's error starts with it, and the CLI names the whole path.
+    check's error starts with it, and the CLI names the whole path. The
+    ``lr``, ``hardness``, ``pacing`` and ``babystep`` sections are each
+    checked once, here, by the ``check_`` function of the module that owns
+    the section.
     """
 
     mode: str = "dffc"
@@ -130,38 +134,19 @@ class RunConfig:
                 f"augment.blur_sigma_range: hi must be at most dataset.image_size "
                 f"({self.dataset.image_size}), got {self.augment.blur_sigma_range[1]}"
             )
-        self.lr_schedule()
-        # The largest instantaneous hardness, MAX_BCE * eta_max / eta_t at
-        # eta_t = eta_min, in the order hardness.instantaneous_hardness takes it.
-        scaled = MAX_BCE * self.eta_max
-        for name, value in (("eta_max", scaled), ("eta_min", scaled / self.eta_min)):
-            if not math.isfinite(value):
-                raise ConfigError(
-                    f"{name}: the largest loss ({MAX_BCE}) times eta_max / eta_min "
-                    f"({self.eta_max} / {self.eta_min}) overflows the instantaneous hardness"
-                )
+        check_lr(self.eta_max, self.eta_min, self.total_epochs)
         hardness.check_hardness(self.gamma, self.alpha_f)
         # Each mode checks only the pacing or babystep section it reads.
         if self.mode in ("dih", "dffc"):
-            self.pacing_schedule(self.dataset.n_train)
+            pacing.check_pacing(
+                self.milestones, self.alpha_k, self.easy_pool_size, self.total_epochs
+            )
         if self.mode == "babystep":
             pacing.check_babystep(
                 self.babystep_start_fraction,
                 self.babystep_growth_factor,
                 self.babystep_step_length,
             )
-
-    def lr_schedule(self) -> LrSchedule:
-        return LrSchedule(self.eta_max, self.eta_min, self.total_epochs)
-
-    def pacing_schedule(self, n_samples: int) -> pacing.PacingSchedule:
-        return pacing.PacingSchedule(
-            milestones=self.milestones,
-            alpha_k=self.alpha_k,
-            easy_pool_size=self.easy_pool_size,
-            n_samples=n_samples,
-            total_epochs=self.total_epochs,
-        )
 
 
 @dataclass
@@ -257,7 +242,6 @@ def fit_input_transform(train_images: np.ndarray) -> Callable[[np.ndarray], np.n
 
 def _build_pool(
     config: RunConfig,
-    schedule: pacing.PacingSchedule | None,
     selection_scores: np.ndarray,
     prior: np.ndarray,
     t: int,
@@ -274,7 +258,9 @@ def _build_pool(
             config.babystep_step_length,
         )
         return pacing.pool_from_ids(ids, t, config.seed)
-    return pacing.build_epoch_pool(schedule, selection_scores, t, config.seed)
+    return pacing.build_epoch_pool(
+        selection_scores, t, config.seed, config.milestones, config.alpha_k, config.easy_pool_size
+    )
 
 
 def _select_traces(
@@ -321,10 +307,6 @@ def run_training(
     test_state = hardness.HardnessState.fresh(test_prior, config.gamma, config.alpha_f)
 
     params = init_params(d, config.hidden_units, config.seed)
-    lr = config.lr_schedule()
-    schedule = (
-        config.pacing_schedule(n) if config.mode in ("dih", "dffc") else None
-    )
     to_input = fit_input_transform(train.images)
     X_train = to_input(train.images)
     y_train = train.targets
@@ -333,9 +315,9 @@ def run_training(
 
     epochs: list[dict] = []
     for t in range(1, config.total_epochs + 1):
-        eta = cosine_lr(lr, t)
+        eta = cosine_lr(config.eta_max, config.eta_min, config.total_epochs, t)
         selection_scores = hardness.dfh_all(state)
-        pool = _build_pool(config, schedule, selection_scores, prior, t, n)
+        pool = _build_pool(config, selection_scores, prior, t, n)
         hard_size, easy_size, overlap = pool.composition(n)
         # The originals are the hard pool, and only they drive DIH updates,
         # even under --augment-all, which gives them a seed too.
@@ -393,11 +375,20 @@ def run_training(
         s_t = hardness.instantaneous_hardness(epoch_losses[originals], eta, config.eta_max)
         hardness.update_dih(state, ids[originals], s_t)
 
-        metrics = evaluate(params, X_test, y_test, terciles)
-        # Evaluation-set mirror update, from the same test-set scores.
-        test_losses = bce_loss(metrics["scores"], y_test)
-        test_s_t = hardness.instantaneous_hardness(test_losses, eta, config.eta_max)
-        hardness.update_dih(test_state, np.arange(len(test)), test_s_t)
+        # The epoch's last update can leave weights that overflow only on the
+        # test set: the same divergence, found one step later.
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                metrics = evaluate(params, X_test, y_test, terciles)
+                # Evaluation-set mirror update, from the same test-set scores.
+                test_losses = bce_loss(metrics["scores"], y_test)
+                test_s_t = hardness.instantaneous_hardness(test_losses, eta, config.eta_max)
+                hardness.update_dih(test_state, np.arange(len(test)), test_s_t)
+        except FloatingPointError as exc:
+            raise ValueError(
+                f"epoch {t}: the test-set evaluation diverged ({exc}); "
+                f"lr.eta_max = {config.eta_max} is too large for this run"
+            ) from None
 
         acc_easy, acc_mid, acc_hard = metrics["acc_by_tercile"]
         dfh_now = hardness.dfh_all(state)

@@ -103,14 +103,8 @@ def test_criterion_02_selection_oracle():
 
 def test_criterion_03_pacing_trajectory():
     """Default milestones on N=1000 give the exact 20-epoch pool sizes."""
-    schedule = pacing.PacingSchedule(
-        milestones=(2, 5, 8, 12, 15),
-        alpha_k=0.9,
-        easy_pool_size=1000,
-        n_samples=1000,
-        total_epochs=20,
-    )
-    sizes = [pacing.pool_size_at_epoch(schedule, t) for t in range(1, 21)]
+    pacing.check_pacing((2, 5, 8, 12, 15), 0.9, 1000, 20)
+    sizes = [pacing.pool_size_at_epoch(1000, t, (2, 5, 8, 12, 15), 0.9) for t in range(1, 21)]
     expected = [1000] * 4 + [900] * 3 + [810] * 4 + [729] * 3 + [656] * 6
     assert sizes == expected
 

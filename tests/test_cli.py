@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,15 @@ SMALL_OVERRIDES = [
     "--override", "pacing.easy_pool_size=10",
     "--override", "batch_size=16",
     "--override", "hidden_units=8",
+]
+
+
+#: Two epochs of 40/20 samples: the run the config sweep varies. Under
+#: ``mode=babystep`` with ``lr.eta_max=1e300`` its first epoch's SGD ends in
+#: weights that overflow only on the test set.
+TINY = [
+    "dataset.n_train=40", "dataset.n_test=20", "total_epochs=2", "pacing.milestones=[1,2]",
+    "pacing.easy_pool_size=5", "batch_size=16", "hidden_units=4",
 ]
 
 
@@ -300,6 +310,56 @@ class TestUnreadableConfig:
         assert not out.exists()
 
 
+#: Edge values per annotation of a ``cli._LEAVES`` leaf.
+SWEEP_VALUES = {
+    int: [0, 1, -1, 2**63],
+    float: [0, 5e-324, 1e-300, -1, 1, 1e300],
+    tuple[float, float]: [
+        [0, 0], [1, 1.0000000000000002], [5, 1], [-1e300, 1e300], [0, 1e300],
+        [1e-320, 1e-310], [1e308, 1e308],
+    ],
+    tuple[int, ...]: [[], [0], [-1], [1], [2], [3], [1, 1], [2, 1], [2**63]],
+}
+#: Annotations of leaves with no numeric edge to sweep.
+NOT_SWEPT = (str, bool, tuple[str, ...], tuple[bool, ...])
+
+
+class TestConfigSweep:
+    """Every numeric leaf of the config at each edge value of its type, on
+    ``TINY`` under every mode, with a ``RuntimeWarning`` raised as an error.
+    A run exits 0, or exits 1 or 2 with one ``error:`` line that names the
+    swept leaf. ``total_epochs=2**63`` is left out: a valid run that never
+    ends."""
+
+    @pytest.mark.parametrize(
+        "path", [path for path, (hint, _) in cli._LEAVES.items() if hint not in NOT_SWEPT]
+    )
+    def test_edge_values_run_or_name_their_key(self, path, tmp_path, capsys):
+        name = path.rpartition(".")[2]
+        failures = []
+        for value in SWEEP_VALUES[cli._LEAVES[path][0]]:
+            if (path, value) == ("total_epochs", 2**63):
+                continue
+            for mode in runner.MODES:
+                overrides = [*TINY, f"mode={mode}", f"{path}={json.dumps(value)}"]
+                flags = [arg for override in overrides for arg in ("--override", override)]
+                case = f"{path}={json.dumps(value)} mode={mode}"
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", RuntimeWarning)
+                        code = cli.main(["train", *flags, "--out", str(tmp_path), "--force"])
+                except Exception as exc:  # every exception that escapes main is a finding
+                    failures.append(f"{case}: raised {exc!r}")
+                    continue
+                err = capsys.readouterr().err
+                errors = [line for line in err.splitlines() if line.startswith("error:")]
+                if "Traceback" in err or "RuntimeWarning" in err:
+                    failures.append(f"{case}: {err!r}")
+                elif code != 0 and not (code in (1, 2) and len(errors) == 1 and name in errors[0]):
+                    failures.append(f"{case}: exit {code}, {err!r}")
+        assert not failures, "\n".join(failures)
+
+
 class TestRuntime:
     def test_importing_the_cli_loads_no_scipy(self):
         # A fresh interpreter: this test process has imported scipy itself.
@@ -485,16 +545,22 @@ class TestTrain:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
-        "override, code, key", [("lr.eta_min=5e-324", 2, "lr.eta_min"),
-                                ("lr.eta_max=1e300", 1, "lr.eta_max")],
+        "overrides, code, key",
+        [
+            ([*SMALL, "lr.eta_min=5e-324"], 2, "lr.eta_min"),
+            ([*SMALL, "lr.eta_max=1e300"], 1, "lr.eta_max"),
+            # SGD ends epoch 1, and its weights overflow in the evaluation.
+            ([*TINY, "mode=babystep", "lr.eta_max=1e300"], 1, "lr.eta_max"),
+        ],
+        ids=["eta_min", "eta_max", "eta_max-in-evaluation"],
     )
     def test_overflowing_learning_rate_names_its_key_without_a_warning(
-        self, override, code, key, tmp_path
+        self, overrides, code, key, tmp_path
     ):
         # A fresh interpreter with numpy's default warnings, so a raw
         # RuntimeWarning would reach stderr instead of raising in this process.
         src = str(Path(cli.__file__).resolve().parents[1])
-        flags = [arg for o in [*SMALL, override] for arg in ("--override", o)]
+        flags = [arg for o in overrides for arg in ("--override", o)]
         out = tmp_path / "r"
         done = subprocess.run(
             [sys.executable, "-m", "dffc.cli", "train", *flags, "--out", str(out)],

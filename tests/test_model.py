@@ -22,10 +22,10 @@ from oracles import gradients_reference, load_checkpoint, masked_sigmoid
 
 from dffc.model import (
     PROB_EPS,
-    LrSchedule,
     ModelParams,
     _sigmoid,
     bce_loss,
+    check_lr,
     cosine_lr,
     forward_batch,
     gradients,
@@ -253,37 +253,32 @@ class TestGradients:
 
 class TestCosineLr:
     def test_endpoints(self):
-        sched = LrSchedule(eta_max=0.1, eta_min=0.001, total_epochs=20)
-        assert cosine_lr(sched, 1) == pytest.approx(0.1, rel=1e-12)
-        assert cosine_lr(sched, 20) == pytest.approx(0.001, rel=1e-12)
+        assert cosine_lr(0.1, 0.001, 20, 1) == pytest.approx(0.1, rel=1e-12)
+        assert cosine_lr(0.1, 0.001, 20, 20) == pytest.approx(0.001, rel=1e-12)
 
     def test_midpoint(self):
-        sched = LrSchedule(eta_max=0.1, eta_min=0.001, total_epochs=21)
         # t=11 sits at cos(pi/2)=0: exactly the arithmetic mean.
-        assert cosine_lr(sched, 11) == pytest.approx(0.0505, rel=1e-12)
+        assert cosine_lr(0.1, 0.001, 21, 11) == pytest.approx(0.0505, rel=1e-12)
 
     def test_monotone_decreasing(self):
-        sched = LrSchedule(eta_max=0.1, eta_min=0.001, total_epochs=20)
-        etas = [cosine_lr(sched, t) for t in range(1, 21)]
+        etas = [cosine_lr(0.1, 0.001, 20, t) for t in range(1, 21)]
         assert all(a > b for a, b in zip(etas, etas[1:]))
 
     def test_single_epoch_returns_max(self):
-        sched = LrSchedule(eta_max=0.1, eta_min=0.001, total_epochs=1)
-        assert cosine_lr(sched, 1) == pytest.approx(0.1)
+        assert cosine_lr(0.1, 0.001, 1, 1) == pytest.approx(0.1)
 
     def test_out_of_range_epoch(self):
-        sched = LrSchedule(eta_max=0.1, eta_min=0.001, total_epochs=5)
         for t in (0, 6, -1):
             with pytest.raises(ValueError):
-                cosine_lr(sched, t)
+                cosine_lr(0.1, 0.001, 5, t)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
-            LrSchedule(eta_max=0.001, eta_min=0.1, total_epochs=5)
+            check_lr(eta_max=0.001, eta_min=0.1, total_epochs=5)
         with pytest.raises(ValueError):
-            LrSchedule(eta_max=0.1, eta_min=-0.001, total_epochs=5)
+            check_lr(eta_max=0.1, eta_min=-0.001, total_epochs=5)
         with pytest.raises(ValueError):
-            LrSchedule(eta_max=0.1, eta_min=0.001, total_epochs=0)
+            check_lr(eta_max=0.1, eta_min=0.001, total_epochs=0)
 
 
 class TestCheckpoint:

@@ -10,9 +10,10 @@ from dffc import cli, runner
 from dffc.errors import ConfigError
 from dffc.pacing import (
     EpochPool,
-    PacingSchedule,
     babystep_pool,
     build_epoch_pool,
+    check_babystep,
+    check_pacing,
     derive_augmentation_seed,
     full_pool,
     pool_from_ids,
@@ -22,14 +23,9 @@ from dffc.pacing import (
 )
 
 
-def default_schedule(n=1000, total=20, easy=1000):
-    return PacingSchedule(
-        milestones=(2, 5, 8, 12, 15),
-        alpha_k=0.9,
-        easy_pool_size=easy,
-        n_samples=n,
-        total_epochs=total,
-    )
+#: The default milestones and shrink factor of a run.
+MILESTONES = (2, 5, 8, 12, 15)
+ALPHA_K = 0.9
 
 
 def brute_force_topk(scores, k, largest):
@@ -43,56 +39,46 @@ def brute_force_topk(scores, k, largest):
 
 class TestPoolSize:
     def test_reference_trajectory(self):
-        schedule = default_schedule()
-        sizes = [pool_size_at_epoch(schedule, t) for t in range(1, 21)]
+        sizes = [pool_size_at_epoch(1000, t, MILESTONES, ALPHA_K) for t in range(1, 21)]
         assert sizes == [1000] * 4 + [900] * 3 + [810] * 4 + [729] * 3 + [656] * 6
 
     def test_matches_iterated_shrink_oracle(self):
-        schedule = default_schedule(n=777, total=20)
         expected = []
         for t in range(1, 21):
             # Oracle: redo the shrink chain from scratch for each epoch.
             k_t = 777
-            for m in schedule.milestones[1:]:
+            for m in MILESTONES[1:]:
                 if m <= t:
-                    k_t = max(1, int(np.floor(k_t * schedule.alpha_k)))
+                    k_t = max(1, int(np.floor(k_t * ALPHA_K)))
             expected.append(k_t)
-        sizes = [pool_size_at_epoch(schedule, t) for t in range(1, 21)]
+        sizes = [pool_size_at_epoch(777, t, MILESTONES, ALPHA_K) for t in range(1, 21)]
         assert sizes == expected
 
     def test_floor_never_below_one(self):
-        schedule = PacingSchedule(
-            milestones=(1, 2, 3, 4, 5, 6, 7, 8),
-            alpha_k=0.1,
-            easy_pool_size=0,
-            n_samples=5,
-            total_epochs=8,
-        )
-        assert pool_size_at_epoch(schedule, 8) == 1
+        assert pool_size_at_epoch(5, 8, (1, 2, 3, 4, 5, 6, 7, 8), 0.1) == 1
 
     def test_epoch_out_of_range(self):
-        schedule = default_schedule()
         with pytest.raises(ValueError):
-            pool_size_at_epoch(schedule, 0)
-        with pytest.raises(ValueError):
-            pool_size_at_epoch(schedule, 21)
+            pool_size_at_epoch(1000, 0, MILESTONES, ALPHA_K)
 
 
 class TestScheduleValidation:
     def test_milestones_must_increase(self):
         with pytest.raises(ConfigError):
-            PacingSchedule((5, 5), 0.9, 10, 100, 20)
+            check_pacing((5, 5), 0.9, 10, 20)
 
     def test_last_milestone_within_run(self):
         with pytest.raises(ConfigError):
-            PacingSchedule((2, 25), 0.9, 10, 100, 20)
+            check_pacing((2, 25), 0.9, 10, 20)
 
     def test_alpha_k_range(self):
         with pytest.raises(ConfigError):
-            PacingSchedule((2, 5), 0.0, 10, 100, 20)
+            check_pacing((2, 5), 0.0, 10, 20)
 
     def test_warmup_is_first_milestone(self):
-        assert default_schedule().warmup_epochs == 2
+        # Epoch 2 is the default's last warm-up epoch (test_warmup_equals_full_pool).
+        pool = build_epoch_pool(np.linspace(0, 1, 30), 3, 7, MILESTONES, ALPHA_K, 5)
+        assert np.count_nonzero(pool.seeds >= 0) == 5
 
 
 class TestSelection:
@@ -163,15 +149,14 @@ class TestPools:
             assert_pools_equal(a, EpochPool(entries=a.entries, seeds=a.seeds + 1))
 
     def test_warmup_equals_full_pool(self):
-        schedule = default_schedule(n=30, easy=5)
         scores = np.random.default_rng(1).uniform(0, 1, 30)
-        assert_pools_equal(build_epoch_pool(schedule, scores, 2, 7), full_pool(30, 2, 7))
+        pool = build_epoch_pool(scores, 2, 7, MILESTONES, ALPHA_K, 5)
+        assert_pools_equal(pool, full_pool(30, 2, 7))
 
     def test_post_warmup_composition(self):
-        schedule = default_schedule(n=30, easy=5)
         scores = np.random.default_rng(1).uniform(0, 1, 30)
-        pool = build_epoch_pool(schedule, scores, 6, 7)
-        k = pool_size_at_epoch(schedule, 6)
+        pool = build_epoch_pool(scores, 6, 7, MILESTONES, ALPHA_K, 5)
+        k = pool_size_at_epoch(30, 6, MILESTONES, ALPHA_K)
         assert len(hard_ids(pool)) == k
         assert len(easy_ids(pool)) == 5
         np.testing.assert_array_equal(hard_ids(pool), select_hard_pool(scores, k))
@@ -181,11 +166,6 @@ class TestPools:
             assert seed == derive_augmentation_seed(7, 6, np.array([sample_id]))[0]
         assert augmented.sum() == 5
         assert len(pool.entries) == k + 5
-
-    def test_score_length_checked(self):
-        schedule = default_schedule(n=30)
-        with pytest.raises(ValueError):
-            build_epoch_pool(schedule, np.zeros(29), 6, 0)
 
     def test_pool_from_ids_sorted_membership(self):
         pool = pool_from_ids(np.array([5, 2, 9]), t=1, rng_seed=0)
@@ -257,9 +237,8 @@ class TestComposition:
         scores = np.random.default_rng(seed).integers(0, 4, n).astype(np.float64)
         overlaps = set()
         for easy in (0, 7, 30, 60):
-            schedule = default_schedule(n=n, easy=easy)
             for t in (1, 2, 6, 12, 20):
-                pool = build_epoch_pool(schedule, scores, t, seed)
+                pool = build_epoch_pool(scores, t, seed, MILESTONES, ALPHA_K, easy)
                 assert pool.composition(n) == oracle_composition(pool)
                 overlaps.add(overlap(pool))
         assert max(overlaps) > 0
@@ -276,7 +255,7 @@ class TestComposition:
         assert pool.composition(n) == oracle_composition(pool)
 
     def test_pools_missing_a_part_equal_oracle(self):
-        pool = build_epoch_pool(default_schedule(n=30, easy=5), np.linspace(0, 1, 30), 6, 7)
+        pool = build_epoch_pool(np.linspace(0, 1, 30), 6, 7, MILESTONES, ALPHA_K, 5)
         # As under augment_all: the originals get seeds of salt 1 too.
         seeds = pool.seeds.copy()
         originals = seeds < 0
@@ -339,4 +318,4 @@ class TestBabystep:
         args = {"start_fraction": 0.25, "growth_factor": 1.5, "step_length": 3}
         args.update(kwargs)
         with pytest.raises(ValueError):
-            babystep_pool(np.zeros(4), 1, **args)
+            check_babystep(**args)

@@ -203,10 +203,11 @@ class TestRunWiring:
 
     def test_pool_size_trajectory(self, small_result):
         config, result = small_result
-        schedule = config.pacing_schedule(config.dataset.n_train)
         sizes = [record["pool_size"] for record in result.epochs]
         expected = [
-            pacing.pool_size_at_epoch(schedule, t)
+            pacing.pool_size_at_epoch(
+                config.dataset.n_train, t, config.milestones, config.alpha_k
+            )
             for t in range(1, config.total_epochs + 1)
         ]
         assert sizes == expected
