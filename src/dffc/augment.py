@@ -11,26 +11,25 @@ A seed must lie in 0..2**64 - 1.
 
 :func:`augment_pixels` augments every easy-pool copy of an epoch in one
 call, each entry one sample id of the source stack with its own seed, and
-writes each entry's augmented image, passed through the caller's input
-transform, into its row of a matrix the caller holds. It draws every
-entry's parameters in one step. Its blur, shift and clip are one pipeline,
-which also post-processes the synthetic dataset (:func:`blur_shift`): the
-entries go widest blur radius first, in runs of one radius and at most
-``AUGMENT_CHUNK`` entries, with the kernels of each radius built in one
-step. Each run gathers its own source images by sample id, so nothing the
-size of the whole call is gathered, stacked or transformed. The blur leaves
-a run transposed. The warp reads it as it is, with its row and column
-offsets swapped, from a copy reflect-padded just enough to hold every read,
-so one flat offset per pixel finds all four of its corners. Every entry
-comes out bit-identical to the single-image ``gaussian_blur``,
-``brightness_adjust`` and ``affine`` of ``tests/oracles.py``, whichever
-entries share its call or its run.
+writes each entry's augmented pixels, flattened, into its row of a matrix
+the caller holds. It draws every entry's parameters in one step. Its blur,
+shift and clip are one pipeline, which also post-processes the synthetic
+dataset (:func:`blur_shift`): the entries go widest blur radius first, in
+runs of one radius and at most ``AUGMENT_CHUNK`` entries, with the kernels
+of each radius built in one step. Each run gathers its own source images
+by sample id, so nothing the size of the whole call is gathered or
+stacked. The blur leaves a run transposed. The warp reads it as it is,
+with its row and column offsets swapped, from a copy reflect-padded just
+enough to hold every read, so one flat offset per pixel finds all four of
+its corners. Every entry comes out bit-identical to the single-image
+``gaussian_blur``, ``brightness_adjust`` and ``affine`` of
+``tests/oracles.py``, whichever entries share its call or its run.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -39,10 +38,10 @@ from dffc import streams
 from dffc.errors import ConfigError, check_range
 
 #: Most entries per run of the blur-and-shift pipeline. Each run is gathered,
-#: augmented and written into its rows on its own, so the temporaries grow
-#: with the run, not with the call: beyond its output matrix, an
-#: :func:`augment_pixels` call on 1 000 16 px images peaks at
-#: 1.7 MB of traced memory in runs of 64, 3.4 MB at 128 and 6.2 MB at 256.
+#: augmented and written into its rows of pixels on its own, so the
+#: temporaries grow with the run, not with the call: beyond its output
+#: matrix, an :func:`augment_pixels` call on 1 000 16 px images peaks at
+#: 1.7 MB of traced memory in runs of 64, 3.4 MB at 128 and 6.1 MB at 256.
 #: On a 2-CPU Xeon (2 MB of L2 per core) it took 16-25 ms in runs of 64 or
 #: 128, within 3% of each other when timed alternately, and about 35% longer
 #: in runs of 256 or 512.
@@ -200,8 +199,8 @@ def _warp_transposed(
 ) -> np.ndarray:
     """Rotation about the centre plus translation of each image by its own
     angle and shift, bilinear and inverse-mapped with reflected reads. The
-    input is transposed, ``(m, w, h)``; the output is ``(m, h, w)``, and each
-    entry equals ``affine`` of ``tests/oracles.py``.
+    input is transposed, ``(m, w, h)``; the output is ``(m, h*w)`` rows, and
+    each row equals ``affine(...).ravel()`` of ``tests/oracles.py``.
 
     The stack is reflect-padded just enough to hold every read, so one flat
     offset per pixel finds its four corners at fixed distances. Products are
@@ -243,7 +242,8 @@ def _warp_transposed(
         term *= wy
         term *= wx
         out += term
-    return np.clip(out, 0.0, 1.0, out=out)
+    # The output of take is C-contiguous, so its rows are a view.
+    return np.clip(out, 0.0, 1.0, out=out).reshape(m, -1)
 
 
 def augment_pixels(
@@ -251,20 +251,18 @@ def augment_pixels(
     ids: np.ndarray,
     spec: AugmentationSpec,
     seeds: Sequence[int],
-    transform: Callable[[np.ndarray], np.ndarray],
     out: np.ndarray,
 ) -> None:
     """Apply blur -> brightness -> affine with parameters drawn per seed, and
-    write each result, through ``transform``, into its row of ``out``.
+    write each result's pixels, flattened, into its row of ``out``.
 
     Entry ``i`` augments ``images[ids[i]]`` of the ``(n, h, w)`` stack with
     the five parameters drawn from ``default_rng(seeds[i])``, computed for
     every entry at once by :func:`streams.uniforms`; an id may repeat.
-    ``transform`` maps an ``(m, h, w)`` stack of augmented images to the
-    ``(m, k)`` rows that ``out[i]`` receives, one run at a time. The image
-    before the transform is bit-identical to ``affine(brightness_adjust(
-    gaussian_blur(images[ids[i]], sigma), delta), theta, dx, dy)`` of
-    ``tests/oracles.py``, whichever entries share the call.
+    ``out[i]`` receives ``h * w`` pixels, bit-identical to ``affine(
+    brightness_adjust(gaussian_blur(images[ids[i]], sigma), delta), theta,
+    dx, dy).ravel()`` of ``tests/oracles.py``, whichever entries share the
+    call.
     """
     images = np.asarray(images, dtype=np.float64)
     ids = np.asarray(ids)
@@ -273,7 +271,7 @@ def augment_pixels(
             f"expected an (n, h, w) stack and as many seeds and out rows as ids, got "
             f"shape {images.shape}, {len(ids)} ids, {len(seeds)} seeds and {len(out)} out rows"
         )
-    draws = streams.uniforms(
+    sigmas, deltas, rotations, dxs, dys = streams.uniforms(
         (seeds,),
         (
             spec.blur_sigma_range,
@@ -282,7 +280,6 @@ def augment_pixels(
             spec.translation_range_pixels,
             spec.translation_range_pixels,
         ),
-    )
-    sigmas, deltas, rotations, dxs, dys = draws.T
+    ).T
     for rows, run in _blur_shift_runs(images, ids, sigmas, deltas):
-        out[rows] = transform(_warp_transposed(run, rotations[rows], dxs[rows], dys[rows]))
+        out[rows] = _warp_transposed(run, rotations[rows], dxs[rows], dys[rows])

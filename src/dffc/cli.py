@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from dffc import forgeries, hardness, runner
-from dffc.errors import ConfigError, require_keys, typed
+from dffc.errors import ConfigError, check_seed, require_keys, typed
 from dffc.model import save_checkpoint
 
 
@@ -68,6 +68,8 @@ class CompareGrid:
         for mode in self.modes:
             if mode not in runner.MODES:
                 raise ConfigError(f"modes must each be one of {runner.MODES}, got {mode!r}")
+        for seed in self.seeds:
+            check_seed("seeds", seed)
 
 
 @functools.cache

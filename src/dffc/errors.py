@@ -6,6 +6,8 @@ import math
 import sys
 import typing
 
+from dffc import streams
+
 
 class ConfigError(ValueError):
     """A run, dataset, augmentation or schedule configuration failed validation."""
@@ -20,6 +22,13 @@ def check_range(name: str, bounds: tuple, non_negative: bool = False) -> tuple[f
     if non_negative and lo < 0.0:
         raise ConfigError(f"{name}: lo must be non-negative, got {lo}")
     return lo, hi
+
+
+def check_seed(name: str, seed: int) -> None:
+    """A :class:`ConfigError` naming ``name`` unless ``seed`` can key a stream
+    of :mod:`dffc.streams`: 0..2**64 - 1."""
+    if not 0 <= seed < streams.KEY_LIMIT:
+        raise ConfigError(f"{name} must be in 0..2**64 - 1, got {seed}")
 
 
 def check_float64_count(name: str, what: str, count: int) -> None:

@@ -36,7 +36,7 @@ import numpy as np
 
 from dffc import streams
 from dffc.augment import blur_shift
-from dffc.errors import ConfigError, check_float64_count, check_range
+from dffc.errors import ConfigError, check_float64_count, check_range, check_seed
 
 LABEL_REAL = "real"
 LABEL_FAKE = "fake"
@@ -84,8 +84,7 @@ class DatasetConfig:
                 f"blur_range: hi must be at most image_size ({self.image_size}), "
                 f"got {self.blur_range[1]}"
             )
-        if not 0 <= self.seed < streams.KEY_LIMIT:
-            raise ConfigError(f"seed must be in 0..2**64 - 1, got {self.seed}")
+        check_seed("seed", self.seed)
 
     def split_size(self, split_code: int) -> int:
         """The sample count of the split with this code."""

@@ -13,11 +13,15 @@ A run is single-threaded and bit-reproducible from its config. Its learning
 rate and pacing are read from the config's own fields as plain values.
 Each epoch trains on one :class:`pacing.EpochPool` (sample ids and augmentation
 seeds as arrays) and updates DIH with one whole-array step for the trained
-hard pool and one for the test set. No epoch-sized pixel matrix is built:
+hard pool and one for the test set; the DFH it takes after that update is
+the next epoch's selection score. No epoch-sized pixel matrix is built:
 each mini-batch gathers its rows from the standardized training matrix,
 then takes its augmented entries, if it has any, from one matrix of the
 epoch's augmented rows, which one call of ``augment_pixels`` per epoch
-fills run by run. Each batch's update is made in place, and the epoch's
+fills with pixels run by run. The input transform of
+:func:`fit_input_transform` standardizes only whole matrices: the
+training and test matrices once, and each epoch's augmented rows in
+place. Each batch's update is made in place, and the epoch's
 training losses are taken in one ``bce_loss`` call from the probabilities
 its batches kept. An overflow in an epoch's SGD or in its evaluation on
 the test set stops the run with a ``ValueError`` naming ``lr.eta_max``.
@@ -41,9 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dffc import forgeries, hardness, pacing, streams
+from dffc import forgeries, hardness, pacing
 from dffc.augment import AugmentationSpec, augment_pixels
-from dffc.errors import ConfigError, check_float64_count
+from dffc.errors import ConfigError, check_float64_count, check_seed
 from dffc.forgeries import DatasetConfig, Split
 from dffc.model import (
     ModelParams,
@@ -125,8 +129,7 @@ class RunConfig:
             raise ConfigError("hidden_units must be >= 1")
         weights = self.hidden_units * self.dataset.image_size**2
         check_float64_count("hidden_units", "the first layer's weights", weights)
-        if not 0 <= self.seed < streams.KEY_LIMIT:
-            raise ConfigError(f"seed must be in 0..2**64 - 1, got {self.seed}")
+        check_seed("seed", self.seed)
         object.__setattr__(self, "milestones", tuple(int(m) for m in self.milestones))
         # As for dataset.blur_range: a wider blur flattens the image.
         if self.augment.blur_sigma_range[1] > self.dataset.image_size:
@@ -219,23 +222,23 @@ def evaluate(
     }
 
 
-def fit_input_transform(train_images: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def fit_input_transform(train_images: np.ndarray) -> Callable[..., np.ndarray]:
     """The model's input transform, fit on the training images.
 
-    The returned function maps an ``(m, h, w)`` stack to ``(m, h*w)`` rows,
-    each pixel standardized by the training images' per-pixel mean and
-    standard deviation and scaled by ``INPUT_GAIN``. Raw [0, 1] pixels
-    leave the net in a barely-trainable regime under the small uniform
-    init.
+    The returned function maps an ``(m, h, w)`` stack, or its ``(m, h*w)``
+    rows, to ``(m, h*w)`` rows, each pixel standardized by the training
+    images' per-pixel mean and standard deviation and scaled by
+    ``INPUT_GAIN``. As a numpy ufunc does, it writes into ``out`` when one
+    is given, which may be its input. Raw [0, 1] pixels leave the net in a
+    barely-trainable regime under the small uniform init.
     """
     raw = train_images.reshape(len(train_images), -1)
     mean = raw.mean(axis=0)
     std = (raw.std(axis=0) + 1e-8) / INPUT_GAIN
 
-    def transform(images: np.ndarray) -> np.ndarray:
-        rows = images.reshape(len(images), -1) - mean
-        rows /= std
-        return rows
+    def transform(images: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        rows = np.subtract(images.reshape(len(images), -1), mean, out=out)
+        return np.divide(rows, std, out=rows)
 
     return transform
 
@@ -309,15 +312,17 @@ def run_training(
     params = init_params(d, config.hidden_units, config.seed)
     to_input = fit_input_transform(train.images)
     X_train = to_input(train.images)
-    y_train = train.targets
     X_test = to_input(test.images)
-    y_test = test.targets
 
+    # Nothing changes the hardness state between one epoch's update and the
+    # next epoch's selection, so each epoch's DFH is the next one's score.
+    dfh_now = hardness.dfh_all(state)
     epochs: list[dict] = []
     for t in range(1, config.total_epochs + 1):
         eta = cosine_lr(config.eta_max, config.eta_min, config.total_epochs, t)
-        selection_scores = hardness.dfh_all(state)
-        pool = _build_pool(config, selection_scores, prior, t, n)
+        pool = _build_pool(config, dfh_now, prior, t, n)
+        # Ids repeat in a pool's entries, which leaves their min and max as they are.
+        pool_scores = dfh_now[pool.entries]
         hard_size, easy_size, overlap = pool.composition(n)
         # The originals are the hard pool, and only they drive DIH updates,
         # even under --augment-all, which gives them a seed too.
@@ -330,16 +335,18 @@ def run_training(
             )
             trained = pacing.EpochPool(entries=pool.entries, seeds=seeds)
 
-        # The augmented entries' standardized rows, made in one call; each
-        # batch gathers its rows from X_train, then overwrites its augmented ones.
+        # The augmented entries' pixels, made in one call and standardized in
+        # place; each batch gathers its rows from X_train, then overwrites its
+        # augmented ones.
         ids = trained.entries
         augmented = np.flatnonzero(trained.seeds >= 0)
         X_augmented = np.empty((len(augmented), d))
         if len(augmented):
             augment_pixels(
                 train.images, ids[augmented], config.augment, trained.seeds[augmented],
-                to_input, X_augmented,
+                X_augmented,
             )
+            to_input(X_augmented, out=X_augmented)
 
         # Mini-batch SGD; each batch's probabilities are kept from before
         # its update, and the epoch's losses are taken from them in one
@@ -348,7 +355,7 @@ def run_training(
         # converges, so an overflow is a learning rate too large for it.
         starts = range(0, len(ids), config.batch_size)
         edges = np.searchsorted(augmented, [*starts, len(ids)]).tolist()
-        y_epoch = y_train[ids]
+        y_epoch = train.targets[ids]
         epoch_probs = np.empty(len(ids))
         try:
             with np.errstate(over="raise", invalid="raise"):
@@ -379,9 +386,9 @@ def run_training(
         # test set: the same divergence, found one step later.
         try:
             with np.errstate(over="raise", invalid="raise"):
-                metrics = evaluate(params, X_test, y_test, terciles)
+                metrics = evaluate(params, X_test, test.targets, terciles)
                 # Evaluation-set mirror update, from the same test-set scores.
-                test_losses = bce_loss(metrics["scores"], y_test)
+                test_losses = bce_loss(metrics["scores"], test.targets)
                 test_s_t = hardness.instantaneous_hardness(test_losses, eta, config.eta_max)
                 hardness.update_dih(test_state, np.arange(len(test)), test_s_t)
         except FloatingPointError as exc:
@@ -392,8 +399,6 @@ def run_training(
 
         acc_easy, acc_mid, acc_hard = metrics["acc_by_tercile"]
         dfh_now = hardness.dfh_all(state)
-        # Ids repeat in a pool's entries, which leaves their min and max as they are.
-        pool_scores = selection_scores[pool.entries]
         epochs.append(
             {
                 "epoch": t, "eta": eta, "pool_size": hard_size,

@@ -22,15 +22,10 @@ from dffc.augment import (
 from dffc.errors import ConfigError
 
 
-def flat(run: np.ndarray) -> np.ndarray:
-    """The input transform that keeps the pixels: each image as one row."""
-    return run.reshape(len(run), -1)
-
-
 def augment_stack(images: np.ndarray, spec: AugmentationSpec, seeds) -> np.ndarray:
     """Each image of an ``(n, h, w)`` stack augmented by its own seed, as a stack."""
     out = np.empty((len(images), images[0].size))
-    augment_pixels(images, np.arange(len(images)), spec, seeds, flat, out)
+    augment_pixels(images, np.arange(len(images)), spec, seeds, out)
     return out.reshape(images.shape)
 
 
@@ -384,31 +379,9 @@ class TestAugmentStack:
         _, seeds = stack_and_seeds(len(ids), 1, seed=25)
         spec = AugmentationSpec(blur_sigma_range=(0.0, 3.0))
         out = np.empty((len(ids), 256))
-        augment_pixels(images, ids, spec, seeds, flat, out)
+        augment_pixels(images, ids, spec, seeds, out)
         expected = np.stack([oracle(images[i], spec, s).ravel() for i, s in zip(ids, seeds)])
         assert out.tobytes() == expected.tobytes()
-
-    def test_each_run_passes_through_the_transform_into_its_rows(self, monkeypatch):
-        # 100 entries in runs of at most 9: the transform sees each run once,
-        # and each row is the transform of that entry's oracle image.
-        monkeypatch.setattr(augment, "AUGMENT_CHUNK", 9)
-        images, seeds = stack_and_seeds(100, 16, seed=26)
-        mean, scale = images.mean(axis=0).ravel(), 1.0 / (images.std(axis=0).ravel() + 0.5)
-        run_sizes = []
-
-        def standardize(run):
-            run_sizes.append(len(run))
-            rows = run.reshape(len(run), -1) - mean
-            rows *= scale
-            return rows
-
-        spec = AugmentationSpec()
-        out = np.full((100, 256), np.nan)
-        augment_pixels(images, np.arange(100), spec, seeds, standardize, out)
-        oracles = np.stack([oracle(img, spec, s).ravel() for img, s in zip(images, seeds)])
-        expected = (oracles - mean) * scale
-        assert out.tobytes() == expected.tobytes()
-        assert sum(run_sizes) == 100 and max(run_sizes) <= 9
 
     @pytest.mark.parametrize(
         "n_ids, n_seeds, n_rows", [(2, 3, 3), (3, 2, 3), (3, 3, 2)]
@@ -417,7 +390,7 @@ class TestAugmentStack:
         images, seeds = stack_and_seeds(3, 8, seed=16)
         with pytest.raises(ValueError, match=f"{n_ids} ids, {n_seeds} seeds and {n_rows} out"):
             augment_pixels(
-                images, np.arange(n_ids), AugmentationSpec(), seeds[:n_seeds], flat,
+                images, np.arange(n_ids), AugmentationSpec(), seeds[:n_seeds],
                 np.empty((n_rows, 64)),
             )
 
@@ -433,7 +406,7 @@ class TestAugmentStack:
             out = np.empty((n, 256))
             tracemalloc.start()
             try:
-                augment_pixels(images, np.arange(n), AugmentationSpec(), seeds, flat, out)
+                augment_pixels(images, np.arange(n), AugmentationSpec(), seeds, out)
                 _, peaks[n] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

@@ -327,27 +327,33 @@ NOT_SWEPT = (str, bool, tuple[str, ...], tuple[bool, ...])
 class TestConfigSweep:
     """Every numeric leaf of the config at each edge value of its type, on
     ``TINY`` under every mode, with a ``RuntimeWarning`` raised as an error.
-    A run exits 0, or exits 1 or 2 with one ``error:`` line that names the
-    swept leaf. ``total_epochs=2**63`` is left out: a valid run that never
-    ends."""
+    A ``compare.*`` leaf is read only by ``compare``, so it runs a one-mode
+    ``compare`` grid of each mode; every other leaf runs ``train``. A run
+    exits 0, or exits 1 or 2 with one ``error:`` line that names the swept
+    leaf. ``total_epochs=2**63`` is left out: a valid run that never ends."""
 
     @pytest.mark.parametrize(
         "path", [path for path, (hint, _) in cli._LEAVES.items() if hint not in NOT_SWEPT]
     )
     def test_edge_values_run_or_name_their_key(self, path, tmp_path, capsys):
         name = path.rpartition(".")[2]
+        command = "compare" if path.startswith("compare.") else "train"
         failures = []
         for value in SWEEP_VALUES[cli._LEAVES[path][0]]:
             if (path, value) == ("total_epochs", 2**63):
                 continue
             for mode in runner.MODES:
-                overrides = [*TINY, f"mode={mode}", f"{path}={json.dumps(value)}"]
+                if command == "compare":
+                    cell = f"compare.modes={json.dumps([mode])}"
+                else:
+                    cell = f"mode={mode}"
+                overrides = [*TINY, cell, f"{path}={json.dumps(value)}"]
                 flags = [arg for override in overrides for arg in ("--override", override)]
-                case = f"{path}={json.dumps(value)} mode={mode}"
+                case = f"{command} {path}={json.dumps(value)} mode={mode}"
                 try:
                     with warnings.catch_warnings():
                         warnings.simplefilter("error", RuntimeWarning)
-                        code = cli.main(["train", *flags, "--out", str(tmp_path), "--force"])
+                        code = cli.main([command, *flags, "--out", str(tmp_path), "--force"])
                 except Exception as exc:  # every exception that escapes main is a finding
                     failures.append(f"{case}: raised {exc!r}")
                     continue
@@ -358,6 +364,16 @@ class TestConfigSweep:
                 elif code != 0 and not (code in (1, 2) and len(errors) == 1 and name in errors[0]):
                     failures.append(f"{case}: exit {code}, {err!r}")
         assert not failures, "\n".join(failures)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_compare_seed_out_of_range_names_compare_seeds(self, seed, tmp_path, capsys):
+        flags = [arg for override in TINY for arg in ("--override", override)]
+        out = tmp_path / "cmp"
+        argv = ["compare", *flags, "--override", f"compare.seeds=[{seed}]", "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: compare.seeds must be in 0..2**64 - 1, got {seed}"]
+        assert not out.exists()
 
 
 class TestRuntime:
@@ -591,12 +607,26 @@ class TestTrain:
         assert [row.split(",")[column] for row in rows] == ["nan"] * 6
 
 
-class TestCollapseWarning:
-    """``SMALL`` of ``test_golden.py`` learns (dffc AUC 0.877); with
-    ``lr.eta_max=1e6`` it collapses (AUC 0.44, loss 7.03 -> 8.78)."""
+#: A babystep run on ``SMALL``'s sizes whose pool grows every epoch (100,
+#: 150, 225, 338 and 400 samples) and learns (test AUC 0.75). Its final
+#: loss, over the whole dataset, is above epoch 1's over the easiest
+#: quarter, which is no collapse.
+GROWING_BABYSTEP = [
+    "mode=babystep", "babystep.step_length=1", "batch_size=16", "hidden_units=32",
+    "seed=0", "dataset.seed=0",
+]
 
-    @pytest.mark.parametrize("extra, warns", [([], False), (["lr.eta_max=1e6"], True)],
-                             ids=["learns", "collapsed"])
+
+class TestCollapseWarning:
+    """``SMALL`` of ``test_golden.py`` learns (dffc AUC 0.877), and so does
+    ``GROWING_BABYSTEP``; with ``lr.eta_max=1e6`` it collapses (AUC 0.44,
+    loss 7.03 -> 8.78)."""
+
+    @pytest.mark.parametrize(
+        "extra, warns",
+        [([], False), (GROWING_BABYSTEP, False), (["lr.eta_max=1e6"], True)],
+        ids=["learns", "learns-babystep-growing", "collapsed"],
+    )
     def test_train_and_report_warn_only_on_a_collapsed_run(self, extra, warns, tmp_path, capsys):
         flags = [arg for override in SMALL + extra for arg in ("--override", override)]
         assert cli.main(["train", *flags, "--out", str(tmp_path)]) == 0

@@ -365,6 +365,22 @@ class TestEvaluate:
             runner.evaluate(params, np.empty((0, 4)), np.array([]), np.array([]))
 
 
+class TestInputTransform:
+    def test_out_receives_the_allocating_result_bit_for_bit(self):
+        images = np.random.default_rng(30).uniform(0, 1, (50, 8, 8))
+        to_input = runner.fit_input_transform(images[:40])
+        expected = to_input(images)
+        assert expected.shape == (50, 64)
+        out = np.full((50, 64), np.nan)
+        assert to_input(images, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        # In place over rows of raw pixels, as run_training standardizes its
+        # augmented rows.
+        rows = images.reshape(50, 64).copy()
+        assert to_input(rows, out=rows) is rows
+        assert rows.tobytes() == expected.tobytes()
+
+
 class TestEpochAssembly:
     def test_chunk_size_does_not_change_the_run(self, small_run_config, monkeypatch):
         # Ten easy copies per epoch: chunks of 3 split them 3+3+3+1.
