@@ -119,27 +119,32 @@ def _radius_runs(sigmas: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None
     return runs
 
 
-def _blur_transposed(images: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Each image of an ``(m, h, w)`` stack blurred by its own kernel, all of
-    one radius, and clipped, returned transposed as a contiguous
-    ``(m, w, h)`` stack.
+def _tap_sum(padded: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """One blur pass along axis 1 of a stack reflect-padded by the radius
+    there: the taps summed in order from zeros, as ``_conv1d_reflect`` of
+    ``tests/oracles.py`` does."""
+    size = padded.shape[1] - (taps.shape[1] - 1)
+    acc = np.zeros_like(padded[:, :size])
+    tmp = np.empty_like(acc)
+    for j in range(taps.shape[1]):
+        np.multiply(taps[:, j, None, None], padded[:, j : j + size], out=tmp)
+        acc += tmp
+    return acc
 
-    Each pass gathers a copy reflect-padded by the radius along axis 1 and
-    sums the taps in order from zeros, as ``_conv1d_reflect`` of
-    ``tests/oracles.py`` does. The second pass gathers from the transposed
+
+def _blur_transposed(images: np.ndarray, ids: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Images ``ids`` of an ``(n, h, w)`` stack, each blurred by its own
+    kernel, all of one radius, and clipped, returned transposed as a
+    contiguous ``(m, w, h)`` stack.
+
+    The first pass gathers its reflect-padded rows straight from the
+    source, one gather for the run. The second gathers from the transposed
     first, so both passes sum whole contiguous images.
     """
     r = taps.shape[1] // 2
-    stack = images
-    for _ in range(2):
-        size = stack.shape[1]
-        padded = stack[:, _reflect_index(np.arange(-r, size + r), size)]
-        acc = np.zeros_like(padded[:, :size])
-        tmp = np.empty_like(acc)
-        for j in range(2 * r + 1):
-            np.multiply(taps[:, j, None, None], padded[:, j : j + size], out=tmp)
-            acc += tmp
-        stack = acc.transpose(0, 2, 1)
+    _, h, w = images.shape
+    acc = _tap_sum(images[ids[:, None], _reflect_index(np.arange(-r, h + r), h)], taps)
+    acc = _tap_sum(acc.transpose(0, 2, 1)[:, _reflect_index(np.arange(-r, w + r), w)], taps)
     return np.clip(acc, 0.0, 1.0, out=acc)
 
 
@@ -152,22 +157,25 @@ def _blur_shift_runs(
     ``ids[i]`` with ``sigmas[i]`` and ``deltas[i]``; each run gathers only
     its own images."""
     for rows, taps in _radius_runs(sigmas):
-        run = images[ids[rows]]
-        run = run.transpose(0, 2, 1) if taps is None else _blur_transposed(run, taps)
+        if taps is None:
+            run = images[ids[rows]].transpose(0, 2, 1)
+        else:
+            run = _blur_transposed(images, ids[rows], taps)
         run += deltas[rows, None, None]
         yield rows, np.clip(run, 0.0, 1.0, out=run)
 
 
-def blur_shift(images: np.ndarray, sigmas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+def blur_shift(
+    images: np.ndarray, sigmas: np.ndarray, deltas: np.ndarray, out: np.ndarray
+) -> None:
     """Blur each image of an ``(n, h, w)`` stack by its sigma (none at 0),
-    shift it by its delta and clip it to [0, 1]. Each entry equals
-    ``brightness_adjust(gaussian_blur(image, sigma), delta)`` of
-    ``tests/oracles.py``.
+    shift it by its delta, clip it to [0, 1], and write it into its image
+    of ``out``, an ``(n, h, w)`` stack (a view is written through). Each
+    entry equals ``brightness_adjust(gaussian_blur(image, sigma), delta)``
+    of ``tests/oracles.py``.
     """
-    out = np.empty_like(images)
     for rows, run in _blur_shift_runs(images, np.arange(len(images)), sigmas, deltas):
         out[rows] = run.transpose(0, 2, 1)
-    return out
 
 
 def _pad_offsets(src: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,8 +18,9 @@ the same config and overrides followed by the cell's ``mode``,
 cell; every cell trains on one generated dataset. A bad value raises
 ``ConfigError`` naming its dotted key before the run starts, and a
 config file or run artifact that cannot be read as UTF-8 text raises
-one naming the file. The out dir is made only when the artifacts are
-written, so a run that fails leaves none behind.
+one naming the file. Running out of memory exits 1 with one error line
+that names the keys sizing the largest arrays. The out dir is made only
+when the artifacts are written, so a run that fails leaves none behind.
 ``resolved_config.json`` written into each run directory reproduces the
 run bit-identically.
 
@@ -525,6 +526,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(
+            f"error: out of memory ({str(exc) or 'no detail'}); the largest arrays grow with "
+            "dataset.n_train, dataset.n_test, dataset.image_size and hidden_units",
+            file=sys.stderr,
+        )
         return 1
 
 

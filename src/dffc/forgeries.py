@@ -18,12 +18,13 @@ image differs from its real's. Pair p draws its 24 parameters from its own
 stream, numpy's ``default_rng((seed, split, p))`` (split 0 for train, 1 for
 test), computed for every pair of a split at once by :mod:`dffc.streams`;
 the images are then built a :data:`GENERATE_CHUNK` of pairs at a time,
-and only the post-processed ones are kept. Each cosine of a
-base image or an artifact is taken once per distinct argument (per wave
-number, row or column, not per pixel) and gathered or broadcast onto the
-grid. The pixels keep the bits of the full-grid formulas: the wave
-numbers are exact integers in float64, and every product is taken, on
-the same operands, before the gather.
+and each chunk is post-processed straight into its rows of the split, so
+only the post-processed images are kept. Each cosine of a base image or
+an artifact is taken once per distinct argument (per wave number, row or
+column, not per pixel) and reaches the grid through a strided view of its
+table or by broadcasting, never by a gather. The pixels keep the bits of
+the full-grid formulas: the wave numbers are exact integers in float64,
+and every product is taken, on the same operands, before the add.
 
 Images are float64 in [0, 1]. Fake is the positive class.
 """
@@ -33,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from dffc import streams
 from dffc.augment import blur_shift
@@ -97,10 +99,12 @@ class DatasetConfig:
         )
 
 
-#: Pairs generated per step. 64 to 256 pairs run equally fast; the step's
-#: clean pairs and their post-processed copy grow with it. Generating the
-#: 32 px default dataset (25 MB of images) raises the peak RSS by 35 MB at
-#: 128 pairs, 43 MB at 256, and 57 MB with each split in one step.
+#: Pairs generated per step; the step's clean pairs and their temporaries
+#: grow with it. Generating the 32 px default dataset (25 MB of images)
+#: raises the peak RSS by 26 MB at 64 pairs, 30 MB at 128, 36 MB at 256
+#: and 43 MB with each split in one step. Timed alternately (process CPU
+#: time, 2-CPU Xeon), 64 pairs ran within 2% of 128 at 32 px but 12%
+#: slower at 16 px, and 256 ran 7% slower at 32 px.
 #: :func:`laplacian_variance` takes this many images per step.
 GENERATE_CHUNK = 128
 
@@ -142,27 +146,36 @@ def _base_images(amps: np.ndarray, phases: np.ndarray, size: int) -> np.ndarray:
     mid-frequency band the forgery artifact occupies.
 
     Mode (h, v) at pixel (y, x) depends only on the integer
-    ``k = h*x + v*y``, which takes at most ``3*size`` distinct values, so
-    each image's term is taken once per distinct ``k`` and gathered onto
-    the grid. That is the full-grid sum to the bit: ``k`` is exact in float64,
-    so equal ``k`` gives equal wave bits, and each term's amplitude product
-    is taken before the gather, on the same operands.
+    ``k = h*x + v*y``, which spans at most ``3*size - 2`` values, so each
+    image's term is taken once per ``k`` of that span, into one table row
+    per image, and added through a view of the table with strides
+    ``(row, v, h)``: nothing the size of the grid is gathered. That is the
+    full-grid sum to the bit: ``k`` is exact in float64, so equal ``k``
+    gives equal wave bits, and each term's amplitude product is taken on
+    the same operands before the add.
     """
-    ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
-    img = np.full((len(amps), size, size), 0.5)
+    m = len(amps)
+    img = np.full((m, size, size), 0.5)
     # Whole-cycle Fourier modes are exactly orthogonal (over the image
     # grid) to the forgery's banding frequency, so pristine images carry
     # no energy at the frequency the artifact occupies.
     budget = 0.3 / len(_MODES)
     for (h, v), amp, phase in zip(_MODES, amps.T, phases.T):
-        ks, index = np.unique(h * xs + v * ys, return_inverse=True)
-        wave = 2.0 * np.pi * ks / size
+        k_lo = min(0, h * (size - 1)) + min(0, v * (size - 1))
+        k_hi = max(0, h * (size - 1)) + max(0, v * (size - 1))
+        wave = 2.0 * np.pi * np.arange(k_lo, k_hi + 1, dtype=np.float64) / size
         terms = (amp * budget)[:, None] * np.cos(wave + phase[:, None])
-        img += terms[:, index.reshape(size, size)]
+        # Column -k_lo holds k = 0, and every k of the grid lies in the row.
+        at_zero = terms[:, -k_lo:]
+        step = terms.itemsize
+        img += as_strided(
+            at_zero, (m, size, size), (terms.strides[0], v * step, h * step), writeable=False
+        )
     # Fixed-amplitude checkerboard dither at the Nyquist frequency.  Its
     # Laplacian response dwarfs the smooth content's, so measured
     # sharpness tracks the post-processing blur level instead of the
     # random scene content, and it sits far from the artifact's band.
+    ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
     img += 0.02 * np.where((xs + ys) % 2 == 0, 1.0, -1.0)
     return img
 
@@ -183,7 +196,8 @@ def _bumps(draws: np.ndarray, size: int) -> np.ndarray:
     """
     cx, cy, rx, ry, phase = (col[:, None, None] for col in draws.T)
     xs = np.arange(size, dtype=np.float64)
-    r = np.sqrt(((xs - cx) / rx) ** 2 + ((xs[:, None] - cy) / ry) ** 2)
+    r = ((xs - cx) / rx) ** 2 + ((xs[:, None] - cy) / ry) ** 2
+    np.sqrt(r, out=r)
     inside = r < 1.0
     envelope = np.zeros_like(r)
     envelope[inside] = np.cos(0.5 * np.pi * r[inside]) ** 2
@@ -193,7 +207,8 @@ def _bumps(draws: np.ndarray, size: int) -> np.ndarray:
     # augmented fake into looking pristine, and blur at sigma 1.5 still
     # only halves the banding energy.
     modulation = np.cos(0.25 * np.pi * xs + phase)
-    return envelope * modulation
+    envelope *= modulation
+    return envelope
 
 
 def clean_pairs(
@@ -243,10 +258,14 @@ def _build_pairs(
     sigmas, deltas = draws[:, -4:].reshape(-1, 2).T.copy()
     amplitudes = np.zeros(len(sigmas))
     amplitudes[1::2] = pair_amplitudes[:, 0]
-    base = _base_images(modes[:, 0::2], modes[:, 1::2], size)
     clean = np.empty((len(sigmas), size, size))
-    clean[0::2] = base
-    clean[1::2] = np.clip(base + pair_amplitudes[:, :, None] * _bumps(bump, size), 0.0, 1.0)
+    reals, fakes = clean[0::2], clean[1::2]
+    reals[...] = _base_images(modes[:, 0::2], modes[:, 1::2], size)
+    # The artifact, then its base added to it: the same bits as the base
+    # plus the artifact, since addition commutes.
+    np.multiply(pair_amplitudes[:, :, None], _bumps(bump, size), out=fakes)
+    fakes += reals
+    np.clip(fakes, 0.0, 1.0, out=fakes)
     return clean, amplitudes, sigmas, deltas
 
 
@@ -261,7 +280,7 @@ def _generate_split(config: DatasetConfig, split_code: int) -> Split:
         pairs = slice(start, start + GENERATE_CHUNK)
         rows = slice(2 * start, 2 * (start + GENERATE_CHUNK))
         clean, amplitudes[rows], sigmas[rows], deltas = _build_pairs(draws[pairs], size)
-        images[rows] = blur_shift(clean, sigmas[rows], deltas)
+        blur_shift(clean, sigmas[rows], deltas, images[rows])
     return Split(images, amplitudes, sigmas)
 
 

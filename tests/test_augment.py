@@ -29,6 +29,13 @@ def augment_stack(images: np.ndarray, spec: AugmentationSpec, seeds) -> np.ndarr
     return out.reshape(images.shape)
 
 
+def blurred_shifted(images: np.ndarray, sigmas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """:func:`blur_shift` of a stack, into a fresh stack."""
+    out = np.empty_like(images)
+    blur_shift(images, sigmas, deltas, out)
+    return out
+
+
 class TestKernel:
     def test_normalized_and_symmetric(self):
         k = gaussian_kernel_1d(1.3)
@@ -146,11 +153,11 @@ class TestBlur:
         deltas = rng.uniform(-0.5, 0.5, 12)
         blurred = [gaussian_blur(img, s) for img, s in zip(images, sigmas)]
         expected = np.stack([brightness_adjust(b, d) for b, d in zip(blurred, deltas)])
-        assert blur_shift(images, sigmas, deltas).tobytes() == expected.tobytes()
+        assert blurred_shifted(images, sigmas, deltas).tobytes() == expected.tobytes()
         # With no shift, the blur alone; with neither, the images.
         zeros = np.zeros(12)
-        assert blur_shift(images, sigmas, zeros).tobytes() == np.stack(blurred).tobytes()
-        assert blur_shift(images, zeros, zeros).tobytes() == images.tobytes()
+        assert blurred_shifted(images, sigmas, zeros).tobytes() == np.stack(blurred).tobytes()
+        assert blurred_shifted(images, zeros, zeros).tobytes() == images.tobytes()
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
     def test_every_radius_in_one_stack(self, order):
@@ -165,15 +172,29 @@ class TestBlur:
         deltas = np.random.default_rng(19).uniform(-0.2, 0.2, len(sigmas))
         blurred = [gaussian_blur(img, s) for img, s in zip(images, sigmas)]
         expected = np.stack([brightness_adjust(b, d) for b, d in zip(blurred, deltas)])
-        assert blur_shift(images, sigmas, deltas).tobytes() == expected.tobytes()
+        assert blurred_shifted(images, sigmas, deltas).tobytes() == expected.tobytes()
+
+    def test_writes_into_a_view_of_a_larger_stack(self):
+        # As generation does: each chunk is written into its rows of the split.
+        rng = np.random.default_rng(26)
+        images = rng.uniform(0, 1, (10, 11, 7))
+        sigmas = rng.uniform(0.0, 2.0, 10)
+        sigmas[::4] = 0.0
+        deltas = rng.uniform(-0.3, 0.3, 10)
+        split = np.full((16, 11, 7), -1.0)
+        blur_shift(images, sigmas, deltas, split[3:13])
+        blurred = [gaussian_blur(img, s) for img, s in zip(images, sigmas)]
+        expected = np.stack([brightness_adjust(b, d) for b, d in zip(blurred, deltas)])
+        assert split[3:13].tobytes() == expected.tobytes()
+        assert (split[:3] == -1.0).all() and (split[13:] == -1.0).all()
 
     def test_underflowing_sigma_blurs_as_zero_does(self):
         # 2 * sigma**2 underflows to 0 below about 1.5e-162.
         images = np.random.default_rng(20).uniform(0, 1, (6, 8, 8))
         deltas = np.linspace(-0.3, 0.3, 6)
         tiny = np.array([0.0, 5e-324, 1e-300, 1e-200, 1e-170, 1.5e-162])
-        expected = blur_shift(images, np.zeros(6), deltas)
-        assert blur_shift(images, tiny, deltas).tobytes() == expected.tobytes()
+        expected = blurred_shifted(images, np.zeros(6), deltas)
+        assert blurred_shifted(images, tiny, deltas).tobytes() == expected.tobytes()
         seeds = list(range(300))
         images = np.random.default_rng(21).uniform(0, 1, (300, 16, 16))
         spec = AugmentationSpec(blur_sigma_range=(0.0, 1e-200))

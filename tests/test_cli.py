@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -587,6 +588,33 @@ class TestTrain:
         errors = done.stderr.splitlines()
         assert len(errors) == 1 and errors[0].startswith("error:") and key in errors[0], errors
         assert "RuntimeWarning" not in done.stderr and "Traceback" not in done.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override", ["dataset.image_size=4096", "hidden_units=100000000"], ids=["images", "weights"]
+    )
+    def test_running_out_of_memory_exits_one_naming_the_sizes(self, override, tmp_path):
+        # The child's address space is capped at 1 GiB; the first array the
+        # override sizes (250 GiB of images, 191 GiB of weights) is refused
+        # outright, so nothing near the cap is ever touched.
+        cap = 1 << 30
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = tmp_path / "r"
+        done = subprocess.run(
+            [sys.executable, "-m", "dffc.cli", "train", "--override", override, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            preexec_fn=limit_address_space,
+        )
+        assert done.returncode == 1, done.stderr
+        errors = done.stderr.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: out of memory"), errors
+        keys = ("dataset.n_train", "dataset.n_test", "dataset.image_size", "hidden_units")
+        assert all(key in errors[0] for key in keys), errors
+        assert "Traceback" not in done.stderr
         assert not out.exists()
 
     def test_invalid_config_exits_two(self, tmp_path, capsys):

@@ -25,6 +25,7 @@ Oracle notes:
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,24 @@ class TestTemplates:
         ]
         draws = np.array(draws + [[0.5, 0.5, 0.1, 0.1, 1.0], [0.0, 0.0, 3.0, 1.0, 0.5]])
         assert_same_bits(forgeries._bumps(draws, size), bumps(draws, size))
+
+    def test_base_images_gather_nothing_the_size_of_the_grid(self):
+        # Beyond the output, only per-mode tables of at most 3 * size terms
+        # per image and a few (size, size) masks are allocated. Gathering a
+        # mode's terms onto the grid would add a whole output's worth.
+        m, size = 128, 64
+        rng = np.random.default_rng(5)
+        amps = rng.uniform(0.2, 1.0, (m, len(forgeries._MODES)))
+        phases = rng.uniform(0.0, 2.0 * np.pi, amps.shape)
+        output = m * size * size * 8
+        tracemalloc.start()
+        try:
+            forgeries._base_images(amps, phases, size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tables = 4 * m * 3 * size * 8 + 4 * size * size * 8
+        assert peak <= output + tables < 2 * output, (peak, output, tables)
 
     @pytest.mark.parametrize("chunk", [1, 3])
     @pytest.mark.parametrize("size", [5, 17, 32])
