@@ -17,11 +17,13 @@ shift and clip are one pipeline, which also post-processes the synthetic
 dataset (:func:`blur_shift`): the entries go widest blur radius first, in
 runs of one radius and at most ``AUGMENT_CHUNK`` entries, with the kernels
 of each radius built in one step. Each run gathers its own source images
-by sample id, so nothing the size of the whole call is gathered or
-stacked. The blur leaves a run transposed. The warp reads it as it is,
-with its row and column offsets swapped, from a copy reflect-padded just
-enough to hold every read, so one flat offset per pixel finds all four of
-its corners. Every entry comes out bit-identical to the single-image
+by sample id, a blurred run already reflect-padded for its first pass,
+so nothing the size of the whole call is gathered or stacked, and
+:func:`blur_shift` writes each run into the caller's stack. The blur
+leaves a run transposed. The warp reads it as it is, with its row and
+column offsets swapped, from a copy reflect-padded just enough to hold
+every read, so one flat offset per pixel finds all four of its corners.
+Every entry comes out bit-identical to the single-image
 ``gaussian_blur``, ``brightness_adjust`` and ``affine`` of
 ``tests/oracles.py``, whichever entries share its call or its run.
 """
