@@ -231,14 +231,15 @@ def _warp_transposed(
     del u, v
     offsets, x_reads = _pad_offsets(fx, w)
     y_offsets, y_reads = _pad_offsets(fy, h)
-    padded = images_t[:, x_reads[:, None], y_reads]
+    # The gather is not C-contiguous, so the reshape copies it; only the
+    # flat copy is kept, not the gather beside it.
+    flat = images_t[:, x_reads[:, None], y_reads].reshape(-1)
     # One flat offset per pixel: image, then x (a padded row), then y.
     stride = len(y_reads)
     offsets *= stride
     offsets += y_offsets
     del y_offsets
-    offsets += (np.arange(m) * padded[0].size)[:, None, None]
-    flat = padded.reshape(-1)
+    offsets += (np.arange(m) * (len(x_reads) * stride))[:, None, None]
     gx, gy = 1 - fx, 1 - fy
     out = np.take(flat, offsets)
     out *= gy

@@ -302,12 +302,20 @@ def collapse_warning(epochs: list[dict]) -> str | None:
 
 
 def write_run_artifacts(out: Path, resolved: dict, result: runner.MetricsLog) -> None:
+    """Write every artifact of a finished run into ``out``.
+
+    ``extremes.json`` is built here, the one place that builds it: from the
+    DFH of the run's final test-set mirror, with the test pairs it selects
+    rebuilt from the run's dataset config.
+    """
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.json").write_text(json.dumps(resolved, indent=1))
     (out / "metrics.csv").write_text(runner.csv_text(runner.METRICS_COLUMNS, result.epochs))
     (out / "pool_log.csv").write_text(runner.csv_text(runner.POOL_LOG_COLUMNS, result.epochs))
     (out / "dfh_trace.json").write_text(runner.dfh_trace_json(result))
-    (out / "extremes.json").write_text(json.dumps(result.extremes, indent=1))
+    scores = hardness.dfh_all(result.test_hardness)
+    extremes = forgeries.dfh_extremes_report(result.dataset_config, forgeries.TEST_SPLIT, scores)
+    (out / "extremes.json").write_text(json.dumps(extremes, indent=1))
     (out / "hardness_state.json").write_text(result.train_hardness.to_json())
     save_checkpoint(
         result.final_params,
@@ -387,7 +395,7 @@ def cmd_inspect_dfh(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}")
     resolved = resolve_config(str(run_dir / "resolved_config.json"), [])
-    train, _ = forgeries.generate_dataset(build_run_config(resolved).dataset)
+    train = forgeries.generate_split(build_run_config(resolved).dataset, forgeries.TRAIN_SPLIT)
     scores = hardness.dfh_all(state)
     n = len(scores)
     if n != len(train):
@@ -395,13 +403,12 @@ def cmd_inspect_dfh(args: argparse.Namespace) -> int:
             f"hardness_state.json holds {n} samples, but resolved_config.json "
             f"generates {len(train)} training samples"
         )
-    top_k, bottom_k = args.top, args.bottom
-    if top_k > n or bottom_k > n:
+    if args.top > n or args.bottom > n:
         print(f"warning: k exceeds sample count {n}; clamping", file=sys.stderr)
-        top_k, bottom_k = min(top_k, n), min(bottom_k, n)
+    # A slice stops at the end of the order, which clamps each k to n.
     order = np.argsort(scores, kind="stable")
-    groups = {"top": [int(i) for i in order[::-1][:top_k]],
-              "bottom": [int(i) for i in order[:bottom_k]]}
+    groups = {"top": [int(i) for i in order[::-1][: args.top]],
+              "bottom": [int(i) for i in order[: args.bottom]]}
     out = run_dir / "inspection"
     report = {}
     for group, ids in groups.items():

@@ -37,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from dffc import streams
-from dffc.augment import blur_shift
+from dffc.augment import _reflect_index, blur_shift
 from dffc.errors import ConfigError, check_float64_count, check_range, check_seed
 
 LABEL_REAL = "real"
@@ -269,7 +269,8 @@ def _build_pairs(
     return clean, amplitudes, sigmas, deltas
 
 
-def _generate_split(config: DatasetConfig, split_code: int) -> Split:
+def generate_split(config: DatasetConfig, split_code: int) -> Split:
+    """The split with this code, train or test; each is built on its own."""
     n = config.split_size(split_code)
     size = config.image_size
     draws = _pair_draws(config, split_code, np.arange(n // 2))
@@ -286,29 +287,35 @@ def _generate_split(config: DatasetConfig, split_code: int) -> Split:
 
 def generate_dataset(config: DatasetConfig) -> tuple[Split, Split]:
     """Deterministic (train, test) splits with exactly balanced classes."""
-    return _generate_split(config, TRAIN_SPLIT), _generate_split(config, TEST_SPLIT)
+    return generate_split(config, TRAIN_SPLIT), generate_split(config, TEST_SPLIT)
 
 
 def laplacian_variance(images: np.ndarray) -> np.ndarray:
     """Variance of the 3x3 Laplacian response (reflect padding) of each image
     of an ``(n, h, w)`` stack; a sharpness score. The stack goes through
     ``GENERATE_CHUNK`` images at a time, so the temporaries do not grow with
-    it; each image's score is computed on its own either way."""
+    it; each image's score is computed on its own either way. Each chunk is
+    gathered reflect-padded by one pixel, through the reflected indices of
+    the blur's first pass."""
     images = np.asarray(images, dtype=np.float64)
     n, h, w = images.shape
+    rows, cols = (_reflect_index(np.arange(-1, k + 1), k) for k in (h, w))
+    # Each padded pixel's flat index in its image: one take gathers a chunk
+    # padded in C order. A fancy index leaves the image axis innermost,
+    # which made the taps about 1.5 times as slow at 32 px.
+    index = rows[:, None] * w + cols
     out = np.empty(n)
     for start in range(0, n, GENERATE_CHUNK):
-        chunk = images[start : start + GENERATE_CHUNK]
-        padded = np.pad(chunk, ((0, 0), (1, 1), (1, 1)), mode="reflect")
+        padded = np.take(images[start : start + GENERATE_CHUNK].reshape(-1, h * w), index, axis=1)
         # The taps of [[0, 1, 0], [1, -4, 1], [0, 1, 0]] in row-major order; a
         # unit tap adds its slice unmultiplied (1.0 * x is x to the bit).
-        resp = np.zeros_like(chunk)
+        resp = np.zeros((len(padded), h, w))
         resp += padded[:, 0:h, 1 : w + 1]
         resp += padded[:, 1 : h + 1, 0:w]
         resp += -4.0 * padded[:, 1 : h + 1, 1 : w + 1]
         resp += padded[:, 1 : h + 1, 2 : w + 2]
         resp += padded[:, 2 : h + 2, 1 : w + 1]
-        out[start : start + GENERATE_CHUNK] = resp.reshape(len(chunk), -1).var(axis=1)
+        out[start : start + GENERATE_CHUNK] = resp.reshape(len(padded), -1).var(axis=1)
     return out
 
 

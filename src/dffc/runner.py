@@ -27,13 +27,14 @@ its batches kept. An overflow in an epoch's SGD or in its evaluation on
 the test set stops the run with a ``ValueError`` naming ``lr.eta_max``.
 The epoch's pool size, hard and easy sizes and overlap come from
 :meth:`pacing.EpochPool.composition`, which counts boolean masks over the
-samples. The input matrices are freed before the extremes report rebuilds
-its pairs.
+samples.
 The returned :class:`MetricsLog` keeps one record per epoch, and every
-artifact and printout of a run is read from these records: each CSV
-artifact has one column tuple, from which :func:`csv_text` writes its
-header and a row per record, and a DFH trace is one id's DFH in the
-records from ``TRACE_START_EPOCH`` on.
+artifact and printout of a run is read from these records and the final
+hardness states: each CSV artifact has one column tuple, from which
+:func:`csv_text` writes its header and a row per record, and a DFH trace
+is one id's DFH in the records from ``TRACE_START_EPOCH`` on. The run
+builds no analysis report: ``extremes.json`` is derived when the
+artifacts are written, from the final state of the test-set mirror.
 """
 
 from __future__ import annotations
@@ -161,14 +162,19 @@ class MetricsLog:
     under ``augment_all`` its originals carry seeds too), ``losses`` (that
     pool's losses in training order) and ``dfh`` (every sample's DFH after
     the epoch's update). ``trace_groups`` holds the ids traced from
-    ``TRACE_START_EPOCH``, or nothing for a shorter run.
+    ``TRACE_START_EPOCH``, or nothing for a shorter run. ``test_hardness``
+    is the test-set mirror of ``train_hardness``, every test sample updated
+    each epoch; it drives no selection. ``dataset_config`` is the run's
+    ``config.dataset``, from which the extremes report rebuilds the clean
+    test pairs it selects by the mirror's DFH.
     """
 
     epochs: list[dict]
     trace_groups: dict[str, list[int]]
-    extremes: dict
     final_params: ModelParams
     train_hardness: hardness.HardnessState
+    test_hardness: hardness.HardnessState
+    dataset_config: DatasetConfig
 
 
 def tercile_assignments(priors: np.ndarray) -> np.ndarray:
@@ -292,9 +298,9 @@ def run_training(
     """Train one model under ``config``; every artifact is read from the result.
 
     ``dataset`` saves generating the splits again, as ``dffc compare`` does
-    for the runs of its grid. A passed ``dataset`` must be
-    ``generate_dataset(config.dataset)``: the extremes report rebuilds the
-    clean images of its test pairs from ``config.dataset``.
+    for the runs of its grid. The run rebuilds no data and builds no
+    report; the test-set mirror it returns is what ``extremes.json`` is
+    derived from when the artifacts are written.
     """
     train, test = dataset if dataset is not None else forgeries.generate_dataset(config.dataset)
     n = len(train)
@@ -306,7 +312,7 @@ def run_training(
 
     state = hardness.HardnessState.fresh(prior, config.gamma, config.alpha_f)
     # Evaluation-set mirror of the hardness recursion (every test sample is
-    # updated each epoch); it feeds the extremes report, never selection.
+    # updated each epoch); extremes.json reads it, selection never does.
     test_state = hardness.HardnessState.fresh(test_prior, config.gamma, config.alpha_f)
 
     params = init_params(d, config.hidden_units, config.seed)
@@ -417,9 +423,6 @@ def run_training(
             epochs[-1],
         )
 
-    # The extremes report rebuilds its clean pairs; the input matrices are
-    # not needed past the last epoch, so they do not add to its peak.
-    del X_train, X_test, X_augmented
     return MetricsLog(
         epochs=epochs,
         trace_groups=(
@@ -427,11 +430,10 @@ def run_training(
             if len(epochs) >= TRACE_START_EPOCH
             else {}
         ),
-        extremes=forgeries.dfh_extremes_report(
-            config.dataset, forgeries.TEST_SPLIT, hardness.dfh_all(test_state)
-        ),
         final_params=params,
         train_hardness=state,
+        test_hardness=test_state,
+        dataset_config=config.dataset,
     )
 
 

@@ -6,8 +6,10 @@ The single-image augmentations (:func:`gaussian_blur`,
 :func:`ssim` the bit-exact oracles of ``dffc.forgeries``' row-wise
 ``tampering_ratios`` and ``ssims``, :func:`base_images` and :func:`bumps`
 the bit-exact full-grid oracles of ``dffc.forgeries``' ``_base_images`` and
-``_bumps``, :func:`masked_sigmoid` and :func:`gradients_reference` the
-bit-exact oracles of ``dffc.model``'s ``_sigmoid`` and ``gradients``,
+``_bumps``, :func:`laplacian_variances` the ``np.pad`` reference of
+``dffc.forgeries.laplacian_variance``'s gathered padding,
+:func:`masked_sigmoid` and :func:`gradients_reference` the bit-exact
+oracles of ``dffc.model``'s ``_sigmoid`` and ``gradients``,
 :func:`load_checkpoint` decodes the
 ``checkpoint.json`` and ``checkpoint.bin`` that ``model.save_checkpoint``
 writes, :func:`hard_ids`, :func:`easy_ids` and :func:`overlap` are the
@@ -148,6 +150,20 @@ def bumps(draws: np.ndarray, size: int) -> np.ndarray:
     envelope = np.where(r < 1.0, np.cos(0.5 * np.pi * np.clip(r, 0.0, 1.0)) ** 2, 0.0)
     modulation = np.cos(0.25 * np.pi * xs + phase)
     return envelope * modulation
+
+
+def laplacian_variances(stack: np.ndarray) -> np.ndarray:
+    """The variance of each image's 3x3 Laplacian response, the whole stack
+    reflect-padded by ``np.pad`` and the taps added in row-major order."""
+    h, w = stack.shape[1:]
+    padded = np.pad(stack, ((0, 0), (1, 1), (1, 1)), mode="reflect")
+    resp = np.zeros_like(stack)
+    resp += padded[:, 0:h, 1 : w + 1]
+    resp += padded[:, 1 : h + 1, 0:w]
+    resp += -4.0 * padded[:, 1 : h + 1, 1 : w + 1]
+    resp += padded[:, 1 : h + 1, 2 : w + 2]
+    resp += padded[:, 2 : h + 2, 1 : w + 1]
+    return resp.reshape(len(stack), -1).var(axis=1)
 
 
 def masked_sigmoid(z: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from oracles import assert_pool_streams_equal, easy_ids, hard_ids, ssim, tampering_ratio
 
-from dffc import cli, hardness, pacing, runner
+from dffc import cli, forgeries, hardness, pacing, runner
 from dffc.forgeries import DatasetConfig
 from dffc.model import (
     ModelParams,
@@ -256,7 +256,10 @@ def test_criterion_09_tar_ssim_extremes(five_seed_runs):
     runs = five_seed_runs["runs"]
     passes, details = [], []
     for seed, pair in runs.items():
-        ext = pair["dffc"].extremes
+        run = pair["dffc"]
+        ext = forgeries.dfh_extremes_report(
+            run.dataset_config, forgeries.TEST_SPLIT, hardness.dfh_all(run.test_hardness)
+        )
         tar_ok = ext["top"]["mean_tar"] < ext["bottom"]["mean_tar"]
         ssim_ok = ext["top"]["mean_ssim"] > ext["bottom"]["mean_ssim"]
         passes.append(tar_ok and ssim_ok)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_golden import SMALL
+from test_golden import GOLDEN_EXTREMES, SMALL
 
 from dffc import cli, forgeries, runner
 from dffc.errors import ConfigError
@@ -794,6 +794,15 @@ class TestInspectAndReport:
         assert "60" in err[0] and "80" in err[0]
         assert not (copy / "inspection").exists()
 
+    def test_inspect_generates_only_the_training_split(self, run_dir, monkeypatch):
+        codes = []
+        generate = forgeries.generate_split
+        monkeypatch.setattr(
+            forgeries, "generate_split", lambda cfg, code: codes.append(code) or generate(cfg, code)
+        )
+        assert cli.main(["inspect-dfh", "--run-dir", str(run_dir)]) == 0
+        assert codes == [forgeries.TRAIN_SPLIT]
+
     def test_inspect_missing_run_dir(self, tmp_path, capsys):
         code = cli.main(["inspect-dfh", "--run-dir", str(tmp_path / "nope")])
         assert code == 2
@@ -925,6 +934,34 @@ def _copy_run_state(run_dir, tmp_path):
     for name in ("resolved_config.json", "hardness_state.json", "metrics.csv", "extremes.json"):
         (copy / name).write_bytes((run_dir / name).read_bytes())
     return copy
+
+
+class TestExtremesReport:
+    """``extremes.json`` is built when a run's artifacts are written, never
+    during training, so a compare cell builds none."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = []
+        report = forgeries.dfh_extremes_report
+        monkeypatch.setattr(
+            forgeries, "dfh_extremes_report", lambda *args: calls.append(args) or report(*args)
+        )
+        return calls
+
+    def test_compare_builds_none(self, calls, tmp_path):
+        grid = ['compare.modes=["vanilla","dffc"]']
+        flags = [arg for override in SMALL + grid for arg in ("--override", override)]
+        assert cli.main(["compare", *flags, "--out", str(tmp_path)]) == 0
+        assert calls == []
+
+    def test_train_builds_one_with_golden_bytes(self, calls, tmp_path):
+        flags = [arg for override in SMALL for arg in ("--override", override)]
+        assert cli.main(["train", *flags, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        files = (tmp_path / name for name in ("extremes.json", "dfh_trace.json"))
+        digest = hashlib.sha256(b"\0".join(path.read_bytes() for path in files)).hexdigest()
+        assert digest == GOLDEN_EXTREMES
 
 
 class TestCompare:

@@ -29,7 +29,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import base_images, brightness_adjust, bumps, gaussian_blur, ssim, tampering_ratio
+from oracles import (
+    base_images,
+    brightness_adjust,
+    bumps,
+    gaussian_blur,
+    laplacian_variances,
+    ssim,
+    tampering_ratio,
+)
 from scipy.stats import spearmanr
 
 from dffc import forgeries
@@ -370,6 +378,15 @@ class TestQualityPrior:
         stack = np.random.default_rng(40).uniform(size=(n, 16, 16))
         expected = [_tap_loop_variance(image) for image in stack]
         assert laplacian_variance(stack).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "shape", [(4, 4), (5, 5), (16, 16), (4, 5), (5, 16), (16, 4)]
+    )
+    def test_gathered_padding_equals_np_pad_across_chunks(self, shape):
+        # One whole chunk and a part one.
+        n = forgeries.GENERATE_CHUNK + 37
+        stack = np.random.default_rng(sum(shape) + 1).uniform(size=(n, *shape))
+        assert laplacian_variance(stack).tolist() == laplacian_variances(stack).tolist()
 
     def test_blur_increases_prior(self):
         train, _ = generate_dataset(DatasetConfig(n_train=4, n_test=2, seed=0))

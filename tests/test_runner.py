@@ -27,7 +27,7 @@ import pytest
 from oracles import assert_pool_streams_equal, easy_ids, hard_ids
 from scipy.stats import rankdata
 
-from dffc import augment, hardness, pacing, runner
+from dffc import augment, forgeries, hardness, pacing, runner
 from dffc.errors import ConfigError
 from dffc.forgeries import DatasetConfig, generate_dataset, quality_priors
 from dffc.model import MAX_BCE, PROB_EPS, bce_loss, forward_batch, init_params
@@ -242,10 +242,15 @@ class TestRunWiring:
             assert result.trace_groups[group]
 
     def test_extremes_report_present(self, small_result):
-        _, result = small_result
+        config, result = small_result
+        assert result.dataset_config == config.dataset
+        assert result.test_hardness.n_samples == config.dataset.n_test
+        extremes = forgeries.dfh_extremes_report(
+            result.dataset_config, forgeries.TEST_SPLIT, hardness.dfh_all(result.test_hardness)
+        )
         for side in ("top", "bottom"):
-            assert "mean_tar" in result.extremes[side]
-            assert "mean_ssim" in result.extremes[side]
+            assert "mean_tar" in extremes[side]
+            assert "mean_ssim" in extremes[side]
 
     def test_byte_determinism(self, small_result):
         config, result = small_result
