@@ -17,20 +17,24 @@ shift and clip are one pipeline, which also post-processes the synthetic
 dataset (:func:`blur_shift`): the entries go widest blur radius first, in
 runs of one radius and at most ``AUGMENT_CHUNK`` entries, with the kernels
 of each radius built in one step. Each run gathers its own source images
-by sample id, a blurred run already reflect-padded for its first pass,
-so nothing the size of the whole call is gathered or stacked, and
-:func:`blur_shift` writes each run into the caller's stack. The blur
-leaves a run transposed. The warp reads it as it is, with its row and
-column offsets swapped, from a copy reflect-padded just enough to hold
-every read, so one flat offset per pixel finds all four of its corners.
-Every entry comes out bit-identical to the single-image
-``gaussian_blur``, ``brightness_adjust`` and ``affine`` of
+by sample id, so nothing the size of the whole call is gathered or
+stacked. From its gather to its output a run is one contiguous ``(h, w,
+m)`` stack, the image axis innermost: each blur tap multiplies a slab of
+rows, then of columns, by the run's ``(m,)`` tap vector, and the shift
+adds its ``(m,)`` deltas, with nothing transposed between the steps. The
+warp reads the run from a copy reflect-padded just enough to hold every
+read, its span taken from the four corners of the source grid, so one
+flat offset per pixel finds all four of its corners: the next x lies
+``m`` elements on, the next y one padded row on. A run is transposed only
+as it is gathered and as it is written, in one copy, into its rows of the
+caller's matrix (:func:`augment_pixels`) or its images of the caller's
+stack (:func:`blur_shift`). Every entry comes out bit-identical to the
+single-image ``gaussian_blur``, ``brightness_adjust`` and ``affine`` of
 ``tests/oracles.py``, whichever entries share its call or its run.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 
@@ -43,10 +47,12 @@ from dffc.errors import ConfigError, check_range
 #: augmented and written into its rows of pixels on its own, so the
 #: temporaries grow with the run, not with the call: beyond its output
 #: matrix, an :func:`augment_pixels` call on 1 000 16 px images peaks at
-#: 1.7 MB of traced memory in runs of 64, 3.4 MB at 128 and 6.1 MB at 256.
-#: On a 2-CPU Xeon (2 MB of L2 per core) it took 16-25 ms in runs of 64 or
-#: 128, within 3% of each other when timed alternately, and about 35% longer
-#: in runs of 256 or 512.
+#: 1.45 MB of traced memory in runs of 64, 2.78 MB at 128 and 4.97 MB at
+#: 256. On a 2-CPU Xeon (2 MB of L2 per core), with runs stored ``(h, w,
+#: m)``, such a call took a median 17.1, 20.9 and 22.3 ms in runs of 64, 128
+#: and 256 (30 alternated calls each), but inside default dffc runs the 18
+#: calls of a run took 0.626 s in runs of 128, against 0.641 s in runs of 64
+#: (faster in 2 of 9 runs) and 0.655 s in runs of 256 (1 of 9), alternated.
 AUGMENT_CHUNK = 128
 
 
@@ -121,33 +127,19 @@ def _radius_runs(sigmas: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None
     return runs
 
 
-def _tap_sum(padded: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """One blur pass along axis 1 of a stack reflect-padded by the radius
-    there: the taps summed in order from zeros, as ``_conv1d_reflect`` of
+def _tap_sum(padded: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
+    """One blur pass along ``axis`` (0 or 1) of an ``(h, w, m)`` run
+    reflect-padded by the radius there: each slab times its tap's ``(m,)``
+    vector, summed in order from zeros, as ``_conv1d_reflect`` of
     ``tests/oracles.py`` does."""
-    size = padded.shape[1] - (taps.shape[1] - 1)
-    acc = np.zeros_like(padded[:, :size])
+    size = padded.shape[axis] - (taps.shape[1] - 1)
+    lead = (slice(None),) * axis
+    acc = np.zeros_like(padded[lead + (slice(0, size),)])
     tmp = np.empty_like(acc)
-    for j in range(taps.shape[1]):
-        np.multiply(taps[:, j, None, None], padded[:, j : j + size], out=tmp)
+    for j, tap in enumerate(taps.T):
+        np.multiply(padded[lead + (slice(j, j + size),)], tap, out=tmp)
         acc += tmp
     return acc
-
-
-def _blur_transposed(images: np.ndarray, ids: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Images ``ids`` of an ``(n, h, w)`` stack, each blurred by its own
-    kernel, all of one radius, and clipped, returned transposed as a
-    contiguous ``(m, w, h)`` stack.
-
-    The first pass gathers its reflect-padded rows straight from the
-    source, one gather for the run. The second gathers from the transposed
-    first, so both passes sum whole contiguous images.
-    """
-    r = taps.shape[1] // 2
-    _, h, w = images.shape
-    acc = _tap_sum(images[ids[:, None], _reflect_index(np.arange(-r, h + r), h)], taps)
-    acc = _tap_sum(acc.transpose(0, 2, 1)[:, _reflect_index(np.arange(-r, w + r), w)], taps)
-    return np.clip(acc, 0.0, 1.0, out=acc)
 
 
 def _blur_shift_runs(
@@ -155,15 +147,27 @@ def _blur_shift_runs(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield each run of :func:`_radius_runs` as its indices into ``ids``
     and the images of those ids blurred (none at radius 0), shifted by their
-    deltas and clipped, left transposed, ``(m, w, h)``. Entry i is image
-    ``ids[i]`` with ``sigmas[i]`` and ``deltas[i]``; each run gathers only
-    its own images."""
+    deltas and clipped, as one contiguous ``(h, w, m)`` stack, the image axis
+    innermost. Entry i is image ``ids[i]`` with ``sigmas[i]`` and
+    ``deltas[i]``; each run gathers only its own images.
+
+    A run's images are gathered in one step, reflect-padded along their
+    rows by the blur radius, and transposed in one copy. The first pass sums
+    slabs of those rows; the second sums slabs of columns gathered
+    reflect-padded from the first by ``np.take``, which keeps the stack
+    C-ordered. Nothing is transposed between the passes, and the gathered
+    images are freed once the first pass has read them.
+    """
+    _, h, w = images.shape
     for rows, taps in _radius_runs(sigmas):
-        if taps is None:
-            run = images[ids[rows]].transpose(0, 2, 1)
-        else:
-            run = _blur_transposed(images, ids[rows], taps)
-        run += deltas[rows, None, None]
+        r = 0 if taps is None else taps.shape[1] // 2
+        rows_read = _reflect_index(np.arange(-r, h + r), h)
+        run = images[ids[rows, None], rows_read].transpose(1, 2, 0).copy()
+        if taps is not None:
+            run = _tap_sum(run, taps, 0)
+            run = _tap_sum(np.take(run, _reflect_index(np.arange(-r, w + r), w), axis=1), taps, 1)
+            np.clip(run, 0.0, 1.0, out=run)
+        run += deltas[rows]
         yield rows, np.clip(run, 0.0, 1.0, out=run)
 
 
@@ -177,26 +181,30 @@ def blur_shift(
     of ``tests/oracles.py``.
     """
     for rows, run in _blur_shift_runs(images, np.arange(len(images)), sigmas, deltas):
-        out[rows] = run.transpose(0, 2, 1)
+        out[rows] = run.transpose(2, 0, 1)
 
 
 def _pad_offsets(src: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``floor(src)`` as offsets into a reflect-padded axis of length ``n``,
     and the frame indices that padded axis reads.
 
-    The fraction ``src - floor(src)`` is written into ``src``. Subtracting
-    the float floor gives the same bits as subtracting its int64 copy, as
-    ``affine`` of ``tests/oracles.py`` does. Reflection has period
-    ``2n - 2`` (1 when ``n`` is 1), so floors that reach beyond one
-    reflection, where ``floor`` or ``floor + 1`` leaves ``[1 - n, 2n - 2]``,
-    are first folded into one period; either way the padded axis covers
-    ``[min, max + 1]`` of the floors, at most ``n - 1`` beyond each edge
-    (1 when ``n`` is 1).
+    ``src`` holds one axis's source coordinates over a run's ``(h, w, m)``
+    grid. Each is a rounded sum of terms monotone in x and in y, so the
+    floors reach their least and greatest at the grid's four corners, where
+    the read span is taken. The fraction ``src - floor(src)`` is written
+    into ``src``; subtracting the float floor gives the same bits as
+    subtracting its int64 copy, as ``affine`` of ``tests/oracles.py`` does.
+    Reflection has period ``2n - 2`` (1 when ``n`` is 1), so floors that
+    reach beyond one reflection, where ``floor`` or ``floor + 1`` leaves
+    ``[1 - n, 2n - 2]``, are first folded into one period; either way the
+    padded axis covers ``[min, max + 1]`` of the floors, at most ``n - 1``
+    beyond each edge (1 when ``n`` is 1).
     """
+    corners = np.floor(src[[0, -1]][:, [0, -1]])
+    lo, hi = int(corners.min()), int(corners.max()) + 1
     floor = np.floor(src)
     idx = floor.astype(np.int64)
     src -= floor
-    lo, hi = int(idx.min()), int(idx.max()) + 1
     if lo < 1 - n or hi > 2 * n - 2:
         np.mod(idx, max(2 * n - 2, 1), out=idx)
         lo, hi = int(idx.min()), int(idx.max()) + 1
@@ -204,26 +212,24 @@ def _pad_offsets(src: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, _reflect_index(np.arange(lo, hi + 1), n)
 
 
-def _warp_transposed(
-    images_t: np.ndarray, rotations: np.ndarray, dxs: np.ndarray, dys: np.ndarray
-) -> np.ndarray:
-    """Rotation about the centre plus translation of each image by its own
-    angle and shift, bilinear and inverse-mapped with reflected reads. The
-    input is transposed, ``(m, w, h)``; the output is ``(m, h*w)`` rows, and
-    each row equals ``affine(...).ravel()`` of ``tests/oracles.py``.
+def _warp(run: np.ndarray, rotations: np.ndarray, dxs: np.ndarray, dys: np.ndarray) -> np.ndarray:
+    """Rotation about the centre plus translation of each image of an
+    ``(h, w, m)`` run by its own angle and shift, bilinear and inverse-mapped
+    with reflected reads. The output is ``(m, h*w)`` rows, a transposed view
+    of the warped ``(h, w, m)`` run, and row i equals ``affine(...).ravel()``
+    of ``tests/oracles.py``.
 
-    The stack is reflect-padded just enough to hold every read, so one flat
+    The run is reflect-padded just enough to hold every read, so one flat
     offset per pixel finds its four corners at fixed distances. Products are
     taken in place where that keeps the oracle's order of operations.
     """
-    m, w, h = images_t.shape
+    h, w, m = run.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    thetas = [math.radians(r) for r in rotations]
-    cos_t = np.array([math.cos(t) for t in thetas])[:, None, None]
-    sin_t = np.array([math.sin(t) for t in thetas])[:, None, None]
+    thetas = np.radians(rotations)
+    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     # u varies along a row and v down a column, so only the sums are full-size.
-    u = (np.arange(w, dtype=np.float64) - dxs[:, None, None]) - cx
-    v = (np.arange(h, dtype=np.float64)[:, None] - dys[:, None, None]) - cy
+    u = (np.arange(w, dtype=np.float64)[:, None] - dxs) - cx
+    v = (np.arange(h, dtype=np.float64)[:, None, None] - dys) - cy
     fx = cos_t * u + sin_t * v
     fx += cx
     fy = -sin_t * u + cos_t * v
@@ -231,30 +237,29 @@ def _warp_transposed(
     del u, v
     offsets, x_reads = _pad_offsets(fx, w)
     y_offsets, y_reads = _pad_offsets(fy, h)
-    # The gather is not C-contiguous, so the reshape copies it; only the
-    # flat copy is kept, not the gather beside it.
-    flat = images_t[:, x_reads[:, None], y_reads].reshape(-1)
-    # One flat offset per pixel: image, then x (a padded row), then y.
-    stride = len(y_reads)
-    offsets *= stride
+    # The gather is C-contiguous, (y, x, image), so its flat view is no copy.
+    flat = run[y_reads[:, None], x_reads].reshape(-1)
+    # One flat offset per pixel: y (a padded row), then x, then the image.
+    y_step = len(x_reads) * m
+    y_offsets *= len(x_reads)
     offsets += y_offsets
     del y_offsets
-    offsets += (np.arange(m) * (len(x_reads) * stride))[:, None, None]
+    offsets *= m
+    offsets += np.arange(m)
     gx, gy = 1 - fx, 1 - fy
     out = np.take(flat, offsets)
     out *= gy
     out *= gx
-    # The other corners in the oracle's order: (y0, x1) lies one padded row
-    # on, (y1, x0) one element on, (y1, x1) both. Mode "wrap" lets take write
-    # into term unbuffered; every offset is in range, so none wraps.
+    # The other corners in the oracle's order: (y0, x1) lies m elements on,
+    # (y1, x0) one padded row on, (y1, x1) both. Mode "wrap" lets take
+    # write into term unbuffered; every offset is in range, so none wraps.
     term = np.empty_like(out)
-    for shift, wy, wx in ((stride, gy, fx), (1, fy, gx), (stride + 1, fy, fx)):
+    for shift, wy, wx in ((m, gy, fx), (y_step, fy, gx), (y_step + m, fy, fx)):
         np.take(flat[shift:], offsets, out=term, mode="wrap")
         term *= wy
         term *= wx
         out += term
-    # The output of take is C-contiguous, so its rows are a view.
-    return np.clip(out, 0.0, 1.0, out=out).reshape(m, -1)
+    return np.clip(out, 0.0, 1.0, out=out).reshape(-1, m).T
 
 
 def augment_pixels(
@@ -293,4 +298,5 @@ def augment_pixels(
         ),
     ).T
     for rows, run in _blur_shift_runs(images, ids, sigmas, deltas):
-        out[rows] = _warp_transposed(run, rotations[rows], dxs[rows], dys[rows])
+        # The one transposing copy of the run, into its rows.
+        out[rows] = _warp(run, rotations[rows], dxs[rows], dys[rows])

@@ -14,6 +14,7 @@ from oracles import affine, brightness_adjust, gaussian_blur, gaussian_kernel_1d
 from dffc import augment
 from dffc.augment import (
     AugmentationSpec,
+    _pad_offsets,
     _radius_runs,
     _reflect_index,
     augment_pixels,
@@ -347,10 +348,18 @@ class TestAugmentStack:
                     rotation_range_degrees=(-40.0, 40.0), translation_range_pixels=(-1e6, 1e6)
                 ),
             ),
+            # Negative cosines turn the grid over, so the reads' least and
+            # greatest source coordinates sit at other corners of the image.
+            ((16, 11), AugmentationSpec(rotation_range_degrees=(-180.0, 180.0))),
+            # Angles of many turns, on a cropped stack wider than it is high.
+            ((12, 16), AugmentationSpec(rotation_range_degrees=(-1e6, 1e6))),
         ],
     )
     def test_matches_single_image_oracle(self, size, spec):
-        images, seeds = stack_and_seeds(40, size, seed=size)
+        # An (h, w) size crops a square stack to a non-contiguous view.
+        h, w = (size, size) if isinstance(size, int) else size
+        images, seeds = stack_and_seeds(40, max(h, w), seed=h)
+        images = images[:, :h, :w]
         out = augment_stack(images, spec, seeds)
         expected = np.stack([oracle(img, spec, s) for img, s in zip(images, seeds)])
         assert out.shape == images.shape
@@ -432,6 +441,56 @@ class TestAugmentStack:
             finally:
                 tracemalloc.stop()
         assert peaks[4000] - peaks[1000] < 2 * run_bytes, peaks
+
+
+def source_grid(h, w, rotations, dxs, dys):
+    """The warp's source coordinates ``(fx, fy)`` over an ``(h, w, m)`` run,
+    by the expressions of ``affine`` in ``oracles.py``, image axis last."""
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    thetas = np.radians(rotations)
+    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+    u = (np.arange(w, dtype=np.float64)[:, None] - dxs) - cx
+    v = (np.arange(h, dtype=np.float64)[:, None, None] - dys) - cy
+    return cos_t * u + sin_t * v + cx, -sin_t * u + cos_t * v + cy
+
+
+class TestReadSpan:
+    """The warp takes each axis's padded read span from the four corners of
+    the grid; rounding is monotone, so the floors of the whole grid reach
+    their least and greatest there."""
+
+    @pytest.mark.parametrize("h, w", [(16, 16), (5, 7), (13, 4), (1, 6)])
+    def test_corner_floors_bound_the_grid(self, h, w):
+        rng = np.random.default_rng(h * 100 + w)
+        m = 300
+        turns = np.array([0.0, 45.0, 90.0, 135.0, 180.0, -90.0, -180.0, 360.0])
+        rotations = np.concatenate([turns, rng.uniform(-360.0, 360.0, m - len(turns))])
+        # Shifts inside one reflection, on its ends, and far beyond it.
+        for scale in (0.0, 3.0, float(max(h, w)), 1e6, 2.0**62):
+            dxs, dys = (rng.uniform(-scale, scale, m) for _ in range(2))
+            fx, fy = source_grid(h, w, rotations, dxs, dys)
+            floors = np.floor(fx), np.floor(fy)
+            for floor in floors:
+                corners = floor[[0, -1]][:, [0, -1]]
+                np.testing.assert_array_equal(corners.min(axis=(0, 1)), floor.min(axis=(0, 1)))
+                np.testing.assert_array_equal(corners.max(axis=(0, 1)), floor.max(axis=(0, 1)))
+            # The padded axis spans [min, max + 1] of the floors, folded into
+            # one period where they reach beyond one reflection: for the whole
+            # run, and for runs of one image at each of the listed turns.
+            for part in [slice(None)] + [slice(i, i + 1) for i in range(len(turns))]:
+                for src, floor, n in ((fx, floors[0], w), (fy, floors[1], h)):
+                    self.check_span(src[..., part], floor[..., part], n)
+
+    @staticmethod
+    def check_span(src, floor, n):
+        """``_pad_offsets`` of ``src`` against the floors of its whole grid."""
+        idx = floor.astype(np.int64)
+        if idx.min() < 1 - n or idx.max() + 1 > 2 * n - 2:
+            idx = np.mod(idx, max(2 * n - 2, 1))
+        lo, hi = int(idx.min()), int(idx.max()) + 1
+        offsets, reads = _pad_offsets(src.copy(), n)
+        np.testing.assert_array_equal(offsets, idx - lo)
+        np.testing.assert_array_equal(reads, _reflect_index(np.arange(lo, hi + 1), n))
 
 
 def edge_shifts(n: int) -> list[float]:
