@@ -22,9 +22,12 @@ one naming the file. Running out of memory exits 1 with one error line
 that names the keys sizing the largest arrays. The out dir is made only
 when the artifacts are written, so a run that fails leaves none behind.
 ``resolved_config.json`` written into each run directory reproduces the
-run bit-identically.
+run bit-identically. This module is the one home of the run-record
+formats: the column tuples of the CSV artifacts, ``dfh_trace.json`` and
+the choice of the ids it traces.
 
-Set DFFC_LOG=error|info|debug to control verbosity.
+Set DFFC_LOG=error|info|debug to control verbosity; any other value stops
+the command with a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -230,6 +233,80 @@ def write_pgm(image: np.ndarray, path: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Run records: the formats of the files a run directory holds.
+
+METRICS_COLUMNS = (
+    "epoch", "eta", "pool_size", "train_loss_mean", "test_acc", "test_auc",
+    "acc_easy", "acc_mid", "acc_hard", "mean_dfh",
+)
+POOL_LOG_COLUMNS = ("epoch", "hard_size", "easy_size", "overlap", "dfh_min", "dfh_max")
+COMPARISON_COLUMNS = ("mode", "augment_all", "seed", "final_acc", "final_auc", "acc_hard")
+
+TRACE_START_EPOCH = 3
+TRACE_GROUP_SIZE = 5
+
+
+def csv_text(columns: tuple[str, ...], rows: list[dict]) -> str:
+    """The header ``columns``, then each row's values in that order, as ``str``."""
+    lines = [",".join(columns)]
+    lines += (",".join(str(row[key]) for key in columns) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def trace_groups(epochs: list[dict], seed: int) -> dict[str, list[int]]:
+    """The ids ``dfh_trace.json`` traces, picked by their DFH in the record of
+    epoch ``TRACE_START_EPOCH``: the ``top`` and ``bottom`` ``TRACE_GROUP_SIZE``
+    (at most a third of the samples, at least one), and as many ``median``
+    ids drawn, seeded by the run's ``seed``, from the middle third less
+    those. ``{}`` for a run shorter than ``TRACE_START_EPOCH`` epochs."""
+    if len(epochs) < TRACE_START_EPOCH:
+        return {}
+    order = np.argsort(epochs[TRACE_START_EPOCH - 1]["dfh"], kind="stable")
+    n = len(order)
+    k = min(TRACE_GROUP_SIZE, n // 3) or 1
+    bottom, top = order[:k], order[-k:]
+    mid_lo, mid_hi = n // 3, max(n // 3 + 1, 2 * n // 3)
+    pool = order[mid_lo:mid_hi]
+    pool = pool[~np.isin(pool, np.concatenate([bottom, top]))]
+    rng = np.random.default_rng((seed, 7))
+    median = np.sort(pool[rng.choice(len(pool), size=min(k, len(pool)), replace=False)])
+    return {"top": top.tolist(), "bottom": bottom.tolist(), "median": median.tolist()}
+
+
+def dfh_trace_json(epochs: list[dict], seed: int) -> str:
+    """Each id of :func:`trace_groups` with its DFH in every record from
+    ``TRACE_START_EPOCH`` on."""
+    traced = sorted({sid for ids in trace_groups(epochs, seed).values() for sid in ids})
+    later = epochs[TRACE_START_EPOCH - 1 :]
+    return json.dumps(
+        {
+            str(sid): {
+                "start_epoch": TRACE_START_EPOCH,
+                "values": [float(record["dfh"][sid]) for record in later],
+            }
+            for sid in traced
+        },
+        indent=1,
+    )
+
+
+def summarize_comparison(rows: list[dict]) -> list[dict]:
+    """Mean and standard deviation over seeds per (mode, augment_all) group."""
+    groups: dict[tuple, list[dict]] = {}
+    for row in rows:
+        groups.setdefault((row["mode"], row["augment_all"]), []).append(row)
+    summary = []
+    for (mode, aug), members in groups.items():
+        entry = {"mode": mode, "augment_all": aug, "n_seeds": len(members)}
+        for key in ("final_acc", "final_auc", "acc_hard"):
+            vals = np.array([m[key] for m in members])
+            entry[f"{key}_mean"] = float(vals.mean())
+            entry[f"{key}_std"] = float(vals.std())
+        summary.append(entry)
+    return summary
+
+
+# ---------------------------------------------------------------------------
 # Subcommands.
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
@@ -304,15 +381,17 @@ def collapse_warning(epochs: list[dict]) -> str | None:
 def write_run_artifacts(out: Path, resolved: dict, result: runner.MetricsLog) -> None:
     """Write every artifact of a finished run into ``out``.
 
-    ``extremes.json`` is built here, the one place that builds it: from the
-    DFH of the run's final test-set mirror, with the test pairs it selects
-    rebuilt from the run's dataset config.
+    ``dfh_trace.json`` and ``extremes.json`` are built here, the one place
+    that builds each: the traces from the run's epoch records, with the ids
+    picked by :func:`trace_groups` under the run's seed, and the extremes
+    from the DFH of the run's final test-set mirror, with the test pairs it
+    selects rebuilt from the run's dataset config.
     """
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.json").write_text(json.dumps(resolved, indent=1))
-    (out / "metrics.csv").write_text(runner.csv_text(runner.METRICS_COLUMNS, result.epochs))
-    (out / "pool_log.csv").write_text(runner.csv_text(runner.POOL_LOG_COLUMNS, result.epochs))
-    (out / "dfh_trace.json").write_text(runner.dfh_trace_json(result))
+    (out / "metrics.csv").write_text(csv_text(METRICS_COLUMNS, result.epochs))
+    (out / "pool_log.csv").write_text(csv_text(POOL_LOG_COLUMNS, result.epochs))
+    (out / "dfh_trace.json").write_text(dfh_trace_json(result.epochs, resolved["seed"]))
     scores = hardness.dfh_all(result.test_hardness)
     extremes = forgeries.dfh_extremes_report(result.dataset_config, forgeries.TEST_SPLIT, scores)
     (out / "extremes.json").write_text(json.dumps(extremes, indent=1))
@@ -371,8 +450,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             }
         )
     out.mkdir(parents=True, exist_ok=True)
-    (out / "comparison.csv").write_text(runner.csv_text(runner.COMPARISON_COLUMNS, rows))
-    for entry in runner.summarize_comparison(rows):
+    (out / "comparison.csv").write_text(csv_text(COMPARISON_COLUMNS, rows))
+    for entry in summarize_comparison(rows):
         print(
             f"{entry['mode']:>9} aug={str(entry['augment_all']):<5} "
             f"acc={entry['final_acc_mean']:.4f}±{entry['final_acc_std']:.4f} "
@@ -444,9 +523,19 @@ def cmd_inspect_dfh(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     metrics_path, extremes_path = run_dir / "metrics.csv", run_dir / "extremes.json"
-    metrics = _read_text(metrics_path, "run artifact").strip().splitlines()
-    if len(metrics) < 2:
+    lines = _read_text(metrics_path, "run artifact").rstrip().splitlines()
+    if len(lines) < 2:
         raise ConfigError(f"{metrics_path}: expected a header and epoch rows")
+    header = lines[0].split(",")
+    epochs = []
+    for number, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise ConfigError(
+                f"{metrics_path}: line {number} has {len(fields)} fields, "
+                f"but the header has {len(header)}"
+            )
+        epochs.append(dict(zip(header, fields)))
     text = _read_text(extremes_path, "run artifact")
     try:
         extremes = json.loads(text)
@@ -455,8 +544,6 @@ def cmd_report(args: argparse.Namespace) -> int:
             require_keys(extremes[group], forgeries.EXTREMES_KEYS, f"{group}.")
     except ValueError as exc:
         raise ConfigError(f"{extremes_path}: {exc}")
-    header = metrics[0].split(",")
-    epochs = [dict(zip(header, line.split(","))) for line in metrics[1:]]
     try:
         warning = collapse_warning(epochs)
     except ValueError as exc:
@@ -520,13 +607,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("DFFC_LOG", "error").lower(), logging.ERROR
-    )
-    logging.basicConfig(level=level, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        level = os.environ.get("DFFC_LOG") or "error"
+        if level.lower() not in ("error", "info", "debug"):
+            raise ConfigError(f"DFFC_LOG must be one of error, info, debug, got {level!r}")
+        logging.basicConfig(level=level.upper(), format="%(levelname)s %(message)s")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,16 +30,13 @@ The epoch's pool size, hard and easy sizes and overlap come from
 samples.
 The returned :class:`MetricsLog` keeps one record per epoch, and every
 artifact and printout of a run is read from these records and the final
-hardness states: each CSV artifact has one column tuple, from which
-:func:`csv_text` writes its header and a row per record, and a DFH trace
-is one id's DFH in the records from ``TRACE_START_EPOCH`` on. The run
-builds no analysis report: ``extremes.json`` is derived when the
-artifacts are written, from the final state of the test-set mirror.
+hardness states. This module defines no on-disk format and picks nothing
+to report: the CLI writes every artifact of a run, and derives the DFH
+traces and ``extremes.json`` when it writes them.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -65,19 +62,10 @@ log = logging.getLogger("dffc")
 
 MODES = ("vanilla", "dih", "dffc", "babystep")
 
-METRICS_COLUMNS = (
-    "epoch", "eta", "pool_size", "train_loss_mean", "test_acc", "test_auc",
-    "acc_easy", "acc_mid", "acc_hard", "mean_dfh",
-)
-POOL_LOG_COLUMNS = ("epoch", "hard_size", "easy_size", "overlap", "dfh_min", "dfh_max")
-COMPARISON_COLUMNS = ("mode", "augment_all", "seed", "final_acc", "final_auc", "acc_hard")
-
-TRACE_START_EPOCH = 3
 #: Scale applied on top of per-pixel standardization.  The one-hidden-layer
 #: net starts from a small uniform init; a larger input scale compensates so
 #: that class margins keep growing once the cosine schedule has decayed.
 INPUT_GAIN = 5.0
-TRACE_GROUP_SIZE = 5
 
 
 @dataclass(frozen=True)
@@ -157,12 +145,12 @@ class RunConfig:
 class MetricsLog:
     """A finished run.
 
-    ``epochs`` holds one dict per epoch: every column of ``METRICS_COLUMNS``
-    and ``POOL_LOG_COLUMNS``, ``pool`` (the trained :class:`pacing.EpochPool`;
-    under ``augment_all`` its originals carry seeds too), ``losses`` (that
-    pool's losses in training order) and ``dfh`` (every sample's DFH after
-    the epoch's update). ``trace_groups`` holds the ids traced from
-    ``TRACE_START_EPOCH``, or nothing for a shorter run. ``test_hardness``
+    ``epochs`` holds one dict per epoch: every column of the CLI's
+    ``METRICS_COLUMNS`` and ``POOL_LOG_COLUMNS``, ``pool`` (the trained
+    :class:`pacing.EpochPool`; under ``augment_all`` its originals carry
+    seeds too), ``losses`` (that pool's losses in training order) and
+    ``dfh`` (every sample's DFH after the epoch's update), from which the
+    CLI picks and writes the DFH traces. ``test_hardness``
     is the test-set mirror of ``train_hardness``, every test sample updated
     each epoch; it drives no selection. ``dataset_config`` is the run's
     ``config.dataset``, from which the extremes report rebuilds the clean
@@ -170,7 +158,6 @@ class MetricsLog:
     """
 
     epochs: list[dict]
-    trace_groups: dict[str, list[int]]
     final_params: ModelParams
     train_hardness: hardness.HardnessState
     test_hardness: hardness.HardnessState
@@ -270,25 +257,6 @@ def _build_pool(
     return pacing.build_epoch_pool(
         selection_scores, t, config.seed, config.milestones, config.alpha_k, config.easy_pool_size
     )
-
-
-def _select_traces(
-    scores: np.ndarray, seed: int
-) -> dict[str, list[int]]:
-    order = np.argsort(scores, kind="stable")
-    n = len(order)
-    k = min(TRACE_GROUP_SIZE, n // 3) or 1
-    bottom, top = order[:k], order[-k:]
-    mid_lo, mid_hi = n // 3, max(n // 3 + 1, 2 * n // 3)
-    pool = order[mid_lo:mid_hi]
-    pool = pool[~np.isin(pool, np.concatenate([bottom, top]))]
-    rng = np.random.default_rng((seed, 7))
-    median = (
-        np.sort(pool[rng.choice(len(pool), size=min(k, len(pool)), replace=False)])
-        if len(pool)
-        else pool
-    )
-    return {"top": top.tolist(), "bottom": bottom.tolist(), "median": median.tolist()}
 
 
 def run_training(
@@ -425,55 +393,9 @@ def run_training(
 
     return MetricsLog(
         epochs=epochs,
-        trace_groups=(
-            _select_traces(epochs[TRACE_START_EPOCH - 1]["dfh"], config.seed)
-            if len(epochs) >= TRACE_START_EPOCH
-            else {}
-        ),
         final_params=params,
         train_hardness=state,
         test_hardness=test_state,
         dataset_config=config.dataset,
     )
 
-
-def summarize_comparison(rows: list[dict]) -> list[dict]:
-    """Mean and standard deviation over seeds per (mode, augment_all) group."""
-    groups: dict[tuple, list[dict]] = {}
-    for row in rows:
-        groups.setdefault((row["mode"], row["augment_all"]), []).append(row)
-    summary = []
-    for (mode, aug), members in groups.items():
-        entry = {"mode": mode, "augment_all": aug, "n_seeds": len(members)}
-        for key in ("final_acc", "final_auc", "acc_hard"):
-            vals = np.array([m[key] for m in members])
-            entry[f"{key}_mean"] = float(vals.mean())
-            entry[f"{key}_std"] = float(vals.std())
-        summary.append(entry)
-    return summary
-
-
-# ---------------------------------------------------------------------------
-# Serialization of run artifacts.
-
-def csv_text(columns: tuple[str, ...], rows: list[dict]) -> str:
-    """The header ``columns``, then each row's values in that order, as ``str``."""
-    lines = [",".join(columns)]
-    lines += (",".join(str(row[key]) for key in columns) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def dfh_trace_json(logres: MetricsLog) -> str:
-    """Each traced id's DFH in every record from ``TRACE_START_EPOCH`` on."""
-    traced = sorted({sid for ids in logres.trace_groups.values() for sid in ids})
-    later = logres.epochs[TRACE_START_EPOCH - 1 :]
-    return json.dumps(
-        {
-            str(sid): {
-                "start_epoch": TRACE_START_EPOCH,
-                "values": [float(record["dfh"][sid]) for record in later],
-            }
-            for sid in traced
-        },
-        indent=1,
-    )

@@ -233,9 +233,11 @@ def test_criterion_08_dfh_decay(five_seed_runs):
         by_epoch = {record["epoch"]: record["mean_dfh"] for record in res.epochs}
         decay_ok = by_epoch[20] < by_epoch[3]
 
+        groups = cli.trace_groups(res.epochs, seed)
+
         def group_means(group):
-            ids = res.trace_groups[group]
-            traced = res.epochs[runner.TRACE_START_EPOCH - 1 :]
+            ids = groups[group]
+            traced = res.epochs[cli.TRACE_START_EPOCH - 1 :]
             return np.array([record["dfh"][ids] for record in traced]).mean(axis=1)
 
         top, bottom = group_means("top"), group_means("bottom")

@@ -645,6 +645,24 @@ GROWING_BABYSTEP = [
 ]
 
 
+class TestLogLevel:
+    @pytest.mark.parametrize("value", ["bogus", "warning"])
+    def test_unknown_value_stops_the_command(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DFFC_LOG", value)
+        out = tmp_path / "r"
+        assert cli.main(["train", *SMALL_OVERRIDES, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: DFFC_LOG must be one of error, info, debug, got {value!r}"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["error", "info", "debug", "INFO", ""])
+    def test_accepted_values_run_the_command(self, value, run_dir, monkeypatch):
+        # An empty value is the default, as if DFFC_LOG were unset.
+        monkeypatch.setenv("DFFC_LOG", value)
+        assert cli.main(["report", "--run-dir", str(run_dir)]) == 0
+
+
 class TestCollapseWarning:
     """``SMALL`` of ``test_golden.py`` learns (dffc AUC 0.877), and so does
     ``GROWING_BABYSTEP``; with ``lr.eta_max=1e6`` it collapses (AUC 0.44,
@@ -713,13 +731,14 @@ class TestCollapseWarning:
 
 class TestShortRun:
     def test_run_shorter_than_the_trace_start_has_no_traces(self, tmp_path):
-        assert runner.TRACE_START_EPOCH > 2
+        assert cli.TRACE_START_EPOCH > 2
         short = ["--override", "total_epochs=2", "--override", "pacing.milestones=[2]"]
         out = tmp_path / "r"
         assert cli.main(["train", *SMALL_OVERRIDES, *short, "--out", str(out)]) == 0
         assert (out / "dfh_trace.json").read_text() == "{}"
         resolved = cli.resolve_config(str(out / "resolved_config.json"), [])
-        assert runner.run_training(cli.build_run_config(resolved)).trace_groups == {}
+        result = runner.run_training(cli.build_run_config(resolved))
+        assert cli.trace_groups(result.epochs, resolved["seed"]) == {}
         assert cli.main(["report", "--run-dir", str(out)]) == 0
         assert cli.main(["inspect-dfh", "--run-dir", str(out)]) == 0
 
@@ -841,6 +860,17 @@ class TestInspectAndReport:
                 lambda text: text.replace("test_auc", "auc", 1), "'test_auc'",
             ),
             (
+                "report", "metrics.csv",
+                lambda _: "epoch,eta,pool_size\n1,0.1\n", "line 2 has 2 fields",
+            ),
+            (
+                "report", "metrics.csv",
+                lambda text: "\n".join(
+                    line + ",0" * (i == 2) for i, line in enumerate(text.splitlines())
+                ),
+                "line 3 has 11 fields",
+            ),
+            (
                 "inspect-dfh", "hardness_state.json",
                 _edit("gamma", lambda _: None), "gamma: expected",
             ),
@@ -868,7 +898,7 @@ class TestInspectAndReport:
         ],
         ids=[
             "state-without-prior", "state-not-an-object", "extremes-without-top", "empty-metrics",
-            "metrics-without-test_auc",
+            "metrics-without-test_auc", "metrics-short-row", "metrics-long-row",
             "state-null-gamma", "state-string-alpha_f", "state-null-update_count", "state-2d-prior",
             "extremes-string-mean_tar", "extremes-null-mean_ssim", "extremes-ids-not-a-list",
         ],
@@ -937,28 +967,35 @@ def _copy_run_state(run_dir, tmp_path):
 
 
 class TestExtremesReport:
-    """``extremes.json`` is built when a run's artifacts are written, never
-    during training, so a compare cell builds none."""
+    """``extremes.json`` is built, and the ids of ``dfh_trace.json`` picked,
+    when a run's artifacts are written, never during training, so a compare
+    cell does neither."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        calls = []
-        report = forgeries.dfh_extremes_report
-        monkeypatch.setattr(
-            forgeries, "dfh_extremes_report", lambda *args: calls.append(args) or report(*args)
-        )
+        """The arguments of each call of the extremes report and of the trace
+        picking, by the name of the function called."""
+        calls = {"dfh_extremes_report": [], "trace_groups": []}
+        for module, name in ((forgeries, "dfh_extremes_report"), (cli, "trace_groups")):
+            original = getattr(module, name)
+            monkeypatch.setattr(
+                module, name,
+                lambda *args, name=name, original=original: (
+                    calls[name].append(args) or original(*args)
+                ),
+            )
         return calls
 
     def test_compare_builds_none(self, calls, tmp_path):
         grid = ['compare.modes=["vanilla","dffc"]']
         flags = [arg for override in SMALL + grid for arg in ("--override", override)]
         assert cli.main(["compare", *flags, "--out", str(tmp_path)]) == 0
-        assert calls == []
+        assert calls == {"dfh_extremes_report": [], "trace_groups": []}
 
     def test_train_builds_one_with_golden_bytes(self, calls, tmp_path):
         flags = [arg for override in SMALL for arg in ("--override", override)]
         assert cli.main(["train", *flags, "--out", str(tmp_path)]) == 0
-        assert len(calls) == 1
+        assert [len(made) for made in calls.values()] == [1, 1]
         files = (tmp_path / name for name in ("extremes.json", "dfh_trace.json"))
         digest = hashlib.sha256(b"\0".join(path.read_bytes() for path in files)).hexdigest()
         assert digest == GOLDEN_EXTREMES

@@ -38,7 +38,6 @@ from oracles import (
     ssim,
     tampering_ratio,
 )
-from scipy.stats import spearmanr
 
 from dffc import forgeries
 from dffc.errors import ConfigError
@@ -406,6 +405,7 @@ class TestQualityPrior:
     def test_prior_tracks_blur_strength(self, small_dataset):
         # The prior exists to proxy post-processing degradation; it must
         # correlate with the known blur sigma, not with scene content.
+        spearmanr = pytest.importorskip("scipy.stats").spearmanr
         train, _ = small_dataset
         priors, _ = quality_priors(train.images)
         rho = spearmanr(train.blur_sigmas, priors).statistic

@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+
+# The property tests below need hypothesis, a test-only dependency.
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
 from dffc.hardness import (
     HardnessState,

@@ -6,7 +6,7 @@ Oracle notes:
       AUC = 0.75.
   [ORACLE] roc_auc over heavily tied random scores -- equals the rank-sum
       form over scipy.stats.rankdata's average ranks exactly; scipy is a
-      test-only dependency.
+      test-only dependency, so that test is skipped where it is absent.
   [DERIVED] loss wiring -- epoch-1 first-batch losses must equal BCE of
       the forward pass at the initial parameters, reconstructed outside
       the runner from the same standardization.
@@ -14,6 +14,9 @@ Oracle notes:
       curriculum selection inert, so every epoch record's pool and losses
       must equal vanilla's; alpha_f=0 makes dffc's pools equal dih's.
   [TRIVIAL] config validation, determinism, CSV shape.
+
+The CSV text, the DFH traces and the compare summary of a run are read
+through ``cli``, which holds the run-record formats.
 """
 
 from __future__ import annotations
@@ -25,20 +28,19 @@ import sys
 import numpy as np
 import pytest
 from oracles import assert_pool_streams_equal, easy_ids, hard_ids
-from scipy.stats import rankdata
 
-from dffc import augment, forgeries, hardness, pacing, runner
+from dffc import augment, cli, forgeries, hardness, pacing, runner
 from dffc.errors import ConfigError
 from dffc.forgeries import DatasetConfig, generate_dataset, quality_priors
 from dffc.model import MAX_BCE, PROB_EPS, bce_loss, forward_batch, init_params
 
 
 def metrics_text(result: runner.MetricsLog) -> str:
-    return runner.csv_text(runner.METRICS_COLUMNS, result.epochs)
+    return cli.csv_text(cli.METRICS_COLUMNS, result.epochs)
 
 
 def pool_log_text(result: runner.MetricsLog) -> str:
-    return runner.csv_text(runner.POOL_LOG_COLUMNS, result.epochs)
+    return cli.csv_text(cli.POOL_LOG_COLUMNS, result.epochs)
 
 
 def pools(result: runner.MetricsLog) -> list[pacing.EpochPool]:
@@ -66,6 +68,7 @@ class TestRocAuc:
             runner.roc_auc(np.array([0.1, 0.2]), np.array([1, 1]))
 
     def test_equals_rank_sum_over_scipy_midranks(self):
+        rankdata = pytest.importorskip("scipy.stats").rankdata
         rng = np.random.default_rng(20)
         for _ in range(3000):
             n = int(rng.integers(2, 401))
@@ -231,15 +234,16 @@ class TestRunWiring:
 
     def test_traces_recorded_from_start_epoch(self, small_result):
         config, result = small_result
-        n_values = config.total_epochs - runner.TRACE_START_EPOCH + 1
-        traces = json.loads(runner.dfh_trace_json(result))
-        traced = {sid for ids in result.trace_groups.values() for sid in ids}
+        n_values = config.total_epochs - cli.TRACE_START_EPOCH + 1
+        traces = json.loads(cli.dfh_trace_json(result.epochs, config.seed))
+        groups = cli.trace_groups(result.epochs, config.seed)
+        traced = {sid for ids in groups.values() for sid in ids}
         assert traces and sorted(map(int, traces)) == sorted(traced)
         for trace in traces.values():
-            assert trace["start_epoch"] == runner.TRACE_START_EPOCH
+            assert trace["start_epoch"] == cli.TRACE_START_EPOCH
             assert len(trace["values"]) == n_values
         for group in ("top", "median", "bottom"):
-            assert result.trace_groups[group]
+            assert groups[group]
 
     def test_extremes_report_present(self, small_result):
         config, result = small_result
@@ -257,7 +261,9 @@ class TestRunWiring:
         again = runner.run_training(config)
         assert metrics_text(result) == metrics_text(again)
         assert pool_log_text(result) == pool_log_text(again)
-        assert runner.dfh_trace_json(result) == runner.dfh_trace_json(again)
+        assert cli.dfh_trace_json(result.epochs, config.seed) == cli.dfh_trace_json(
+            again.epochs, config.seed
+        )
 
 
 class TestVanillaAndBabystep:
@@ -356,7 +362,7 @@ class TestCompare:
              "final_acc": acc, "final_auc": 1.0, "acc_hard": 0.5}
             for mode, seed, acc in (("dffc", 0, 0.5), ("dih", 0, 0.6), ("dffc", 1, 0.7))
         ]
-        summary = runner.summarize_comparison(rows)
+        summary = cli.summarize_comparison(rows)
         assert [(s["mode"], s["n_seeds"]) for s in summary] == [("dffc", 2), ("dih", 1)]
         assert summary[0]["final_acc_mean"] == pytest.approx(0.6)
         assert summary[0]["final_acc_std"] == pytest.approx(0.1)
