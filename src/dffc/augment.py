@@ -78,12 +78,10 @@ class AugmentationSpec:
 def _reflect_index(idx: np.ndarray, n: int) -> np.ndarray:
     # Mirror without repeating the edge sample (period 2n-2), matching
     # numpy's "reflect" padding. Indices inside the frame map to themselves,
-    # so only the others are folded; with none, ``idx`` itself is returned.
+    # so only the others are folded.
     if n == 1:
         return np.zeros_like(idx)
     outside = (idx < 0) | (idx >= n)
-    if not outside.any():
-        return idx
     period = 2 * n - 2
     folded = np.mod(idx[outside], period)
     out = idx.copy()

@@ -24,6 +24,14 @@ def check_range(name: str, bounds: tuple, non_negative: bool = False) -> tuple[f
     return lo, hi
 
 
+def check_blur_bound(name: str, bounds: tuple, size_name: str, size: int) -> None:
+    """A :class:`ConfigError` naming ``name`` unless the hi of its blur-sigma
+    ``bounds`` is at most the image size ``size``, named ``size_name``: a
+    wider blur flattens the image, and its kernels would outgrow memory."""
+    if bounds[1] > size:
+        raise ConfigError(f"{name}: hi must be at most {size_name} ({size}), got {bounds[1]}")
+
+
 def check_seed(name: str, seed: int) -> None:
     """A :class:`ConfigError` naming ``name`` unless ``seed`` can key a stream
     of :mod:`dffc.streams`: 0..2**64 - 1."""

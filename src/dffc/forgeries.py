@@ -38,7 +38,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from dffc import streams
 from dffc.augment import _reflect_index, blur_shift
-from dffc.errors import ConfigError, check_float64_count, check_range, check_seed
+from dffc.errors import ConfigError, check_blur_bound, check_float64_count, check_range, check_seed
 
 LABEL_REAL = "real"
 LABEL_FAKE = "fake"
@@ -80,12 +80,7 @@ class DatasetConfig:
         check_float64_count("image_size", "an image", pixels)
         check_float64_count("n_train", "the training images", self.n_train * pixels)
         check_float64_count("n_test", "the test images", self.n_test * pixels)
-        # A wider blur flattens the image; its kernels would outgrow memory.
-        if self.blur_range[1] > self.image_size:
-            raise ConfigError(
-                f"blur_range: hi must be at most image_size ({self.image_size}), "
-                f"got {self.blur_range[1]}"
-            )
+        check_blur_bound("blur_range", self.blur_range, "image_size", self.image_size)
         check_seed("seed", self.seed)
 
     def split_size(self, split_code: int) -> int:

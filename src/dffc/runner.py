@@ -24,7 +24,8 @@ training and test matrices once, and each epoch's augmented rows in
 place. Each batch's update is made in place, and the epoch's
 training losses are taken in one ``bce_loss`` call from the probabilities
 its batches kept. An overflow in an epoch's SGD or in its evaluation on
-the test set stops the run with a ``ValueError`` naming ``lr.eta_max``.
+the test set stops the run with a ``ValueError`` naming ``lr.eta_max``,
+raised by the one guard both run under.
 The epoch's pool size, hard and easy sizes and overlap come from
 :meth:`pacing.EpochPool.composition`, which counts boolean masks over the
 samples.
@@ -38,14 +39,15 @@ traces and ``extremes.json`` when it writes them.
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from dffc import forgeries, hardness, pacing
 from dffc.augment import AugmentationSpec, augment_pixels
-from dffc.errors import ConfigError, check_float64_count, check_seed
+from dffc.errors import ConfigError, check_blur_bound, check_float64_count, check_seed
 from dffc.forgeries import DatasetConfig, Split
 from dffc.model import (
     ModelParams,
@@ -120,12 +122,10 @@ class RunConfig:
         check_float64_count("hidden_units", "the first layer's weights", weights)
         check_seed("seed", self.seed)
         object.__setattr__(self, "milestones", tuple(int(m) for m in self.milestones))
-        # As for dataset.blur_range: a wider blur flattens the image.
-        if self.augment.blur_sigma_range[1] > self.dataset.image_size:
-            raise ConfigError(
-                f"augment.blur_sigma_range: hi must be at most dataset.image_size "
-                f"({self.dataset.image_size}), got {self.augment.blur_sigma_range[1]}"
-            )
+        check_blur_bound(
+            "augment.blur_sigma_range", self.augment.blur_sigma_range,
+            "dataset.image_size", self.dataset.image_size,
+        )
         check_lr(self.eta_max, self.eta_min, self.total_epochs)
         hardness.check_hardness(self.gamma, self.alpha_f)
         # Each mode checks only the pacing or babystep section it reads.
@@ -146,9 +146,11 @@ class MetricsLog:
     """A finished run.
 
     ``epochs`` holds one dict per epoch: every column of the CLI's
-    ``METRICS_COLUMNS`` and ``POOL_LOG_COLUMNS``, ``pool`` (the trained
-    :class:`pacing.EpochPool`; under ``augment_all`` its originals carry
-    seeds too), ``losses`` (that pool's losses in training order) and
+    ``METRICS_COLUMNS`` and ``POOL_LOG_COLUMNS``, ``pool`` (the
+    :class:`pacing.EpochPool` the curriculum selected, in every mode: its
+    originals are the hard pool, and under ``augment_all`` they are trained
+    augmented by seeds of salt 1 derived as the epoch trains), ``losses``
+    (that pool's losses in training order) and
     ``dfh`` (every sample's DFH after the epoch's update), from which the
     CLI picks and writes the DFH traces. ``test_hardness``
     is the test-set mirror of ``train_hardness``, every test sample updated
@@ -236,6 +238,21 @@ def fit_input_transform(train_images: np.ndarray) -> Callable[..., np.ndarray]:
     return transform
 
 
+@contextmanager
+def _diverges(t: int, where: Callable[[], str], eta_max: float) -> Iterator[None]:
+    """Run the block with numpy's overflow and invalid-value errors raised,
+    and turn a ``FloatingPointError`` into a ``ValueError`` that names epoch
+    ``t``, ``where()`` and ``lr.eta_max``. Nothing overflows in a run that
+    converges, so an overflow is a learning rate too large for it."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"epoch {t}: {where()} ({exc}); lr.eta_max = {eta_max} is too large for this run"
+        ) from None
+
+
 def _build_pool(
     config: RunConfig,
     selection_scores: np.ndarray,
@@ -295,56 +312,48 @@ def run_training(
     for t in range(1, config.total_epochs + 1):
         eta = cosine_lr(config.eta_max, config.eta_min, config.total_epochs, t)
         pool = _build_pool(config, dfh_now, prior, t, n)
+        ids = pool.entries
         # Ids repeat in a pool's entries, which leaves their min and max as they are.
-        pool_scores = dfh_now[pool.entries]
+        pool_scores = dfh_now[ids]
         hard_size, easy_size, overlap = pool.composition(n)
-        # The originals are the hard pool, and only they drive DIH updates,
-        # even under --augment-all, which gives them a seed too.
+        # The originals are the hard pool, and only they drive DIH updates.
+        # Under --augment-all they are trained augmented too, each by a seed
+        # of salt 1, which the pool itself does not carry.
         originals = pool.seeds < 0
-        trained = pool
+        seeds = pool.seeds
         if config.augment_all:
-            seeds = pool.seeds.copy()
+            seeds = seeds.copy()
             seeds[originals] = pacing.derive_augmentation_seed(
-                config.seed, t, pool.entries[originals], salt=1
+                config.seed, t, ids[originals], salt=1
             )
-            trained = pacing.EpochPool(entries=pool.entries, seeds=seeds)
 
         # The augmented entries' pixels, made in one call and standardized in
         # place; each batch gathers its rows from X_train, then overwrites its
         # augmented ones.
-        ids = trained.entries
-        augmented = np.flatnonzero(trained.seeds >= 0)
+        augmented = np.flatnonzero(seeds >= 0)
         X_augmented = np.empty((len(augmented), d))
         if len(augmented):
             augment_pixels(
-                train.images, ids[augmented], config.augment, trained.seeds[augmented],
-                X_augmented,
+                train.images, ids[augmented], config.augment, seeds[augmented], X_augmented
             )
             to_input(X_augmented, out=X_augmented)
 
         # Mini-batch SGD; each batch's probabilities are kept from before
         # its update, and the epoch's losses are taken from them in one
         # elementwise call. Batch k's augmented entries are
-        # augmented[edges[k]:edges[k + 1]]. Nothing overflows in a run that
-        # converges, so an overflow is a learning rate too large for it.
+        # augmented[edges[k]:edges[k + 1]].
         starts = range(0, len(ids), config.batch_size)
         edges = np.searchsorted(augmented, [*starts, len(ids)]).tolist()
         y_epoch = train.targets[ids]
         epoch_probs = np.empty(len(ids))
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                for start, lo, hi in zip(starts, edges, edges[1:]):
-                    stop = start + config.batch_size
-                    Xb = X_train[ids[start:stop]]
-                    if lo < hi:
-                        Xb[augmented[lo:hi] - start] = X_augmented[lo:hi]
-                    grads, epoch_probs[start:stop] = gradients(params, Xb, y_epoch[start:stop])
-                    params = sgd_step(params, grads, eta)
-        except FloatingPointError as exc:
-            raise ValueError(
-                f"epoch {t}: SGD diverged in the batch from entry {start} ({exc}); "
-                f"lr.eta_max = {config.eta_max} is too large for this run"
-            ) from None
+        with _diverges(t, lambda: f"SGD diverged in the batch from entry {start}", config.eta_max):
+            for start, lo, hi in zip(starts, edges, edges[1:]):
+                stop = start + config.batch_size
+                Xb = X_train[ids[start:stop]]
+                if lo < hi:
+                    Xb[augmented[lo:hi] - start] = X_augmented[lo:hi]
+                grads, epoch_probs[start:stop] = gradients(params, Xb, y_epoch[start:stop])
+                params = sgd_step(params, grads, eta)
         epoch_losses = bce_loss(epoch_probs, y_epoch)
         bad = np.flatnonzero(~np.isfinite(epoch_losses))
         if len(bad):
@@ -358,18 +367,12 @@ def run_training(
 
         # The epoch's last update can leave weights that overflow only on the
         # test set: the same divergence, found one step later.
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                metrics = evaluate(params, X_test, test.targets, terciles)
-                # Evaluation-set mirror update, from the same test-set scores.
-                test_losses = bce_loss(metrics["scores"], test.targets)
-                test_s_t = hardness.instantaneous_hardness(test_losses, eta, config.eta_max)
-                hardness.update_dih(test_state, np.arange(len(test)), test_s_t)
-        except FloatingPointError as exc:
-            raise ValueError(
-                f"epoch {t}: the test-set evaluation diverged ({exc}); "
-                f"lr.eta_max = {config.eta_max} is too large for this run"
-            ) from None
+        with _diverges(t, lambda: "the test-set evaluation diverged", config.eta_max):
+            metrics = evaluate(params, X_test, test.targets, terciles)
+            # Evaluation-set mirror update, from the same test-set scores.
+            test_losses = bce_loss(metrics["scores"], test.targets)
+            test_s_t = hardness.instantaneous_hardness(test_losses, eta, config.eta_max)
+            hardness.update_dih(test_state, np.arange(len(test)), test_s_t)
 
         acc_easy, acc_mid, acc_hard = metrics["acc_by_tercile"]
         dfh_now = hardness.dfh_all(state)
@@ -382,7 +385,7 @@ def run_training(
                 "mean_dfh": float(dfh_now.mean()),
                 "hard_size": hard_size, "easy_size": easy_size, "overlap": overlap,
                 "dfh_min": float(pool_scores.min()), "dfh_max": float(pool_scores.max()),
-                "pool": trained, "losses": epoch_losses, "dfh": dfh_now,
+                "pool": pool, "losses": epoch_losses, "dfh": dfh_now,
             }
         )
         log.info(

@@ -10,9 +10,13 @@ the bit-exact full-grid oracles of ``dffc.forgeries``' ``_base_images`` and
 ``dffc.forgeries.laplacian_variance``'s gathered padding,
 :func:`masked_sigmoid` and :func:`gradients_reference` the bit-exact
 oracles of ``dffc.model``'s ``_sigmoid`` and ``gradients``,
+:func:`flatten_params` and :func:`unflatten_params` map a model's
+parameters to one vector and back for the finite-difference checks,
 :func:`load_checkpoint` decodes the
 ``checkpoint.json`` and ``checkpoint.bin`` that ``model.save_checkpoint``
-writes, :func:`hard_ids`, :func:`easy_ids` and :func:`overlap` are the
+writes, :func:`brute_force_topk` is the sorting reference of
+``dffc.pacing``'s hard- and easy-pool selection, :func:`hard_ids`,
+:func:`easy_ids` and :func:`overlap` are the
 sort-based references of ``EpochPool.composition``,
 :func:`assert_pools_equal` compares two epoch pools and
 :func:`assert_pool_streams_equal` two runs' epoch records.
@@ -190,6 +194,23 @@ def gradients_reference(
     return grads, probs
 
 
+def flatten_params(params: ModelParams) -> np.ndarray:
+    """``W1``, ``b1``, ``w2`` and ``b2`` as one vector, in that order."""
+    return np.concatenate(
+        [params.W1.ravel(), params.b1.ravel(), params.w2.ravel(), [params.b2]]
+    )
+
+
+def unflatten_params(vec: np.ndarray, like: ModelParams) -> ModelParams:
+    """The inverse of :func:`flatten_params` for parameters shaped as ``like``."""
+    n_h, n_in = like.W1.shape
+    i = 0
+    W1 = vec[i : i + n_h * n_in].reshape(n_h, n_in); i += n_h * n_in
+    b1 = vec[i : i + n_h].copy(); i += n_h
+    w2 = vec[i : i + n_h].copy(); i += n_h
+    return ModelParams(W1=W1, b1=b1, w2=w2, b2=float(vec[i]))
+
+
 def load_checkpoint(header_path: Path, blob_path: Path) -> tuple[ModelParams, dict]:
     header = json.loads(Path(header_path).read_text())
     shapes = header["shapes"]
@@ -206,6 +227,16 @@ def load_checkpoint(header_path: Path, blob_path: Path) -> tuple[ModelParams, di
         b2=float(flat[n1 + 2 * h]),
     )
     return params, header
+
+
+def brute_force_topk(scores, k, largest):
+    """The ``k`` indices of the largest (or smallest) ``scores``, ascending:
+    (score, index) pairs sorted explicitly, ties to the smaller index."""
+    keyed = sorted(
+        range(len(scores)),
+        key=(lambda i: (-scores[i], i)) if largest else (lambda i: (scores[i], i)),
+    )
+    return sorted(keyed[:k])
 
 
 def hard_ids(pool: EpochPool) -> np.ndarray:

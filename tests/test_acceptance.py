@@ -13,7 +13,16 @@ import time
 
 import numpy as np
 import pytest
-from oracles import assert_pool_streams_equal, easy_ids, hard_ids, ssim, tampering_ratio
+from oracles import (
+    assert_pool_streams_equal,
+    brute_force_topk,
+    easy_ids,
+    flatten_params,
+    hard_ids,
+    ssim,
+    tampering_ratio,
+    unflatten_params,
+)
 
 from dffc import cli, forgeries, hardness, pacing, runner
 from dffc.forgeries import DatasetConfig
@@ -66,12 +75,6 @@ def test_criterion_01_hardness_math_oracles():
     assert elapsed < 1.0, f"hardness oracle suite took {elapsed:.2f}s"
 
 
-def _brute_force_pool(scores, k, hardest):
-    # Ties break toward the smaller index in both directions.
-    key = (lambda i: (-scores[i], i)) if hardest else (lambda i: (scores[i], i))
-    return sorted(sorted(range(len(scores)), key=key)[:k])
-
-
 def test_criterion_02_selection_oracle():
     """Top-k / bottom-k selection equals a brute-force stable sort, < 5 s."""
     start = time.perf_counter()
@@ -83,19 +86,19 @@ def test_criterion_02_selection_oracle():
         for trial in range(30):
             scores = np.array(rng.choice(tie_values, size=n))
             for k in range(1, n + 1):
-                assert list(pacing.select_hard_pool(scores, k)) == _brute_force_pool(
-                    scores, k, hardest=True
+                assert list(pacing.select_hard_pool(scores, k)) == brute_force_topk(
+                    scores, k, largest=True
                 )
-                assert list(pacing.select_easy_pool(scores, k)) == _brute_force_pool(
-                    scores, k, hardest=False
+                assert list(pacing.select_easy_pool(scores, k)) == brute_force_topk(
+                    scores, k, largest=False
                 )
 
     # 1000 random N=500 cases (ties included via quantization).
     for trial in range(1000):
         scores = np.round(rng.uniform(0.0, 1.0, size=500), 2)
         k = int(rng.integers(1, 501))
-        assert list(pacing.select_hard_pool(scores, k)) == _brute_force_pool(scores, k, True)
-        assert list(pacing.select_easy_pool(scores, k)) == _brute_force_pool(scores, k, False)
+        assert list(pacing.select_hard_pool(scores, k)) == brute_force_topk(scores, k, True)
+        assert list(pacing.select_easy_pool(scores, k)) == brute_force_topk(scores, k, False)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"selection oracle suite took {elapsed:.2f}s"
@@ -107,21 +110,6 @@ def test_criterion_03_pacing_trajectory():
     sizes = [pacing.pool_size_at_epoch(1000, t, (2, 5, 8, 12, 15), 0.9) for t in range(1, 21)]
     expected = [1000] * 4 + [900] * 3 + [810] * 4 + [729] * 3 + [656] * 6
     assert sizes == expected
-
-
-def _flatten(p: ModelParams) -> np.ndarray:
-    return np.concatenate([p.W1.ravel(), p.b1, p.w2, [p.b2]])
-
-
-def _unflatten(vec: np.ndarray, like: ModelParams) -> ModelParams:
-    h, d = like.W1.shape
-    i = h * d
-    return ModelParams(
-        W1=vec[:i].reshape(h, d),
-        b1=vec[i : i + h].copy(),
-        w2=vec[i + h : i + 2 * h].copy(),
-        b2=float(vec[i + 2 * h]),
-    )
 
 
 def test_criterion_04_gradient_finite_differences():
@@ -143,13 +131,13 @@ def test_criterion_04_gradient_finite_differences():
         y = rng.integers(0, 2, size=b).astype(np.float64)
 
         g, _ = gradients(params, X, y)
-        analytic = _flatten(ModelParams(g.W1, g.b1, g.w2, g.b2))
+        analytic = flatten_params(ModelParams(g.W1, g.b1, g.w2, g.b2))
 
         def mean_loss(vec):
-            probs = forward_batch(_unflatten(vec, params), X)
+            probs = forward_batch(unflatten_params(vec, params), X)
             return float(bce_loss(probs, y).mean())
 
-        theta = _flatten(params)
+        theta = flatten_params(params)
         step = 1e-5
         numeric = np.zeros_like(theta)
         for i in range(len(theta)):

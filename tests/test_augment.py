@@ -119,7 +119,8 @@ class TestReflectIndex:
 
     def test_in_frame_indices_returned_unchanged(self):
         idx = np.arange(16).reshape(4, 4)
-        assert _reflect_index(idx, 16) is idx
+        np.testing.assert_array_equal(_reflect_index(idx, 16), idx)
+        np.testing.assert_array_equal(idx, np.arange(16).reshape(4, 4))
         shifted = idx - 2
         np.testing.assert_array_equal(_reflect_index(shifted, 16), self.expected(shifted, 16))
         np.testing.assert_array_equal(shifted, idx - 2)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -591,6 +592,30 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                [*SMALL, "lr.eta_max=1e300"],
+                "epoch 1: SGD diverged in the batch from entry 32 (…); "
+                "lr.eta_max = 1e+300 is too large for this run",
+            ),
+            (
+                [*TINY, "mode=babystep", "lr.eta_max=1e300"],
+                "epoch 1: the test-set evaluation diverged (…); "
+                "lr.eta_max = 1e+300 is too large for this run",
+            ),
+        ],
+        ids=["sgd", "evaluation"],
+    )
+    def test_divergence_message_word_for_word(self, overrides, message):
+        # Word for word, but for numpy's own text inside the parentheses.
+        config = cli.build_run_config(cli.resolve_config(None, overrides))
+        with pytest.raises(ValueError) as info:
+            runner.run_training(config)
+        before, after = message.split("(…)")
+        assert re.fullmatch(re.escape(before) + r"\([^()]+\)" + re.escape(after), str(info.value))
+
+    @pytest.mark.parametrize(
         "override", ["dataset.image_size=4096", "hidden_units=100000000"], ids=["images", "weights"]
     )
     def test_running_out_of_memory_exits_one_naming_the_sizes(self, override, tmp_path):
@@ -1081,6 +1106,20 @@ class TestCompare:
         )
         assert code == 0
         assert (out / "comparison.csv").read_text().splitlines()[1].startswith("dih,")
+
+
+    def test_summary_per_mode_and_augment_all_over_seeds(self):
+        # [DERIVED] accuracies 0.5 and 0.7 have mean 0.6 and (population) std 0.1.
+        rows = [
+            {"mode": mode, "augment_all": False, "seed": seed,
+             "final_acc": acc, "final_auc": 1.0, "acc_hard": 0.5}
+            for mode, seed, acc in (("dffc", 0, 0.5), ("dih", 0, 0.6), ("dffc", 1, 0.7))
+        ]
+        summary = cli.summarize_comparison(rows)
+        assert [(s["mode"], s["n_seeds"]) for s in summary] == [("dffc", 2), ("dih", 1)]
+        assert summary[0]["final_acc_mean"] == pytest.approx(0.6)
+        assert summary[0]["final_acc_std"] == pytest.approx(0.1)
+        assert summary[1]["final_acc_std"] == 0.0 == summary[0]["final_auc_std"]
 
 
 class TestWritePgm:

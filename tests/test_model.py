@@ -18,7 +18,13 @@ import math
 
 import numpy as np
 import pytest
-from oracles import gradients_reference, load_checkpoint, masked_sigmoid
+from oracles import (
+    flatten_params,
+    gradients_reference,
+    load_checkpoint,
+    masked_sigmoid,
+    unflatten_params,
+)
 
 from dffc.model import (
     PROB_EPS,
@@ -33,21 +39,6 @@ from dffc.model import (
     save_checkpoint,
     sgd_step,
 )
-
-
-def _flatten(params: ModelParams) -> np.ndarray:
-    return np.concatenate(
-        [params.W1.ravel(), params.b1.ravel(), params.w2.ravel(), [params.b2]]
-    )
-
-
-def _unflatten(vec: np.ndarray, like: ModelParams) -> ModelParams:
-    n_h, n_in = like.W1.shape
-    i = 0
-    W1 = vec[i : i + n_h * n_in].reshape(n_h, n_in); i += n_h * n_in
-    b1 = vec[i : i + n_h].copy(); i += n_h
-    w2 = vec[i : i + n_h].copy(); i += n_h
-    return ModelParams(W1=W1, b1=b1, w2=w2, b2=float(vec[i]))
 
 
 class TestInit:
@@ -144,16 +135,16 @@ class TestGradients:
         y = rng.integers(0, 2, size=8).astype(np.float64)
 
         grads, _ = gradients(params, x, y)
-        analytic = _flatten(
+        analytic = flatten_params(
             ModelParams(W1=grads.W1, b1=grads.b1, w2=grads.w2, b2=grads.b2)
         )
 
         def mean_loss(vec: np.ndarray) -> float:
-            p = _unflatten(vec, params)
+            p = unflatten_params(vec, params)
             probs = forward_batch(p, x)
             return float(bce_loss(probs, y).mean())
 
-        theta = _flatten(params)
+        theta = flatten_params(params)
         h = 1e-5
         numeric = np.zeros_like(theta)
         for i in range(len(theta)):
@@ -220,21 +211,21 @@ class TestGradients:
         eta = 0.0731
         arrays = (params.W1, params.b1, params.w2)
         expected = [w - eta * g for w, g in zip(arrays, (grads.W1, grads.b1, grads.w2))]
-        grads_before = _flatten(grads).copy()
+        grads_before = flatten_params(grads).copy()
         out = sgd_step(params, grads, eta)
         assert out is params
         assert all(a is b for a, b in zip((out.W1, out.b1, out.w2), arrays))
         for got, want in zip(arrays, expected):
             np.testing.assert_array_equal(_bits(got), _bits(want))
         assert out.b2 == 0.25 - eta * -0.5
-        np.testing.assert_array_equal(_flatten(grads), grads_before)
+        np.testing.assert_array_equal(flatten_params(grads), grads_before)
 
     def test_sgd_step_negative_eta(self):
         params = init_params(2, 2, seed=0)
-        before = _flatten(params).copy()
+        before = flatten_params(params).copy()
         with pytest.raises(ValueError):
             sgd_step(params, params, eta=-0.1)
-        np.testing.assert_array_equal(_bits(_flatten(params)), _bits(before))
+        np.testing.assert_array_equal(_bits(flatten_params(params)), _bits(before))
 
     def test_training_reduces_loss(self):
         rng = np.random.default_rng(5)

@@ -3,7 +3,7 @@ oracle, and pool assembly."""
 
 import numpy as np
 import pytest
-from oracles import assert_pools_equal, easy_ids, hard_ids, overlap
+from oracles import assert_pools_equal, brute_force_topk, easy_ids, hard_ids, overlap
 from test_golden import SMALL
 
 from dffc import cli, runner
@@ -26,15 +26,6 @@ from dffc.pacing import (
 #: The default milestones and shrink factor of a run.
 MILESTONES = (2, 5, 8, 12, 15)
 ALPHA_K = 0.9
-
-
-def brute_force_topk(scores, k, largest):
-    """Oracle: sort (score, index) pairs explicitly, ties to smaller index."""
-    keyed = sorted(
-        range(len(scores)),
-        key=(lambda i: (-scores[i], i)) if largest else (lambda i: (scores[i], i)),
-    )
-    return sorted(keyed[:k])
 
 
 class TestPoolSize:
@@ -274,11 +265,14 @@ class TestComposition:
 
     @pytest.mark.parametrize("mode", runner.MODES)
     def test_run_records_equal_oracle(self, mode):
-        config = cli.build_run_config(cli.resolve_config(None, [*SMALL, f"mode={mode}"]))
-        for record in runner.run_training(config).epochs:
-            expected = oracle_composition(record["pool"])
-            assert (record["hard_size"], record["easy_size"], record["overlap"]) == expected
-            assert record["pool_size"] == expected[0]
+        # Under augment_all the record still holds the pool as selected.
+        for augment_all in ("false", "true"):
+            overrides = [*SMALL, f"mode={mode}", f"augment_all={augment_all}"]
+            config = cli.build_run_config(cli.resolve_config(None, overrides))
+            for record in runner.run_training(config).epochs:
+                expected = oracle_composition(record["pool"])
+                assert (record["hard_size"], record["easy_size"], record["overlap"]) == expected
+                assert record["pool_size"] == expected[0]
 
 
 class TestBabystep:

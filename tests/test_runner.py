@@ -15,8 +15,8 @@ Oracle notes:
       must equal vanilla's; alpha_f=0 makes dffc's pools equal dih's.
   [TRIVIAL] config validation, determinism, CSV shape.
 
-The CSV text, the DFH traces and the compare summary of a run are read
-through ``cli``, which holds the run-record formats.
+The CSV text and the DFH traces of a run are read through ``cli``, which
+holds the run-record formats.
 """
 
 from __future__ import annotations
@@ -301,7 +301,7 @@ class TestVanillaAndBabystep:
         for a, b in zip(hard_id_sets, hard_id_sets[1:]):
             assert a <= b
 
-    def test_augment_all_attaches_seeds_everywhere(self):
+    def test_augment_all_attaches_seeds_everywhere(self, monkeypatch):
         config = runner.RunConfig(
             dataset=DatasetConfig(n_train=40, n_test=20, seed=2),
             total_epochs=4,
@@ -312,9 +312,26 @@ class TestVanillaAndBabystep:
             seed=2,
             augment_all=True,
         )
+        real_augment_pixels, augmented = runner.augment_pixels, []
+
+        def spy(images, ids, spec, seeds, out):
+            augmented.append((ids.copy(), seeds.copy()))
+            return real_augment_pixels(images, ids, spec, seeds, out)
+
+        monkeypatch.setattr(runner, "augment_pixels", spy)
         result = runner.run_training(config)
-        for pool in pools(result):
-            assert (pool.seeds >= 0).all()
+        assert len(augmented) == len(result.epochs) == 4
+        for t, (pool, (ids, seeds)) in enumerate(zip(pools(result), augmented), start=1):
+            # Every entry is augmented, in training order; the originals by
+            # seeds of salt 1, the easy copies by the pool's own seeds.
+            np.testing.assert_array_equal(ids, pool.entries)
+            originals = pool.seeds < 0
+            expected = pool.seeds.copy()
+            expected[originals] = pacing.derive_augmentation_seed(
+                config.seed, t, pool.entries[originals], salt=1
+            )
+            np.testing.assert_array_equal(seeds, expected)
+            assert (seeds >= 0).all() and originals.any()
 
 
 class TestReductions:
@@ -352,21 +369,6 @@ class TestReductions:
             np.testing.assert_array_equal(easy_ids(pa), easy_ids(pb))
         assert_pool_streams_equal(a, b)
         assert metrics_text(a) == metrics_text(b)
-
-
-class TestCompare:
-    def test_summary_per_mode_and_augment_all_over_seeds(self):
-        # [DERIVED] accuracies 0.5 and 0.7 have mean 0.6 and (population) std 0.1.
-        rows = [
-            {"mode": mode, "augment_all": False, "seed": seed,
-             "final_acc": acc, "final_auc": 1.0, "acc_hard": 0.5}
-            for mode, seed, acc in (("dffc", 0, 0.5), ("dih", 0, 0.6), ("dffc", 1, 0.7))
-        ]
-        summary = cli.summarize_comparison(rows)
-        assert [(s["mode"], s["n_seeds"]) for s in summary] == [("dffc", 2), ("dih", 1)]
-        assert summary[0]["final_acc_mean"] == pytest.approx(0.6)
-        assert summary[0]["final_acc_std"] == pytest.approx(0.1)
-        assert summary[1]["final_acc_std"] == 0.0 == summary[0]["final_auc_std"]
 
 
 class TestEvaluate:
