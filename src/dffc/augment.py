@@ -17,20 +17,22 @@ shift and clip are one pipeline, which also post-processes the synthetic
 dataset (:func:`blur_shift`): the entries go widest blur radius first, in
 runs of one radius and at most ``AUGMENT_CHUNK`` entries, with the kernels
 of each radius built in one step. Each run gathers its own source images
-by sample id, so nothing the size of the whole call is gathered or
-stacked. From its gather to its output a run is one contiguous ``(h, w,
-m)`` stack, the image axis innermost: each blur tap multiplies a slab of
-rows, then of columns, by the run's ``(m,)`` tap vector, and the shift
-adds its ``(m,)`` deltas, with nothing transposed between the steps. The
-warp reads the run from a copy reflect-padded just enough to hold every
-read, its span taken from the four corners of the source grid, so one
-flat offset per pixel finds all four of its corners: the next x lies
-``m`` elements on, the next y one padded row on. A run is transposed only
-as it is gathered and as it is written, in one copy, into its rows of the
-caller's matrix (:func:`augment_pixels`) or its images of the caller's
-stack (:func:`blur_shift`). Every entry comes out bit-identical to the
-single-image ``gaussian_blur``, ``brightness_adjust`` and ``affine`` of
-``tests/oracles.py``, whichever entries share its call or its run.
+by sample id, as one ``(m, h, w)`` stack, so nothing the size of the whole
+call is gathered or stacked. Each entry's kernel and the reflect padding
+fold into one band matrix per axis, so the blur of a run is two batched
+matrix products, ``K_h @ X @ K_w.T``, and the shift adds each entry's
+delta. The warp reads a run with the image axis innermost, ``(h, w, m)``,
+from a copy reflect-padded just enough to hold every read, its span taken
+from the four corners of the source grid, so one flat offset per pixel
+finds all four of its corners: the next x lies ``m`` elements on, the next
+y one padded row on. A run is transposed once into that layout and once
+as its warped pixels are written into their rows of the caller's matrix
+(:func:`augment_pixels`); :func:`blur_shift` writes its runs into their
+images of the caller's stack as they are. Every entry comes out
+bit-identical to the single-image ``gaussian_blur``, ``brightness_adjust``
+and ``affine`` of ``tests/oracles.py``, whichever entries share its call
+or its run; the blur's bits, like any matrix product's, depend on the
+BLAS build.
 """
 
 from __future__ import annotations
@@ -47,12 +49,13 @@ from dffc.errors import ConfigError, check_range
 #: augmented and written into its rows of pixels on its own, so the
 #: temporaries grow with the run, not with the call: beyond its output
 #: matrix, an :func:`augment_pixels` call on 1 000 16 px images peaks at
-#: 1.45 MB of traced memory in runs of 64, 2.78 MB at 128 and 4.97 MB at
-#: 256. On a 2-CPU Xeon (2 MB of L2 per core), with runs stored ``(h, w,
-#: m)``, such a call took a median 17.1, 20.9 and 22.3 ms in runs of 64, 128
-#: and 256 (30 alternated calls each), but inside default dffc runs the 18
-#: calls of a run took 0.626 s in runs of 128, against 0.641 s in runs of 64
-#: (faster in 2 of 9 runs) and 0.655 s in runs of 256 (1 of 9), alternated.
+#: 1.72 MB of traced memory in runs of 64, 3.31 MB at 128 and 6.08 MB at
+#: 256, the run's ``m * h * h`` floats of band matrices included. On a 2-CPU
+#: Xeon with one BLAS thread, such a call took a median 20.3, 28.1 and 32.5 ms
+#: in runs of 64, 128 and 256 (30 alternated calls each). Inside default
+#: dffc runs, though, runs of 128 were the fastest: run_s read 5.4% higher in
+#: runs of 64 (higher in 6 of 6 alternated rounds) and 1.9% higher in runs of
+#: 256 (4 of 6), whose peak RSS was also 2.5 MB higher.
 AUGMENT_CHUNK = 128
 
 
@@ -125,19 +128,20 @@ def _radius_runs(sigmas: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None
     return runs
 
 
-def _tap_sum(padded: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    """One blur pass along ``axis`` (0 or 1) of an ``(h, w, m)`` run
-    reflect-padded by the radius there: each slab times its tap's ``(m,)``
-    vector, summed in order from zeros, as ``_conv1d_reflect`` of
-    ``tests/oracles.py`` does."""
-    size = padded.shape[axis] - (taps.shape[1] - 1)
-    lead = (slice(None),) * axis
-    acc = np.zeros_like(padded[lead + (slice(0, size),)])
-    tmp = np.empty_like(acc)
+def _band_matrices(taps: np.ndarray, n: int) -> np.ndarray:
+    """Each kernel of a run, ``(m, 2r + 1)``, folded with the reflect
+    padding of an axis of ``n`` pixels into one ``(n, n)`` band matrix: row
+    i holds tap j at column ``_reflect_index(i + j - r)``, the taps that
+    fold onto one column added in order from zero. ``K @ x`` then blurs
+    each column of ``x`` along its ``n`` rows."""
+    m, size = taps.shape
+    at = np.arange(n)[:, None]
+    # Each row's column of each tap, as a flat index into the row's matrix.
+    flat = at * n + _reflect_index(at + np.arange(size) - size // 2, n)
+    bands = np.zeros((m, n * n))
     for j, tap in enumerate(taps.T):
-        np.multiply(padded[lead + (slice(j, j + size),)], tap, out=tmp)
-        acc += tmp
-    return acc
+        bands[:, flat[:, j]] += tap[:, None]
+    return bands.reshape(m, n, n)
 
 
 def _blur_shift_runs(
@@ -145,27 +149,24 @@ def _blur_shift_runs(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield each run of :func:`_radius_runs` as its indices into ``ids``
     and the images of those ids blurred (none at radius 0), shifted by their
-    deltas and clipped, as one contiguous ``(h, w, m)`` stack, the image axis
-    innermost. Entry i is image ``ids[i]`` with ``sigmas[i]`` and
-    ``deltas[i]``; each run gathers only its own images.
+    deltas and clipped, as one ``(m, h, w)`` stack. Entry i is image
+    ``ids[i]`` with ``sigmas[i]`` and ``deltas[i]``; each run gathers only
+    its own images.
 
-    A run's images are gathered in one step, reflect-padded along their
-    rows by the blur radius, and transposed in one copy. The first pass sums
-    slabs of those rows; the second sums slabs of columns gathered
-    reflect-padded from the first by ``np.take``, which keeps the stack
-    C-ordered. Nothing is transposed between the passes, and the gathered
-    images are freed once the first pass has read them.
+    A run is blurred as two batched matrix products, ``K_h @ X @ K_w.T``,
+    each entry's band matrices from :func:`_band_matrices` (one for both
+    axes of a square image). ``np.matmul`` takes each image's product on
+    its own, so an entry's bits do not depend on what shares its run.
     """
     _, h, w = images.shape
     for rows, taps in _radius_runs(sigmas):
-        r = 0 if taps is None else taps.shape[1] // 2
-        rows_read = _reflect_index(np.arange(-r, h + r), h)
-        run = images[ids[rows, None], rows_read].transpose(1, 2, 0).copy()
+        run = images[ids[rows]]
         if taps is not None:
-            run = _tap_sum(run, taps, 0)
-            run = _tap_sum(np.take(run, _reflect_index(np.arange(-r, w + r), w), axis=1), taps, 1)
+            row_bands = _band_matrices(taps, h)
+            col_bands = row_bands if w == h else _band_matrices(taps, w)
+            np.matmul(np.matmul(row_bands, run), col_bands.transpose(0, 2, 1), out=run)
             np.clip(run, 0.0, 1.0, out=run)
-        run += deltas[rows]
+        run += deltas[rows, None, None]
         yield rows, np.clip(run, 0.0, 1.0, out=run)
 
 
@@ -179,7 +180,7 @@ def blur_shift(
     of ``tests/oracles.py``.
     """
     for rows, run in _blur_shift_runs(images, np.arange(len(images)), sigmas, deltas):
-        out[rows] = run.transpose(2, 0, 1)
+        out[rows] = run
 
 
 def _pad_offsets(src: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -296,5 +297,6 @@ def augment_pixels(
         ),
     ).T
     for rows, run in _blur_shift_runs(images, ids, sigmas, deltas):
-        # The one transposing copy of the run, into its rows.
-        out[rows] = _warp(run, rotations[rows], dxs[rows], dys[rows])
+        # The run's two transposing copies: into the layout the warp reads,
+        # and its warped pixels into their rows.
+        out[rows] = _warp(run.transpose(1, 2, 0).copy(), rotations[rows], dxs[rows], dys[rows])

@@ -291,7 +291,7 @@ def laplacian_variance(images: np.ndarray) -> np.ndarray:
     ``GENERATE_CHUNK`` images at a time, so the temporaries do not grow with
     it; each image's score is computed on its own either way. Each chunk is
     gathered reflect-padded by one pixel, through the reflected indices of
-    the blur's first pass."""
+    the blur's band matrices."""
     images = np.asarray(images, dtype=np.float64)
     n, h, w = images.shape
     rows, cols = (_reflect_index(np.arange(-1, k + 1), k) for k in (h, w))

@@ -2,7 +2,9 @@
 
 The single-image augmentations (:func:`gaussian_blur`,
 :func:`brightness_adjust`, :func:`affine`) are the bit-exact oracles of
-``dffc.augment``'s stack operations, :func:`tampering_ratio` and
+``dffc.augment``'s stack operations (:func:`gaussian_blur` multiplies by
+the band matrices of :func:`band_matrix`, and :func:`tap_sum_blur` is its
+reference within rounding), :func:`tampering_ratio` and
 :func:`ssim` the bit-exact oracles of ``dffc.forgeries``' row-wise
 ``tampering_ratios`` and ``ssims``, :func:`base_images` and :func:`bumps`
 the bit-exact full-grid oracles of ``dffc.forgeries``' ``_base_images`` and
@@ -59,16 +61,40 @@ def _conv1d_reflect(image: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndar
     return out
 
 
+def tap_sum_blur(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Separable blur by a sum of taps over the reflect-padded image, rows
+    then columns, clipped: the reference, free of BLAS, that
+    :func:`gaussian_blur` is checked against to within rounding."""
+    out = _conv1d_reflect(image, kernel, axis=0)
+    out = _conv1d_reflect(out, kernel, axis=1)
+    return np.clip(out, 0.0, 1.0)
+
+
+def band_matrix(kernel: np.ndarray, n: int) -> np.ndarray:
+    """The ``(n, n)`` matrix that blurs each column of an ``n``-row image by
+    ``kernel`` with reflect padding: row i gains tap j at the reflection of
+    ``i + j - r``, one tap at a time in order, from zeros."""
+    r = len(kernel) // 2
+    period = max(2 * n - 2, 1)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j, tap in enumerate(kernel):
+            k = (i + j - r) % period
+            out[i, period - k if k >= n else k] += tap
+    return out
+
+
 def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur with reflect padding; sigma=0 is the identity."""
+    """Separable Gaussian blur with reflect padding, as the matrix products
+    ``K_h @ image @ K_w.T`` of :func:`band_matrix`, clipped; sigma=0 is the
+    identity. Its bits depend on the BLAS build."""
     if sigma < 0.0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
     if sigma == 0.0:
         return image.copy()
     kernel = gaussian_kernel_1d(sigma)
-    out = _conv1d_reflect(image, kernel, axis=0)
-    out = _conv1d_reflect(out, kernel, axis=1)
-    return np.clip(out, 0.0, 1.0)
+    h, w = image.shape
+    return np.clip(band_matrix(kernel, h) @ image @ band_matrix(kernel, w).T, 0.0, 1.0)
 
 
 def brightness_adjust(image: np.ndarray, delta: float) -> np.ndarray:

@@ -9,11 +9,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import affine, brightness_adjust, gaussian_blur, gaussian_kernel_1d
+from oracles import (
+    affine,
+    band_matrix,
+    brightness_adjust,
+    gaussian_blur,
+    gaussian_kernel_1d,
+    tap_sum_blur,
+)
 
 from dffc import augment
 from dffc.augment import (
     AugmentationSpec,
+    _band_matrices,
     _pad_offsets,
     _radius_runs,
     _reflect_index,
@@ -204,6 +212,70 @@ class TestBlur:
         assert np.isfinite(out).all()
         zero = AugmentationSpec(blur_sigma_range=(0.0, 0.0))
         assert out.tobytes() == augment_stack(images, zero, seeds).tobytes()
+
+
+    def test_band_product_within_rounding_of_tap_sum(self):
+        # The band product sums the taps that fold onto one column before
+        # multiplying, and BLAS orders its sums its own way, so its bits may
+        # differ from the tap sum's. Measured on these cases: at most 1.5 eps
+        # (3.3e-16) for sigmas up to 1.5 (radius 5), and 4.5 eps (1.0e-15) for
+        # radii of 2 to 3 image widths, which fold over more than one
+        # reflection period; the bounds are 2 and 5 eps.
+        eps = np.finfo(np.float64).eps
+        worst = {2: 0.0, 5: 0.0}
+        for size in range(4, 34):
+            rng = np.random.default_rng(size)
+            for w in (size, 37 - size):
+                image = rng.uniform(0, 1, (size, w))
+                narrow = rng.uniform(0.0, 1.5, 6)
+                wide = rng.uniform(2 * max(size, w) / 3, max(size, w), 2)
+                assert (np.ceil(3 * wide) > 2 * (max(size, w) - 1)).all()
+                for sigmas, ulps in ((narrow, 2), (wide, 5)):
+                    for sigma in sigmas:
+                        taps = tap_sum_blur(image, gaussian_kernel_1d(sigma))
+                        diff = np.abs(gaussian_blur(image, sigma) - taps)
+                        worst[ulps] = max(worst[ulps], diff.max())
+        assert worst[2] <= 2 * eps and worst[5] <= 5 * eps, worst
+        # Radius 0: the band matrices are identities, and both blurs the image.
+        image = np.random.default_rng(3).uniform(0, 1, (9, 5))
+        one = np.ones(1)
+        blurred = band_matrix(one, 9) @ image @ band_matrix(one, 5).T
+        assert blurred.tobytes() == image.tobytes()
+        assert tap_sum_blur(image, one).tobytes() == image.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 33])
+    def test_band_matrices_equal_the_scalar_loop(self, n):
+        # Radii up to 12 fold over several reflection periods of a small axis.
+        sigmas = np.random.default_rng(n).uniform(0.01, 4.0, 400)
+        for rows, taps in _radius_runs(sigmas):
+            if taps is None:
+                continue
+            bands = _band_matrices(taps, n)
+            for sigma, band in zip(sigmas[rows], bands):
+                assert band.tobytes() == band_matrix(gaussian_kernel_1d(sigma), n).tobytes()
+
+    @pytest.mark.parametrize("size", [(16, 16), (9, 13), (5, 5)])
+    def test_entry_bits_do_not_depend_on_its_run(self, size):
+        # Sigmas in (1, 4/3] all take radius 4, so the entries share their
+        # runs: of 1, 2, AUGMENT_CHUNK and AUGMENT_CHUNK + 1 (two runs).
+        n = augment.AUGMENT_CHUNK + 1
+        rng = np.random.default_rng(size[1])
+        images = rng.uniform(0, 1, (n,) + size)
+        sigmas = rng.uniform(1.0, 4.0 / 3.0, n)
+        assert {math.ceil(3 * s) for s in sigmas} == {4}
+        deltas = rng.uniform(-0.2, 0.2, n)
+        whole = blurred_shifted(images, sigmas, deltas)
+        expected = np.stack(
+            [brightness_adjust(gaussian_blur(i, s), d) for i, s, d in zip(images, sigmas, deltas)]
+        )
+        assert whole.tobytes() == expected.tobytes()
+        _, seeds = stack_and_seeds(n, 1, seed=size[0])
+        spec = AugmentationSpec(blur_sigma_range=(1.0, 4.0 / 3.0))
+        augmented = augment_stack(images, spec, seeds)
+        for k in (1, 2, n - 1):
+            part = blurred_shifted(images[-k:], sigmas[-k:], deltas[-k:])
+            assert part.tobytes() == whole[-k:].tobytes(), k
+            assert augment_stack(images[-k:], spec, seeds[-k:]).tobytes() == augmented[-k:].tobytes()
 
 
 class TestBrightness:

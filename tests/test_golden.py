@@ -18,9 +18,12 @@ rebuilds for every pair,
 The BLAS build can change the last bits of a matrix product, so a digest
 may differ on another machine. A failing assertion names the machine and
 BLAS build the digests came from next to the ones in use, to tell such a
-difference from real drift. The single-image oracles of ``oracles.py``
-check the augmentation on its own in ``test_augment.py``, independent of
-BLAS.
+difference from real drift. The blur is a matrix product too, in the
+package and in its single-image oracle in ``oracles.py`` alike, so
+``GOLDEN_DATASET`` and every digest of an augmented run depend on the BLAS
+build. ``test_augment.py`` checks the augmentation against those oracles
+on whatever BLAS is in use, and the oracles' blur against a sum of taps,
+which needs no BLAS, to within rounding.
 """
 
 from __future__ import annotations
@@ -49,28 +52,28 @@ GOLDEN_MACHINE = (
 GOLDEN = {
     "dffc": (
         [],
-        "68bc0503150b39dadca080c49d59d26ae2de6aeea1b3df0dd049684c65012df5",
+        "5ba48e1a08b6317d1371e4fd09ba0f82d356eb098fde4531efe957a465273c92",
     ),
     "dffc_augment_all": (
         ["augment_all=true"],
-        "6ab8008fc8c9c24a3c191a830e6ac916c8d8a10818f041368c4ae1abee490c66",
+        "613485d1934948ca8da08c5956618c2c1d01dae6b078f903b543b895c0ab5bab",
     ),
     "vanilla": (
         ["mode=vanilla"],
-        "df3ddf56dae703e56fae7b40b49e5cb9756532faefbe82d69faaf29f217feb67",
+        "4fefba3b311701adb8b037423974f2af6d13e94bf2baff8f2727063be71a8345",
     ),
     "babystep": (
         ["mode=babystep"],
-        "212c239316cfef484ae60a3a2dcdff4828c29f0588d6085e5ef96b0584b4e895",
+        "19648d11348da26c1de7b5b787f5e748683c93b9604b43ec1f9a46a88632b11f",
     ),
 }
 
 #: SHA-256 of ``pool_log.csv`` + NUL + ``hardness_state.json``, per ``GOLDEN`` config.
 GOLDEN_POOL = {
-    "dffc": "667cdaa53d8a1b00d9c621d3b6010bd3a3c5d0f9047bc3931842eb2bd7476ee7",
-    "dffc_augment_all": "fc196310e467b14cd4528ea7f6f31ffe8a3c98c2089f13e83d44cf7ddc2b8db0",
-    "vanilla": "05348ac671396d1bc36428662647b69bd3f14233e9ad0c0cd52a616b8b1dc417",
-    "babystep": "a66ce5b07ee63a16898038022a70b4e94b2f35c57ec286ac189cc05e9cfa977d",
+    "dffc": "e7c10c90e5bd5ac61a2e0224ef2d0783a529a17fa6f1d5cd787e316831a96362",
+    "dffc_augment_all": "06ee09cd2f0870129163697959e0bbd8f8cdfc29a28f2b913c48e711a8ebfcdf",
+    "vanilla": "a81a0115a956d4382391bd647b21d8e5b047455fc89a2acf3067023a0c1b311d",
+    "babystep": "ee99cb6760081955b5efd78b90304146a462016763835f9d8b6f31c43846d73a",
 }
 
 
@@ -81,23 +84,23 @@ GOLDEN_POOL = {
 GOLDEN_DATASET = {
     "default": (
         {},
-        "127204960bd48973d5f4184ad61368cd9b3a08876ac67085085983c3cde1cad8",
-        "39459c26ec47d0abd0d2fe8d22151b3826396aebb602d08fe506a41ba6bcf2ac",
+        "35bf45221594c55e146390257e09dbf06b077d1621673c3aef212b1047455f7f",
+        "4f0216c64672fbe19053579314ee6dbc36c30105ab4d727738ffcd19215679a5",
     ),
     "32px": (
         {"image_size": 32, "seed": 3},
-        "8d46ac0955891d63fd7bd2729730af1909f21e7c9daa406b9c0c8555aeada7c3",
-        "cdd0f49653ffd7590e3f99a566ecb9fc94db6079e5020f348918df3770cfbd65",
+        "8e8b1ca76e53fbc7179cc2487eed430b7a4bbcbd114db25ebfadc56d8a03abf5",
+        "9418e5e445e4bfadce2e43f584786872648c5e0b0ace0ea1a4f070a760754586",
     ),
     "5px_wide_blur": (
         {"image_size": 5, "blur_range": (0, 3), "n_train": 300, "n_test": 100, "seed": 9},
-        "bb57f71190176980a7c1d073126c295774afe5fb9f134741ddcfa74a3d5f3613",
-        "6d6f54e414ee257243df6935035d6d1d977a110b22f5bec8422e50d0befe925b",
+        "831fcc7384387106a4de0f002da397fe623c78b2d6dd0a1216a0ba84abeca788",
+        "83e194955d615f070b701ed0b5bbdb0304a3ce83617240af5253321a1d49d55a",
     ),
 }
 
 #: SHA-256 of ``extremes.json`` + NUL + ``dfh_trace.json`` for the ``SMALL`` dffc run.
-GOLDEN_EXTREMES = "501c8f9e0cafebbbdbd8d63ad695e5857dcab01b729cbfd35f10787cd8c10976"
+GOLDEN_EXTREMES = "a5b99ec630d56a5d2e298bd374c43b2d3132512307d9993078792738a6ae923d"
 
 #: SHA-256 of ``comparison.csv`` for a ``compare`` grid of vanilla and dffc
 #: over seeds 1 and 2 on the ``SMALL`` config.
