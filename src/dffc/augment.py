@@ -21,14 +21,16 @@ by sample id, as one ``(m, h, w)`` stack, so nothing the size of the whole
 call is gathered or stacked. Each entry's kernel and the reflect padding
 fold into one band matrix per axis, so the blur of a run is two batched
 matrix products, ``K_h @ X @ K_w.T``, and the shift adds each entry's
-delta. The warp reads a run with the image axis innermost, ``(h, w, m)``,
-from a copy reflect-padded just enough to hold every read, its span taken
-from the four corners of the source grid, so one flat offset per pixel
-finds all four of its corners: the next x lies ``m`` elements on, the next
-y one padded row on. A run is transposed once into that layout and once
-as its warped pixels are written into their rows of the caller's matrix
-(:func:`augment_pixels`); :func:`blur_shift` writes its runs into their
-images of the caller's stack as they are. Every entry comes out
+delta; the band matrices are filled from cached fold layers of each
+kernel width and axis length. The warp gathers a blurred ``(m, h, w)`` run
+once, with the image axis innermost, into a ``(h', w', m)`` copy
+reflect-padded just enough to hold every read, its span taken from the
+four corners of the source grid, so one flat offset per pixel finds all
+four of its corners: the next x lies ``m`` elements on, the next y one
+padded row on. A run's warped pixels are transposed once as they are
+written into their rows of the caller's matrix (:func:`augment_pixels`),
+which may be a row slice of a larger one; :func:`blur_shift` writes its
+runs into their images of the caller's stack as they are. Every entry comes out
 bit-identical to the single-image ``gaussian_blur``, ``brightness_adjust``
 and ``affine`` of ``tests/oracles.py``, whichever entries share its call
 or its run; the blur's bits, like any matrix product's, depend on the
@@ -37,6 +39,7 @@ BLAS build.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 
@@ -128,20 +131,42 @@ def _radius_runs(sigmas: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None
     return runs
 
 
+@functools.lru_cache(maxsize=64)
+def _fold_layers(size: int, n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Where the taps of a kernel of ``size`` land in the flat ``(n, n)``
+    band matrix of an axis of ``n`` pixels, split into layers: row i holds
+    tap j at column ``_reflect_index(i + j - size // 2)``, and layer k holds
+    the k-th tap, in ascending tap order, to land on each position, as the
+    positions and their taps. No position repeats within a layer, and there
+    are two layers unless the kernel folds over more than one reflection.
+
+    Cached, as read-only arrays: building the layers costs about as much
+    as filling one run's band matrices from them."""
+    at = np.arange(n)[:, None]
+    flat = at * n + _reflect_index(at + np.arange(size) - size // 2, n)
+    # Tap j's layer: how many taps before it in its row land on its column.
+    layer = np.tril(flat[:, :, None] == flat[:, None, :], -1).sum(axis=2)
+    tap = np.broadcast_to(np.arange(size), flat.shape)
+    layers = tuple((flat[layer == k], tap[layer == k]) for k in range(layer.max() + 1))
+    for array in (a for pair in layers for a in pair):
+        array.flags.writeable = False
+    return layers
+
+
 def _band_matrices(taps: np.ndarray, n: int) -> np.ndarray:
     """Each kernel of a run, ``(m, 2r + 1)``, folded with the reflect
     padding of an axis of ``n`` pixels into one ``(n, n)`` band matrix: row
     i holds tap j at column ``_reflect_index(i + j - r)``, the taps that
-    fold onto one column added in order from zero. ``K @ x`` then blurs
-    each column of ``x`` along its ``n`` rows."""
-    m, size = taps.shape
-    at = np.arange(n)[:, None]
-    # Each row's column of each tap, as a flat index into the row's matrix.
-    flat = at * n + _reflect_index(at + np.arange(size) - size // 2, n)
-    bands = np.zeros((m, n * n))
-    for j, tap in enumerate(taps.T):
-        bands[:, flat[:, j]] += tap[:, None]
-    return bands.reshape(m, n, n)
+    fold onto one column added in order from zero. Of the
+    :func:`_fold_layers`, the first is written (0 + t is t) and each later
+    one added. ``K @ x`` then blurs each column of ``x`` along its ``n``
+    rows."""
+    bands = np.zeros((len(taps), n * n))
+    (at, tap), *later = _fold_layers(taps.shape[1], n)
+    bands[:, at] = taps[:, tap]
+    for at, tap in later:
+        bands[:, at] += taps[:, tap]
+    return bands.reshape(-1, n, n)
 
 
 def _blur_shift_runs(
@@ -185,7 +210,7 @@ def blur_shift(
 
 def _pad_offsets(src: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``floor(src)`` as offsets into a reflect-padded axis of length ``n``,
-    and the frame indices that padded axis reads.
+    in float64, and the frame indices that padded axis reads.
 
     ``src`` holds one axis's source coordinates over a run's ``(h, w, m)``
     grid. Each is a rounded sum of terms monotone in x and in y, so the
@@ -197,32 +222,33 @@ def _pad_offsets(src: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     reach beyond one reflection, where ``floor`` or ``floor + 1`` leaves
     ``[1 - n, 2n - 2]``, are first folded into one period; either way the
     padded axis covers ``[min, max + 1]`` of the floors, at most ``n - 1``
-    beyond each edge (1 when ``n`` is 1).
+    beyond each edge (1 when ``n`` is 1). The offsets are small integers,
+    so every float operation on them, the fold's ``mod`` included, is exact.
     """
     corners = np.floor(src[[0, -1]][:, [0, -1]])
     lo, hi = int(corners.min()), int(corners.max()) + 1
     floor = np.floor(src)
-    idx = floor.astype(np.int64)
     src -= floor
     if lo < 1 - n or hi > 2 * n - 2:
-        np.mod(idx, max(2 * n - 2, 1), out=idx)
-        lo, hi = int(idx.min()), int(idx.max()) + 1
-    idx -= lo
-    return idx, _reflect_index(np.arange(lo, hi + 1), n)
+        np.mod(floor, max(2 * n - 2, 1), out=floor)
+        lo, hi = int(floor.min()), int(floor.max()) + 1
+    floor -= lo
+    return floor, _reflect_index(np.arange(lo, hi + 1), n)
 
 
 def _warp(run: np.ndarray, rotations: np.ndarray, dxs: np.ndarray, dys: np.ndarray) -> np.ndarray:
     """Rotation about the centre plus translation of each image of an
-    ``(h, w, m)`` run by its own angle and shift, bilinear and inverse-mapped
+    ``(m, h, w)`` run by its own angle and shift, bilinear and inverse-mapped
     with reflected reads. The output is ``(m, h*w)`` rows, a transposed view
     of the warped ``(h, w, m)`` run, and row i equals ``affine(...).ravel()``
     of ``tests/oracles.py``.
 
-    The run is reflect-padded just enough to hold every read, so one flat
-    offset per pixel finds its four corners at fixed distances. Products are
-    taken in place where that keeps the oracle's order of operations.
+    The run is gathered once, reflect-padded just enough to hold every read
+    and with the image axis innermost, so one flat offset per pixel finds
+    its four corners at fixed distances. Products are taken in place where
+    that keeps the oracle's order of operations.
     """
-    h, w, m = run.shape
+    m, h, w = run.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     thetas = np.radians(rotations)
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
@@ -234,17 +260,19 @@ def _warp(run: np.ndarray, rotations: np.ndarray, dxs: np.ndarray, dys: np.ndarr
     fy = -sin_t * u + cos_t * v
     fy += cy
     del u, v
-    offsets, x_reads = _pad_offsets(fx, w)
-    y_offsets, y_reads = _pad_offsets(fy, h)
+    x_offsets, x_reads = _pad_offsets(fx, w)
+    offsets, y_reads = _pad_offsets(fy, h)
     # The gather is C-contiguous, (y, x, image), so its flat view is no copy.
-    flat = run[y_reads[:, None], x_reads].reshape(-1)
-    # One flat offset per pixel: y (a padded row), then x, then the image.
+    flat = run.transpose(1, 2, 0)[y_reads[:, None], x_reads].reshape(-1)
+    # One flat offset per pixel: y (a padded row), then x, then the image,
+    # summed in float (exact: every offset is below 2**53) and cast once.
     y_step = len(x_reads) * m
-    y_offsets *= len(x_reads)
-    offsets += y_offsets
-    del y_offsets
+    offsets *= len(x_reads)
+    offsets += x_offsets
+    del x_offsets
     offsets *= m
     offsets += np.arange(m)
+    offsets = offsets.astype(np.int64)
     gx, gy = 1 - fx, 1 - fy
     out = np.take(flat, offsets)
     out *= gy
@@ -297,6 +325,4 @@ def augment_pixels(
         ),
     ).T
     for rows, run in _blur_shift_runs(images, ids, sigmas, deltas):
-        # The run's two transposing copies: into the layout the warp reads,
-        # and its warped pixels into their rows.
-        out[rows] = _warp(run.transpose(1, 2, 0).copy(), rotations[rows], dxs[rows], dys[rows])
+        out[rows] = _warp(run, rotations[rows], dxs[rows], dys[rows])

@@ -15,10 +15,12 @@ Each epoch trains on one :class:`pacing.EpochPool` (sample ids and augmentation
 seeds as arrays) and updates DIH with one whole-array step for the trained
 hard pool and one for the test set; the DFH it takes after that update is
 the next epoch's selection score. No epoch-sized pixel matrix is built:
-each mini-batch gathers its rows from the standardized training matrix,
-then takes its augmented entries, if it has any, from one matrix of the
-epoch's augmented rows, which one call of ``augment_pixels`` per epoch
-fills with pixels run by run. The input transform of
+a run keeps one row store, its n standardized training rows followed by
+the epoch's augmented rows, which one call of ``augment_pixels`` per epoch
+fills with pixels run by run; the store grows, by one copy, only when an
+epoch augments more entries than it holds rows for. Each mini-batch is
+one gather from the store, every entry pointed at its training row or, if
+augmented, at its augmented row. The input transform of
 :func:`fit_input_transform` standardizes only whole matrices: the
 training and test matrices once, and each epoch's augmented rows in
 place. Each batch's update is made in place, and the epoch's
@@ -302,7 +304,10 @@ def run_training(
 
     params = init_params(d, config.hidden_units, config.seed)
     to_input = fit_input_transform(train.images)
-    X_train = to_input(train.images)
+    # The run's row store: the n standardized training rows, then the
+    # current epoch's augmented rows. It grows, by one copy, only when an
+    # epoch augments more entries than it holds rows for.
+    X_rows = to_input(train.images)
     X_test = to_input(test.images)
 
     # Nothing changes the hardness state between one epoch's update and the
@@ -327,32 +332,35 @@ def run_training(
                 config.seed, t, ids[originals], salt=1
             )
 
-        # The augmented entries' pixels, made in one call and standardized in
-        # place; each batch gathers its rows from X_train, then overwrites its
-        # augmented ones.
+        # The augmented entries' pixels, made in one call into the store's
+        # rows after the training rows and standardized in place; rows[i] is
+        # entry i's row of the store.
         augmented = np.flatnonzero(seeds >= 0)
-        X_augmented = np.empty((len(augmented), d))
+        end = n + len(augmented)
+        if end > len(X_rows):
+            grown = np.empty((end, d))
+            grown[:n] = X_rows[:n]
+            X_rows = grown
+        rows = ids.copy()
+        rows[augmented] = np.arange(n, end)
         if len(augmented):
+            X_augmented = X_rows[n:end]
             augment_pixels(
                 train.images, ids[augmented], config.augment, seeds[augmented], X_augmented
             )
             to_input(X_augmented, out=X_augmented)
 
-        # Mini-batch SGD; each batch's probabilities are kept from before
-        # its update, and the epoch's losses are taken from them in one
-        # elementwise call. Batch k's augmented entries are
-        # augmented[edges[k]:edges[k + 1]].
-        starts = range(0, len(ids), config.batch_size)
-        edges = np.searchsorted(augmented, [*starts, len(ids)]).tolist()
+        # Mini-batch SGD, one gather from the store per batch; each batch's
+        # probabilities are kept from before its update, and the epoch's
+        # losses are taken from them in one elementwise call.
         y_epoch = train.targets[ids]
         epoch_probs = np.empty(len(ids))
         with _diverges(t, lambda: f"SGD diverged in the batch from entry {start}", config.eta_max):
-            for start, lo, hi in zip(starts, edges, edges[1:]):
+            for start in range(0, len(ids), config.batch_size):
                 stop = start + config.batch_size
-                Xb = X_train[ids[start:stop]]
-                if lo < hi:
-                    Xb[augmented[lo:hi] - start] = X_augmented[lo:hi]
-                grads, epoch_probs[start:stop] = gradients(params, Xb, y_epoch[start:stop])
+                grads, epoch_probs[start:stop] = gradients(
+                    params, X_rows[rows[start:stop]], y_epoch[start:stop]
+                )
                 params = sgd_step(params, grads, eta)
         epoch_losses = bce_loss(epoch_probs, y_epoch)
         bad = np.flatnonzero(~np.isfinite(epoch_losses))

@@ -486,6 +486,22 @@ class TestAugmentStack:
         expected = np.stack([oracle(images[i], spec, s).ravel() for i, s in zip(ids, seeds)])
         assert out.tobytes() == expected.tobytes()
 
+    def test_writes_into_a_row_slice_of_a_larger_matrix(self):
+        # As training does: the epoch's augmented rows follow the training
+        # rows of one store, and every other row is left as it was.
+        images, _ = stack_and_seeds(30, 9, seed=27)
+        ids = np.array([4, 0, 29, 4, 17, 8, 8, 11])
+        _, seeds = stack_and_seeds(len(ids), 1, seed=28)
+        spec = AugmentationSpec(blur_sigma_range=(0.0, 2.0))
+        alone = np.empty((len(ids), 81))
+        augment_pixels(images, ids, spec, seeds, alone)
+        store = np.random.default_rng(29).uniform(-1, 1, (20, 81))
+        before = store.copy()
+        augment_pixels(images, ids, spec, seeds, store[7:15])
+        assert store[7:15].tobytes() == alone.tobytes()
+        assert store[:7].tobytes() == before[:7].tobytes()
+        assert store[15:].tobytes() == before[15:].tobytes()
+
     @pytest.mark.parametrize(
         "n_ids, n_seeds, n_rows", [(2, 3, 3), (3, 2, 3), (3, 3, 2)]
     )
@@ -553,6 +569,31 @@ class TestReadSpan:
             for part in [slice(None)] + [slice(i, i + 1) for i in range(len(turns))]:
                 for src, floor, n in ((fx, floors[0], w), (fy, floors[1], h)):
                     self.check_span(src[..., part], floor[..., part], n)
+
+    @pytest.mark.parametrize("h, w", [(16, 16), (5, 7), (1, 6), (6, 1), (1, 1)])
+    def test_float_offsets_read_what_the_int64_floors_read(self, h, w):
+        # The oracle floors each coordinate to int64 and subtracts that; the
+        # warp keeps the floors in float64. Both must give the same fraction,
+        # and each offset must be an exact integer whose padded reads are the
+        # oracle's reflected floor and floor + 1: unrotated, at turns whose
+        # cosine is negative, and at shifts whose reads fold.
+        rng = np.random.default_rng(h * 10 + w)
+        turns = np.array([0.0, 100.0, 135.0, 180.0, -120.0, -180.0, 225.0])
+        rotations = np.concatenate([turns, rng.uniform(-720.0, 720.0, 60)])
+        m = len(rotations)
+        for scale in (0.0, 2.5, 3.0 * max(h, w), 1e6, 2.0**62):
+            dxs, dys = (rng.uniform(-scale, scale, m) for _ in range(2))
+            for src, n in zip(source_grid(h, w, rotations, dxs, dys), (w, h)):
+                floor = np.floor(src).astype(np.int64)
+                fraction = src - floor
+                work = src.copy()
+                offsets, reads = _pad_offsets(work, n)
+                assert offsets.dtype == np.float64
+                at = offsets.astype(np.int64)
+                assert (at == offsets).all()
+                assert work.tobytes() == fraction.tobytes()
+                np.testing.assert_array_equal(reads[at], _reflect_index(floor, n))
+                np.testing.assert_array_equal(reads[at + 1], _reflect_index(floor + 1, n))
 
     @staticmethod
     def check_span(src, floor, n):

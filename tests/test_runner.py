@@ -21,6 +21,7 @@ holds the run-record formats.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -402,6 +403,53 @@ class TestEpochAssembly:
         chunked = runner.run_training(small_run_config)
         assert metrics_text(chunked) == metrics_text(reference)
         assert_pool_streams_equal(chunked, reference)
+
+    @pytest.mark.parametrize("augment_all", [False, True])
+    def test_row_store_feeds_the_batches_of_a_separate_augmented_matrix(
+        self, small_run_config, monkeypatch, augment_all
+    ):
+        # Each batch is one gather from the run's row store. It must equal the
+        # batch gathered from the standardized training matrix with its
+        # augmented rows overwritten from the epoch's own augment_pixels
+        # output. Under augment_all the store grows in epoch 1; epoch 3's
+        # hard and easy parts overlap.
+        config = dataclasses.replace(small_run_config, augment_all=augment_all)
+        real_gradients, batches = runner.gradients, []
+
+        def spy(params, X, y):
+            batches.append(X.copy())
+            return real_gradients(params, X, y)
+
+        monkeypatch.setattr(runner, "gradients", spy)
+        result = runner.run_training(config)
+        train, _ = generate_dataset(config.dataset)
+        to_input = runner.fit_input_transform(train.images)
+        X_train = to_input(train.images)
+        batches = iter(batches)
+        for t, pool in enumerate(pools(result), start=1):
+            ids, seeds = pool.entries, pool.seeds.copy()
+            originals = seeds < 0
+            if augment_all:
+                seeds[originals] = pacing.derive_augmentation_seed(
+                    config.seed, t, ids[originals], salt=1
+                )
+            augmented = np.flatnonzero(seeds >= 0)
+            X_augmented = np.empty((len(augmented), X_train.shape[1]))
+            if len(augmented):
+                augment.augment_pixels(
+                    train.images, ids[augmented], config.augment, seeds[augmented], X_augmented
+                )
+                to_input(X_augmented, out=X_augmented)
+            if t == 1:
+                assert len(augmented) == (len(ids) if augment_all else 0)
+            for start in range(0, len(ids), config.batch_size):
+                stop = start + config.batch_size
+                expected = X_train[ids[start:stop]]
+                mine = (augmented >= start) & (augmented < stop)
+                expected[augmented[mine] - start] = X_augmented[mine]
+                assert next(batches).tobytes() == expected.tobytes(), (t, start)
+        assert next(batches, None) is None
+        assert result.epochs[2]["overlap"] > 0
 
     def test_non_finite_epoch_loss_rejected(self, small_run_config, monkeypatch):
         real_bce = runner.bce_loss
