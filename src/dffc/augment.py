@@ -222,8 +222,9 @@ def _pad_offsets(src: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     reach beyond one reflection, where ``floor`` or ``floor + 1`` leaves
     ``[1 - n, 2n - 2]``, are first folded into one period; either way the
     padded axis covers ``[min, max + 1]`` of the floors, at most ``n - 1``
-    beyond each edge (1 when ``n`` is 1). The offsets are small integers,
-    so every float operation on them, the fold's ``mod`` included, is exact.
+    beyond each edge (1 when ``n`` is 1). Every floor is an integer that
+    float64 holds exactly, so the fold's ``mod`` and the shift by the least
+    floor are exact too.
     """
     corners = np.floor(src[[0, -1]][:, [0, -1]])
     lo, hi = int(corners.min()), int(corners.max()) + 1
