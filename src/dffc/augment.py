@@ -3,16 +3,16 @@
 Images are float64 stacks ``(n, h, w)`` in [0, 1]. The three operations
 (Gaussian blur, brightness shift, affine warp) are applied in that fixed
 order by :func:`augment_pixels`; every parameter is drawn from the spec
-ranges by a stream keyed by the entry's seed, so augmentation is fully
-reproducible. The streams are numpy's: entry i's five draws are
-``default_rng(seed_i).uniform(lo, hi)`` in order (SeedSequence, then
-PCG64), computed for the whole stack at once by :mod:`dffc.streams`.
-A seed must lie in 0..2**64 - 1.
+ranges by numpy's ``default_rng`` keyed by the entry's seed, so
+augmentation is fully reproducible. Entry i's five draws are row ``ids[i]``
+of one table per seed, ``default_rng(seed).uniform(lo, hi, size=(n, 5))``
+(:func:`table_rows`): numpy fills a table row by row, so an entry's draws
+depend on its seed and its sample id alone.
 
 :func:`augment_pixels` augments every easy-pool copy of an epoch in one
-call, each entry one sample id of the source stack with its own seed, and
+call, each entry one sample id of the source stack with its seed, and
 writes each entry's augmented pixels, flattened, into its row of a matrix
-the caller holds. It draws every entry's parameters in one step. Its blur,
+the caller holds. It draws one table per distinct seed. Its blur,
 shift and clip are one pipeline, which also post-processes the synthetic
 dataset (:func:`blur_shift`): the entries go widest blur radius first, in
 runs of one radius and at most ``AUGMENT_CHUNK`` entries, with the kernels
@@ -45,7 +45,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from dffc import streams
 from dffc.errors import ConfigError, check_range
 
 #: Most entries per run of the blur-and-shift pipeline. Each run is gathered,
@@ -79,6 +78,24 @@ class AugmentationSpec:
             raise ConfigError(
                 f"translation_range_pixels: need |lo| and |hi| at most 2**62, got ({lo}, {hi})"
             )
+
+
+def table_rows(key, bounds: Sequence[tuple[float, float]], ids: np.ndarray, n: int) -> np.ndarray:
+    """Rows ``ids`` of the ``(n, len(bounds))`` table
+    ``default_rng(key).uniform(lo, hi)``, column j drawn in ``bounds[j]``.
+
+    numpy fills the table row by row, so row p depends only on the key and
+    on p, not on ``n`` or on the other ids, and only the rows up to the
+    greatest id are drawn. An id outside ``0..n - 1`` raises a
+    ``ValueError`` that names it.
+    """
+    ids = np.asarray(ids)
+    bad = ids[(ids < 0) | (ids >= n)]
+    if len(bad):
+        raise ValueError(f"id {bad[0]} outside 0..{n - 1}")
+    lo, hi = np.array(bounds, dtype=np.float64).T
+    rows = int(ids.max()) + 1 if len(ids) else 0
+    return np.random.default_rng(key).uniform(lo, hi, size=(rows, len(lo)))[ids]
 
 
 def _reflect_index(idx: np.ndarray, n: int) -> np.ndarray:
@@ -301,12 +318,11 @@ def augment_pixels(
     write each result's pixels, flattened, into its row of ``out``.
 
     Entry ``i`` augments ``images[ids[i]]`` of the ``(n, h, w)`` stack with
-    the five parameters drawn from ``default_rng(seeds[i])``, computed for
-    every entry at once by :func:`streams.uniforms`; an id may repeat.
-    ``out[i]`` receives ``h * w`` pixels, bit-identical to ``affine(
-    brightness_adjust(gaussian_blur(images[ids[i]], sigma), delta), theta,
-    dx, dy).ravel()`` of ``tests/oracles.py``, whichever entries share the
-    call.
+    the five parameters in row ``ids[i]`` of ``seeds[i]``'s table
+    (:func:`table_rows`); an id may repeat. ``out[i]`` receives ``h * w``
+    pixels, bit-identical to ``affine(brightness_adjust(gaussian_blur(
+    images[ids[i]], sigma), delta), theta, dx, dy).ravel()`` of
+    ``tests/oracles.py``, whichever entries share the call.
     """
     images = np.asarray(images, dtype=np.float64)
     ids = np.asarray(ids)
@@ -315,15 +331,18 @@ def augment_pixels(
             f"expected an (n, h, w) stack and as many seeds and out rows as ids, got "
             f"shape {images.shape}, {len(ids)} ids, {len(seeds)} seeds and {len(out)} out rows"
         )
-    sigmas, deltas, rotations, dxs, dys = streams.uniforms(
-        (seeds,),
-        (
-            spec.blur_sigma_range,
-            spec.brightness_range,
-            spec.rotation_range_degrees,
-            spec.translation_range_pixels,
-            spec.translation_range_pixels,
-        ),
-    ).T
+    bounds = (
+        spec.blur_sigma_range,
+        spec.brightness_range,
+        spec.rotation_range_degrees,
+        spec.translation_range_pixels,
+        spec.translation_range_pixels,
+    )
+    draws = np.empty((len(ids), len(bounds)))
+    keys, which = np.unique(np.asarray(seeds), return_inverse=True)
+    for k, key in enumerate(keys):
+        at = which == k
+        draws[at] = table_rows(int(key), bounds, ids[at], len(images))
+    sigmas, deltas, rotations, dxs, dys = draws.T
     for rows, run in _blur_shift_runs(images, ids, sigmas, deltas):
         out[rows] = _warp(run, rotations[rows], dxs[rows], dys[rows])

@@ -244,6 +244,9 @@ COMPARISON_COLUMNS = ("mode", "augment_all", "seed", "final_acc", "final_auc", "
 
 TRACE_START_EPOCH = 3
 TRACE_GROUP_SIZE = 5
+#: The spawn key of the ``median`` ids' draw. Each keyed stream of the lab
+#: has its own (README, "Random streams").
+TRACE_STREAM = 3
 
 
 def csv_text(columns: tuple[str, ...], rows: list[dict]) -> str:
@@ -257,8 +260,9 @@ def trace_groups(epochs: list[dict], seed: int) -> dict[str, list[int]]:
     """The ids ``dfh_trace.json`` traces, picked by their DFH in the record of
     epoch ``TRACE_START_EPOCH``: the ``top`` and ``bottom`` ``TRACE_GROUP_SIZE``
     (at most a third of the samples, at least one), and as many ``median``
-    ids drawn, seeded by the run's ``seed``, from the middle third less
-    those. ``{}`` for a run shorter than ``TRACE_START_EPOCH`` epochs."""
+    ids drawn by ``SeedSequence(seed, spawn_key=(TRACE_STREAM,))``, ``seed``
+    the run's, from the middle third less those. ``{}`` for a run shorter
+    than ``TRACE_START_EPOCH`` epochs."""
     if len(epochs) < TRACE_START_EPOCH:
         return {}
     order = np.argsort(epochs[TRACE_START_EPOCH - 1]["dfh"], kind="stable")
@@ -268,7 +272,7 @@ def trace_groups(epochs: list[dict], seed: int) -> dict[str, list[int]]:
     mid_lo, mid_hi = n // 3, max(n // 3 + 1, 2 * n // 3)
     pool = order[mid_lo:mid_hi]
     pool = pool[~np.isin(pool, np.concatenate([bottom, top]))]
-    rng = np.random.default_rng((seed, 7))
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(TRACE_STREAM,)))
     median = np.sort(pool[rng.choice(len(pool), size=min(k, len(pool)), replace=False)])
     return {"top": top.tolist(), "bottom": bottom.tolist(), "median": median.tolist()}
 

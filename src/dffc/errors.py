@@ -6,8 +6,6 @@ import math
 import sys
 import typing
 
-from dffc import streams
-
 
 class ConfigError(ValueError):
     """A run, dataset, augmentation or schedule configuration failed validation."""
@@ -33,9 +31,9 @@ def check_blur_bound(name: str, bounds: tuple, size_name: str, size: int) -> Non
 
 
 def check_seed(name: str, seed: int) -> None:
-    """A :class:`ConfigError` naming ``name`` unless ``seed`` can key a stream
-    of :mod:`dffc.streams`: 0..2**64 - 1."""
-    if not 0 <= seed < streams.KEY_LIMIT:
+    """A :class:`ConfigError` naming ``name`` unless ``seed`` is in the lab's
+    seed range, 0..2**64 - 1: one or two uint32 words of a numpy ``SeedSequence``."""
+    if not 0 <= seed < 2**64:
         raise ConfigError(f"{name} must be in 0..2**64 - 1, got {seed}")
 
 

@@ -14,10 +14,13 @@ row layout, real in row ``2p`` and fake in row ``2p + 1``. The clean
 analyses compare, are not stored: :func:`clean_pairs` rebuilds those of
 any pairs on demand, together with their ground truth, by the code path
 that generation post-processes. The tamper mask is where a fake's clean
-image differs from its real's. Pair p draws its 24 parameters from its own
-stream, numpy's ``default_rng((seed, split, p))`` (split 0 for train, 1 for
-test), computed for every pair of a split at once by :mod:`dffc.streams`;
-the images are then built a :data:`GENERATE_CHUNK` of pairs at a time,
+image differs from its real's. Pair p's 24 parameters are row p of its
+split's table, ``default_rng(key).uniform(lo, hi, size=(n_pairs, 24))``
+with the key ``SeedSequence(seed, spawn_key=(PAIR_STREAM, split))`` (split
+0 for train, 1 for test), drawn once per split by
+``augment.table_rows``; numpy fills the table row by row, so a pair's
+draws depend only on the seed, the split and p. The images are then built
+a :data:`GENERATE_CHUNK` of pairs at a time,
 and each chunk is post-processed straight into its rows of the split, so
 only the post-processed images are kept. Each cosine of a base image or
 an artifact is taken once per distinct argument (per wave number, row or
@@ -36,8 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from dffc import streams
-from dffc.augment import _reflect_index, blur_shift
+from dffc.augment import _reflect_index, blur_shift, table_rows
 from dffc.errors import ConfigError, check_blur_bound, check_float64_count, check_range, check_seed
 
 LABEL_REAL = "real"
@@ -46,8 +48,12 @@ LABEL_FAKE = "fake"
 #: Mimics 8-bit quantization on unit-range pixels.
 DEFAULT_TAR_THRESHOLD = 1.0 / 255.0
 
-#: The split codes of the pair streams ``(seed, split, p)``.
+#: The split codes of the pair tables.
 TRAIN_SPLIT, TEST_SPLIT = 0, 1
+
+#: The first spawn-key word of the pair tables' keys. Each keyed stream of
+#: the lab has its own (README, "Random streams").
+PAIR_STREAM = 1
 
 
 @dataclass(frozen=True)
@@ -217,25 +223,23 @@ def clean_pairs(
     post-processing, the pristine base for a real and base plus artifact
     for a fake; the other arrays hold each row's artifact amplitude (0.0
     for a real), blur sigma and brightness delta. Pair p's rows depend only
-    on its stream ``(config.seed, split_code, p)``, so they are the same
-    whatever the other ids are.
+    on ``config.seed``, ``split_code`` and p, so they are the same whatever
+    the other ids are. An id outside ``0..n_pairs - 1`` raises a
+    ``ValueError`` that names it.
     """
     return _build_pairs(_pair_draws(config, split_code, pair_ids), config.image_size)
 
 
 def _pair_draws(config: DatasetConfig, split_code: int, pair_ids: np.ndarray) -> np.ndarray:
-    """Each pair's uniforms, one row per id, in the column layout of :func:`_build_pairs`.
-
-    Generation draws each split in one call: a call costs about 1.6 ms at
-    128 ids and 2.2 ms at 1000 (2-CPU Xeon), and drawing a chunk at a time
-    made the 16 px default ``generate_dataset`` a third slower.
-    """
+    """Each pair's uniforms, one row per id, in the column layout of
+    :func:`_build_pairs`: rows of the split's table."""
     size = config.image_size
     centre, radius = (0.25 * size, 0.75 * size), (0.33 * size, 0.45 * size)
     phase = (0.0, 2.0 * np.pi)
     bounds = [(0.2, 1.0), phase] * len(_MODES) + [centre, centre, radius, radius, phase]
     bounds += [config.amplitude_range] + [config.blur_range, config.brightness_range] * 2
-    return streams.uniforms((config.seed, split_code, np.asarray(pair_ids)), bounds)
+    key = np.random.SeedSequence(config.seed, spawn_key=(PAIR_STREAM, split_code))
+    return table_rows(key, bounds, pair_ids, config.split_size(split_code) // 2)
 
 
 def _build_pairs(

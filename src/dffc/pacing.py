@@ -8,11 +8,10 @@ data diverse. A static "easiest-first, growing prefix" baseline
 (BabyStep) is also provided.
 
 A pool is two int64 arrays in training order: each entry's sample id and
-its augmentation seed, -1 for an original. The seed of an entry is
-numpy's ``SeedSequence((rng_seed, t, id, salt)).generate_state(1)[0]``
-(salt 0 for the easy pool, 1 for the originals under ``augment_all``),
-computed for a whole epoch as one array by :mod:`dffc.streams`;
-``rng_seed`` must be below 2**64 and ids below 2**32. A pool's composition
+its augmentation seed, -1 for an original. An epoch has one seed per salt
+(0 for the easy pool, 1 for the originals under ``augment_all``), from
+:func:`derive_augmentation_seed`; an entry's draws are its sample id's row
+of that seed's table (``augment.table_rows``). A pool's composition
 (its distinct hard and easy ids and their overlap) is counted over boolean
 masks of the samples, in linear time. Everything here is a
 pure function of its inputs; given the same seed the resulting pool is
@@ -29,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dffc import streams
 from dffc.errors import ConfigError
 
 
@@ -93,14 +91,19 @@ def select_easy_pool(dfh_scores: np.ndarray, e: int) -> np.ndarray:
     return _ranked_ids(dfh_scores, e, largest=False)
 
 
+#: The first spawn-key word of the augmentation seeds' key. Each keyed
+#: stream of the lab has its own (README, "Random streams").
+AUGMENT_STREAM = 2
+
+
 @dataclass(frozen=True, eq=False)
 class EpochPool:
     """One epoch's training entries, in training order.
 
     ``entries[j]`` is the sample id of entry ``j`` and ``seeds[j]`` its
-    augmentation seed, or -1 for an unaugmented original. Seeds come from
-    ``generate_state(1)`` as uint32 values, so -1 is never a seed. The
-    originals are the hard pool and the augmented copies the easy pool.
+    augmentation seed, the epoch's one :func:`derive_augmentation_seed`, or
+    -1 for an unaugmented original. The originals are the hard pool and the
+    augmented copies the easy pool.
     """
 
     entries: np.ndarray
@@ -119,15 +122,12 @@ class EpochPool:
         return tuple(int(np.count_nonzero(mask)) for mask in (hard, easy, hard & easy))
 
 
-def derive_augmentation_seed(rng_seed: int, t: int, ids: np.ndarray, salt: int = 0) -> np.ndarray:
-    """The int64 augmentation seed of each id of an array,
-    ``SeedSequence((rng_seed, t, id, salt)).generate_state(1)[0]``, computed
-    for every id at once by :func:`streams.derived_seeds`.
-
-    ``rng_seed`` must be below 2**64 and every id below 2**32; anything else
-    raises a ``ValueError``.
-    """
-    return streams.derived_seeds((rng_seed, t, ids, salt))
+def derive_augmentation_seed(rng_seed: int, t: int, salt: int = 0) -> int:
+    """The augmentation seed of epoch ``t``'s entries of one salt,
+    ``SeedSequence(rng_seed, spawn_key=(AUGMENT_STREAM, t, salt))
+    .generate_state(1)[0]``: a uint32, so never -1."""
+    key = np.random.SeedSequence(rng_seed, spawn_key=(AUGMENT_STREAM, t, salt))
+    return int(key.generate_state(1)[0])
 
 
 def _shuffled(ids: np.ndarray, seeds: np.ndarray, rng_seed: int, t: int) -> EpochPool:
@@ -162,7 +162,7 @@ def build_epoch_pool(
 
     Warm-up epochs train on the whole dataset. Afterwards the pool mixes
     the top-k hard samples (originals) with the bottom-E easy samples
-    (augmented copies, each with its own derived seed). The easy pool is
+    (augmented copies, all with the epoch's seed of salt 0). The easy pool is
     drawn from the full dataset, so in degenerate configurations a sample
     can appear twice: once raw and once augmented.
     """
@@ -173,7 +173,7 @@ def build_epoch_pool(
     hard = select_hard_pool(dfh_scores, pool_size_at_epoch(n, t, milestones, alpha_k))
     easy = select_easy_pool(dfh_scores, min(easy_pool_size, n))
     seeds = np.full(len(hard) + len(easy), -1, dtype=np.int64)
-    seeds[len(hard) :] = derive_augmentation_seed(rng_seed, t, easy)
+    seeds[len(hard) :] = derive_augmentation_seed(rng_seed, t)
     return _shuffled(np.concatenate([hard, easy]), seeds, rng_seed, t)
 
 

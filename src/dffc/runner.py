@@ -328,9 +328,7 @@ def run_training(
         seeds = pool.seeds
         if config.augment_all:
             seeds = seeds.copy()
-            seeds[originals] = pacing.derive_augmentation_seed(
-                config.seed, t, ids[originals], salt=1
-            )
+            seeds[originals] = pacing.derive_augmentation_seed(config.seed, t, salt=1)
 
         # The augmented entries' pixels, made in one call into the store's
         # rows after the training rows and standardized in place; rows[i] is

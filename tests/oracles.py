@@ -22,6 +22,10 @@ writes, :func:`brute_force_topk` is the sorting reference of
 sort-based references of ``EpochPool.composition``,
 :func:`assert_pools_equal` compares two epoch pools and
 :func:`assert_pool_streams_equal` two runs' epoch records.
+:func:`augmentation_draws` and :func:`pair_draws` are the scalar-loop
+oracles of the keyed draw tables of ``dffc.augment`` and
+``dffc.forgeries``: one ``rng.uniform(lo, hi)`` call per draw, through
+:func:`table_row`.
 """
 
 from __future__ import annotations
@@ -131,6 +135,38 @@ def affine(image: np.ndarray, rotation_degrees: float, dx: float, dy: float) -> 
         + image[y1r, x1r] * fy * fx
     )
     return np.clip(out, 0.0, 1.0)
+
+
+def table_row(key, bounds, row: int) -> list[float]:
+    """Row ``row`` of the table of draws keyed by ``key``: the last of
+    ``row + 1`` rows of scalar ``rng.uniform(lo, hi)`` calls, one per bound
+    in order, from ``rng = np.random.default_rng(key)``."""
+    rng = np.random.default_rng(key)
+    for _ in range(row + 1):
+        draws = [rng.uniform(lo, hi) for lo, hi in bounds]
+    return draws
+
+
+def augmentation_draws(spec, seed: int, sample_id: int) -> list[float]:
+    """Blur sigma, brightness delta, angle, dx and dy of sample ``sample_id``
+    augmented under ``seed``."""
+    shift = spec.translation_range_pixels
+    bounds = (spec.blur_sigma_range, spec.brightness_range, spec.rotation_range_degrees)
+    return table_row(seed, (*bounds, shift, shift), sample_id)
+
+
+def pair_draws(config, split_code: int, pair: int) -> list[float]:
+    """The 24 uniforms of pair ``pair`` of a split, in draw order: (amplitude,
+    phase) per base mode, the bump's cx, cy, rx, ry and phase, the artifact
+    amplitude, then (blur sigma, brightness delta) of the real and of the
+    fake. The key is the README's: the dataset seed, then the spawn key
+    (1, split)."""
+    size, phase = config.image_size, (0.0, 2.0 * np.pi)
+    centre, radius = (0.25 * size, 0.75 * size), (0.33 * size, 0.45 * size)
+    bounds = [(0.2, 1.0), phase] * len(_MODES) + [centre, centre, radius, radius, phase]
+    bounds += [config.amplitude_range] + [config.blur_range, config.brightness_range] * 2
+    key = np.random.SeedSequence(config.seed, spawn_key=(1, split_code))
+    return table_row(key, bounds, pair)
 
 
 def tampering_ratio(fake: np.ndarray, real: np.ndarray) -> float:

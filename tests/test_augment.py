@@ -2,7 +2,8 @@
 seeded determinism, and ``augment_pixels`` checked for exact equality
 against the single-image operations of ``oracles.py``. Most tests read
 ``augment_pixels`` through :func:`augment_stack`, which augments each image
-of a stack by its own seed and returns the rows as a stack again."""
+of a stack by its own seed and returns the rows as a stack again. Each
+entry's draws come from the scalar-loop oracle ``augmentation_draws``."""
 
 import math
 import tracemalloc
@@ -11,10 +12,12 @@ import numpy as np
 import pytest
 from oracles import (
     affine,
+    augmentation_draws,
     band_matrix,
     brightness_adjust,
     gaussian_blur,
     gaussian_kernel_1d,
+    table_row,
     tap_sum_blur,
 )
 
@@ -27,15 +30,21 @@ from dffc.augment import (
     _reflect_index,
     augment_pixels,
     blur_shift,
+    table_rows,
 )
 from dffc.errors import ConfigError
 
 
 def augment_stack(images: np.ndarray, spec: AugmentationSpec, seeds) -> np.ndarray:
     """Each image of an ``(n, h, w)`` stack augmented by its own seed, as a stack."""
-    out = np.empty((len(images), images[0].size))
-    augment_pixels(images, np.arange(len(images)), spec, seeds, out)
-    return out.reshape(images.shape)
+    return augment_ids(images, np.arange(len(images)), spec, seeds).reshape(images.shape)
+
+
+def augment_ids(images: np.ndarray, ids, spec: AugmentationSpec, seeds) -> np.ndarray:
+    """``augment_pixels`` of the entries ``ids`` of a stack, as fresh rows."""
+    out = np.empty((len(ids), images[0].size))
+    augment_pixels(images, np.asarray(ids), spec, seeds, out)
+    return out
 
 
 def blurred_shifted(images: np.ndarray, sigmas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
@@ -275,7 +284,8 @@ class TestBlur:
         for k in (1, 2, n - 1):
             part = blurred_shifted(images[-k:], sigmas[-k:], deltas[-k:])
             assert part.tobytes() == whole[-k:].tobytes(), k
-            assert augment_stack(images[-k:], spec, seeds[-k:]).tobytes() == augmented[-k:].tobytes()
+            part = augment_ids(images, np.arange(n - k, n), spec, seeds[-k:])
+            assert part.tobytes() == augmented[-k:].reshape(k, -1).tobytes(), k
 
 
 class TestBrightness:
@@ -386,21 +396,48 @@ class TestAugmentPixels:
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
-def oracle(image: np.ndarray, spec: AugmentationSpec, seed: int) -> np.ndarray:
-    """One image through the single-image operations, with ``seed``'s draws."""
-    rng = np.random.default_rng(seed)
-    sigma = rng.uniform(*spec.blur_sigma_range)
-    delta = rng.uniform(*spec.brightness_range)
-    theta = rng.uniform(*spec.rotation_range_degrees)
-    dx = rng.uniform(*spec.translation_range_pixels)
-    dy = rng.uniform(*spec.translation_range_pixels)
+def oracle(image: np.ndarray, spec: AugmentationSpec, seed: int, sample_id: int) -> np.ndarray:
+    """One image through the single-image operations, with the draws of
+    sample ``sample_id`` under ``seed``."""
+    sigma, delta, theta, dx, dy = augmentation_draws(spec, seed, sample_id)
     return affine(brightness_adjust(gaussian_blur(image, sigma), delta), theta, dx, dy)
+
+
+def oracle_stack(images: np.ndarray, spec: AugmentationSpec, seeds) -> np.ndarray:
+    """:func:`oracle` of each image of a stack, image i as sample i."""
+    return np.stack([oracle(img, spec, s, i) for i, (img, s) in enumerate(zip(images, seeds))])
 
 
 def stack_and_seeds(n: int, size: int, seed: int) -> tuple[np.ndarray, list[int]]:
     rng = np.random.default_rng(seed)
     images = rng.uniform(0, 1, (n, size, size))
     return images, [int(s) for s in rng.integers(0, 2**63, n)]
+
+
+class TestTableRows:
+    """Rows of a keyed table of uniforms against the scalar-loop oracle."""
+
+    BOUNDS = ((0.0, 1.5), (-0.15, 0.15), (-10.0, 10.0), (-2.0, 2.0), (3.0, 3.0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    def test_rows_match_the_scalar_loop(self, seed):
+        ids = np.array([0, 40, 3, 3, 99, 1])
+        got = table_rows(seed, self.BOUNDS, ids, 100)
+        assert got.shape == (len(ids), len(self.BOUNDS))
+        for i, row in zip(ids, got):
+            assert row.tolist() == table_row(seed, self.BOUNDS, int(i))
+
+    def test_a_row_does_not_depend_on_the_table_or_the_other_ids(self):
+        key = np.random.SeedSequence(5, spawn_key=(9,))
+        alone = table_rows(key, self.BOUNDS, np.array([17]), 18)
+        among = table_rows(key, self.BOUNDS, np.array([50, 17, 2]), 5000)
+        assert alone[0].tobytes() == among[1].tobytes()
+
+    def test_ids_outside_the_table_rejected(self):
+        for bad in (-1, 30):
+            with pytest.raises(ValueError, match=rf"^id {bad} outside 0\.\.29$"):
+                table_rows(3, self.BOUNDS, np.array([2, bad]), 30)
+        assert table_rows(3, self.BOUNDS, np.zeros(0, np.int64), 30).shape == (0, 5)
 
 
 class TestAugmentStack:
@@ -434,7 +471,7 @@ class TestAugmentStack:
         images, seeds = stack_and_seeds(40, max(h, w), seed=h)
         images = images[:, :h, :w]
         out = augment_stack(images, spec, seeds)
-        expected = np.stack([oracle(img, spec, s) for img, s in zip(images, seeds)])
+        expected = oracle_stack(images, spec, seeds)
         assert out.shape == images.shape
         np.testing.assert_array_equal(out, expected)
 
@@ -442,22 +479,27 @@ class TestAugmentStack:
         images, seeds = stack_and_seeds(64, 16, seed=11)
         spec = AugmentationSpec()
         radii = set()
-        for s in seeds:
-            sigma = np.random.default_rng(s).uniform(*spec.blur_sigma_range)
+        for i, s in enumerate(seeds):
+            sigma = augmentation_draws(spec, s, i)[0]
             radii.add(len(gaussian_kernel_1d(sigma)) // 2)
         assert len(radii) >= 4
-        expected = np.stack([oracle(img, spec, s) for img, s in zip(images, seeds)])
+        expected = oracle_stack(images, spec, seeds)
         np.testing.assert_array_equal(augment_stack(images, spec, seeds), expected)
 
-    def test_output_does_not_depend_on_chunk_mates(self):
+    @pytest.mark.parametrize("one_seed", [False, True])
+    def test_output_does_not_depend_on_chunk_mates(self, one_seed):
+        # An entry's pixels depend only on its image, its id and its seed:
+        # with a seed per entry, and with one seed for all, as in an epoch.
         images, seeds = stack_and_seeds(30, 16, seed=13)
+        if one_seed:
+            seeds = seeds[:1] * 30
         spec = AugmentationSpec(blur_sigma_range=(0.0, 3.0))
-        whole = augment_stack(images, spec, seeds)
+        whole = augment_ids(images, np.arange(30), spec, seeds)
         order = np.random.default_rng(14).permutation(30)
-        shuffled = augment_stack(images[order], spec, [seeds[i] for i in order])
+        shuffled = augment_ids(images, order, spec, [seeds[i] for i in order])
         np.testing.assert_array_equal(shuffled, whole[order])
         for lo, hi in ((0, 1), (1, 7), (7, 30)):
-            part = augment_stack(images[lo:hi], spec, seeds[lo:hi])
+            part = augment_ids(images, np.arange(lo, hi), spec, seeds[lo:hi])
             np.testing.assert_array_equal(part, whole[lo:hi])
 
     def test_stack_spanning_many_chunks(self, monkeypatch):
@@ -465,7 +507,7 @@ class TestAugmentStack:
         monkeypatch.setattr(augment, "AUGMENT_CHUNK", 7)
         images, seeds = stack_and_seeds(300, 16, seed=19)
         spec = AugmentationSpec()
-        expected = np.stack([oracle(img, spec, s) for img, s in zip(images, seeds)])
+        expected = oracle_stack(images, spec, seeds)
         assert augment_stack(images, spec, seeds).tobytes() == expected.tobytes()
 
     def test_input_left_untouched(self):
@@ -483,8 +525,19 @@ class TestAugmentStack:
         spec = AugmentationSpec(blur_sigma_range=(0.0, 3.0))
         out = np.empty((len(ids), 256))
         augment_pixels(images, ids, spec, seeds, out)
-        expected = np.stack([oracle(images[i], spec, s).ravel() for i, s in zip(ids, seeds)])
+        expected = np.stack([oracle(images[i], spec, s, i).ravel() for i, s in zip(ids, seeds)])
         assert out.tobytes() == expected.tobytes()
+
+    def test_two_seeds_of_an_epoch_match_the_oracle(self):
+        # As under augment_all: the originals take one seed, the easy copies
+        # another, and an id may be in both parts.
+        images, (first, second, *_) = stack_and_seeds(40, 16, seed=30)
+        ids = np.array([3, 17, 0, 39, 8, 17, 3, 25])
+        seeds = [first] * 5 + [second] * 3
+        out = augment_ids(images, ids, AugmentationSpec(), seeds)
+        expected = [oracle(images[i], AugmentationSpec(), s, i).ravel() for i, s in zip(ids, seeds)]
+        assert out.tobytes() == np.stack(expected).tobytes()
+        assert out[1].tobytes() != out[5].tobytes()
 
     def test_writes_into_a_row_slice_of_a_larger_matrix(self):
         # As training does: the epoch's augmented rows follow the training
@@ -628,7 +681,7 @@ class TestThinStacks:
             spec = AugmentationSpec(
                 rotation_range_degrees=rotations, translation_range_pixels=(shift, shift)
             )
-            expected = np.stack([oracle(img, spec, s) for img, s in zip(images, seeds)])
+            expected = oracle_stack(images, spec, seeds)
             out = augment_stack(images, spec, seeds)
             assert out.tobytes() == expected.tobytes(), shift
 
@@ -645,7 +698,7 @@ class TestThinStacks:
             # Unrotated, pixel x of the output reads x - shift of the input.
             for n in (h, w):
                 floors.update(np.floor(np.arange(n) - shift).astype(int).tolist())
-            expected = np.stack([oracle(img, spec, s) for img, s in zip(images, seeds)])
+            expected = oracle_stack(images, spec, seeds)
             out = augment_stack(images, spec, seeds)
             assert out.tobytes() == expected.tobytes(), shift
         for n in (h, w):

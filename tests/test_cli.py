@@ -399,23 +399,23 @@ DEFAULT_GEN_DATA_PRINTOUT = """\
 generated 2000 train / 1000 test samples
 class balance: 1000 fake / 1000 real
 fake amplitude histogram:
-  [0.120, 0.130): 112
-  [0.130, 0.140): 128
-  [0.140, 0.150): 125
-  [0.150, 0.160): 138
-  [0.160, 0.170): 139
-  [0.170, 0.180): 118
-  [0.180, 0.190): 131
-  [0.190, 0.200): 109
+  [0.120, 0.130): 110
+  [0.130, 0.140): 119
+  [0.140, 0.150): 126
+  [0.150, 0.160): 129
+  [0.160, 0.170): 126
+  [0.170, 0.180): 121
+  [0.180, 0.190): 154
+  [0.190, 0.200): 115
 blur sigma histogram:
-  [0.000, 0.063): 257
-  [0.063, 0.125): 231
-  [0.125, 0.188): 243
-  [0.188, 0.250): 255
-  [0.250, 0.312): 262
-  [0.312, 0.375): 243
-  [0.375, 0.437): 265
-  [0.437, 0.500): 244
+  [0.000, 0.063): 234
+  [0.063, 0.125): 272
+  [0.125, 0.188): 252
+  [0.188, 0.250): 249
+  [0.250, 0.312): 263
+  [0.312, 0.375): 226
+  [0.375, 0.437): 239
+  [0.437, 0.500): 265
 """
 
 

@@ -8,8 +8,10 @@ Oracle notes:
       with exactly one pixel differing by more than the threshold.
   [DERIVED] laplacian_variance oracle -- direct convolution with the 3x3
       kernel using numpy padding, written independently of the source.
-  [DERIVED] generation chunking -- each pair draws from its own
-      generator, so the split is the same whatever the chunk size, a
+  [DERIVED] pair draws -- pair p's 24 uniforms are row p of its split's
+      table, which oracles.pair_draws rebuilds by scalar uniform calls.
+  [DERIVED] generation chunking -- a pair's row depends only on the key
+      and p, so the split is the same whatever the chunk size, a
       smaller split is a prefix of a larger one, and the clean pairs of
       any ids, in any order, are the matching rows of the whole split's.
   [DERIVED] base images and bumps -- oracles.base_images and oracles.bumps
@@ -35,6 +37,7 @@ from oracles import (
     bumps,
     gaussian_blur,
     laplacian_variances,
+    pair_draws,
     ssim,
     tampering_ratio,
 )
@@ -193,6 +196,37 @@ class TestGeneration:
             rows = np.stack([2 * ids, 2 * ids + 1], axis=1).ravel()
             for part, whole in zip(clean_pairs(SMALL, code, ids), full):
                 assert_same_bits(part, whole[rows])
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("split_code", [TRAIN_SPLIT, TEST_SPLIT])
+    def test_pair_draws_match_the_scalar_oracle(self, seed, split_code):
+        # An empty blur range still takes its draws.
+        config = DatasetConfig(n_train=80, n_test=40, seed=seed, blur_range=(0.2, 0.2))
+        n_pairs = config.split_size(split_code) // 2
+        ids = np.array([n_pairs - 1, 0, 5, 5, 13])
+        draws = forgeries._pair_draws(config, split_code, ids)
+        assert draws.shape == (len(ids), 24)
+        for pair, row in zip(ids, draws):
+            assert row.tolist() == pair_draws(config, split_code, int(pair))
+
+    def test_a_pair_does_not_depend_on_the_split_sizes_or_the_other_ids(self):
+        # Pair 9 alone, of 20-pair splits, equals pair 9 among other ids of
+        # 200- and 60-pair splits.
+        small = DatasetConfig(n_train=40, n_test=40, seed=11)
+        large = dataclasses.replace(small, n_train=400, n_test=120)
+        for code in (TRAIN_SPLIT, TEST_SPLIT):
+            alone = clean_pairs(small, code, np.array([9]))
+            among = clean_pairs(large, code, np.array([17, 9, 0, 9]))
+            for part, whole in zip(alone, among):
+                assert_same_bits(part, whole[2:4])
+                assert_same_bits(part, whole[6:8])
+
+    @pytest.mark.parametrize("split_code", [TRAIN_SPLIT, TEST_SPLIT])
+    def test_clean_pairs_rejects_ids_outside_the_split(self, split_code):
+        n_pairs = SMALL.split_size(split_code) // 2
+        for bad in (-1, n_pairs):
+            with pytest.raises(ValueError, match=rf"^id {bad} outside 0\.\.{n_pairs - 1}$"):
+                clean_pairs(SMALL, split_code, np.array([0, bad, 1]))
 
     def test_chunk_size_does_not_change_the_split(self, small_dataset, monkeypatch):
         monkeypatch.setattr(forgeries, "GENERATE_CHUNK", 3)

@@ -52,28 +52,28 @@ GOLDEN_MACHINE = (
 GOLDEN = {
     "dffc": (
         [],
-        "5ba48e1a08b6317d1371e4fd09ba0f82d356eb098fde4531efe957a465273c92",
+        "0422fe604a5b5c7f9f4a180253064959761ebb7f485a0830232ddfd13bc3cba8",
     ),
     "dffc_augment_all": (
         ["augment_all=true"],
-        "613485d1934948ca8da08c5956618c2c1d01dae6b078f903b543b895c0ab5bab",
+        "9df6424e43279c51eb85044b32069d490ab1d6258d1094d6c0a203611069c0ed",
     ),
     "vanilla": (
         ["mode=vanilla"],
-        "4fefba3b311701adb8b037423974f2af6d13e94bf2baff8f2727063be71a8345",
+        "bccfbf23f7526198d4167583fe36f09872cbb7338f3146f01bc6207b92a19c7d",
     ),
     "babystep": (
         ["mode=babystep"],
-        "19648d11348da26c1de7b5b787f5e748683c93b9604b43ec1f9a46a88632b11f",
+        "824799a23aba104379d9d75f18b795d0e96f442f2d258370aed8855ea84c2e22",
     ),
 }
 
 #: SHA-256 of ``pool_log.csv`` + NUL + ``hardness_state.json``, per ``GOLDEN`` config.
 GOLDEN_POOL = {
-    "dffc": "e7c10c90e5bd5ac61a2e0224ef2d0783a529a17fa6f1d5cd787e316831a96362",
-    "dffc_augment_all": "06ee09cd2f0870129163697959e0bbd8f8cdfc29a28f2b913c48e711a8ebfcdf",
-    "vanilla": "a81a0115a956d4382391bd647b21d8e5b047455fc89a2acf3067023a0c1b311d",
-    "babystep": "ee99cb6760081955b5efd78b90304146a462016763835f9d8b6f31c43846d73a",
+    "dffc": "51e32060adf3b25b59ce733605f5e392612334a27daee78e8fddaaa2984491cf",
+    "dffc_augment_all": "0b62f67006b9a835011cb9df6e21567f1c83be9b5fdb7fcc5d6087f5582407ed",
+    "vanilla": "321dd0b642fe93bc1b10b7a078647e8f4f501e507fca3226a544c16ed89995f6",
+    "babystep": "9701e96a5c9fc6bde8049fc23b8fcf0c807aaa856b7dc3a039de0e64405932eb",
 }
 
 
@@ -84,27 +84,27 @@ GOLDEN_POOL = {
 GOLDEN_DATASET = {
     "default": (
         {},
-        "35bf45221594c55e146390257e09dbf06b077d1621673c3aef212b1047455f7f",
-        "4f0216c64672fbe19053579314ee6dbc36c30105ab4d727738ffcd19215679a5",
+        "c26f5f26d1ffd7f1e0e10abf48c7e072c4a37a2c346923c2589ae9b1411e324c",
+        "e581841c172923db7fb4d4ac803cd317224e8a3eb498f9300f0beaffe08f1323",
     ),
     "32px": (
         {"image_size": 32, "seed": 3},
-        "8e8b1ca76e53fbc7179cc2487eed430b7a4bbcbd114db25ebfadc56d8a03abf5",
-        "9418e5e445e4bfadce2e43f584786872648c5e0b0ace0ea1a4f070a760754586",
+        "9394bb98d1974f058e40dad98a5a10481d5221809e863f1cf94996f567c30459",
+        "1fecd620b25a06e6e3f4cce1735a9812eddc38ebe9f0d9d8b94543816966fe4e",
     ),
     "5px_wide_blur": (
         {"image_size": 5, "blur_range": (0, 3), "n_train": 300, "n_test": 100, "seed": 9},
-        "831fcc7384387106a4de0f002da397fe623c78b2d6dd0a1216a0ba84abeca788",
-        "83e194955d615f070b701ed0b5bbdb0304a3ce83617240af5253321a1d49d55a",
+        "e35d2e340b92eb55540050a7924d7fa3d0762e1974769bfd01b63b42ee179838",
+        "62ea500cf5a0750a86fa826e0a2e80365a82d4715fb271b814e8d2f598cf0c40",
     ),
 }
 
 #: SHA-256 of ``extremes.json`` + NUL + ``dfh_trace.json`` for the ``SMALL`` dffc run.
-GOLDEN_EXTREMES = "a5b99ec630d56a5d2e298bd374c43b2d3132512307d9993078792738a6ae923d"
+GOLDEN_EXTREMES = "c1d25e834b978593d9499752461e31af313df1120d41aed29b6d27da6e5923bb"
 
 #: SHA-256 of ``comparison.csv`` for a ``compare`` grid of vanilla and dffc
 #: over seeds 1 and 2 on the ``SMALL`` config.
-GOLDEN_COMPARISON = "9a014a974f82efd8341bb4dc455c5c73389dc0018f07bc6e6da1aed88afac571"
+GOLDEN_COMPARISON = "5fd60c6a81ccf192307e30b4340f440d9d3b714e74e485dc7427bdb3854941c3"
 
 
 def run_digest(overrides: list[str], out_dir, files=("metrics.csv", "checkpoint.bin")) -> str:

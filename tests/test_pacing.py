@@ -153,8 +153,7 @@ class TestPools:
         np.testing.assert_array_equal(hard_ids(pool), select_hard_pool(scores, k))
         np.testing.assert_array_equal(easy_ids(pool), select_easy_pool(scores, 5))
         augmented = pool.seeds >= 0
-        for sample_id, seed in zip(pool.entries[augmented], pool.seeds[augmented]):
-            assert seed == derive_augmentation_seed(7, 6, np.array([sample_id]))[0]
+        assert (pool.seeds[augmented] == derive_augmentation_seed(7, 6)).all()
         assert augmented.sum() == 5
         assert len(pool.entries) == k + 5
 
@@ -175,42 +174,26 @@ class TestPools:
         assert pool.composition(5) == (3, 2, 1)
 
     def test_augmentation_seed_is_stable_and_distinct(self):
+        # One seed per epoch and salt, a uint32 (so never -1), and each from
+        # its own key: the epochs and salts of one run seed, and run seeds
+        # of one or two words.
         seen = {
-            derive_augmentation_seed(0, t, np.array([sid]))[0]
-            for t in range(1, 4)
-            for sid in range(5)
+            (rng_seed, t, salt): derive_augmentation_seed(rng_seed, t, salt=salt)
+            for rng_seed in (0, 1, 2**32, 2**64 - 1)
+            for t in range(1, 6)
+            for salt in (0, 1)
         }
-        assert len(seen) == 15
-        three = np.array([3])
-        assert derive_augmentation_seed(1, 2, three)[0] == derive_augmentation_seed(1, 2, three)[0]
-        assert derive_augmentation_seed(1, 2, three, salt=1)[0] != derive_augmentation_seed(
-            1, 2, three
-        )[0]
+        assert len(set(seen.values())) == len(seen)
+        assert all(isinstance(seed, int) and 0 <= seed < 2**32 for seed in seen.values())
+        assert derive_augmentation_seed(1, 2) == derive_augmentation_seed(1, 2, salt=0)
+        assert derive_augmentation_seed(1, 2) == seen[(1, 2, 0)]
 
-    @pytest.mark.parametrize("rng_seed", [0, 7, 2**32 + 5])
+    @pytest.mark.parametrize("rng_seed", [0, 7, 2**32 + 5, 2**64 - 1])
     @pytest.mark.parametrize("salt", [0, 1])
-    def test_augmentation_seed_array_equals_scalar_loop(self, rng_seed, salt):
-        ids = np.random.default_rng(rng_seed % 100).permutation(300)[:120]
-        seeds = derive_augmentation_seed(rng_seed, 6, ids, salt=salt)
-        assert seeds.dtype == np.int64 and seeds.shape == ids.shape
-        loop = [derive_augmentation_seed(rng_seed, 6, np.array([i]), salt=salt)[0] for i in ids]
-        assert seeds.tolist() == loop
-        assert loop == [
-            int(np.random.SeedSequence((rng_seed, 6, int(i), salt)).generate_state(1)[0])
-            for i in ids
-        ]
-
-    @pytest.mark.parametrize(
-        "rng_seed, ids, value",
-        [
-            (-1, np.arange(3), "-1"),
-            (2**64, np.arange(3), str(2**64)),
-            pytest.param(0, np.array([2**32]), str(2**32), id=f"0-{2**32}-{2**32}"),
-        ],
-    )
-    def test_augmentation_seed_rejects_out_of_range_keys(self, rng_seed, ids, value):
-        with pytest.raises(ValueError, match=value):
-            derive_augmentation_seed(rng_seed, 6, ids)
+    def test_augmentation_seed_is_its_seed_sequence_word(self, rng_seed, salt):
+        # The README's key: the run seed's words, padded, then the spawn key.
+        key = np.random.SeedSequence(rng_seed, spawn_key=(2, 6, salt))
+        assert derive_augmentation_seed(rng_seed, 6, salt=salt) == key.generate_state(1)[0]
 
 
 def oracle_composition(pool):
@@ -250,7 +233,7 @@ class TestComposition:
         # As under augment_all: the originals get seeds of salt 1 too.
         seeds = pool.seeds.copy()
         originals = seeds < 0
-        seeds[originals] = derive_augmentation_seed(7, 6, pool.entries[originals], salt=1)
+        seeds[originals] = derive_augmentation_seed(7, 6, salt=1)
         augment_all = EpochPool(entries=pool.entries, seeds=seeds)
         empty = EpochPool(entries=np.zeros(0, np.int64), seeds=np.zeros(0, np.int64))
         cases = {

@@ -328,9 +328,7 @@ class TestVanillaAndBabystep:
             np.testing.assert_array_equal(ids, pool.entries)
             originals = pool.seeds < 0
             expected = pool.seeds.copy()
-            expected[originals] = pacing.derive_augmentation_seed(
-                config.seed, t, pool.entries[originals], salt=1
-            )
+            expected[originals] = pacing.derive_augmentation_seed(config.seed, t, salt=1)
             np.testing.assert_array_equal(seeds, expected)
             assert (seeds >= 0).all() and originals.any()
 
@@ -430,9 +428,7 @@ class TestEpochAssembly:
             ids, seeds = pool.entries, pool.seeds.copy()
             originals = seeds < 0
             if augment_all:
-                seeds[originals] = pacing.derive_augmentation_seed(
-                    config.seed, t, ids[originals], salt=1
-                )
+                seeds[originals] = pacing.derive_augmentation_seed(config.seed, t, salt=1)
             augmented = np.flatnonzero(seeds >= 0)
             X_augmented = np.empty((len(augmented), X_train.shape[1]))
             if len(augmented):
