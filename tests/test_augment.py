@@ -427,17 +427,37 @@ class TestTableRows:
         for i, row in zip(ids, got):
             assert row.tolist() == table_row(seed, self.BOUNDS, int(i))
 
+    @pytest.mark.parametrize("seed", [0, 2**32 + 3, 2**64 - 1])
+    @pytest.mark.parametrize("spawn_key", [(1, 0), (1, 1), (2, 9, 1)])
+    def test_spawn_keyed_rows_match_the_scalar_loop(self, seed, spawn_key):
+        # The lab's keys: a seed of one or two words, then a spawn key, over
+        # as many bounds as a dataset pair draws, every seventh one empty.
+        rng = np.random.default_rng(seed % 97)
+        lows, widths = rng.uniform(-5.0, 5.0, 24), rng.uniform(0.0, 3.0, 24)
+        widths[::7] = 0.0
+        bounds = [(float(lo), float(lo + w)) for lo, w in zip(lows, widths)]
+        ids = np.array([59, 0, 31, 7, 7])
+        got = table_rows(np.random.SeedSequence(seed, spawn_key=spawn_key), bounds, ids, 60)
+        assert got.shape == (len(ids), 24)
+        for i, row in zip(ids, got):
+            key = np.random.SeedSequence(seed, spawn_key=spawn_key)
+            assert row.tolist() == table_row(key, bounds, int(i))
+
     def test_a_row_does_not_depend_on_the_table_or_the_other_ids(self):
         key = np.random.SeedSequence(5, spawn_key=(9,))
         alone = table_rows(key, self.BOUNDS, np.array([17]), 18)
         among = table_rows(key, self.BOUNDS, np.array([50, 17, 2]), 5000)
         assert alone[0].tobytes() == among[1].tobytes()
 
-    def test_ids_outside_the_table_rejected(self):
-        for bad in (-1, 30):
-            with pytest.raises(ValueError, match=rf"^id {bad} outside 0\.\.29$"):
-                table_rows(3, self.BOUNDS, np.array([2, bad]), 30)
+    @pytest.mark.parametrize("bad", [-1, -3, 30, 31, 2**32, 2**63 - 1])
+    def test_ids_outside_the_table_rejected(self, bad):
+        # A negative id must not read a row from the table's end.
+        with pytest.raises(ValueError, match=rf"^id {bad} outside 0\.\.29$"):
+            table_rows(3, self.BOUNDS, np.array([2, bad, 29]), 30)
+
+    def test_no_ids_draw_no_rows(self):
         assert table_rows(3, self.BOUNDS, np.zeros(0, np.int64), 30).shape == (0, 5)
+        assert table_rows(3, self.BOUNDS, np.zeros(0, np.int64), 0).shape == (0, 5)
 
 
 class TestAugmentStack:

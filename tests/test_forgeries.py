@@ -197,7 +197,7 @@ class TestGeneration:
             for part, whole in zip(clean_pairs(SMALL, code, ids), full):
                 assert_same_bits(part, whole[rows])
 
-    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
     @pytest.mark.parametrize("split_code", [TRAIN_SPLIT, TEST_SPLIT])
     def test_pair_draws_match_the_scalar_oracle(self, seed, split_code):
         # An empty blur range still takes its draws.

@@ -188,12 +188,28 @@ class TestPools:
         assert derive_augmentation_seed(1, 2) == derive_augmentation_seed(1, 2, salt=0)
         assert derive_augmentation_seed(1, 2) == seen[(1, 2, 0)]
 
-    @pytest.mark.parametrize("rng_seed", [0, 7, 2**32 + 5, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "rng_seed", [0, 1, 7, 123456789, 2**32 - 1, 2**32 + 5, 2**63, 2**64 - 1]
+    )
     @pytest.mark.parametrize("salt", [0, 1])
     def test_augmentation_seed_is_its_seed_sequence_word(self, rng_seed, salt):
         # The README's key: the run seed's words, padded, then the spawn key.
         key = np.random.SeedSequence(rng_seed, spawn_key=(2, 6, salt))
         assert derive_augmentation_seed(rng_seed, 6, salt=salt) == key.generate_state(1)[0]
+
+    def test_augmentation_seed_at_random_keys(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            rng_seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+            t, salt = (int(v) for v in rng.integers(0, 2**32, 2))
+            key = np.random.SeedSequence(rng_seed, spawn_key=(2, t, salt))
+            assert derive_augmentation_seed(rng_seed, t, salt=salt) == key.generate_state(1)[0]
+
+    @pytest.mark.parametrize("rng_seed, t, salt", [(-1, 6, 0), (0, -1, 0), (0, 6, -1)])
+    def test_augmentation_seed_rejects_negative_keys(self, rng_seed, t, salt):
+        # A negative word would not wrap round onto another epoch's key.
+        with pytest.raises(ValueError, match="non-negative"):
+            derive_augmentation_seed(rng_seed, t, salt=salt)
 
 
 def oracle_composition(pool):
