@@ -1,8 +1,10 @@
 """Seeded lightweight augmentations for easy-pool samples.
 
-Images are float64 stacks ``(n, h, w)`` in [0, 1]. The three operations
-(Gaussian blur, brightness shift, affine warp) are applied in that fixed
-order by :func:`augment_pixels`; every parameter is drawn from the spec
+Images are stored as float64 stacks ``(n, h, w)`` in [0, 1], and the
+three operations (Gaussian blur, brightness shift, affine warp) compute
+in float32: each run is cast to float32 once, and every pixel is written
+back into a float64 array. They are applied in that fixed order by
+:func:`augment_pixels`; every parameter is drawn from the spec
 ranges by numpy's ``default_rng`` keyed by the entry's seed, so
 augmentation is fully reproducible. Entry i's five draws are row ``ids[i]``
 of one table per seed, ``default_rng(seed).uniform(lo, hi, size=(n, 5))``
@@ -22,15 +24,18 @@ call is gathered or stacked. Each entry's kernel and the reflect padding
 fold into one band matrix per axis, so the blur of a run is two batched
 matrix products, ``K_h @ X @ K_w.T``, and the shift adds each entry's
 delta; the band matrices are filled from cached fold layers of each
-kernel width and axis length. The warp gathers a blurred ``(m, h, w)`` run
-once, with the image axis innermost, into a ``(h', w', m)`` copy
-reflect-padded just enough to hold every read, its span taken from the
-four corners of the source grid, so one flat offset per pixel finds all
-four of its corners: the next x lies ``m`` elements on, the next y one
-padded row on. A run's warped pixels are transposed once as they are
-written into their rows of the caller's matrix (:func:`augment_pixels`),
-which may be a row slice of a larger one; :func:`blur_shift` writes its
-runs into their images of the caller's stack as they are. Every entry comes out
+kernel width and axis length, in float64, and each is cast to float32
+once. The warp gathers a blurred ``(m, h, w)`` run once, with the image
+axis innermost, into a ``(h', w', m)`` copy reflect-padded just enough to
+hold every read, its span taken from the four corners of the source
+grid, so one flat offset per pixel finds all four of its corners: the
+next x lies ``m`` elements on, the next y one padded row on. The offsets
+are summed in int64, since a padded run can hold more elements than
+float32 counts exactly. A run's warped pixels are transposed once, and
+cast back to float64, as they are written into their rows of the
+caller's matrix (:func:`augment_pixels`), which may be a row slice of a
+larger one; :func:`blur_shift` writes its runs into their images of the
+caller's stack as they are. Every entry comes out
 bit-identical to the single-image ``gaussian_blur``, ``brightness_adjust``
 and ``affine`` of ``tests/oracles.py``, whichever entries share its call
 or its run; the blur's bits, like any matrix product's, depend on the
@@ -51,13 +56,16 @@ from dffc.errors import ConfigError, check_range
 #: augmented and written into its rows of pixels on its own, so the
 #: temporaries grow with the run, not with the call: beyond its output
 #: matrix, an :func:`augment_pixels` call on 1 000 16 px images peaks at
-#: 1.72 MB of traced memory in runs of 64, 3.31 MB at 128 and 6.08 MB at
-#: 256, the run's ``m * h * h`` floats of band matrices included. On a 2-CPU
-#: Xeon with one BLAS thread, such a call took a median 20.3, 28.1 and 32.5 ms
-#: in runs of 64, 128 and 256 (30 alternated calls each). Inside default
-#: dffc runs, though, runs of 128 were the fastest: run_s read 5.4% higher in
-#: runs of 64 (higher in 6 of 6 alternated rounds) and 1.9% higher in runs of
-#: 256 (4 of 6), whose peak RSS was also 2.5 MB higher.
+#: 0.93 MB of traced memory in runs of 64, 1.72 MB at 128 and 3.05 MB at
+#: 256, the run's gathered float64 images and float64 band matrices
+#: included. On a 2-CPU Xeon with one BLAS thread, such a call took a median
+#: 16.6, 19.6 and 21.3 ms in runs of 64, 128 and 256 (30 alternated calls
+#: each, the machine in a slow phase). Inside default dffc runs, runs of 64
+#: read run_s 5.4% higher than runs of 128 when the pipeline was float64
+#: (6 of 6 alternated rounds). In float32, runs of 256 read run_s 2.9% lower
+#: than runs of 128, but in only 7 of 10 alternated pairs and by less than
+#: the spread of the runs of 128, and their peak RSS was 0.46 MB higher in
+#: 10 of 10.
 AUGMENT_CHUNK = 128
 
 
@@ -191,9 +199,9 @@ def _blur_shift_runs(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield each run of :func:`_radius_runs` as its indices into ``ids``
     and the images of those ids blurred (none at radius 0), shifted by their
-    deltas and clipped, as one ``(m, h, w)`` stack. Entry i is image
+    deltas and clipped, as one float32 ``(m, h, w)`` stack. Entry i is image
     ``ids[i]`` with ``sigmas[i]`` and ``deltas[i]``; each run gathers only
-    its own images.
+    its own images and casts them to float32 once.
 
     A run is blurred as two batched matrix products, ``K_h @ X @ K_w.T``,
     each entry's band matrices from :func:`_band_matrices` (one for both
@@ -201,14 +209,17 @@ def _blur_shift_runs(
     its own, so an entry's bits do not depend on what shares its run.
     """
     _, h, w = images.shape
+    # A delta at or beyond 1 clips every pixel in [0, 1] to 1 or 0, so the
+    # clamp changes no pixel, and it keeps a huge delta's float32 cast finite.
+    shifts = np.clip(deltas, -1.0, 1.0).astype(np.float32)
     for rows, taps in _radius_runs(sigmas):
-        run = images[ids[rows]]
+        run = images[ids[rows]].astype(np.float32)
         if taps is not None:
-            row_bands = _band_matrices(taps, h)
-            col_bands = row_bands if w == h else _band_matrices(taps, w)
+            row_bands = _band_matrices(taps, h).astype(np.float32)
+            col_bands = row_bands if w == h else _band_matrices(taps, w).astype(np.float32)
             np.matmul(np.matmul(row_bands, run), col_bands.transpose(0, 2, 1), out=run)
             np.clip(run, 0.0, 1.0, out=run)
-        run += deltas[rows, None, None]
+        run += shifts[rows, None, None]
         yield rows, np.clip(run, 0.0, 1.0, out=run)
 
 
@@ -227,21 +238,21 @@ def blur_shift(
 
 def _pad_offsets(src: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``floor(src)`` as offsets into a reflect-padded axis of length ``n``,
-    in float64, and the frame indices that padded axis reads.
+    in the dtype of ``src``, and the frame indices that padded axis reads.
 
     ``src`` holds one axis's source coordinates over a run's ``(h, w, m)``
     grid. Each is a rounded sum of terms monotone in x and in y, so the
     floors reach their least and greatest at the grid's four corners, where
     the read span is taken. The fraction ``src - floor(src)`` is written
-    into ``src``; subtracting the float floor gives the same bits as
-    subtracting its int64 copy, as ``affine`` of ``tests/oracles.py`` does.
+    into ``src``, as ``affine`` of ``tests/oracles.py`` computes it.
     Reflection has period ``2n - 2`` (1 when ``n`` is 1), so floors that
     reach beyond one reflection, where ``floor`` or ``floor + 1`` leaves
     ``[1 - n, 2n - 2]``, are first folded into one period; either way the
     padded axis covers ``[min, max + 1]`` of the floors, at most ``n - 1``
-    beyond each edge (1 when ``n`` is 1). Every floor is an integer that
-    float64 holds exactly, so the fold's ``mod`` and the shift by the least
-    floor are exact too.
+    beyond each edge (1 when ``n`` is 1). A floor is an integer that its
+    dtype holds exactly, and the fold's ``mod`` is exact. Every floor then
+    lies within three axis lengths of 0, so for an axis below 2**22 pixels
+    the shift by the least floor is exact in float32 too.
     """
     corners = np.floor(src[[0, -1]][:, [0, -1]])
     lo, hi = int(corners.min()), int(corners.max()) + 1
@@ -255,11 +266,13 @@ def _pad_offsets(src: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _warp(run: np.ndarray, rotations: np.ndarray, dxs: np.ndarray, dys: np.ndarray) -> np.ndarray:
-    """Rotation about the centre plus translation of each image of an
+    """Rotation about the centre plus translation of each image of a float32
     ``(m, h, w)`` run by its own angle and shift, bilinear and inverse-mapped
-    with reflected reads. The output is ``(m, h*w)`` rows, a transposed view
-    of the warped ``(h, w, m)`` run, and row i equals ``affine(...).ravel()``
-    of ``tests/oracles.py``.
+    with reflected reads. The output is float32 ``(m, h*w)`` rows, a
+    transposed view of the warped ``(h, w, m)`` run, and row i equals
+    ``affine(...).ravel()`` of ``tests/oracles.py``. The cosines and sines
+    are taken in float64 and cast; every coordinate, weight and pixel is
+    float32.
 
     The run is gathered once, reflect-padded just enough to hold every read
     and with the image axis innermost, so one flat offset per pixel finds
@@ -269,28 +282,29 @@ def _warp(run: np.ndarray, rotations: np.ndarray, dxs: np.ndarray, dys: np.ndarr
     m, h, w = run.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     thetas = np.radians(rotations)
-    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+    cos_t, sin_t = np.cos(thetas).astype(np.float32), np.sin(thetas).astype(np.float32)
     # u varies along a row and v down a column, so only the sums are full-size.
-    u = (np.arange(w, dtype=np.float64)[:, None] - dxs) - cx
-    v = (np.arange(h, dtype=np.float64)[:, None, None] - dys) - cy
+    u = (np.arange(w, dtype=np.float32)[:, None] - dxs.astype(np.float32)) - cx
+    v = (np.arange(h, dtype=np.float32)[:, None, None] - dys.astype(np.float32)) - cy
     fx = cos_t * u + sin_t * v
     fx += cx
     fy = -sin_t * u + cos_t * v
     fy += cy
     del u, v
-    x_offsets, x_reads = _pad_offsets(fx, w)
-    offsets, y_reads = _pad_offsets(fy, h)
+    x_floors, x_reads = _pad_offsets(fx, w)
+    y_floors, y_reads = _pad_offsets(fy, h)
     # The gather is C-contiguous, (y, x, image), so its flat view is no copy.
     flat = run.transpose(1, 2, 0)[y_reads[:, None], x_reads].reshape(-1)
     # One flat offset per pixel: y (a padded row), then x, then the image,
-    # summed in float (exact: every offset is below 2**53) and cast once.
+    # summed in int64, since a padded run can hold more than the 2**24
+    # elements whose offsets float32 holds exactly.
     y_step = len(x_reads) * m
+    offsets = y_floors.astype(np.int64)
     offsets *= len(x_reads)
-    offsets += x_offsets
-    del x_offsets
+    offsets += x_floors.astype(np.int64)
+    del x_floors, y_floors
     offsets *= m
     offsets += np.arange(m)
-    offsets = offsets.astype(np.int64)
     gx, gy = 1 - fx, 1 - fy
     out = np.take(flat, offsets)
     out *= gy

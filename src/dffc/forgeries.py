@@ -29,7 +29,10 @@ table or by broadcasting, never by a gather. The pixels keep the bits of
 the full-grid formulas: the wave numbers are exact integers in float64,
 and every product is taken, on the same operands, before the add.
 
-Images are float64 in [0, 1]. Fake is the positive class.
+Images are stored as float64 in [0, 1]. The blur and shift compute in
+float32, as augmentation does, so every stored pixel is a float32 value,
+which augmentation casts to float32 again without loss. Fake is the
+positive class.
 """
 
 from __future__ import annotations

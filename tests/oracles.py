@@ -2,9 +2,11 @@
 
 The single-image augmentations (:func:`gaussian_blur`,
 :func:`brightness_adjust`, :func:`affine`) are the bit-exact oracles of
-``dffc.augment``'s stack operations (:func:`gaussian_blur` multiplies by
-the band matrices of :func:`band_matrix`, and :func:`tap_sum_blur` is its
-reference within rounding), :func:`tampering_ratio` and
+``dffc.augment``'s stack operations: they compute in float32 and return
+float64, as the package does, and given ``dtype=np.float64`` they are the
+same formulas in float64 (:func:`gaussian_blur` multiplies by the band
+matrices of :func:`band_matrix`, and :func:`tap_sum_blur`, in float64, is
+its reference within rounding), :func:`tampering_ratio` and
 :func:`ssim` the bit-exact oracles of ``dffc.forgeries``' row-wise
 ``tampering_ratios`` and ``ssims``, :func:`base_images` and :func:`bumps`
 the bit-exact full-grid oracles of ``dffc.forgeries``' ``_base_images`` and
@@ -88,44 +90,56 @@ def band_matrix(kernel: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
+def gaussian_blur(image: np.ndarray, sigma: float, dtype=np.float32) -> np.ndarray:
     """Separable Gaussian blur with reflect padding, as the matrix products
     ``K_h @ image @ K_w.T`` of :func:`band_matrix`, clipped; sigma=0 is the
-    identity. Its bits depend on the BLAS build."""
+    identity. The image and the band matrices, folded in float64, are cast
+    to ``dtype`` and multiplied in it; the result is returned in float64.
+    Its bits depend on the BLAS build."""
     if sigma < 0.0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
+    image = image.astype(dtype)
     if sigma == 0.0:
-        return image.copy()
+        return image.astype(np.float64)
     kernel = gaussian_kernel_1d(sigma)
     h, w = image.shape
-    return np.clip(band_matrix(kernel, h) @ image @ band_matrix(kernel, w).T, 0.0, 1.0)
+    rows, cols = band_matrix(kernel, h).astype(dtype), band_matrix(kernel, w).astype(dtype)
+    return np.clip(rows @ image @ cols.T, 0.0, 1.0).astype(np.float64)
 
 
-def brightness_adjust(image: np.ndarray, delta: float) -> np.ndarray:
-    return np.clip(image + delta, 0.0, 1.0)
+def brightness_adjust(image: np.ndarray, delta: float, dtype=np.float32) -> np.ndarray:
+    """The image plus ``delta``, clipped, in ``dtype`` and returned in
+    float64. The delta is first clamped to [-1, 1], which changes no pixel
+    of an image in [0, 1]."""
+    shift = dtype(min(max(delta, -1.0), 1.0))
+    return np.clip(image.astype(dtype) + shift, 0.0, 1.0).astype(np.float64)
 
 
-def affine(image: np.ndarray, rotation_degrees: float, dx: float, dy: float) -> np.ndarray:
+def affine(
+    image: np.ndarray, rotation_degrees: float, dx: float, dy: float, dtype=np.float32
+) -> np.ndarray:
     """Rotation about the image center plus translation, bilinear sampling.
 
     Inverse-mapped: each output pixel samples the input at the inverse
     transform, with reflected reads outside the frame. rotation=0, dx=1
-    gives output(x, y) = input(x-1, y).
+    gives output(x, y) = input(x-1, y). The cosine and sine are taken in
+    float64; they, the image, the shifts and every coordinate, fraction
+    and weight are then ``dtype``, and the result is returned in float64.
     """
+    image = image.astype(dtype)
     h, w = image.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     theta = math.radians(rotation_degrees)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    u = xs - dx - cx
-    v = ys - dy - cy
+    cos_t, sin_t = dtype(math.cos(theta)), dtype(math.sin(theta))
+    ys, xs = np.mgrid[0:h, 0:w].astype(dtype)
+    u = xs - dtype(dx) - cx
+    v = ys - dtype(dy) - cy
     src_x = cos_t * u + sin_t * v + cx
     src_y = -sin_t * u + cos_t * v + cy
 
-    x0 = np.floor(src_x).astype(np.int64)
-    y0 = np.floor(src_y).astype(np.int64)
-    fx = src_x - x0
-    fy = src_y - y0
+    floor_x, floor_y = np.floor(src_x), np.floor(src_y)
+    fx, fy = src_x - floor_x, src_y - floor_y
+    x0, y0 = floor_x.astype(np.int64), floor_y.astype(np.int64)
     x0r, x1r = _reflect_index(x0, w), _reflect_index(x0 + 1, w)
     y0r, y1r = _reflect_index(y0, h), _reflect_index(y0 + 1, h)
     out = (
@@ -134,7 +148,7 @@ def affine(image: np.ndarray, rotation_degrees: float, dx: float, dy: float) -> 
         + image[y1r, x0r] * fy * (1 - fx)
         + image[y1r, x1r] * fy * fx
     )
-    return np.clip(out, 0.0, 1.0)
+    return np.clip(out, 0.0, 1.0).astype(np.float64)
 
 
 def table_row(key, bounds, row: int) -> list[float]:
@@ -147,12 +161,16 @@ def table_row(key, bounds, row: int) -> list[float]:
     return draws
 
 
+def augmentation_bounds(spec) -> tuple[tuple[float, float], ...]:
+    """The ranges of blur sigma, brightness delta, angle, dx and dy."""
+    shift = spec.translation_range_pixels
+    return (spec.blur_sigma_range, spec.brightness_range, spec.rotation_range_degrees, shift, shift)
+
+
 def augmentation_draws(spec, seed: int, sample_id: int) -> list[float]:
     """Blur sigma, brightness delta, angle, dx and dy of sample ``sample_id``
     augmented under ``seed``."""
-    shift = spec.translation_range_pixels
-    bounds = (spec.blur_sigma_range, spec.brightness_range, spec.rotation_range_degrees)
-    return table_row(seed, (*bounds, shift, shift), sample_id)
+    return table_row(seed, augmentation_bounds(spec), sample_id)
 
 
 def pair_draws(config, split_code: int, pair: int) -> list[float]:

@@ -52,28 +52,28 @@ GOLDEN_MACHINE = (
 GOLDEN = {
     "dffc": (
         [],
-        "0422fe604a5b5c7f9f4a180253064959761ebb7f485a0830232ddfd13bc3cba8",
+        "8134fb71654d6f94d037a958f4c38170891e3b08c001afb82cc0c003b11debd3",
     ),
     "dffc_augment_all": (
         ["augment_all=true"],
-        "9df6424e43279c51eb85044b32069d490ab1d6258d1094d6c0a203611069c0ed",
+        "a5c40e5148e2124e22ddfb64037d71fe2da14ccf5478bf4895e4c32fe2ee8880",
     ),
     "vanilla": (
         ["mode=vanilla"],
-        "bccfbf23f7526198d4167583fe36f09872cbb7338f3146f01bc6207b92a19c7d",
+        "80180c806ed144f6969b0c1d29e3b0c57778da34664b718ee32f07961a4c2825",
     ),
     "babystep": (
         ["mode=babystep"],
-        "824799a23aba104379d9d75f18b795d0e96f442f2d258370aed8855ea84c2e22",
+        "e4548a923d4178d446577f5104841c6166ac99da3040c856b59b37a6e78a0518",
     ),
 }
 
 #: SHA-256 of ``pool_log.csv`` + NUL + ``hardness_state.json``, per ``GOLDEN`` config.
 GOLDEN_POOL = {
-    "dffc": "51e32060adf3b25b59ce733605f5e392612334a27daee78e8fddaaa2984491cf",
-    "dffc_augment_all": "0b62f67006b9a835011cb9df6e21567f1c83be9b5fdb7fcc5d6087f5582407ed",
-    "vanilla": "321dd0b642fe93bc1b10b7a078647e8f4f501e507fca3226a544c16ed89995f6",
-    "babystep": "9701e96a5c9fc6bde8049fc23b8fcf0c807aaa856b7dc3a039de0e64405932eb",
+    "dffc": "56c93526f0a4fdfcb6d7149590c02e67baa3d792f76f85e8708f5a102d01e3b2",
+    "dffc_augment_all": "f49629fd514db4ac1f1afa7dff09d136617dd1b4f79d00a59f5df9127bd2b815",
+    "vanilla": "634f963cb3ca0242876240c04c2676773c4f0edb66da33b71c69f19b941035cf",
+    "babystep": "ef47be2a692c67af72fa3e56b834acb29b9b382bd89411695252fb531b7b84f8",
 }
 
 
@@ -84,23 +84,23 @@ GOLDEN_POOL = {
 GOLDEN_DATASET = {
     "default": (
         {},
-        "c26f5f26d1ffd7f1e0e10abf48c7e072c4a37a2c346923c2589ae9b1411e324c",
-        "e581841c172923db7fb4d4ac803cd317224e8a3eb498f9300f0beaffe08f1323",
+        "21bf7c272f51bb83a6b5bdcff614c987226675c25c8491cfb3801ec0bf3834fc",
+        "113ae18a42f4053acbb8db377afeee0102ba1386e10901832ac86562603ce078",
     ),
     "32px": (
         {"image_size": 32, "seed": 3},
-        "9394bb98d1974f058e40dad98a5a10481d5221809e863f1cf94996f567c30459",
-        "1fecd620b25a06e6e3f4cce1735a9812eddc38ebe9f0d9d8b94543816966fe4e",
+        "aac2a588e3dc592811a233b01b26421878efa0a8c1f7753e6ae1da8fd4760926",
+        "06b1aee6fd5fc6f98a0111eea63ee3fb0fe4a0df5079d4ad752d7a58ab1c2038",
     ),
     "5px_wide_blur": (
         {"image_size": 5, "blur_range": (0, 3), "n_train": 300, "n_test": 100, "seed": 9},
-        "e35d2e340b92eb55540050a7924d7fa3d0762e1974769bfd01b63b42ee179838",
-        "62ea500cf5a0750a86fa826e0a2e80365a82d4715fb271b814e8d2f598cf0c40",
+        "87b14d91543c185b0bb02db15754e4f131bd5341f7a624960dfbb58047683de1",
+        "37640e5765a2488e090e4d225bc09019b6ca5599126e5642c6665b6fb9e73651",
     ),
 }
 
 #: SHA-256 of ``extremes.json`` + NUL + ``dfh_trace.json`` for the ``SMALL`` dffc run.
-GOLDEN_EXTREMES = "c1d25e834b978593d9499752461e31af313df1120d41aed29b6d27da6e5923bb"
+GOLDEN_EXTREMES = "d897d90b2dd80f48759a78fb99f36b5b1b013f4f2c8d086d0b92277f0f4adbcd"
 
 #: SHA-256 of ``comparison.csv`` for a ``compare`` grid of vanilla and dffc
 #: over seeds 1 and 2 on the ``SMALL`` config.
