@@ -2,11 +2,13 @@
 
 Images are stored as float64 stacks ``(n, h, w)`` in [0, 1], and the
 three operations (Gaussian blur, brightness shift, affine warp) compute
-in float32: each run is cast to float32 once, and every pixel is written
-back into a float64 array. They are applied in that fixed order by
-:func:`augment_pixels`; every parameter is drawn from the spec
-ranges by numpy's ``default_rng`` keyed by the entry's seed, so
-augmentation is fully reproducible. Entry i's five draws are row ``ids[i]``
+in float32: each run is cast to float32 once, and its pixels are written
+into the caller's array in that array's dtype, a split's float64 images
+(:func:`blur_shift`) or the rows of the runner's float32 row store
+(:func:`augment_pixels`), which take them with no cast. They are
+applied in that fixed order by :func:`augment_pixels`; every parameter is
+drawn from the spec ranges by numpy's ``default_rng`` keyed by the
+entry's seed, so augmentation is fully reproducible. Entry i's five draws are row ``ids[i]``
 of one table per seed, ``default_rng(seed).uniform(lo, hi, size=(n, 5))``
 (:func:`table_rows`): numpy fills a table row by row, so an entry's draws
 depend on its seed and its sample id alone.
@@ -31,8 +33,8 @@ hold every read, its span taken from the four corners of the source
 grid, so one flat offset per pixel finds all four of its corners: the
 next x lies ``m`` elements on, the next y one padded row on. The offsets
 are summed in int64, since a padded run can hold more elements than
-float32 counts exactly. A run's warped pixels are transposed once, and
-cast back to float64, as they are written into their rows of the
+float32 counts exactly, from floors cast through int32. A run's warped
+pixels are transposed once as they are written into their rows of the
 caller's matrix (:func:`augment_pixels`), which may be a row slice of a
 larger one; :func:`blur_shift` writes its runs into their images of the
 caller's stack as they are. Every entry comes out
@@ -252,7 +254,8 @@ def _pad_offsets(src: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     beyond each edge (1 when ``n`` is 1). A floor is an integer that its
     dtype holds exactly, and the fold's ``mod`` is exact. Every floor then
     lies within three axis lengths of 0, so for an axis below 2**22 pixels
-    the shift by the least floor is exact in float32 too.
+    the shift by the least floor is exact in float32 too, and the shifted
+    floors cast exactly to int32.
     """
     corners = np.floor(src[[0, -1]][:, [0, -1]])
     lo, hi = int(corners.min()), int(corners.max()) + 1
@@ -297,11 +300,12 @@ def _warp(run: np.ndarray, rotations: np.ndarray, dxs: np.ndarray, dys: np.ndarr
     flat = run.transpose(1, 2, 0)[y_reads[:, None], x_reads].reshape(-1)
     # One flat offset per pixel: y (a padded row), then x, then the image,
     # summed in int64, since a padded run can hold more than the 2**24
-    # elements whose offsets float32 holds exactly.
+    # elements whose offsets float32 holds exactly. Each floor lies within
+    # three axis lengths of 0, so it casts exactly through int32, which
+    # numpy casts float32 to about four times faster than to int64.
     y_step = len(x_reads) * m
-    offsets = y_floors.astype(np.int64)
-    offsets *= len(x_reads)
-    offsets += x_floors.astype(np.int64)
+    offsets = np.multiply(y_floors.astype(np.int32), len(x_reads), dtype=np.int64)
+    offsets += x_floors.astype(np.int32)
     del x_floors, y_floors
     offsets *= m
     offsets += np.arange(m)

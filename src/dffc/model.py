@@ -5,6 +5,17 @@ forward pass: :func:`gradients` also returns the clamped probabilities the
 step's losses are recorded from, and :func:`sgd_step` updates the
 parameter arrays in place.
 
+The model trains in :data:`TRAIN_DTYPE`, float32: its weights, the input
+rows the runner feeds it, and so both matrix products of each step and
+the evaluation's forward pass. The forward pass, the gradients and the
+update compute in the dtype of their operands, so a float64 operand
+anywhere in a step promotes its matrix products to float64; the learning
+rate, a Python float, is rounded to the weights' dtype, and one beyond
+float32's range overflows that cast. What needs float64 stays float64:
+``b2`` is a Python float, :func:`bce_loss` widens the probabilities it is
+given, and the checkpoint holds ``<f8`` values, into which float32 widens
+exactly.
+
 At the default sizes a step's arrays are small, so its cost is mostly the
 number of numpy calls: the sigmoid and the output clamp are whole-array
 ufunc calls with no boolean gathers, and the ReLU and clamp write into the
@@ -25,6 +36,10 @@ from dffc.errors import ConfigError
 #: loss stays finite.
 PROB_EPS = 1e-7
 
+#: The dtype of the weights, the input rows and every matrix product of
+#: training and evaluation.
+TRAIN_DTYPE = np.float32
+
 
 @dataclass
 class ModelParams:
@@ -35,13 +50,14 @@ class ModelParams:
 
 
 def init_params(n_inputs: int, n_hidden: int, seed: int) -> ModelParams:
-    """Weights uniform in [-1/sqrt(d), 1/sqrt(d)], biases zero."""
+    """Weights uniform in [-1/sqrt(d), 1/sqrt(d)], biases zero, in
+    :data:`TRAIN_DTYPE`: the weights are drawn in float64 and cast once."""
     rng = np.random.default_rng(seed)
     bound = 1.0 / math.sqrt(n_inputs)
     return ModelParams(
-        W1=rng.uniform(-bound, bound, (n_hidden, n_inputs)),
-        b1=np.zeros(n_hidden),
-        w2=rng.uniform(-bound, bound, n_hidden),
+        W1=rng.uniform(-bound, bound, (n_hidden, n_inputs)).astype(TRAIN_DTYPE),
+        b1=np.zeros(n_hidden, dtype=TRAIN_DTYPE),
+        w2=rng.uniform(-bound, bound, n_hidden).astype(TRAIN_DTYPE),
         b2=0.0,
     )
 
@@ -93,9 +109,11 @@ def gradients(params: ModelParams, X: np.ndarray, y: np.ndarray) -> tuple[ModelP
     Where the output clamp is active the loss is locally constant in the
     logit, so those rows contribute zero (this is what a finite-difference
     check sees too).
+
+    The step computes in the dtype of ``X`` and the parameters; ``y`` is
+    taken in ``X``'s dtype, so 0/1 targets never widen it.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=X.dtype).ravel()
     if X.shape[0] == 0:
         raise ValueError("empty batch")
     A1, probs = _forward(params, X)
@@ -149,7 +167,8 @@ def cosine_lr(eta_max: float, eta_min: float, total_epochs: int, t: int) -> floa
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: JSON header + little-endian float64 parameter blob.
+# Checkpoints: JSON header + little-endian float64 parameter blob, into
+# which the float32 weights widen exactly.
 
 def save_checkpoint(params: ModelParams, seed: int, epoch: int, header_path: Path, blob_path: Path) -> None:
     header = {

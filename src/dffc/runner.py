@@ -18,16 +18,20 @@ the next epoch's selection score. No epoch-sized pixel matrix is built:
 a run keeps one row store, its n standardized training rows followed by
 the epoch's augmented rows, which one call of ``augment_pixels`` per epoch
 fills with pixels run by run; the store grows, by one copy, only when an
-epoch augments more entries than it holds rows for. Each mini-batch is
-one gather from the store, every entry pointed at its training row or, if
-augmented, at its augmented row. The input transform of
-:func:`fit_input_transform` standardizes only whole matrices: the
-training and test matrices once, and each epoch's augmented rows in
-place. Each batch's update is made in place, and the epoch's
+epoch augments more entries than it holds rows for. The store and the
+test matrix hold float32 rows (``model.TRAIN_DTYPE``), as the weights
+are, so every batch gather, both matrix products of each SGD step and the
+evaluation run in float32, while the losses and the hardness stay
+float64. Each mini-batch is one gather from the store, every entry
+pointed at its training row or, if augmented, at its augmented row. The
+input transform of :func:`fit_input_transform` standardizes only whole
+matrices: the training and test matrices once, and each epoch's
+augmented rows in place. Each batch's update is made in place, and the epoch's
 training losses are taken in one ``bce_loss`` call from the probabilities
 its batches kept. An overflow in an epoch's SGD or in its evaluation on
 the test set stops the run with a ``ValueError`` naming ``lr.eta_max``,
-raised by the one guard both run under.
+raised by the one guard both run under; a learning rate beyond
+float32's range overflows already in the first update.
 The epoch's pool size, hard and easy sizes and overlap come from
 :meth:`pacing.EpochPool.composition`, which counts boolean masks over the
 samples.
@@ -52,6 +56,7 @@ from dffc.augment import AugmentationSpec, augment_pixels
 from dffc.errors import ConfigError, check_blur_bound, check_float64_count, check_seed
 from dffc.forgeries import DatasetConfig, Split
 from dffc.model import (
+    TRAIN_DTYPE,
     ModelParams,
     bce_loss,
     check_lr,
@@ -225,8 +230,11 @@ def fit_input_transform(train_images: np.ndarray) -> Callable[..., np.ndarray]:
     The returned function maps an ``(m, h, w)`` stack, or its ``(m, h*w)``
     rows, to ``(m, h*w)`` rows, each pixel standardized by the training
     images' per-pixel mean and standard deviation and scaled by
-    ``INPUT_GAIN``. As a numpy ufunc does, it writes into ``out`` when one
-    is given, which may be its input. Raw [0, 1] pixels leave the net in a
+    ``INPUT_GAIN``. The mean and deviation are fit in float64, and each
+    pixel is centred and then scaled in float64, each result rounded to
+    the rows' dtype: :data:`model.TRAIN_DTYPE` for the rows it allocates.
+    As a numpy ufunc does, it writes into ``out`` when one is given, which
+    may be its input. Raw [0, 1] pixels leave the net in a
     barely-trainable regime under the small uniform init.
     """
     raw = train_images.reshape(len(train_images), -1)
@@ -234,6 +242,8 @@ def fit_input_transform(train_images: np.ndarray) -> Callable[..., np.ndarray]:
     std = (raw.std(axis=0) + 1e-8) / INPUT_GAIN
 
     def transform(images: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty((len(images), mean.size), dtype=TRAIN_DTYPE)
         rows = np.subtract(images.reshape(len(images), -1), mean, out=out)
         return np.divide(rows, std, out=rows)
 
@@ -304,9 +314,10 @@ def run_training(
 
     params = init_params(d, config.hidden_units, config.seed)
     to_input = fit_input_transform(train.images)
-    # The run's row store: the n standardized training rows, then the
-    # current epoch's augmented rows. It grows, by one copy, only when an
-    # epoch augments more entries than it holds rows for.
+    # The run's row store, in the model's dtype: the n standardized
+    # training rows, then the current epoch's augmented rows. It grows, by
+    # one copy, only when an epoch augments more entries than it holds
+    # rows for.
     X_rows = to_input(train.images)
     X_test = to_input(test.images)
 
@@ -336,7 +347,7 @@ def run_training(
         augmented = np.flatnonzero(seeds >= 0)
         end = n + len(augmented)
         if end > len(X_rows):
-            grown = np.empty((end, d))
+            grown = np.empty((end, d), dtype=X_rows.dtype)
             grown[:n] = X_rows[:n]
             X_rows = grown
         rows = ids.copy()

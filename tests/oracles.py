@@ -251,8 +251,9 @@ def laplacian_variances(stack: np.ndarray) -> np.ndarray:
 
 
 def masked_sigmoid(z: np.ndarray) -> np.ndarray:
-    """The logistic function, each sign's formula on its own masked gather."""
-    out = np.empty_like(z, dtype=np.float64)
+    """The logistic function, each sign's formula on its own masked gather,
+    in the dtype of ``z``."""
+    out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
@@ -264,7 +265,8 @@ def gradients_reference(
     params: ModelParams, X: np.ndarray, y: np.ndarray
 ) -> tuple[ModelParams, np.ndarray]:
     """The clamped-BCE batch gradient and clamped probabilities, with the
-    masked sigmoid, ``np.clip`` and ``np.outer``."""
+    masked sigmoid, ``np.clip`` and ``np.outer``, in the dtype its operands
+    promote to."""
     A1 = np.maximum(X @ params.W1.T + params.b1, 0.0)
     probs = np.clip(masked_sigmoid(A1 @ params.w2 + params.b2), PROB_EPS, 1.0 - PROB_EPS)
     live = (probs > PROB_EPS) & (probs < 1.0 - PROB_EPS)

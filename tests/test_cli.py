@@ -37,8 +37,8 @@ SMALL_OVERRIDES = [
 
 
 #: Two epochs of 40/20 samples: the run the config sweep varies. Under
-#: ``mode=babystep`` with ``lr.eta_max=1e300`` its first epoch's SGD ends in
-#: weights that overflow only on the test set.
+#: ``mode=babystep`` with ``lr.eta_max=1e30`` its first epoch's SGD, one
+#: batch, ends in weights that overflow only on the test set.
 TINY = [
     "dataset.n_train=40", "dataset.n_test=20", "total_epochs=2", "pacing.milestones=[1,2]",
     "pacing.easy_pool_size=5", "batch_size=16", "hidden_units=4",
@@ -566,11 +566,13 @@ class TestTrain:
         "overrides, code, key",
         [
             ([*SMALL, "lr.eta_min=5e-324"], 2, "lr.eta_min"),
-            ([*SMALL, "lr.eta_max=1e300"], 1, "lr.eta_max"),
+            ([*SMALL, "lr.eta_max=1e30"], 1, "lr.eta_max"),
             # SGD ends epoch 1, and its weights overflow in the evaluation.
-            ([*TINY, "mode=babystep", "lr.eta_max=1e300"], 1, "lr.eta_max"),
+            ([*TINY, "mode=babystep", "lr.eta_max=1e30"], 1, "lr.eta_max"),
+            # The first update's eta * grad overflows its cast to float32.
+            ([*SMALL, "lr.eta_max=1e39"], 1, "lr.eta_max"),
         ],
-        ids=["eta_min", "eta_max", "eta_max-in-evaluation"],
+        ids=["eta_min", "eta_max", "eta_max-in-evaluation", "eta_max-beyond-float32"],
     )
     def test_overflowing_learning_rate_names_its_key_without_a_warning(
         self, overrides, code, key, tmp_path
@@ -595,17 +597,24 @@ class TestTrain:
         "overrides, message",
         [
             (
-                [*SMALL, "lr.eta_max=1e300"],
+                [*SMALL, "lr.eta_max=1e30"],
                 "epoch 1: SGD diverged in the batch from entry 32 (…); "
-                "lr.eta_max = 1e+300 is too large for this run",
+                "lr.eta_max = 1e+30 is too large for this run",
             ),
             (
-                [*TINY, "mode=babystep", "lr.eta_max=1e300"],
+                [*TINY, "mode=babystep", "lr.eta_max=1e30"],
                 "epoch 1: the test-set evaluation diverged (…); "
-                "lr.eta_max = 1e+300 is too large for this run",
+                "lr.eta_max = 1e+30 is too large for this run",
+            ),
+            # Beyond float32's range the first update's cast overflows,
+            # before any weight is written.
+            (
+                [*SMALL, "lr.eta_max=1e39"],
+                "epoch 1: SGD diverged in the batch from entry 0 (…); "
+                "lr.eta_max = 1e+39 is too large for this run",
             ),
         ],
-        ids=["sgd", "evaluation"],
+        ids=["sgd", "evaluation", "sgd-first-batch"],
     )
     def test_divergence_message_word_for_word(self, overrides, message):
         # Word for word, but for numpy's own text inside the parentheses.

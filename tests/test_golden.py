@@ -52,28 +52,28 @@ GOLDEN_MACHINE = (
 GOLDEN = {
     "dffc": (
         [],
-        "8134fb71654d6f94d037a958f4c38170891e3b08c001afb82cc0c003b11debd3",
+        "ea22f8dacf48f4edb1623e433549f58ca61d952cf15f6159dd625ef8053a64fd",
     ),
     "dffc_augment_all": (
         ["augment_all=true"],
-        "a5c40e5148e2124e22ddfb64037d71fe2da14ccf5478bf4895e4c32fe2ee8880",
+        "8f137b9bacd1686aaa6d295481f82d87143ee609f82563db92a6a6d08c6294cb",
     ),
     "vanilla": (
         ["mode=vanilla"],
-        "80180c806ed144f6969b0c1d29e3b0c57778da34664b718ee32f07961a4c2825",
+        "d33f5e90fd7cb130623deb8f271631d2ac8674329217db9f795eee989876ffc6",
     ),
     "babystep": (
         ["mode=babystep"],
-        "e4548a923d4178d446577f5104841c6166ac99da3040c856b59b37a6e78a0518",
+        "4c1ee1f5b6cc6b8743a41c147ca67dd925f9b13f14a1caf4e779b4b3a29c97a6",
     ),
 }
 
 #: SHA-256 of ``pool_log.csv`` + NUL + ``hardness_state.json``, per ``GOLDEN`` config.
 GOLDEN_POOL = {
-    "dffc": "56c93526f0a4fdfcb6d7149590c02e67baa3d792f76f85e8708f5a102d01e3b2",
-    "dffc_augment_all": "f49629fd514db4ac1f1afa7dff09d136617dd1b4f79d00a59f5df9127bd2b815",
-    "vanilla": "634f963cb3ca0242876240c04c2676773c4f0edb66da33b71c69f19b941035cf",
-    "babystep": "ef47be2a692c67af72fa3e56b834acb29b9b382bd89411695252fb531b7b84f8",
+    "dffc": "d84b20b4f797771ee4434ca11ba14adf8b55464d225c80591aeecf9cf831c2ca",
+    "dffc_augment_all": "13c1dff45ecccb630469b5f8735ca6f5d33dc206b8f058597d19d606ff92f5d7",
+    "vanilla": "44944722e31d987a9cd5929b5b0692c286ec4d084f8fd3a5ed1bd84e45eac0db",
+    "babystep": "188e04a8fbf31ed118d35194cde62d0f785bffef41c82de3335e9d672cb47343",
 }
 
 
@@ -100,7 +100,7 @@ GOLDEN_DATASET = {
 }
 
 #: SHA-256 of ``extremes.json`` + NUL + ``dfh_trace.json`` for the ``SMALL`` dffc run.
-GOLDEN_EXTREMES = "d897d90b2dd80f48759a78fb99f36b5b1b013f4f2c8d086d0b92277f0f4adbcd"
+GOLDEN_EXTREMES = "5d6241f21cb5555d749d523c28e2b7df8285b9670b104a5641688e795de7340d"
 
 #: SHA-256 of ``comparison.csv`` for a ``compare`` grid of vanilla and dffc
 #: over seeds 1 and 2 on the ``SMALL`` config.

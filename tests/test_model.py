@@ -8,8 +8,12 @@ Oracle notes:
   [DERIVED] cosine schedule endpoints/midpoint -- closed form
       eta(t) = eta_min + 0.5*(eta_max-eta_min)*(1+cos(pi*(t-1)/(T-1))).
   [ORACLE] sigmoid and gradients -- the masked sigmoid, np.clip and
-      np.outer of tests/oracles.py, compared bit for bit.
-  [TRIVIAL] init bounds, determinism, validation, checkpoint round-trip.
+      np.outer of tests/oracles.py, compared bit for bit in float64 and
+      in float32.
+  [DERIVED] float32 step -- the same float32 values stepped in float64,
+      within bounds in float32 eps set from measured errors.
+  [TRIVIAL] init bounds and dtype, determinism, validation, checkpoint
+      round-trip of float32 weights through the float64 blob.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from oracles import (
 
 from dffc.model import (
     PROB_EPS,
+    TRAIN_DTYPE,
     ModelParams,
     _sigmoid,
     bce_loss,
@@ -50,6 +55,15 @@ class TestInit:
         assert np.all(np.abs(params.W1) <= bound)
         assert np.all(np.abs(params.w2) <= bound)
         assert np.all(params.b1 == 0.0) and params.b2 == 0.0
+
+    def test_float64_draws_cast_once(self):
+        params = init_params(n_inputs=12, n_hidden=5, seed=4)
+        rng = np.random.default_rng(4)
+        bound = 1.0 / math.sqrt(12)
+        W1, w2 = rng.uniform(-bound, bound, (5, 12)), rng.uniform(-bound, bound, 5)
+        for got, drawn in ((params.W1, W1), (params.b1, np.zeros(5)), (params.w2, w2)):
+            assert got.dtype == TRAIN_DTYPE
+            assert got.tobytes() == drawn.astype(TRAIN_DTYPE).tobytes()
 
     def test_deterministic_by_seed(self):
         a = init_params(8, 4, seed=3)
@@ -129,12 +143,15 @@ class TestBce:
 
 class TestGradients:
     def test_finite_difference_check(self):
+        # In float64 throughout: the model computes in its operands' dtype.
         rng = np.random.default_rng(11)
         params = init_params(n_inputs=6, n_hidden=4, seed=11)
+        params = unflatten_params(flatten_params(params).astype(np.float64), params)
         x = rng.normal(size=(8, 6))
         y = rng.integers(0, 2, size=8).astype(np.float64)
 
         grads, _ = gradients(params, x, y)
+        assert grads.W1.dtype == np.float64
         analytic = flatten_params(
             ModelParams(W1=grads.W1, b1=grads.b1, w2=grads.w2, b2=grads.b2)
         )
@@ -165,28 +182,58 @@ class TestGradients:
         clamped = (probs == PROB_EPS) | (probs == 1.0 - PROB_EPS)
         assert clamped.any() == (scale > 1.0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("width", [16, 32])
     @pytest.mark.parametrize("scale", [1.0, 8.0], ids=["live", "saturated"])
-    def test_match_the_reference_bit_for_bit(self, width, scale):
+    def test_match_the_reference_bit_for_bit(self, width, scale, dtype):
         # A default-sized batch of width x width px inputs on the input
         # transform's scale; weights 8x the init's clamp a fifth to three
         # fifths of the rows' probabilities, which then give no gradient.
+        # Every operand is in dtype, and so is every result.
         rng = np.random.default_rng(width)
         params = init_params(width * width, 32, seed=width)
         params = ModelParams(
-            W1=params.W1 * scale, b1=rng.normal(size=32) * 0.1, w2=params.w2 * scale, b2=0.3
+            W1=(params.W1 * scale).astype(dtype),
+            b1=(rng.normal(size=32) * 0.1).astype(dtype),
+            w2=(params.w2 * scale).astype(dtype),
+            b2=0.3,
         )
-        X = rng.normal(scale=5.0, size=(64, width * width))
-        y = (np.arange(64) % 2).astype(np.float64)
+        X = rng.normal(scale=5.0, size=(64, width * width)).astype(dtype)
+        y = (np.arange(64) % 2).astype(dtype)
         grads, probs = gradients(params, X, y)
         ref_grads, ref_probs = gradients_reference(params, X, y)
+        assert probs.dtype == ref_probs.dtype == dtype
         np.testing.assert_array_equal(_bits(probs), _bits(ref_probs))
         for name in ("W1", "b1", "w2", "b2"):
-            np.testing.assert_array_equal(
-                _bits(getattr(grads, name)), _bits(getattr(ref_grads, name)), err_msg=name
-            )
+            got, want = getattr(grads, name), getattr(ref_grads, name)
+            assert name == "b2" or got.dtype == want.dtype == dtype, name
+            np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=name)
         clamped = (probs == PROB_EPS) | (probs == 1.0 - PROB_EPS)
         assert clamped.any() == (scale > 1.0) and not clamped.all()
+
+    @pytest.mark.parametrize("width", [16, 32])
+    def test_float32_within_rounding_of_float64(self, width):
+        # The same float32 values, stepped in float32 and in float64: the
+        # probabilities within 4 float32 eps, each gradient within 16 eps of
+        # its largest entry (measured: at most 0.71 and 3.72).
+        rng = np.random.default_rng(width)
+        init = init_params(width * width, 32, seed=width)
+        b1 = (rng.normal(size=32) * 0.1).astype(TRAIN_DTYPE)
+        params = ModelParams(W1=init.W1, b1=b1, w2=init.w2, b2=0.3)
+        wide = ModelParams(
+            W1=init.W1.astype(np.float64), b1=b1.astype(np.float64),
+            w2=init.w2.astype(np.float64), b2=0.3,
+        )
+        X = rng.normal(scale=5.0, size=(64, width * width)).astype(TRAIN_DTYPE)
+        y = np.arange(64) % 2
+        grads, probs = gradients(params, X, y)
+        ref_grads, ref_probs = gradients(wide, X.astype(np.float64), y)
+        eps = np.finfo(TRAIN_DTYPE).eps
+        assert probs.dtype == TRAIN_DTYPE and ref_probs.dtype == np.float64
+        assert np.abs(probs - ref_probs).max() <= 4 * eps
+        for name in ("W1", "b1", "w2"):
+            got, want = getattr(grads, name), getattr(ref_grads, name)
+            assert np.abs(got - want).max() <= 16 * eps * np.abs(want).max(), name
 
     def test_sgd_step_hand_case(self):
         params = ModelParams(
@@ -206,7 +253,10 @@ class TestGradients:
         params = init_params(6, 4, seed=2)
         params.b2 = 0.25
         grads = ModelParams(
-            W1=rng.normal(size=(4, 6)), b1=rng.normal(size=4), w2=rng.normal(size=4), b2=-0.5
+            W1=rng.normal(size=(4, 6)).astype(TRAIN_DTYPE),
+            b1=rng.normal(size=4).astype(TRAIN_DTYPE),
+            w2=rng.normal(size=4).astype(TRAIN_DTYPE),
+            b2=-0.5,
         )
         eta = 0.0731
         arrays = (params.W1, params.b1, params.w2)
@@ -226,6 +276,17 @@ class TestGradients:
         with pytest.raises(ValueError):
             sgd_step(params, params, eta=-0.1)
         np.testing.assert_array_equal(_bits(flatten_params(params)), _bits(before))
+
+    def test_sgd_step_beyond_float32_raises_before_writing(self):
+        # eta * g rounds eta to the weights' float32, which overflows; under
+        # the runner's errstate guard that raises before any weight is written.
+        params = init_params(6, 4, seed=3)
+        X = np.random.default_rng(3).normal(size=(8, 6)).astype(TRAIN_DTYPE)
+        grads, _ = gradients(params, X, np.arange(8) % 2)
+        before = flatten_params(params)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            sgd_step(params, grads, eta=1e39)
+        assert flatten_params(params).tobytes() == before.tobytes()
 
     def test_training_reduces_loss(self):
         rng = np.random.default_rng(5)
@@ -283,6 +344,29 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.w2, params.w2)
         assert loaded.b2 == params.b2
         assert meta["seed"] == 9 and meta["epoch"] == 17
+
+    def test_trained_float32_weights_read_back_exactly(self, tmp_path):
+        # Weights after a few float32 SGD steps fill float32's mantissa; the
+        # <f8 blob holds them widened, and they read back equal.
+        rng = np.random.default_rng(12)
+        params = init_params(10, 6, seed=12)
+        X = rng.normal(size=(32, 10)).astype(TRAIN_DTYPE)
+        y = (X[:, 0] > 0).astype(TRAIN_DTYPE)
+        for _ in range(5):
+            params = sgd_step(params, gradients(params, X, y)[0], eta=0.3)
+        header, blob = tmp_path / "checkpoint.json", tmp_path / "checkpoint.bin"
+        save_checkpoint(params, seed=12, epoch=5, header_path=header, blob_path=blob)
+        loaded, meta = load_checkpoint(header, blob)
+        assert meta == {
+            "shapes": {"W1": [6, 10], "b1": [6], "w2": [6], "b2": []}, "seed": 12, "epoch": 5
+        }
+        assert len(blob.read_bytes()) == 8 * (6 * 10 + 6 + 6 + 1)
+        for name in ("W1", "b1", "w2"):
+            got, want = getattr(loaded, name), getattr(params, name)
+            assert want.dtype == TRAIN_DTYPE and got.dtype == np.float64, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+            assert got.astype(TRAIN_DTYPE).tobytes() == want.tobytes(), name
+        assert loaded.b2 == params.b2
 
     def test_truncated_blob_rejected(self, tmp_path):
         params = init_params(10, 6, seed=9)

@@ -29,11 +29,12 @@ import sys
 import numpy as np
 import pytest
 from oracles import assert_pool_streams_equal, easy_ids, hard_ids
+from test_golden import SMALL
 
 from dffc import augment, cli, forgeries, hardness, pacing, runner
 from dffc.errors import ConfigError
 from dffc.forgeries import DatasetConfig, generate_dataset, quality_priors
-from dffc.model import MAX_BCE, PROB_EPS, bce_loss, forward_batch, init_params
+from dffc.model import MAX_BCE, PROB_EPS, TRAIN_DTYPE, bce_loss, forward_batch, init_params
 
 
 def metrics_text(result: runner.MetricsLog) -> str:
@@ -379,18 +380,30 @@ class TestEvaluate:
 
 class TestInputTransform:
     def test_out_receives_the_allocating_result_bit_for_bit(self):
+        # float32 pixel values held in float64, as the dataset's are.
         images = np.random.default_rng(30).uniform(0, 1, (50, 8, 8))
+        images = images.astype(np.float32).astype(np.float64)
         to_input = runner.fit_input_transform(images[:40])
         expected = to_input(images)
-        assert expected.shape == (50, 64)
-        out = np.full((50, 64), np.nan)
+        assert expected.shape == (50, 64) and expected.dtype == TRAIN_DTYPE
+        out = np.full((50, 64), np.nan, dtype=TRAIN_DTYPE)
         assert to_input(images, out=out) is out
         assert out.tobytes() == expected.tobytes()
-        # In place over rows of raw pixels, as run_training standardizes its
-        # augmented rows.
-        rows = images.reshape(50, 64).copy()
+        # In place over rows of raw float32 pixels, as run_training
+        # standardizes the augmented rows augment_pixels writes.
+        rows = images.reshape(50, 64).astype(TRAIN_DTYPE)
         assert to_input(rows, out=rows) is rows
         assert rows.tobytes() == expected.tobytes()
+
+    def test_rows_round_the_float64_standardization(self):
+        # Centred and scaled in float64, each step rounded to float32: within
+        # one float32 ulp of the float64 transform rounded once.
+        images = np.random.default_rng(31).uniform(0, 1, (50, 8, 8))
+        to_input = runner.fit_input_transform(images[:40])
+        exact = to_input(images, out=np.empty((50, 64)))
+        rows = to_input(images)
+        ulp = np.spacing(np.abs(exact).astype(np.float32))
+        assert np.all(np.abs(rows - exact.astype(np.float32)) <= ulp)
 
 
 class TestEpochAssembly:
@@ -430,7 +443,7 @@ class TestEpochAssembly:
             if augment_all:
                 seeds[originals] = pacing.derive_augmentation_seed(config.seed, t, salt=1)
             augmented = np.flatnonzero(seeds >= 0)
-            X_augmented = np.empty((len(augmented), X_train.shape[1]))
+            X_augmented = np.empty((len(augmented), X_train.shape[1]), dtype=X_train.dtype)
             if len(augmented):
                 augment.augment_pixels(
                     train.images, ids[augmented], config.augment, seeds[augmented], X_augmented
@@ -485,3 +498,41 @@ class TestEpochAssembly:
             runner.run_training(small_run_config)
         sample = pools[0].entries[small_run_config.batch_size + 5]
         assert str(info.value) == f"epoch 1: non-finite training loss nan (sample {sample})"
+
+
+class TestTrainingDtype:
+    def test_every_batch_and_evaluation_runs_in_float32(self, monkeypatch):
+        # A float64 operand anywhere in a step (the targets, a bias, the
+        # transform's mean) would promote its matrix products to float64
+        # without changing any result enough for another test to see.
+        real_gradients, real_forward, real_augment = (
+            runner.gradients, runner.forward_batch, runner.augment_pixels
+        )
+        dtypes = {"batch": set(), "grads": set(), "probs": set(), "eval": set(), "rows": set()}
+
+        def gradients_spy(params, X, y):
+            grads, probs = real_gradients(params, X, y)
+            dtypes["batch"] |= {X.dtype, params.W1.dtype, params.b1.dtype, params.w2.dtype}
+            dtypes["grads"] |= {grads.W1.dtype, grads.b1.dtype, grads.w2.dtype}
+            dtypes["probs"].add(probs.dtype)
+            return grads, probs
+
+        def forward_spy(params, X):
+            probs = real_forward(params, X)
+            dtypes["eval"] |= {X.dtype, params.W1.dtype, probs.dtype}
+            return probs
+
+        def augment_spy(images, ids, spec, seeds, out):
+            dtypes["rows"].add(out.dtype)
+            return real_augment(images, ids, spec, seeds, out)
+
+        monkeypatch.setattr(runner, "gradients", gradients_spy)
+        monkeypatch.setattr(runner, "forward_batch", forward_spy)
+        monkeypatch.setattr(runner, "augment_pixels", augment_spy)
+        result = runner.run_training(cli.build_run_config(cli.resolve_config(None, SMALL)))
+        assert dtypes == {name: {np.dtype(TRAIN_DTYPE)} for name in dtypes}
+        final = result.final_params
+        assert final.W1.dtype == final.b1.dtype == final.w2.dtype == TRAIN_DTYPE
+        # The bookkeeping stays float64.
+        assert all(record["losses"].dtype == np.float64 for record in result.epochs)
+        assert result.train_hardness.dih.dtype == result.test_hardness.dih.dtype == np.float64
