@@ -8,15 +8,16 @@ into the caller's array in that array's dtype, a split's float64 images
 (:func:`augment_pixels`), which take them with no cast. They are
 applied in that fixed order by :func:`augment_pixels`; every parameter is
 drawn from the spec ranges by numpy's ``default_rng`` keyed by the
-entry's seed, so augmentation is fully reproducible. Entry i's five draws are row ``ids[i]``
-of one table per seed, ``default_rng(seed).uniform(lo, hi, size=(n, 5))``
-(:func:`table_rows`): numpy fills a table row by row, so an entry's draws
-depend on its seed and its sample id alone.
+call's one seed, so augmentation is fully reproducible. Entry i's five
+draws are row ``ids[i]`` of the seed's table, ``default_rng(seed).uniform(lo,
+hi, size=(n, 5))`` (:func:`table_rows`): numpy fills a table row by row,
+so an entry's draws depend on the seed and its sample id alone.
 
-:func:`augment_pixels` augments every easy-pool copy of an epoch in one
-call, each entry one sample id of the source stack with its seed, and
-writes each entry's augmented pixels, flattened, into its row of a matrix
-the caller holds. It draws one table per distinct seed. Its blur,
+:func:`augment_pixels` augments one part of an epoch (its easy copies, or
+under ``augment_all`` its originals) in one call, each entry one sample
+id of the source stack, and writes each entry's augmented pixels,
+flattened, into its row of a matrix the caller holds. It draws one
+table. Its blur,
 shift and clip are one pipeline, which also post-processes the synthetic
 dataset (:func:`blur_shift`): the entries go widest blur radius first, in
 runs of one radius and at most ``AUGMENT_CHUNK`` entries, with the kernels
@@ -329,25 +330,26 @@ def augment_pixels(
     images: np.ndarray,
     ids: np.ndarray,
     spec: AugmentationSpec,
-    seeds: Sequence[int],
+    seed: int,
     out: np.ndarray,
 ) -> None:
-    """Apply blur -> brightness -> affine with parameters drawn per seed, and
-    write each result's pixels, flattened, into its row of ``out``.
+    """Apply blur -> brightness -> affine with parameters drawn from one
+    seed, and write each result's pixels, flattened, into its row of ``out``.
 
     Entry ``i`` augments ``images[ids[i]]`` of the ``(n, h, w)`` stack with
-    the five parameters in row ``ids[i]`` of ``seeds[i]``'s table
-    (:func:`table_rows`); an id may repeat. ``out[i]`` receives ``h * w``
-    pixels, bit-identical to ``affine(brightness_adjust(gaussian_blur(
-    images[ids[i]], sigma), delta), theta, dx, dy).ravel()`` of
-    ``tests/oracles.py``, whichever entries share the call.
+    the five parameters in row ``ids[i]`` of ``seed``'s table
+    (:func:`table_rows`); an id may repeat, and its entries are then
+    byte-identical. ``out[i]`` receives ``h * w`` pixels, bit-identical to
+    ``affine(brightness_adjust(gaussian_blur(images[ids[i]], sigma), delta),
+    theta, dx, dy).ravel()`` of ``tests/oracles.py``, whichever entries
+    share the call.
     """
     images = np.asarray(images, dtype=np.float64)
     ids = np.asarray(ids)
-    if images.ndim != 3 or not len(ids) == len(seeds) == len(out):
+    if images.ndim != 3 or len(ids) != len(out):
         raise ValueError(
-            f"expected an (n, h, w) stack and as many seeds and out rows as ids, got "
-            f"shape {images.shape}, {len(ids)} ids, {len(seeds)} seeds and {len(out)} out rows"
+            f"expected an (n, h, w) stack and as many out rows as ids, got "
+            f"shape {images.shape}, {len(ids)} ids and {len(out)} out rows"
         )
     bounds = (
         spec.blur_sigma_range,
@@ -356,11 +358,6 @@ def augment_pixels(
         spec.translation_range_pixels,
         spec.translation_range_pixels,
     )
-    draws = np.empty((len(ids), len(bounds)))
-    keys, which = np.unique(np.asarray(seeds), return_inverse=True)
-    for k, key in enumerate(keys):
-        at = which == k
-        draws[at] = table_rows(int(key), bounds, ids[at], len(images))
-    sigmas, deltas, rotations, dxs, dys = draws.T
+    sigmas, deltas, rotations, dxs, dys = table_rows(seed, bounds, ids, len(images)).T
     for rows, run in _blur_shift_runs(images, ids, sigmas, deltas):
         out[rows] = _warp(run, rotations[rows], dxs[rows], dys[rows])

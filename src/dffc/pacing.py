@@ -7,18 +7,19 @@ bottom-E samples, which enter the pool as augmented copies to keep the
 data diverse. A static "easiest-first, growing prefix" baseline
 (BabyStep) is also provided.
 
-A pool is two int64 arrays in training order: each entry's sample id and
-its augmentation seed, -1 for an original. An epoch has one seed per salt
-(0 for the easy pool, 1 for the originals under ``augment_all``), from
-:func:`derive_augmentation_seed`; an entry's draws are its sample id's row
-of that seed's table (``augment.table_rows``). A pool's composition
-(its distinct hard and easy ids and their overlap) is counted over boolean
-masks of the samples, in linear time. Everything here is a
-pure function of its inputs; given the same seed the resulting pool is
-bit-identical. The schedule's values are plain arguments:
-:func:`check_pacing` and :func:`check_babystep` each reject a bad section
-with a ``ConfigError``, and ``RunConfig`` calls them once for a run, after
-it coerces the milestones to ints.
+A pool is two arrays in training order: each entry's sample id, and a
+boolean mask that marks the augmented copies; the other entries are the
+originals. The pool carries no seed. The runner derives one seed per
+augmented part of an epoch with :func:`derive_augmentation_seed` (salt 0
+for the easy copies, salt 1 for the originals under ``augment_all``), and
+an entry's draws are its sample id's row of that seed's table
+(``augment.table_rows``). A pool's composition (its distinct hard and
+easy ids and their overlap) is counted over boolean masks of the samples,
+in linear time. Everything here is a pure function of its inputs; given
+the same seed the resulting pool is bit-identical. The schedule's values
+are plain arguments: :func:`check_pacing` and :func:`check_babystep` each
+reject a bad section with a ``ConfigError``, and ``RunConfig`` calls them
+once for a run, after it coerces the milestones to ints.
 """
 
 from __future__ import annotations
@@ -100,39 +101,39 @@ AUGMENT_STREAM = 2
 class EpochPool:
     """One epoch's training entries, in training order.
 
-    ``entries[j]`` is the sample id of entry ``j`` and ``seeds[j]`` its
-    augmentation seed, the epoch's one :func:`derive_augmentation_seed`, or
-    -1 for an unaugmented original. The originals are the hard pool and the
-    augmented copies the easy pool.
+    ``entries[j]`` is the sample id of entry ``j``, and ``augmented[j]``
+    is true if the entry is an augmented copy, false if it is an
+    original. The originals are the hard pool and the augmented copies the
+    easy pool.
     """
 
     entries: np.ndarray
-    seeds: np.ndarray
+    augmented: np.ndarray
 
     def composition(self, n_samples: int) -> tuple[int, int, int]:
         """``(hard_size, easy_size, overlap)``: the distinct ids among the
         originals, among the augmented copies, and among both, for ids in
         ``0..n_samples - 1``. Each id set is a boolean mask over the
         samples, so repeated ids count once and nothing is sorted."""
-        originals = self.seeds < 0
         hard = np.zeros(n_samples, dtype=bool)
-        hard[self.entries[originals]] = True
+        hard[self.entries[~self.augmented]] = True
         easy = np.zeros(n_samples, dtype=bool)
-        easy[self.entries[~originals]] = True
+        easy[self.entries[self.augmented]] = True
         return tuple(int(np.count_nonzero(mask)) for mask in (hard, easy, hard & easy))
 
 
 def derive_augmentation_seed(rng_seed: int, t: int, salt: int = 0) -> int:
-    """The augmentation seed of epoch ``t``'s entries of one salt,
+    """The augmentation seed of epoch ``t``'s entries of one salt (0 for
+    the easy copies, 1 for the originals under ``augment_all``),
     ``SeedSequence(rng_seed, spawn_key=(AUGMENT_STREAM, t, salt))
-    .generate_state(1)[0]``: a uint32, so never -1."""
+    .generate_state(1)[0]``: a uint32."""
     key = np.random.SeedSequence(rng_seed, spawn_key=(AUGMENT_STREAM, t, salt))
     return int(key.generate_state(1)[0])
 
 
-def _shuffled(ids: np.ndarray, seeds: np.ndarray, rng_seed: int, t: int) -> EpochPool:
+def _shuffled(ids: np.ndarray, augmented: np.ndarray, rng_seed: int, t: int) -> EpochPool:
     perm = np.random.default_rng((rng_seed, t)).permutation(len(ids))
-    return EpochPool(entries=ids[perm], seeds=seeds[perm])
+    return EpochPool(entries=ids[perm], augmented=augmented[perm])
 
 
 def full_pool(n_samples: int, t: int, rng_seed: int) -> EpochPool:
@@ -147,7 +148,7 @@ def full_pool(n_samples: int, t: int, rng_seed: int) -> EpochPool:
 def pool_from_ids(ids: np.ndarray, t: int, rng_seed: int) -> EpochPool:
     """Pool of unaugmented originals over an explicit id set (static curricula)."""
     ids = np.sort(np.asarray(ids, dtype=np.int64))
-    return _shuffled(ids, np.full(len(ids), -1, dtype=np.int64), rng_seed, t)
+    return _shuffled(ids, np.zeros(len(ids), dtype=bool), rng_seed, t)
 
 
 def build_epoch_pool(
@@ -162,9 +163,9 @@ def build_epoch_pool(
 
     Warm-up epochs train on the whole dataset. Afterwards the pool mixes
     the top-k hard samples (originals) with the bottom-E easy samples
-    (augmented copies, all with the epoch's seed of salt 0). The easy pool is
-    drawn from the full dataset, so in degenerate configurations a sample
-    can appear twice: once raw and once augmented.
+    (augmented copies). The easy pool is drawn from the full dataset, so
+    in degenerate configurations a sample can appear twice: once raw and
+    once augmented.
     """
     dfh_scores = np.asarray(dfh_scores, dtype=np.float64)
     n = len(dfh_scores)
@@ -172,9 +173,8 @@ def build_epoch_pool(
         return full_pool(n, t, rng_seed)
     hard = select_hard_pool(dfh_scores, pool_size_at_epoch(n, t, milestones, alpha_k))
     easy = select_easy_pool(dfh_scores, min(easy_pool_size, n))
-    seeds = np.full(len(hard) + len(easy), -1, dtype=np.int64)
-    seeds[len(hard) :] = derive_augmentation_seed(rng_seed, t)
-    return _shuffled(np.concatenate([hard, easy]), seeds, rng_seed, t)
+    augmented = np.arange(len(hard) + len(easy)) >= len(hard)
+    return _shuffled(np.concatenate([hard, easy]), augmented, rng_seed, t)
 
 
 def check_babystep(start_fraction: float, growth_factor: float, step_length: int) -> None:

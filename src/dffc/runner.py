@@ -11,14 +11,17 @@ Modes:
 
 A run is single-threaded and bit-reproducible from its config. Its learning
 rate and pacing are read from the config's own fields as plain values.
-Each epoch trains on one :class:`pacing.EpochPool` (sample ids and augmentation
-seeds as arrays) and updates DIH with one whole-array step for the trained
-hard pool and one for the test set; the DFH it takes after that update is
-the next epoch's selection score. No epoch-sized pixel matrix is built:
-a run keeps one row store, its n standardized training rows followed by
-the epoch's augmented rows, which one call of ``augment_pixels`` per epoch
-fills with pixels run by run; the store grows, by one copy, only when an
-epoch augments more entries than it holds rows for. The store and the
+Each epoch trains on one :class:`pacing.EpochPool` (sample ids and a mask
+of the augmented copies, as arrays) and updates DIH with one whole-array
+step for the trained hard pool and one for the test set; the DFH it takes
+after that update is the next epoch's selection score. This module alone
+derives an epoch's augmentation seeds, one per part it augments: salt 0
+for the easy copies and, under ``augment_all``, salt 1 for the originals.
+No epoch-sized pixel matrix is built: a run keeps one row store, its n
+standardized training rows followed by the epoch's augmented rows, each
+part's rows filled, run by run, by one call of ``augment_pixels`` with
+that part's seed; the store grows, by one copy, only when an epoch
+augments more entries than it holds rows for. The store and the
 test matrix hold float32 rows (``model.TRAIN_DTYPE``), as the weights
 are, so every batch gather, both matrix products of each SGD step and the
 evaluation run in float32, while the losses and the hardness stay
@@ -156,7 +159,7 @@ class MetricsLog:
     ``METRICS_COLUMNS`` and ``POOL_LOG_COLUMNS``, ``pool`` (the
     :class:`pacing.EpochPool` the curriculum selected, in every mode: its
     originals are the hard pool, and under ``augment_all`` they are trained
-    augmented by seeds of salt 1 derived as the epoch trains), ``losses``
+    augmented too, by the epoch's seed of salt 1), ``losses``
     (that pool's losses in training order) and
     ``dfh`` (every sample's DFH after the epoch's update), from which the
     CLI picks and writes the DFH traces. ``test_hardness``
@@ -333,31 +336,31 @@ def run_training(
         pool_scores = dfh_now[ids]
         hard_size, easy_size, overlap = pool.composition(n)
         # The originals are the hard pool, and only they drive DIH updates.
-        # Under --augment-all they are trained augmented too, each by a seed
-        # of salt 1, which the pool itself does not carry.
-        originals = pool.seeds < 0
-        seeds = pool.seeds
-        if config.augment_all:
-            seeds = seeds.copy()
-            seeds[originals] = pacing.derive_augmentation_seed(config.seed, t, salt=1)
+        originals = ~pool.augmented
 
-        # The augmented entries' pixels, made in one call into the store's
-        # rows after the training rows and standardized in place; rows[i] is
+        # Each augmented part's pixels, made in one call into the next rows
+        # of the store after the training rows and standardized in place:
+        # the easy copies by the epoch's seed of salt 0 and, under
+        # --augment-all, the originals by its seed of salt 1. rows[i] is
         # entry i's row of the store.
-        augmented = np.flatnonzero(seeds >= 0)
-        end = n + len(augmented)
+        parts = [np.flatnonzero(pool.augmented)]
+        if config.augment_all:
+            parts.append(np.flatnonzero(originals))
+        end = n + sum(map(len, parts))
         if end > len(X_rows):
             grown = np.empty((end, d), dtype=X_rows.dtype)
             grown[:n] = X_rows[:n]
             X_rows = grown
         rows = ids.copy()
-        rows[augmented] = np.arange(n, end)
-        if len(augmented):
-            X_augmented = X_rows[n:end]
-            augment_pixels(
-                train.images, ids[augmented], config.augment, seeds[augmented], X_augmented
-            )
-            to_input(X_augmented, out=X_augmented)
+        free = n
+        for salt, part in enumerate(parts):
+            if len(part):
+                rows[part] = np.arange(free, free + len(part))
+                X_part = X_rows[free : free + len(part)]
+                seed = pacing.derive_augmentation_seed(config.seed, t, salt)
+                augment_pixels(train.images, ids[part], config.augment, seed, X_part)
+                to_input(X_part, out=X_part)
+                free += len(part)
 
         # Mini-batch SGD, one gather from the store per batch; each batch's
         # probabilities are kept from before its update, and the epoch's

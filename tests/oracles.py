@@ -323,12 +323,12 @@ def brute_force_topk(scores, k, largest):
 
 def hard_ids(pool: EpochPool) -> np.ndarray:
     """Sorted distinct ids of a pool's originals."""
-    return np.unique(pool.entries[pool.seeds < 0])
+    return np.unique(pool.entries[~pool.augmented])
 
 
 def easy_ids(pool: EpochPool) -> np.ndarray:
     """Sorted distinct ids of a pool's augmented copies."""
-    return np.unique(pool.entries[pool.seeds >= 0])
+    return np.unique(pool.entries[pool.augmented])
 
 
 def overlap(pool: EpochPool) -> int:
@@ -337,9 +337,9 @@ def overlap(pool: EpochPool) -> int:
 
 
 def assert_pools_equal(a: EpochPool, b: EpochPool, t: int = 1) -> None:
-    """Epoch ``t``'s two pools are equal, entry for entry and seed for seed."""
+    """Epoch ``t``'s two pools are equal, entry for entry and mask for mask."""
     np.testing.assert_array_equal(a.entries, b.entries, err_msg=f"entries of pool {t}")
-    np.testing.assert_array_equal(a.seeds, b.seeds, err_msg=f"seeds of pool {t}")
+    np.testing.assert_array_equal(a.augmented, b.augmented, err_msg=f"masks of pool {t}")
 
 
 def assert_pool_streams_equal(a: MetricsLog, b: MetricsLog) -> None:

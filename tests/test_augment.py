@@ -2,8 +2,9 @@
 seeded determinism, and ``augment_pixels`` checked for exact equality
 against the single-image operations of ``oracles.py``. Most tests read
 ``augment_pixels`` through :func:`augment_stack`, which augments each image
-of a stack by its own seed and returns the rows as a stack again. Each
-entry's draws come from the scalar-loop oracle ``augmentation_draws``."""
+of a stack by one seed, image i by row i of the seed's table, and returns
+the rows as a stack again. Each entry's draws come from the scalar-loop
+oracle ``augmentation_draws``."""
 
 import math
 import tracemalloc
@@ -38,15 +39,15 @@ from dffc.errors import ConfigError
 from dffc.forgeries import DatasetConfig, generate_dataset
 
 
-def augment_stack(images: np.ndarray, spec: AugmentationSpec, seeds) -> np.ndarray:
-    """Each image of an ``(n, h, w)`` stack augmented by its own seed, as a stack."""
-    return augment_ids(images, np.arange(len(images)), spec, seeds).reshape(images.shape)
+def augment_stack(images: np.ndarray, spec: AugmentationSpec, seed: int) -> np.ndarray:
+    """Each image of an ``(n, h, w)`` stack augmented by ``seed``, as a stack."""
+    return augment_ids(images, np.arange(len(images)), spec, seed).reshape(images.shape)
 
 
-def augment_ids(images: np.ndarray, ids, spec: AugmentationSpec, seeds) -> np.ndarray:
+def augment_ids(images: np.ndarray, ids, spec: AugmentationSpec, seed: int) -> np.ndarray:
     """``augment_pixels`` of the entries ``ids`` of a stack, as fresh rows."""
     out = np.empty((len(ids), images[0].size))
-    augment_pixels(images, np.asarray(ids), spec, seeds, out)
+    augment_pixels(images, np.asarray(ids), spec, seed, out)
     return out
 
 
@@ -237,13 +238,12 @@ class TestBlur:
         tiny = np.array([0.0, 5e-324, 1e-300, 1e-200, 1e-170, 1.5e-162])
         expected = blurred_shifted(images, np.zeros(6), deltas)
         assert blurred_shifted(images, tiny, deltas).tobytes() == expected.tobytes()
-        seeds = list(range(300))
         images = np.random.default_rng(21).uniform(0, 1, (300, 16, 16))
         spec = AugmentationSpec(blur_sigma_range=(0.0, 1e-200))
-        out = augment_stack(images, spec, seeds)
+        out = augment_stack(images, spec, 300)
         assert np.isfinite(out).all()
         zero = AugmentationSpec(blur_sigma_range=(0.0, 0.0))
-        assert out.tobytes() == augment_stack(images, zero, seeds).tobytes()
+        assert out.tobytes() == augment_stack(images, zero, 300).tobytes()
 
 
     def test_band_product_within_rounding_of_tap_sum(self):
@@ -301,13 +301,13 @@ class TestBlur:
             [brightness_adjust(gaussian_blur(i, s), d) for i, s, d in zip(images, sigmas, deltas)]
         )
         assert whole.tobytes() == expected.tobytes()
-        _, seeds = stack_and_seeds(n, 1, seed=size[0])
+        seed = size[0]
         spec = AugmentationSpec(blur_sigma_range=(1.0, 4.0 / 3.0))
-        augmented = augment_stack(images, spec, seeds)
+        augmented = augment_stack(images, spec, seed)
         for k in (1, 2, n - 1):
             part = blurred_shifted(images[-k:], sigmas[-k:], deltas[-k:])
             assert part.tobytes() == whole[-k:].tobytes(), k
-            part = augment_ids(images, np.arange(n - k, n), spec, seeds[-k:])
+            part = augment_ids(images, np.arange(n - k, n), spec, seed)
             assert part.tobytes() == augmented[-k:].reshape(k, -1).tobytes(), k
 
 
@@ -385,7 +385,7 @@ class TestSpec:
                     rotation_range_degrees=(rotation, rotation),
                     translation_range_pixels=(shift, shift),
                 )
-                assert np.isfinite(augment_stack(images, spec, [1, 2, 3])).all()
+                assert np.isfinite(augment_stack(images, spec, 1)).all()
 
 
 class TestAugmentPixels:
@@ -393,14 +393,14 @@ class TestAugmentPixels:
         img = np.random.default_rng(5).uniform(0, 1, (1, 16, 16))
         spec = AugmentationSpec()
         np.testing.assert_array_equal(
-            augment_stack(img, spec, [123]), augment_stack(img, spec, [123])
+            augment_stack(img, spec, 123), augment_stack(img, spec, 123)
         )
 
     def test_different_seed_different_output(self):
         img = np.random.default_rng(6).uniform(0, 1, (1, 16, 16))
         spec = AugmentationSpec()
         assert not np.array_equal(
-            augment_stack(img, spec, [1]), augment_stack(img, spec, [2])
+            augment_stack(img, spec, 1), augment_stack(img, spec, 2)
         )
 
     def test_degenerate_spec_is_identity(self):
@@ -411,11 +411,11 @@ class TestAugmentPixels:
             rotation_range_degrees=(0.0, 0.0),
             translation_range_pixels=(0.0, 0.0),
         )
-        np.testing.assert_allclose(augment_stack(img, spec, [99]), img, atol=1e-12)
+        np.testing.assert_allclose(augment_stack(img, spec, 99), img, atol=1e-12)
 
     def test_output_stays_in_unit_range(self):
         img = np.random.default_rng(8).uniform(0, 1, (1, 16, 16))
-        out = augment_stack(img, AugmentationSpec(), [77])
+        out = augment_stack(img, AugmentationSpec(), 77)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
@@ -426,15 +426,16 @@ def oracle(image: np.ndarray, spec: AugmentationSpec, seed: int, sample_id: int)
     return affine(brightness_adjust(gaussian_blur(image, sigma), delta), theta, dx, dy)
 
 
-def oracle_stack(images: np.ndarray, spec: AugmentationSpec, seeds) -> np.ndarray:
+def oracle_stack(images: np.ndarray, spec: AugmentationSpec, seed: int) -> np.ndarray:
     """:func:`oracle` of each image of a stack, image i as sample i."""
-    return np.stack([oracle(img, spec, s, i) for i, (img, s) in enumerate(zip(images, seeds))])
+    return np.stack([oracle(img, spec, seed, i) for i, img in enumerate(images)])
 
 
-def stack_and_seeds(n: int, size: int, seed: int) -> tuple[np.ndarray, list[int]]:
+def stack_and_seed(n: int, size: int, seed: int) -> tuple[np.ndarray, int]:
+    """``n`` random ``size`` px images and one augmentation seed."""
     rng = np.random.default_rng(seed)
     images = rng.uniform(0, 1, (n, size, size))
-    return images, [int(s) for s in rng.integers(0, 2**63, n)]
+    return images, int(rng.integers(0, 2**63))
 
 
 class TestTableRows:
@@ -511,47 +512,43 @@ class TestAugmentStack:
     def test_matches_single_image_oracle(self, size, spec):
         # An (h, w) size crops a square stack to a non-contiguous view.
         h, w = (size, size) if isinstance(size, int) else size
-        images, seeds = stack_and_seeds(40, max(h, w), seed=h)
+        images, seed = stack_and_seed(40, max(h, w), seed=h)
         images = images[:, :h, :w]
-        out = augment_stack(images, spec, seeds)
-        expected = oracle_stack(images, spec, seeds)
+        out = augment_stack(images, spec, seed)
+        expected = oracle_stack(images, spec, seed)
         assert out.shape == images.shape
         np.testing.assert_array_equal(out, expected)
 
     def test_mixed_radii_in_one_chunk(self):
-        images, seeds = stack_and_seeds(64, 16, seed=11)
+        images, seed = stack_and_seed(64, 16, seed=11)
         spec = AugmentationSpec()
         radii = set()
-        for i, s in enumerate(seeds):
-            sigma = augmentation_draws(spec, s, i)[0]
+        for i in range(len(images)):
+            sigma = augmentation_draws(spec, seed, i)[0]
             radii.add(len(gaussian_kernel_1d(sigma)) // 2)
         assert len(radii) >= 4
-        expected = oracle_stack(images, spec, seeds)
-        np.testing.assert_array_equal(augment_stack(images, spec, seeds), expected)
+        expected = oracle_stack(images, spec, seed)
+        np.testing.assert_array_equal(augment_stack(images, spec, seed), expected)
 
-    @pytest.mark.parametrize("one_seed", [False, True])
-    def test_output_does_not_depend_on_chunk_mates(self, one_seed):
-        # An entry's pixels depend only on its image, its id and its seed:
-        # with a seed per entry, and with one seed for all, as in an epoch.
-        images, seeds = stack_and_seeds(30, 16, seed=13)
-        if one_seed:
-            seeds = seeds[:1] * 30
+    def test_output_does_not_depend_on_chunk_mates(self):
+        # An entry's pixels depend only on its image, its id and the seed.
+        images, seed = stack_and_seed(30, 16, seed=13)
         spec = AugmentationSpec(blur_sigma_range=(0.0, 3.0))
-        whole = augment_ids(images, np.arange(30), spec, seeds)
+        whole = augment_ids(images, np.arange(30), spec, seed)
         order = np.random.default_rng(14).permutation(30)
-        shuffled = augment_ids(images, order, spec, [seeds[i] for i in order])
+        shuffled = augment_ids(images, order, spec, seed)
         np.testing.assert_array_equal(shuffled, whole[order])
         for lo, hi in ((0, 1), (1, 7), (7, 30)):
-            part = augment_ids(images, np.arange(lo, hi), spec, seeds[lo:hi])
+            part = augment_ids(images, np.arange(lo, hi), spec, seed)
             np.testing.assert_array_equal(part, whole[lo:hi])
 
     def test_stack_spanning_many_chunks(self, monkeypatch):
         # 300 entries in chunks of 7: 42 full chunks and one of 6.
         monkeypatch.setattr(augment, "AUGMENT_CHUNK", 7)
-        images, seeds = stack_and_seeds(300, 16, seed=19)
+        images, seed = stack_and_seed(300, 16, seed=19)
         spec = AugmentationSpec()
-        expected = oracle_stack(images, spec, seeds)
-        assert augment_stack(images, spec, seeds).tobytes() == expected.tobytes()
+        expected = oracle_stack(images, spec, seed)
+        assert augment_stack(images, spec, seed).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("size", [16, 32])
     def test_within_four_float32_eps_of_the_float64_formulas(self, size):
@@ -563,7 +560,7 @@ class TestAugmentStack:
         # reaches 17 and 26 eps.
         train, _ = generate_dataset(DatasetConfig(n_train=1000, n_test=2, image_size=size))
         spec, seed = AugmentationSpec(), 12345
-        out = augment_stack(train.images, spec, [seed] * len(train))
+        out = augment_stack(train.images, spec, seed)
         draws = table_rows(seed, augmentation_bounds(spec), np.arange(len(train)), len(train))
         exact = np.stack(
             [
@@ -577,59 +574,62 @@ class TestAugmentStack:
         assert np.abs(out - exact).max() <= 4 * np.finfo(np.float32).eps
 
     def test_input_left_untouched(self):
-        images, seeds = stack_and_seeds(8, 16, seed=15)
+        images, seed = stack_and_seed(8, 16, seed=15)
         before = images.copy()
-        augment_stack(images, AugmentationSpec(), seeds)
+        augment_stack(images, AugmentationSpec(), seed)
         np.testing.assert_array_equal(images, before)
 
     def test_ids_pick_the_source_images(self):
         # Entries read their images by id from a larger stack: out of order,
-        # some ids repeated with different seeds, most never read.
-        images, _ = stack_and_seeds(50, 16, seed=24)
+        # some ids repeated, most never read. A repeated id reads the same
+        # row of the seed's table, so its rows are byte-identical.
+        images, seed = stack_and_seed(50, 16, seed=24)
         ids = np.array([7, 3, 3, 49, 0, 7, 7, 21, 3, 12] * 4)
-        _, seeds = stack_and_seeds(len(ids), 1, seed=25)
         spec = AugmentationSpec(blur_sigma_range=(0.0, 3.0))
         out = np.empty((len(ids), 256))
-        augment_pixels(images, ids, spec, seeds, out)
-        expected = np.stack([oracle(images[i], spec, s, i).ravel() for i, s in zip(ids, seeds)])
+        augment_pixels(images, ids, spec, seed, out)
+        expected = np.stack([oracle(images[i], spec, seed, i).ravel() for i in ids])
         assert out.tobytes() == expected.tobytes()
+        for i in np.unique(ids):
+            rows = out[ids == i]
+            assert all(row.tobytes() == rows[0].tobytes() for row in rows), i
 
     def test_two_seeds_of_an_epoch_match_the_oracle(self):
-        # As under augment_all: the originals take one seed, the easy copies
-        # another, and an id may be in both parts.
-        images, (first, second, *_) = stack_and_seeds(40, 16, seed=30)
-        ids = np.array([3, 17, 0, 39, 8, 17, 3, 25])
-        seeds = [first] * 5 + [second] * 3
-        out = augment_ids(images, ids, AugmentationSpec(), seeds)
-        expected = [oracle(images[i], AugmentationSpec(), s, i).ravel() for i, s in zip(ids, seeds)]
-        assert out.tobytes() == np.stack(expected).tobytes()
-        assert out[1].tobytes() != out[5].tobytes()
+        # As under augment_all: the easy copies take the epoch's seed of salt
+        # 0 and the originals its seed of salt 1, one call each, and an id
+        # may be in both parts.
+        images, easy_seed = stack_and_seed(40, 16, seed=30)
+        original_seed = easy_seed + 1
+        parts = [(np.array([8, 17, 3]), easy_seed), (np.array([3, 17, 0, 39, 25]), original_seed)]
+        out = {}
+        for ids, seed in parts:
+            out[seed] = augment_ids(images, ids, AugmentationSpec(), seed)
+            expected = [oracle(images[i], AugmentationSpec(), seed, i).ravel() for i in ids]
+            assert out[seed].tobytes() == np.stack(expected).tobytes()
+        assert out[easy_seed][1].tobytes() != out[original_seed][1].tobytes()
+        assert out[easy_seed][2].tobytes() != out[original_seed][0].tobytes()
 
     def test_writes_into_a_row_slice_of_a_larger_matrix(self):
         # As training does: the epoch's augmented rows follow the training
         # rows of one store, and every other row is left as it was.
-        images, _ = stack_and_seeds(30, 9, seed=27)
+        images, seed = stack_and_seed(30, 9, seed=27)
         ids = np.array([4, 0, 29, 4, 17, 8, 8, 11])
-        _, seeds = stack_and_seeds(len(ids), 1, seed=28)
         spec = AugmentationSpec(blur_sigma_range=(0.0, 2.0))
         alone = np.empty((len(ids), 81))
-        augment_pixels(images, ids, spec, seeds, alone)
+        augment_pixels(images, ids, spec, seed, alone)
         store = np.random.default_rng(29).uniform(-1, 1, (20, 81))
         before = store.copy()
-        augment_pixels(images, ids, spec, seeds, store[7:15])
+        augment_pixels(images, ids, spec, seed, store[7:15])
         assert store[7:15].tobytes() == alone.tobytes()
         assert store[:7].tobytes() == before[:7].tobytes()
         assert store[15:].tobytes() == before[15:].tobytes()
 
-    @pytest.mark.parametrize(
-        "n_ids, n_seeds, n_rows", [(2, 3, 3), (3, 2, 3), (3, 3, 2)]
-    )
-    def test_ids_seeds_and_out_rows_must_agree(self, n_ids, n_seeds, n_rows):
-        images, seeds = stack_and_seeds(3, 8, seed=16)
-        with pytest.raises(ValueError, match=f"{n_ids} ids, {n_seeds} seeds and {n_rows} out"):
+    @pytest.mark.parametrize("n_ids, n_rows", [(2, 3), (3, 2)])
+    def test_ids_and_out_rows_must_agree(self, n_ids, n_rows):
+        images, seed = stack_and_seed(3, 8, seed=16)
+        with pytest.raises(ValueError, match=f"{n_ids} ids and {n_rows} out rows"):
             augment_pixels(
-                images, np.arange(n_ids), AugmentationSpec(), seeds[:n_seeds],
-                np.empty((n_rows, 64)),
+                images, np.arange(n_ids), AugmentationSpec(), seed, np.empty((n_rows, 64))
             )
 
     def test_traced_memory_does_not_grow_with_the_call(self):
@@ -640,11 +640,11 @@ class TestAugmentStack:
         run_bytes = augment.AUGMENT_CHUNK * 16 * 16 * 8
         peaks = {}
         for n in (1000, 4000):
-            images, seeds = stack_and_seeds(n, 16, seed=27)
+            images, seed = stack_and_seed(n, 16, seed=27)
             out = np.empty((n, 256))
             tracemalloc.start()
             try:
-                augment_pixels(images, np.arange(n), AugmentationSpec(), seeds, out)
+                augment_pixels(images, np.arange(n), AugmentationSpec(), seed, out)
                 _, peaks[n] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -760,20 +760,20 @@ class TestThinStacks:
     def test_far_shifts_match_single_image_oracle(self, shape, rotations):
         # Rotated by different angles, one far shift sends each image's reads
         # to a different place, so a stack's reads span many periods.
-        images, seeds = stack_and_seeds(shape[0], 16, seed=21)
+        images, seed = stack_and_seed(shape[0], 16, seed=21)
         images = images[:, : shape[1], : shape[2]].copy()
         for shift in (1e6, -1e6, 2.0**62, -(2.0**62)):
             spec = AugmentationSpec(
                 rotation_range_degrees=rotations, translation_range_pixels=(shift, shift)
             )
-            expected = oracle_stack(images, spec, seeds)
-            out = augment_stack(images, spec, seeds)
+            expected = oracle_stack(images, spec, seed)
+            out = augment_stack(images, spec, seed)
             assert out.tobytes() == expected.tobytes(), shift
 
     @pytest.mark.parametrize("shape", [(4, 1, 16), (4, 16, 1), (4, 2, 2), (4, 5, 7)])
     def test_floors_on_the_ends_of_one_reflection(self, shape):
         _, h, w = shape
-        images, seeds = stack_and_seeds(shape[0], 16, seed=22)
+        images, seed = stack_and_seed(shape[0], 16, seed=22)
         images = images[:, :h, :w].copy()
         floors = set()
         for shift in edge_shifts(h) + edge_shifts(w):
@@ -783,8 +783,8 @@ class TestThinStacks:
             # Unrotated, pixel x of the output reads x - shift of the input.
             for n in (h, w):
                 floors.update(np.floor(np.arange(n) - shift).astype(int).tolist())
-            expected = oracle_stack(images, spec, seeds)
-            out = augment_stack(images, spec, seeds)
+            expected = oracle_stack(images, spec, seed)
+            out = augment_stack(images, spec, seed)
             assert out.tobytes() == expected.tobytes(), shift
         for n in (h, w):
             assert {1 - n, 2 * n - 2} <= floors
@@ -792,13 +792,13 @@ class TestThinStacks:
     def test_far_shift_pads_only_one_period(self):
         # Unfolded, a shift of 1e6 would pad the stack by 1e6 columns (64 MB)
         # and its single row by 1e6 rows.
-        images, seeds = stack_and_seeds(4, 16, seed=23)
+        images, seed = stack_and_seed(4, 16, seed=23)
         images = images[:, :1, :].copy()
         spec = AugmentationSpec(translation_range_pixels=(1e6, 1e6))
-        augment_stack(images, spec, seeds)
+        augment_stack(images, spec, seed)
         tracemalloc.start()
         try:
-            augment_stack(images, spec, seeds)
+            augment_stack(images, spec, seed)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

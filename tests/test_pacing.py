@@ -69,7 +69,7 @@ class TestScheduleValidation:
     def test_warmup_is_first_milestone(self):
         # Epoch 2 is the default's last warm-up epoch (test_warmup_equals_full_pool).
         pool = build_epoch_pool(np.linspace(0, 1, 30), 3, 7, MILESTONES, ALPHA_K, 5)
-        assert np.count_nonzero(pool.seeds >= 0) == 5
+        assert np.count_nonzero(pool.augmented) == 5
 
 
 class TestSelection:
@@ -128,7 +128,7 @@ class TestPools:
         np.testing.assert_array_equal(hard_ids(pool), np.arange(10))
         assert len(easy_ids(pool)) == 0
         np.testing.assert_array_equal(np.sort(pool.entries), np.arange(10))
-        assert (pool.seeds == -1).all()
+        assert pool.augmented.dtype == bool and not pool.augmented.any()
 
     def test_full_pool_shuffle_is_seeded(self):
         a = full_pool(50, t=3, rng_seed=9)
@@ -136,8 +136,8 @@ class TestPools:
         c = full_pool(50, t=4, rng_seed=9)
         assert_pools_equal(a, b)
         assert not np.array_equal(a.entries, c.entries)
-        with pytest.raises(AssertionError, match="seeds of pool 1"):
-            assert_pools_equal(a, EpochPool(entries=a.entries, seeds=a.seeds + 1))
+        with pytest.raises(AssertionError, match="masks of pool 1"):
+            assert_pools_equal(a, EpochPool(entries=a.entries, augmented=~a.augmented))
 
     def test_warmup_equals_full_pool(self):
         scores = np.random.default_rng(1).uniform(0, 1, 30)
@@ -152,9 +152,7 @@ class TestPools:
         assert len(easy_ids(pool)) == 5
         np.testing.assert_array_equal(hard_ids(pool), select_hard_pool(scores, k))
         np.testing.assert_array_equal(easy_ids(pool), select_easy_pool(scores, 5))
-        augmented = pool.seeds >= 0
-        assert (pool.seeds[augmented] == derive_augmentation_seed(7, 6)).all()
-        assert augmented.sum() == 5
+        assert pool.augmented.dtype == bool and pool.augmented.sum() == 5
         assert len(pool.entries) == k + 5
 
     def test_pool_from_ids_sorted_membership(self):
@@ -166,7 +164,7 @@ class TestPools:
         # Sample 3 is in the pool both raw and augmented.
         pool = EpochPool(
             entries=np.array([1, 3, 2, 4, 3]),
-            seeds=np.array([-1, -1, -1, 17, 23]),
+            augmented=np.array([False, False, False, True, True]),
         )
         np.testing.assert_array_equal(hard_ids(pool), [1, 2, 3])
         np.testing.assert_array_equal(easy_ids(pool), [3, 4])
@@ -174,9 +172,9 @@ class TestPools:
         assert pool.composition(5) == (3, 2, 1)
 
     def test_augmentation_seed_is_stable_and_distinct(self):
-        # One seed per epoch and salt, a uint32 (so never -1), and each from
-        # its own key: the epochs and salts of one run seed, and run seeds
-        # of one or two words.
+        # One seed per epoch and salt, a uint32, and each from its own key:
+        # the epochs and salts of one run seed, and run seeds of one or two
+        # words.
         seen = {
             (rng_seed, t, salt): derive_augmentation_seed(rng_seed, t, salt=salt)
             for rng_seed in (0, 1, 2**32, 2**64 - 1)
@@ -240,22 +238,18 @@ class TestComposition:
         n = int(rng.integers(1, 30))
         m = int(rng.integers(0, 3 * n))
         entries = rng.integers(0, n, m)
-        seeds = np.where(rng.random(m) < rng.random(), -1, rng.integers(0, 2**32, m))
-        pool = EpochPool(entries=entries, seeds=seeds)
+        originals = rng.random(m) < rng.random()
+        pool = EpochPool(entries=entries, augmented=~originals)
         assert pool.composition(n) == oracle_composition(pool)
 
     def test_pools_missing_a_part_equal_oracle(self):
         pool = build_epoch_pool(np.linspace(0, 1, 30), 6, 7, MILESTONES, ALPHA_K, 5)
-        # As under augment_all: the originals get seeds of salt 1 too.
-        seeds = pool.seeds.copy()
-        originals = seeds < 0
-        seeds[originals] = derive_augmentation_seed(7, 6, salt=1)
-        augment_all = EpochPool(entries=pool.entries, seeds=seeds)
-        empty = EpochPool(entries=np.zeros(0, np.int64), seeds=np.zeros(0, np.int64))
+        copies = EpochPool(entries=pool.entries, augmented=np.ones(len(pool.entries), bool))
+        empty = EpochPool(entries=np.zeros(0, np.int64), augmented=np.zeros(0, bool))
         cases = {
             "full": (full_pool(30, 1, 7), (30, 0, 0)),
             "repeated originals": (pool_from_ids(np.array([4, 2, 2, 9]), 1, 7), (3, 0, 0)),
-            "augment_all": (augment_all, (0, 30, 0)),
+            "every entry a copy": (copies, (0, 30, 0)),
             "empty": (empty, (0, 0, 0)),
             "built": (pool, (27, 5, 2)),
         }

@@ -187,7 +187,7 @@ class TestRunWiring:
         params = init_params(train.images[0].size, config.hidden_units, config.seed)
 
         pool = result.epochs[0]["pool"]
-        assert (pool.seeds[: config.batch_size] == -1).all()
+        assert not pool.augmented[: config.batch_size].any()
         first = pool.entries[: config.batch_size]
         X = to_input(train.images[first])
         y = (first % 2).astype(np.float64)  # fakes are the odd rows
@@ -200,7 +200,7 @@ class TestRunWiring:
         # the recorded update counts match exactly.
         expected_counts = np.zeros(config.dataset.n_train, dtype=int)
         for pool in pools(result):
-            expected_counts[pool.entries[pool.seeds == -1]] += 1
+            expected_counts[pool.entries[~pool.augmented]] += 1
         np.testing.assert_array_equal(result.train_hardness.update_count, expected_counts)
         # Samples never selected after the warm-up keep fewer updates.
         assert expected_counts.max() == config.total_epochs
@@ -303,8 +303,19 @@ class TestVanillaAndBabystep:
         for a, b in zip(hard_id_sets, hard_id_sets[1:]):
             assert a <= b
 
-    def test_augment_all_attaches_seeds_everywhere(self, monkeypatch):
+
+class TestAugmentationCalls:
+    @pytest.mark.parametrize("augment_all", [False, True])
+    @pytest.mark.parametrize("mode", runner.MODES)
+    def test_one_call_per_part_with_its_salts_seed(self, mode, augment_all, monkeypatch):
+        # Both functions are wrapped as perfbench's tracer wraps them: module
+        # attributes, looked up at call time. An epoch augments the easy
+        # copies (salt 0) after the warm-up of dih and dffc and, under
+        # augment_all, the originals (salt 1): one seed and one
+        # augment_pixels call per part, with that part's ids in training order.
         config = runner.RunConfig(
+            mode=mode,
+            alpha_f=0.0 if mode == "dih" else 0.5,
             dataset=DatasetConfig(n_train=40, n_test=20, seed=2),
             total_epochs=4,
             milestones=(2, 3),
@@ -312,26 +323,38 @@ class TestVanillaAndBabystep:
             batch_size=16,
             hidden_units=8,
             seed=2,
-            augment_all=True,
+            augment_all=augment_all,
         )
-        real_augment_pixels, augmented = runner.augment_pixels, []
+        real_derive, real_augment = pacing.derive_augmentation_seed, runner.augment_pixels
+        calls = []
 
-        def spy(images, ids, spec, seeds, out):
-            augmented.append((ids.copy(), seeds.copy()))
-            return real_augment_pixels(images, ids, spec, seeds, out)
+        def derive_spy(rng_seed, t, salt=0):
+            calls.append(("derive", rng_seed, t, salt))
+            return real_derive(rng_seed, t, salt)
 
-        monkeypatch.setattr(runner, "augment_pixels", spy)
+        def augment_spy(images, ids, spec, seed, out):
+            calls.append(("augment", ids.tolist(), seed))
+            return real_augment(images, ids, spec, seed, out)
+
+        monkeypatch.setattr(pacing, "derive_augmentation_seed", derive_spy)
+        monkeypatch.setattr(runner, "augment_pixels", augment_spy)
         result = runner.run_training(config)
-        assert len(augmented) == len(result.epochs) == 4
-        for t, (pool, (ids, seeds)) in enumerate(zip(pools(result), augmented), start=1):
-            # Every entry is augmented, in training order; the originals by
-            # seeds of salt 1, the easy copies by the pool's own seeds.
-            np.testing.assert_array_equal(ids, pool.entries)
-            originals = pool.seeds < 0
-            expected = pool.seeds.copy()
-            expected[originals] = pacing.derive_augmentation_seed(config.seed, t, salt=1)
-            np.testing.assert_array_equal(seeds, expected)
-            assert (seeds >= 0).all() and originals.any()
+        monkeypatch.undo()
+
+        expected = []
+        for t, pool in enumerate(pools(result), start=1):
+            easy = mode in ("dih", "dffc") and t > config.milestones[0]
+            salts = [salt for salt, on in ((0, easy), (1, augment_all)) if on]
+            for salt in salts:
+                part = pool.augmented if salt == 0 else ~pool.augmented
+                seed = pacing.derive_augmentation_seed(config.seed, t, salt)
+                expected += [
+                    ("derive", config.seed, t, salt),
+                    ("augment", pool.entries[part].tolist(), seed),
+                ]
+        assert calls == expected
+        if mode == "dffc" and not augment_all:
+            assert [call[2:] for call in calls[::2]] == [(3, 0), (4, 0)]
 
 
 class TestReductions:
@@ -438,25 +461,22 @@ class TestEpochAssembly:
         X_train = to_input(train.images)
         batches = iter(batches)
         for t, pool in enumerate(pools(result), start=1):
-            ids, seeds = pool.entries, pool.seeds.copy()
-            originals = seeds < 0
-            if augment_all:
-                seeds[originals] = pacing.derive_augmentation_seed(config.seed, t, salt=1)
-            augmented = np.flatnonzero(seeds >= 0)
-            X_augmented = np.empty((len(augmented), X_train.shape[1]), dtype=X_train.dtype)
-            if len(augmented):
-                augment.augment_pixels(
-                    train.images, ids[augmented], config.augment, seeds[augmented], X_augmented
-                )
-                to_input(X_augmented, out=X_augmented)
+            ids = pool.entries
+            expected = X_train[ids]
+            # The easy copies by the epoch's seed of salt 0 and, under
+            # augment_all, the originals by its seed of salt 1.
+            parts = [pool.augmented, ~pool.augmented] if augment_all else [pool.augmented]
+            for salt, part in enumerate(parts):
+                X_part = np.empty((np.count_nonzero(part), X_train.shape[1]), dtype=X_train.dtype)
+                if len(X_part):
+                    seed = pacing.derive_augmentation_seed(config.seed, t, salt)
+                    augment.augment_pixels(train.images, ids[part], config.augment, seed, X_part)
+                    expected[part] = to_input(X_part, out=X_part)
             if t == 1:
-                assert len(augmented) == (len(ids) if augment_all else 0)
+                assert not pool.augmented.any()
             for start in range(0, len(ids), config.batch_size):
                 stop = start + config.batch_size
-                expected = X_train[ids[start:stop]]
-                mine = (augmented >= start) & (augmented < stop)
-                expected[augmented[mine] - start] = X_augmented[mine]
-                assert next(batches).tobytes() == expected.tobytes(), (t, start)
+                assert next(batches).tobytes() == expected[start:stop].tobytes(), (t, start)
         assert next(batches, None) is None
         assert result.epochs[2]["overlap"] > 0
 
@@ -522,9 +542,9 @@ class TestTrainingDtype:
             dtypes["eval"] |= {X.dtype, params.W1.dtype, probs.dtype}
             return probs
 
-        def augment_spy(images, ids, spec, seeds, out):
+        def augment_spy(images, ids, spec, seed, out):
             dtypes["rows"].add(out.dtype)
-            return real_augment(images, ids, spec, seeds, out)
+            return real_augment(images, ids, spec, seed, out)
 
         monkeypatch.setattr(runner, "gradients", gradients_spy)
         monkeypatch.setattr(runner, "forward_batch", forward_spy)
