@@ -1,11 +1,11 @@
 """Seeded lightweight augmentations for easy-pool samples.
 
-Images are stored as float64 stacks ``(n, h, w)`` in [0, 1], and the
+Images are stacks ``(n, h, w)`` in [0, 1], float32 in a split, and the
 three operations (Gaussian blur, brightness shift, affine warp) compute
-in float32: each run is cast to float32 once, and its pixels are written
-into the caller's array in that array's dtype, a split's float64 images
-(:func:`blur_shift`) or the rows of the runner's float32 row store
-(:func:`augment_pixels`), which take them with no cast. They are
+in float32: a run of any other dtype is cast to float32 as it is
+gathered, and its pixels are written into the caller's float32 array, a
+split's images (:func:`blur_shift`) or the rows of the runner's row
+store (:func:`augment_pixels`), with no cast. They are
 applied in that fixed order by :func:`augment_pixels`; every parameter is
 drawn from the spec ranges by numpy's ``default_rng`` keyed by the
 call's one seed, so augmentation is fully reproducible. Entry i's five
@@ -204,7 +204,8 @@ def _blur_shift_runs(
     and the images of those ids blurred (none at radius 0), shifted by their
     deltas and clipped, as one float32 ``(m, h, w)`` stack. Entry i is image
     ``ids[i]`` with ``sigmas[i]`` and ``deltas[i]``; each run gathers only
-    its own images and casts them to float32 once.
+    its own images, cast to float32 in the gather if they are not
+    (generation's clean pairs are float64).
 
     A run is blurred as two batched matrix products, ``K_h @ X @ K_w.T``,
     each entry's band matrices from :func:`_band_matrices` (one for both
@@ -216,7 +217,7 @@ def _blur_shift_runs(
     # clamp changes no pixel, and it keeps a huge delta's float32 cast finite.
     shifts = np.clip(deltas, -1.0, 1.0).astype(np.float32)
     for rows, taps in _radius_runs(sigmas):
-        run = images[ids[rows]].astype(np.float32)
+        run = images[ids[rows]].astype(np.float32, copy=False)
         if taps is not None:
             row_bands = _band_matrices(taps, h).astype(np.float32)
             col_bands = row_bands if w == h else _band_matrices(taps, w).astype(np.float32)
@@ -344,7 +345,6 @@ def augment_pixels(
     theta, dx, dy).ravel()`` of ``tests/oracles.py``, whichever entries
     share the call.
     """
-    images = np.asarray(images, dtype=np.float64)
     ids = np.asarray(ids)
     if images.ndim != 3 or len(ids) != len(out):
         raise ValueError(

@@ -226,7 +226,10 @@ def _check_out_dir(out_dir: Path, force: bool, marker: str) -> None:
 def write_pgm(image: np.ndarray, path: Path) -> None:
     """8-bit binary PGM; dependency-free grayscale dump."""
     h, w = image.shape
-    data = np.clip(np.round(image * 255.0), 0, 255).astype(np.uint8)
+    # A float32 pixel times 255 is exact in float64. Taken in float32, the
+    # product is rounded before np.round, which moves a few pixels in a
+    # million to the other byte.
+    data = np.clip(np.round(np.multiply(image, 255.0, dtype=np.float64)), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(data.tobytes())

@@ -29,10 +29,8 @@ table or by broadcasting, never by a gather. The pixels keep the bits of
 the full-grid formulas: the wave numbers are exact integers in float64,
 and every product is taken, on the same operands, before the add.
 
-Images are stored as float64 in [0, 1]. The blur and shift compute in
-float32, as augmentation does, so every stored pixel is a float32 value,
-which augmentation casts to float32 again without loss. Fake is the
-positive class.
+Images are stored as float32 in [0, 1], the dtype the blur and shift
+compute in, as augmentation does. Fake is the positive class.
 """
 
 from __future__ import annotations
@@ -123,9 +121,9 @@ class Split:
 
     Rows ``2p`` and ``2p + 1`` are the real and the fake of pair p, so the
     fakes are the odd rows and fake i's real is row ``i - 1``. ``images``
-    holds the post-processed pixels, the only ones a run trains and
-    evaluates on; :func:`clean_pairs` rebuilds the clean ones of any pairs.
-    ``amplitudes`` is 0.0 for the reals.
+    holds the post-processed pixels in float32, the only ones a run trains
+    and evaluates on; :func:`clean_pairs` rebuilds the clean ones of any
+    pairs, in float64. ``amplitudes`` is 0.0 for the reals.
     """
 
     images: np.ndarray
@@ -276,7 +274,7 @@ def generate_split(config: DatasetConfig, split_code: int) -> Split:
     n = config.split_size(split_code)
     size = config.image_size
     draws = _pair_draws(config, split_code, np.arange(n // 2))
-    images = np.empty((n, size, size))
+    images = np.empty((n, size, size), dtype=np.float32)
     amplitudes = np.empty(n)
     sigmas = np.empty(n)
     for start in range(0, n // 2, GENERATE_CHUNK):
@@ -298,8 +296,9 @@ def laplacian_variance(images: np.ndarray) -> np.ndarray:
     ``GENERATE_CHUNK`` images at a time, so the temporaries do not grow with
     it; each image's score is computed on its own either way. Each chunk is
     gathered reflect-padded by one pixel, through the reflected indices of
-    the blur's band matrices."""
-    images = np.asarray(images, dtype=np.float64)
+    the blur's band matrices. The response is summed in float64 whatever the
+    images' dtype: each tap of a float32 image is exact there, the centre's
+    too, since -4 is a power of two."""
     n, h, w = images.shape
     rows, cols = (_reflect_index(np.arange(-1, k + 1), k) for k in (h, w))
     # Each padded pixel's flat index in its image: one take gathers a chunk

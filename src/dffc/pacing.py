@@ -167,7 +167,6 @@ def build_epoch_pool(
     in degenerate configurations a sample can appear twice: once raw and
     once augmented.
     """
-    dfh_scores = np.asarray(dfh_scores, dtype=np.float64)
     n = len(dfh_scores)
     if t <= milestones[0]:
         return full_pool(n, t, rng_seed)
@@ -199,7 +198,6 @@ def babystep_pool(
     parameters are those :func:`check_babystep` accepts."""
     if t < 1:
         raise ValueError(f"epoch must be >= 1, got {t}")
-    static_hardness = np.asarray(static_hardness, dtype=np.float64)
     n = len(static_hardness)
     try:
         m = min(n, math.ceil(n * start_fraction * growth_factor ** ((t - 1) // step_length)))

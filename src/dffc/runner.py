@@ -241,8 +241,8 @@ def fit_input_transform(train_images: np.ndarray) -> Callable[..., np.ndarray]:
     barely-trainable regime under the small uniform init.
     """
     raw = train_images.reshape(len(train_images), -1)
-    mean = raw.mean(axis=0)
-    std = (raw.std(axis=0) + 1e-8) / INPUT_GAIN
+    mean = raw.mean(axis=0, dtype=np.float64)
+    std = (raw.std(axis=0, dtype=np.float64) + 1e-8) / INPUT_GAIN
 
     def transform(images: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:

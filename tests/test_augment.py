@@ -635,13 +635,16 @@ class TestAugmentStack:
     def test_traced_memory_does_not_grow_with_the_call(self):
         # Beyond the preallocated matrix, only each entry's draws (a few dozen
         # bytes) grow with the call; every image goes through a run of at
-        # most AUGMENT_CHUNK images on its own. An output stack, or a gather
-        # of every entry's image, would add 6 MB from 1 000 to 4 000 images.
+        # most AUGMENT_CHUNK images on its own. The stack and the matrix are
+        # float32, as a run passes them. An output stack, a gather of every
+        # entry's image, or a float64 copy of the stack would add 6 MB from
+        # 1 000 to 4 000 images.
         run_bytes = augment.AUGMENT_CHUNK * 16 * 16 * 8
         peaks = {}
         for n in (1000, 4000):
             images, seed = stack_and_seed(n, 16, seed=27)
-            out = np.empty((n, 256))
+            images = images.astype(np.float32)
+            out = np.empty((n, 256), dtype=np.float32)
             tracemalloc.start()
             try:
                 augment_pixels(images, np.arange(n), AugmentationSpec(), seed, out)

@@ -1139,3 +1139,14 @@ class TestWritePgm:
         raw = path.read_bytes()
         assert raw.startswith(b"P5\n2 2\n255\n")
         assert list(raw[-4:]) == [0, 128, 255, 255]
+
+    def test_float32_images_write_the_bytes_of_their_float64_widening(self, tmp_path):
+        # A split stores float32 pixels. Their product with 255 taken in
+        # float32 puts 15 pixels of this split on the other byte.
+        config = forgeries.DatasetConfig(image_size=32, seed=3)
+        images = forgeries.generate_split(config, forgeries.TRAIN_SPLIT).images
+        narrow, wide = tmp_path / "narrow.pgm", tmp_path / "wide.pgm"
+        for i, image in enumerate(images):
+            cli.write_pgm(image, narrow)
+            cli.write_pgm(image.astype(np.float64), wide)
+            assert narrow.read_bytes() == wide.read_bytes(), i

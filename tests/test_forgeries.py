@@ -145,6 +145,7 @@ class TestGeneration:
     def test_pixel_and_parameter_ranges(self, small_dataset):
         for split, code in zip(small_dataset, (TRAIN_SPLIT, TEST_SPLIT)):
             assert split.images.shape[1:] == (SMALL.image_size, SMALL.image_size)
+            assert split.images.dtype == np.float32
             assert split.images.min() >= 0.0 and split.images.max() <= 1.0
             lo, hi = SMALL.blur_range
             assert ((lo <= split.blur_sigmas) & (split.blur_sigmas <= hi)).all()
@@ -162,14 +163,14 @@ class TestGeneration:
 
     def test_clean_images_present(self, small_dataset):
         # The rebuilt clean images, post-processed by the single-image
-        # oracles, are the split's images.
+        # oracles, are the split's float32 images widened.
         for split, code in zip(small_dataset, (TRAIN_SPLIT, TEST_SPLIT)):
             clean, _, sigmas, deltas = rebuild(SMALL, code)
             assert clean.shape == split.images.shape
             assert clean.min() >= 0.0 and clean.max() <= 1.0
             for i, (img, sigma, delta) in enumerate(zip(clean, sigmas, deltas)):
                 post = brightness_adjust(gaussian_blur(img, float(sigma)), delta)
-                assert_same_bits(post, split.images[i], str(i))
+                assert_same_bits(post, split.images[i].astype(np.float64), str(i))
 
     @pytest.mark.parametrize("size", [5, 16])
     def test_underflowing_blur_sigma_blurs_as_zero_does(self, size):

@@ -150,10 +150,12 @@ def test_comparison_matches_golden_digest(tmp_path):
 
 
 def split_digest(config: DatasetConfig, split_code: int, split) -> str:
-    """The split's arrays and its rebuilt clean images and brightness deltas."""
+    """The split's arrays and its rebuilt clean images and brightness deltas,
+    each widened to float64, so the digest pins the values, not the dtype
+    they are stored in."""
     clean, _, _, deltas = clean_pairs(config, split_code, np.arange(len(split) // 2))
     arrays = (split.images, clean, split.blur_sigmas, deltas, split.amplitudes)
-    return hashlib.sha256(b"\0".join(a.tobytes() for a in arrays)).hexdigest()
+    return hashlib.sha256(b"\0".join(a.astype(np.float64).tobytes() for a in arrays)).hexdigest()
 
 
 def mismatch_note() -> str:

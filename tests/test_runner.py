@@ -403,9 +403,8 @@ class TestEvaluate:
 
 class TestInputTransform:
     def test_out_receives_the_allocating_result_bit_for_bit(self):
-        # float32 pixel values held in float64, as the dataset's are.
-        images = np.random.default_rng(30).uniform(0, 1, (50, 8, 8))
-        images = images.astype(np.float32).astype(np.float64)
+        # float32 pixels, as a split's are.
+        images = np.random.default_rng(30).uniform(0, 1, (50, 8, 8)).astype(np.float32)
         to_input = runner.fit_input_transform(images[:40])
         expected = to_input(images)
         assert expected.shape == (50, 64) and expected.dtype == TRAIN_DTYPE
@@ -417,6 +416,17 @@ class TestInputTransform:
         rows = images.reshape(50, 64).astype(TRAIN_DTYPE)
         assert to_input(rows, out=rows) is rows
         assert rows.tobytes() == expected.tobytes()
+
+    def test_float32_images_fit_as_their_float64_widening(self):
+        # The mean and deviation of a split's float32 images are accumulated
+        # in float64, so the fit is the one on the widened images to the bit,
+        # in float32 rows and in float64 ones, which show the fit unrounded.
+        images = np.random.default_rng(32).uniform(0, 1, (400, 8, 8)).astype(np.float32)
+        wide = images.astype(np.float64)
+        for dtype in (TRAIN_DTYPE, np.float64):
+            got = runner.fit_input_transform(images)(images, out=np.empty((400, 64), dtype))
+            expected = runner.fit_input_transform(wide)(wide, out=np.empty((400, 64), dtype))
+            assert got.tobytes() == expected.tobytes(), dtype
 
     def test_rows_round_the_float64_standardization(self):
         # Centred and scaled in float64, each step rounded to float32: within
