@@ -9,6 +9,11 @@ final DIH value, update count and prior. The dffc configs augment 300 or
 more copies per epoch in one ``augment_pixels`` call, which spans several
 chunks of ``augment.AUGMENT_CHUNK``; the vanilla and babystep configs
 train on ``pacing.full_pool`` and ``pacing.pool_from_ids``.
+``SMALL`` trains 8 hidden units in batches of 32, which fill every
+batch; the ``vanilla_default_shapes`` config trains at the default batch
+size and hidden units, so each epoch ends in a 16-row batch, the shape
+for which the BLAS kernel path of the first layer's product depends on
+the memory order of ``W1``.
 ``GOLDEN_DATASET`` pins the generated splits themselves, together with
 the clean images and brightness deltas that ``forgeries.clean_pairs``
 rebuilds for every pair,
@@ -61,6 +66,10 @@ GOLDEN = {
     "vanilla": (
         ["mode=vanilla"],
         "d33f5e90fd7cb130623deb8f271631d2ac8674329217db9f795eee989876ffc6",
+    ),
+    "vanilla_default_shapes": (
+        ["mode=vanilla", "batch_size=64", "hidden_units=32"],
+        "e218a6948a2a305ac2ca69113b9e0603c6118762fd3531d2ef4970787ad3b26d",
     ),
     "babystep": (
         ["mode=babystep"],
