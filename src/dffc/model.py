@@ -55,7 +55,7 @@ def init_params(n_inputs: int, n_hidden: int, seed: int) -> ModelParams:
     rng = np.random.default_rng(seed)
     bound = 1.0 / math.sqrt(n_inputs)
     return ModelParams(
-        W1=rng.uniform(-bound, bound, (n_hidden, n_inputs)).astype(TRAIN_DTYPE),
+        W1=rng.uniform(-bound, bound, (n_hidden, n_inputs)).astype(TRAIN_DTYPE, order="F"),
         b1=np.zeros(n_hidden, dtype=TRAIN_DTYPE),
         w2=rng.uniform(-bound, bound, n_hidden).astype(TRAIN_DTYPE),
         b2=0.0,
@@ -120,7 +120,7 @@ def gradients(params: ModelParams, X: np.ndarray, y: np.ndarray) -> tuple[ModelP
     live = (probs > PROB_EPS) & (probs < 1.0 - PROB_EPS)
     dz2 = np.where(live, probs - y, 0.0) / X.shape[0]
     dZ1 = dz2[:, None] * params.w2 * (A1 > 0.0)
-    grads = ModelParams(W1=dZ1.T @ X, b1=dZ1.sum(axis=0), w2=A1.T @ dz2, b2=float(dz2.sum()))
+    grads = ModelParams(W1=(X.T @ dZ1).T, b1=dZ1.sum(axis=0), w2=A1.T @ dz2, b2=float(dz2.sum()))
     return grads, probs
 
 

@@ -79,6 +79,10 @@ MODES = ("vanilla", "dih", "dffc", "babystep")
 #: that class margins keep growing once the cosine schedule has decayed.
 INPUT_GAIN = 5.0
 
+#: The widest column block :func:`fit_input_transform` takes its deviations
+#: in: a float64 buffer of ``n`` rows by at most this many columns.
+FIT_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -233,16 +237,31 @@ def fit_input_transform(train_images: np.ndarray) -> Callable[..., np.ndarray]:
     The returned function maps an ``(m, h, w)`` stack, or its ``(m, h*w)``
     rows, to ``(m, h*w)`` rows, each pixel standardized by the training
     images' per-pixel mean and standard deviation and scaled by
-    ``INPUT_GAIN``. The mean and deviation are fit in float64, and each
-    pixel is centred and then scaled in float64, each result rounded to
-    the rows' dtype: :data:`model.TRAIN_DTYPE` for the rows it allocates.
-    As a numpy ufunc does, it writes into ``out`` when one is given, which
-    may be its input. Raw [0, 1] pixels leave the net in a
-    barely-trainable regime under the small uniform init.
+    ``INPUT_GAIN``. The mean and deviation are fit in float64, with the
+    bits of ``mean(axis=0, dtype=np.float64)`` and
+    ``std(axis=0, dtype=np.float64)``, but the deviation is taken in
+    column blocks of at most :data:`FIT_BLOCK` pixels through one reused
+    float64 buffer, from the mean already fit, so no float64 copy of the
+    whole split is made. Each pixel is centred and then scaled in float64,
+    each result rounded to the rows' dtype: :data:`model.TRAIN_DTYPE` for
+    the rows it allocates. As a numpy ufunc does, it writes into ``out``
+    when one is given, which may be its input. Raw [0, 1] pixels leave the
+    net in a barely-trainable regime under the small uniform init.
     """
     raw = train_images.reshape(len(train_images), -1)
+    n, d = raw.shape
     mean = raw.mean(axis=0, dtype=np.float64)
-    std = (raw.std(axis=0, dtype=np.float64) + 1e-8) / INPUT_GAIN
+    # Near-equal blocks: each sums its squares row after row, as the whole
+    # matrix would, where a one-column block would be summed pairwise.
+    blocks = -(-d // FIT_BLOCK)
+    bounds = [d * i // blocks for i in range(blocks + 1)]
+    buffer = np.empty((n, -(-d // blocks)))
+    squares = np.empty(d)
+    for lo, hi in zip(bounds, bounds[1:]):
+        dev = np.subtract(raw[:, lo:hi], mean[lo:hi], out=buffer[:, : hi - lo])
+        np.square(dev, out=dev)
+        np.add.reduce(dev, axis=0, out=squares[lo:hi])
+    std = (np.sqrt(squares / n) + 1e-8) / INPUT_GAIN
 
     def transform(images: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:

@@ -69,7 +69,7 @@ GOLDEN = {
     ),
     "vanilla_default_shapes": (
         ["mode=vanilla", "batch_size=64", "hidden_units=32"],
-        "e218a6948a2a305ac2ca69113b9e0603c6118762fd3531d2ef4970787ad3b26d",
+        "5446ff498080f19ea8f80d87e71624f0443d4aeba90db308a7c1db40e7fcfd89",
     ),
     "babystep": (
         ["mode=babystep"],

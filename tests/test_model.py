@@ -12,8 +12,9 @@ Oracle notes:
       in float32.
   [DERIVED] float32 step -- the same float32 values stepped in float64,
       within bounds in float32 eps set from measured errors.
-  [TRIVIAL] init bounds and dtype, determinism, validation, checkpoint
-      round-trip of float32 weights through the float64 blob.
+  [TRIVIAL] init bounds, dtype and W1's F order, determinism,
+      validation, checkpoint round-trip of float32 weights through the
+      float64 blob, and the same checkpoint bytes from C and F copies.
 """
 
 from __future__ import annotations
@@ -64,6 +65,13 @@ class TestInit:
         for got, drawn in ((params.W1, W1), (params.b1, np.zeros(5)), (params.w2, w2)):
             assert got.dtype == TRAIN_DTYPE
             assert got.tobytes() == drawn.astype(TRAIN_DTYPE).tobytes()
+
+    def test_w1_is_stored_f_ordered(self):
+        # Shaped (hidden, inputs), so W1.T is the C-contiguous (inputs, hidden)
+        # operand of the forward product X @ W1.T.
+        params = init_params(n_inputs=12, n_hidden=5, seed=0)
+        assert params.W1.shape == (5, 12)
+        assert params.W1.flags.f_contiguous and params.W1.T.flags.c_contiguous
 
     def test_deterministic_by_seed(self):
         a = init_params(8, 4, seed=3)
@@ -182,18 +190,20 @@ class TestGradients:
         clamped = (probs == PROB_EPS) | (probs == 1.0 - PROB_EPS)
         assert clamped.any() == (scale > 1.0)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("width", [16, 32])
     @pytest.mark.parametrize("scale", [1.0, 8.0], ids=["live", "saturated"])
-    def test_match_the_reference_bit_for_bit(self, width, scale, dtype):
+    def test_match_the_reference_bit_for_bit(self, width, scale, dtype, order):
         # A default-sized batch of width x width px inputs on the input
         # transform's scale; weights 8x the init's clamp a fifth to three
         # fifths of the rows' probabilities, which then give no gradient.
-        # Every operand is in dtype, and so is every result.
+        # Every operand is in dtype, and so is every result. The reference
+        # takes the weight gradient as dZ1.T @ X, in either order of W1.
         rng = np.random.default_rng(width)
         params = init_params(width * width, 32, seed=width)
         params = ModelParams(
-            W1=(params.W1 * scale).astype(dtype),
+            W1=(params.W1 * scale).astype(dtype, order=order),
             b1=(rng.normal(size=32) * 0.1).astype(dtype),
             w2=(params.w2 * scale).astype(dtype),
             b2=0.3,
@@ -269,6 +279,19 @@ class TestGradients:
             np.testing.assert_array_equal(_bits(got), _bits(want))
         assert out.b2 == 0.25 - eta * -0.5
         np.testing.assert_array_equal(flatten_params(grads), grads_before)
+
+    def test_w1_stays_f_ordered_through_a_step(self):
+        # The weight gradient comes out F-ordered like W1, so the in-place
+        # update never mixes memory orders.
+        rng = np.random.default_rng(6)
+        params = init_params(64, 8, seed=6)
+        W1 = params.W1
+        X = rng.normal(size=(16, 64)).astype(TRAIN_DTYPE)
+        for _ in range(3):
+            grads, _ = gradients(params, X, np.arange(16) % 2)
+            assert grads.W1.shape == (8, 64) and grads.W1.flags.f_contiguous
+            params = sgd_step(params, grads, eta=0.1)
+        assert params.W1 is W1 and W1.flags.f_contiguous
 
     def test_sgd_step_negative_eta(self):
         params = init_params(2, 2, seed=0)
@@ -367,6 +390,28 @@ class TestCheckpoint:
             np.testing.assert_array_equal(got, want, err_msg=name)
             assert got.astype(TRAIN_DTYPE).tobytes() == want.tobytes(), name
         assert loaded.b2 == params.b2
+
+    def test_c_and_f_copies_write_identical_bytes(self, tmp_path):
+        # The header gives W1's (hidden, inputs) shape and the blob its
+        # values in C order, whatever order the array is stored in.
+        params = init_params(10, 6, seed=8)
+        params.b2 = -0.125
+        copies = {
+            order: ModelParams(
+                W1=params.W1.copy(order=order), b1=params.b1, w2=params.w2, b2=params.b2
+            )
+            for order in "CF"
+        }
+        written = {}
+        for order, copy in copies.items():
+            header, blob = tmp_path / f"{order}.json", tmp_path / f"{order}.bin"
+            save_checkpoint(copy, seed=8, epoch=3, header_path=header, blob_path=blob)
+            written[order] = (header.read_bytes(), blob.read_bytes())
+        assert copies["C"].W1.flags.c_contiguous and copies["F"].W1.flags.f_contiguous
+        assert written["C"] == written["F"]
+        loaded, meta = load_checkpoint(tmp_path / "F.json", tmp_path / "F.bin")
+        assert meta["shapes"]["W1"] == [6, 10]
+        np.testing.assert_array_equal(loaded.W1, params.W1)
 
     def test_truncated_blob_rejected(self, tmp_path):
         params = init_params(10, 6, seed=9)

@@ -25,6 +25,7 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,6 +428,35 @@ class TestInputTransform:
             got = runner.fit_input_transform(images)(images, out=np.empty((400, 64), dtype))
             expected = runner.fit_input_transform(wide)(wide, out=np.empty((400, 64), dtype))
             assert got.tobytes() == expected.tobytes(), dtype
+
+    @pytest.mark.parametrize("width", [5, 12, 16, 32, 63])
+    def test_blocked_fit_matches_the_whole_matrix_bit_for_bit(self, width):
+        # 25 pixels fit in one block; 144, 256, 1024 and 3969 span several.
+        # 144 and 3969 are not multiples of FIT_BLOCK, and blocks of exactly
+        # FIT_BLOCK would leave 3969 a one-column block, summed pairwise:
+        # that moves the deviation's last bit in only some splits, so eight
+        # are fit. The float64 rows show the fit unrounded, so a mean or
+        # deviation one ulp off changes them.
+        for seed in range(8):
+            rng = np.random.default_rng([width, seed])
+            images = rng.uniform(0, 1, (40, width, width)).astype(np.float32)
+            raw = images.reshape(40, -1)
+            mean = raw.mean(axis=0, dtype=np.float64)
+            std = (raw.std(axis=0, dtype=np.float64) + 1e-8) / runner.INPUT_GAIN
+            got = runner.fit_input_transform(images)(images, out=np.empty(raw.shape))
+            assert got.tobytes() == ((raw - mean) / std).tobytes(), seed
+
+    def test_fit_makes_no_split_sized_float64_temporary(self):
+        # 400 images at 32 px: 3.3 MB in float64. The fit's column blocks
+        # hold 400 x 128 float64 values, an eighth of that.
+        images = np.random.default_rng(33).uniform(0, 1, (400, 32, 32)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            runner.fit_input_transform(images)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < images.size * 8 / 4
 
     def test_rows_round_the_float64_standardization(self):
         # Centred and scaled in float64, each step rounded to float32: within
