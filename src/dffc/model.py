@@ -16,10 +16,17 @@ float32's range overflows that cast. What needs float64 stays float64:
 given, and the checkpoint holds ``<f8`` values, into which float32 widens
 exactly.
 
-At the default sizes a step's arrays are small, so its cost is mostly the
-number of numpy calls: the sigmoid and the output clamp are whole-array
-ufunc calls with no boolean gathers, and the ReLU and clamp write into the
-arrays they read."""
+At 16 px a step's arrays are small, so its cost is mostly the number of
+numpy calls: the sigmoid and the output clamp are whole-array ufunc calls
+with no boolean gathers, and the ReLU and clamp write into the arrays they
+read. At 32 px a step is bound by its matrix products instead, so the
+layout of their operands decides its cost. ``W1`` keeps its
+``(hidden, inputs)`` shape but is stored F-ordered, so ``W1.T`` is
+C-contiguous and the forward product ``X @ W1.T`` is a plain GEMM of two
+row-major operands; :func:`gradients` returns the weight gradient
+F-ordered too, so the in-place update never mixes memory orders. The
+checkpoint does not see the order: its header gives the
+``(hidden, inputs)`` shape and its blob ``W1.ravel()``, in C order."""
 
 from __future__ import annotations
 
@@ -43,7 +50,7 @@ TRAIN_DTYPE = np.float32
 
 @dataclass
 class ModelParams:
-    W1: np.ndarray  # (hidden, inputs)
+    W1: np.ndarray  # (hidden, inputs), F-ordered
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (hidden,)
     b2: float
@@ -51,7 +58,8 @@ class ModelParams:
 
 def init_params(n_inputs: int, n_hidden: int, seed: int) -> ModelParams:
     """Weights uniform in [-1/sqrt(d), 1/sqrt(d)], biases zero, in
-    :data:`TRAIN_DTYPE`: the weights are drawn in float64 and cast once."""
+    :data:`TRAIN_DTYPE`: the weights are drawn in float64 and cast once,
+    ``W1`` into F order."""
     rng = np.random.default_rng(seed)
     bound = 1.0 / math.sqrt(n_inputs)
     return ModelParams(

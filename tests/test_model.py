@@ -51,6 +51,9 @@ class TestInit:
     def test_shapes_and_bounds(self):
         params = init_params(n_inputs=12, n_hidden=5, seed=0)
         assert params.W1.shape == (5, 12)
+        # Stored F-ordered: W1.T is the C-contiguous (inputs, hidden) operand
+        # of the forward product X @ W1.T.
+        assert params.W1.T.flags.c_contiguous
         assert params.b1.shape == (5,) and params.w2.shape == (5,)
         bound = 1.0 / math.sqrt(12)
         assert np.all(np.abs(params.W1) <= bound)
@@ -65,13 +68,6 @@ class TestInit:
         for got, drawn in ((params.W1, W1), (params.b1, np.zeros(5)), (params.w2, w2)):
             assert got.dtype == TRAIN_DTYPE
             assert got.tobytes() == drawn.astype(TRAIN_DTYPE).tobytes()
-
-    def test_w1_is_stored_f_ordered(self):
-        # Shaped (hidden, inputs), so W1.T is the C-contiguous (inputs, hidden)
-        # operand of the forward product X @ W1.T.
-        params = init_params(n_inputs=12, n_hidden=5, seed=0)
-        assert params.W1.shape == (5, 12)
-        assert params.W1.flags.f_contiguous and params.W1.T.flags.c_contiguous
 
     def test_deterministic_by_seed(self):
         a = init_params(8, 4, seed=3)
@@ -190,8 +186,11 @@ class TestGradients:
         clamped = (probs == PROB_EPS) | (probs == 1.0 - PROB_EPS)
         assert clamped.any() == (scale > 1.0)
 
-    @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "dtype, order",
+        [(np.float64, "F"), (np.float32, "F"), (np.float64, "C"), (np.float32, "C")],
+        ids=["float64", "float32", "float64-C", "float32-C"],
+    )
     @pytest.mark.parametrize("width", [16, 32])
     @pytest.mark.parametrize("scale", [1.0, 8.0], ids=["live", "saturated"])
     def test_match_the_reference_bit_for_bit(self, width, scale, dtype, order):
@@ -199,7 +198,8 @@ class TestGradients:
         # transform's scale; weights 8x the init's clamp a fifth to three
         # fifths of the rows' probabilities, which then give no gradient.
         # Every operand is in dtype, and so is every result. The reference
-        # takes the weight gradient as dZ1.T @ X, in either order of W1.
+        # takes the weight gradient as dZ1.T @ X, with W1 F-ordered as a run
+        # stores it and C-ordered.
         rng = np.random.default_rng(width)
         params = init_params(width * width, 32, seed=width)
         params = ModelParams(
@@ -407,7 +407,6 @@ class TestCheckpoint:
             header, blob = tmp_path / f"{order}.json", tmp_path / f"{order}.bin"
             save_checkpoint(copy, seed=8, epoch=3, header_path=header, blob_path=blob)
             written[order] = (header.read_bytes(), blob.read_bytes())
-        assert copies["C"].W1.flags.c_contiguous and copies["F"].W1.flags.f_contiguous
         assert written["C"] == written["F"]
         loaded, meta = load_checkpoint(tmp_path / "F.json", tmp_path / "F.bin")
         assert meta["shapes"]["W1"] == [6, 10]
